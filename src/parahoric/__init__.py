@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .rootdata import (
     DynkinSpec,
     IllegalRank,
+    InvariantViolation,
     NotDominant,
     Root,
     RootDatum,

@@ -27,8 +27,8 @@ from .rootdata import (
     Root,
     RootDatum,
     Weight,
-    classify_cartan,
-    dot,
+    classify_nodes,
+    classify_root_datum,
     sub_root_datum,
     weight_key,
     wneg,
@@ -255,8 +255,6 @@ class ParahoricModel:
 
 
 def classify_quotient(model: ParahoricModel) -> DynkinSpec:
-    from .rootdata import classify_root_datum
-
     return classify_root_datum(model.quotient_datum)
 
 
@@ -315,35 +313,13 @@ def quotient_by_deletion(rd: RootDatum, theta: FacetSpec, basis: AffineBasis | N
     surviving subdiagram.  Must agree with the type computed from the window
     model."""
     basis = basis or extended_basis(rd)
-    survivors: list[Root] = []
-    for cb, part in zip(basis.components, theta.theta):
-        for i, el in enumerate(cb.elements):
-            if i not in part:
-                survivors.append(el.gradient)
-    # connected components of the surviving subdiagram
-    k = len(survivors)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in itertools.combinations(range(k), 2):
-        if dot(survivors[i].coords, survivors[j].coroot) != 0:
-            parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    components = []
-    for group in groups.values():
-        nodes = [survivors[i] for i in group]
-        cartan = [[dot(b.coords, a.coroot) for b in nodes] for a in nodes]
-        components.append(classify_cartan(cartan))
-    components.sort()
-    semisimple = sum(rank for _, rank in components)
-    return DynkinSpec(tuple(components), rd.n - semisimple)
+    survivors = [
+        el.gradient
+        for cb, part in zip(basis.components, theta.theta)
+        for i, el in enumerate(cb.elements)
+        if i not in part
+    ]
+    return classify_nodes(survivors, rd.n)
 
 
 # ---------------------------------------------------------------------------
@@ -363,54 +339,21 @@ def affine_eval(alpha: AffineRoot, point: tuple[Fraction, ...]) -> Fraction:
 def _alcove_vertices(rd: RootDatum, basis: AffineBasis) -> list[list[tuple[Fraction, ...]]]:
     """Per component, the alcove vertex opposite each extended-basis node.
 
-    The vertex for node alpha is the point where every other node of the
-    component vanishes; solving those equalities exactly gives rational
-    coordinates.
+    Every other node of the component vanishes at that vertex.  Opposite a
+    simple node it is the node's fundamental coweight divided by its mark;
+    opposite the affine node it is the origin.
     """
+    origin = tuple(Fraction(0) for _ in range(rd.n))
     all_vertices = []
-    for comp, cb in enumerate(basis.components):
-        simples = rd.component_simple_roots(comp)
-        rank = len(simples)
+    start = 0
+    for cb in basis.components:
         vertices = []
-        for pick in range(rank + 1):
-            if pick == rank:
-                vertices.append(tuple(Fraction(0) for _ in range(rd.n)))
-                continue
-            # alpha_k(x) must equal delta_{k,pick} / mark_pick, with x
-            # supported on the component's coordinate block
-            y = [Fraction(0)] * rank
-            y[pick] = Fraction(1, cb.marks[pick])
-            support = [
-                i
-                for i in range(rd.n)
-                if any(simples[k].coords[i] != 0 for k in range(rank))
-            ]
-            assert len(support) == rank
-            aug = [
-                [Fraction(simples[k].coords[i]) for i in support] + [y[k]]
-                for k in range(rank)
-            ]
-            x_support = _solve_square(aug)
-            x = [Fraction(0)] * rd.n
-            for idx, val in zip(support, x_support):
-                x[idx] = val
-            vertices.append(tuple(x))
-        all_vertices.append(vertices)
+        for pick in range(cb.rank):
+            x, d = rd.fundamental_coweight(start + pick)
+            vertices.append(tuple(Fraction(c, d * cb.marks[pick]) for c in x))
+        all_vertices.append(vertices + [origin])
+        start += cb.rank
     return all_vertices
-
-
-def _solve_square(aug: list[list[Fraction]]) -> list[Fraction]:
-    n = len(aug)
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def facet_barycenter(rd: RootDatum, basis: AffineBasis, theta: FacetSpec) -> tuple[Fraction, ...]:

@@ -142,29 +142,26 @@ def _check_same(ch1: Character, ch2: Character):
 # Freudenthal recursion
 
 
-def _dominant_below(rd: RootDatum, lam: Weight) -> list[tuple[Weight, int]]:
-    """All dominant mu <= lam with the height of lam - mu, by brute box scan
-    over the root-lattice coordinates of lam - w0(lam)."""
-    if rd.semisimple_rank == 0:
-        return [(lam, 0)]
-    low = rd.antidominant_conjugate(lam)
-    cmax = rd.root_lattice_coords(wsub(lam, low))
-    assert cmax is not None and all(c >= 0 for c in cmax)
-    simples = rd.simple_roots
-    out = []
+def _dominant_below(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
+    """All dominant mu <= lam, each with the height of lam - mu.
 
-    def scan(idx, current, height):
-        if idx == len(simples):
-            if rd.is_dominant(current):
-                out.append((current, height))
-            return
-        mu = current
-        for c in range(cmax[idx] + 1):
-            scan(idx + 1, mu, height + c)
-            mu = wsub(mu, simples[idx].coords)
-
-    scan(0, lam, 0)
-    return out
+    Closure from lam: subtract positive roots and keep the dominant results.
+    This reaches every dominant mu <= lam because covers in the dominance
+    order on dominant weights differ by a positive root (Stembridge, "The
+    partial order of dominant weights", Adv. Math. 1998).
+    """
+    heights = {lam: 0}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for beta in rd.positive_roots:
+                nu = wsub(mu, beta.coords)
+                if nu not in heights and rd.is_dominant(nu):
+                    heights[nu] = heights[mu] + beta.height
+                    nxt.append(nu)
+        frontier = nxt
+    return heights
 
 
 def chi_char(rd: RootDatum, lam: Weight, disk_cache=None) -> Character:
@@ -187,10 +184,15 @@ def chi_char(rd: RootDatum, lam: Weight, disk_cache=None) -> Character:
         if stored is not None:
             rd._chi_cache[lam] = dict(stored)
             return Character(rd, dict(stored))
-    candidates = sorted(_dominant_below(rd, lam), key=lambda t: t[1])
+    # by height; ties in lexicographic order of the coordinates of lam - mu,
+    # which fixes the insertion order of mult
+    candidates = sorted(
+        (height, rd.root_lattice_coords(wsub(lam, mu)), mu)
+        for mu, height in _dominant_below(rd, lam).items()
+    )
     mult: dict[Weight, int] = {}
     positives = rd.positive_roots
-    for mu, height in candidates:
+    for height, coeffs, mu in candidates:
         if height == 0:
             mult[mu] = 1
             continue
@@ -203,8 +205,6 @@ def chi_char(rd: RootDatum, lam: Weight, disk_cache=None) -> Character:
                 if m is None:
                     break
                 total += m * dot(alpha.form, nu)
-        diff = wsub(lam, mu)
-        coeffs = rd.root_lattice_coords(diff)
         lam_mu = wadd(lam, mu)
         denom = sum(
             c * (dot(simple.form, lam_mu) + two_rho)

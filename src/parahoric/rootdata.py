@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "Weight",
@@ -25,9 +24,11 @@ __all__ = [
     "RootDatum",
     "IllegalRank",
     "NotDominant",
+    "InvariantViolation",
     "parse_dynkin_spec",
     "build_root_datum",
     "sub_root_datum",
+    "classify_nodes",
     "classify_root_datum",
     "weight_key",
     "parse_weight_key",
@@ -43,6 +44,14 @@ class IllegalRank(ValueError):
 
 class NotDominant(ValueError):
     """Raised when an operation requires a dominant weight."""
+
+
+class InvariantViolation(ArithmeticError):
+    """Raised when a mathematical invariant the library relies on fails.
+
+    These checks are explicit raises, not ``assert``, so they also run under
+    ``python -O``.
+    """
 
 
 def wadd(a: Weight, b: Weight) -> Weight:
@@ -243,51 +252,81 @@ class Root:
         return f"Root({weight_key(self.coords)})"
 
 
-class _LinSolver:
-    """Exact rational solver for Sum c_i * columns[i] = target."""
+def _cartan_matrix(nodes) -> tuple[tuple[int, ...], ...]:
+    """``[<alpha_j, alpha_i^vee>]_ij`` over a list of roots."""
+    return tuple(tuple(dot(b.coords, a.coroot) for b in nodes) for a in nodes)
 
-    def __init__(self, columns: list[Weight]):
-        self.columns = [tuple(col) for col in columns]
-        self.k = len(columns)
-        self.n = len(columns[0]) if columns else 0
 
-    def solve(self, target: Weight) -> tuple[Fraction, ...] | None:
-        if self.k == 0:
-            return () if all(x == 0 for x in target) else None
-        rows = [
-            [Fraction(self.columns[j][i]) for j in range(self.k)] + [Fraction(target[i])]
-            for i in range(self.n)
-        ]
-        pivots = []
-        r = 0
-        for col in range(self.k):
-            pivot = next((i for i in range(r, self.n) if rows[i][col] != 0), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = rows[r][col]
-            rows[r] = [x / inv for x in rows[r]]
-            for i in range(self.n):
-                if i != r and rows[i][col] != 0:
-                    factor = rows[i][col]
-                    rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(col)
-            r += 1
-        for i in range(r, self.n):
-            if rows[i][-1] != 0:
-                return None
-        if len(pivots) < self.k:
-            return None  # dependent columns: solution not unique
-        sol = [Fraction(0)] * self.k
-        for row_idx, col in enumerate(pivots):
-            sol[col] = rows[row_idx][-1]
-        return tuple(sol)
+def _integer_inverse(matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(det, adj)`` with ``adj * matrix == det * I``.
 
-    def solve_int(self, target: Weight) -> tuple[int, ...] | None:
-        sol = self.solve(target)
-        if sol is None or any(x.denominator != 1 for x in sol):
+    Fraction-free (Bareiss) Gauss-Jordan elimination of ``[matrix | I]``:
+    every division is exact and the k-th pivot is the k-th leading principal
+    minor.  No rows are exchanged, because every principal minor of a
+    finite-type Cartan matrix is positive.
+    """
+    k = len(matrix)
+    rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(matrix)]
+    det = 1
+    for p in range(k):
+        pivot = rows[p][p]
+        if pivot <= 0:
+            raise InvariantViolation(f"leading minor {p + 1} of {matrix} is not positive")
+        for i in range(k):
+            if i != p:
+                f = rows[i][p]
+                rows[i] = [(pivot * x - f * y) // det for x, y in zip(rows[i], rows[p])]
+        det = pivot
+    adj = tuple(tuple(row[k:]) for row in rows)
+    for i in range(k):
+        for j in range(k):
+            if sum(adj[i][t] * matrix[t][j] for t in range(k)) != det * (i == j):
+                raise InvariantViolation(f"adj * C != det * I for C = {matrix}")
+    return det, adj
+
+
+def _cartan_solve(det, adj, basis, duals, v: Weight) -> tuple[int, ...] | None:
+    """The integer c with ``sum c_j basis[j] == v``, or None.
+
+    ``adj / det`` must invert ``[<basis_j, duals_i>]_ij``, so pairing ``v``
+    with the duals and applying it gives the only candidate.  It is kept when
+    it is integral and rebuilds ``v`` exactly; the rebuild rejects ``v``
+    outside the span of the basis (for instance with a torus component).
+    """
+    pairings = [dot(v, f) for f in duals]
+    coeffs = []
+    for row in adj:
+        num = dot(row, pairings)
+        if num % det:
             return None
-        return tuple(int(x) for x in sol)
+        coeffs.append(num // det)
+    rebuilt = [0] * len(v)
+    for c, b in zip(coeffs, basis):
+        if c:
+            for i, x in enumerate(b):
+                rebuilt[i] += c * x
+    return tuple(coeffs) if rebuilt == list(v) else None
+
+
+def _dynkin_components(nodes) -> list[list[int]]:
+    """Connected components of the Dynkin graph on ``nodes`` (two roots are
+    joined when they pair nonzero), as ascending index lists ordered by their
+    first index."""
+    parent = list(range(len(nodes)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        if dot(nodes[i].coords, nodes[j].coroot) != 0:
+            parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(nodes)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 class RootDatum:
@@ -297,19 +336,23 @@ class RootDatum:
     Instances are safe to share; all methods are pure.
     """
 
-    def __init__(self, *, spec, n, roots, simple_indices, cartan, rho):
+    def __init__(self, *, spec, n, roots, simple_indices, rho):
         self.spec: DynkinSpec | None = spec
         self.n: int = n
         self.roots: tuple[Root, ...] = tuple(roots)
+        self.positive_roots: tuple[Root, ...] = tuple(r for r in self.roots if r.height > 0)
         self.simple_indices: tuple[tuple[int, ...], ...] = tuple(
             tuple(ix) for ix in simple_indices
         )
-        self.cartan: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in cartan)
         self.rho: Weight | None = rho
         self._coords_index = {r.coords: i for i, r in enumerate(self.roots)}
         flat = [self.roots[i] for comp in self.simple_indices for i in comp]
         self._simple_roots = tuple(flat)
-        self._root_solver = _LinSolver([r.coords for r in flat])
+        self.cartan: tuple[tuple[int, ...], ...] = _cartan_matrix(flat)
+        # det * C^-1 = adj, the one exact inverse behind every lattice solve
+        self._det, self._adj = _integer_inverse(self.cartan)
+        self._simple_coords = tuple(a.coords for a in flat)
+        self._simple_coroots = tuple(a.coroot for a in flat)
         self._orbit_cache: dict[Weight, tuple[Weight, ...]] = {}
         self._chi_cache: dict[Weight, dict[Weight, int]] = {}
         # (2*rho, alpha_i) per simple root, for the Freudenthal denominator
@@ -336,10 +379,6 @@ class RootDatum:
     def semisimple_rank(self) -> int:
         return len(self._simple_roots)
 
-    @property
-    def positive_roots(self) -> tuple[Root, ...]:
-        return tuple(r for r in self.roots if r.height > 0)
-
     def component_simple_roots(self, component: int) -> tuple[Root, ...]:
         return tuple(self.roots[i] for i in self.simple_indices[component])
 
@@ -348,9 +387,6 @@ class RootDatum:
 
     def root_with_coords(self, coords: Weight) -> Root:
         return self.roots[self._coords_index[coords]]
-
-    def root_order_index(self, coords: Weight) -> int:
-        return self._coords_index[coords]
 
     def same_datum(self, other: "RootDatum") -> bool:
         return self is other or (
@@ -407,16 +443,6 @@ class RootDatum:
             else:
                 return w
 
-    def antidominant_conjugate(self, lam: Weight) -> Weight:
-        w = lam
-        while True:
-            for a in self._simple_roots:
-                if dot(w, a.coroot) > 0:
-                    w = self.reflect(a, w)
-                    break
-            else:
-                return w
-
     def orbit_size(self, lam: Weight) -> int:
         return len(self.weyl_orbit(lam))
 
@@ -424,12 +450,23 @@ class RootDatum:
 
     def root_lattice_coords(self, v: Weight) -> tuple[int, ...] | None:
         """Integer coordinates of ``v`` over the simple roots, or None."""
-        return self._root_solver.solve_int(v)
+        return _cartan_solve(self._det, self._adj, self._simple_coords, self._simple_coroots, v)
 
     def dominance_leq(self, a: Weight, b: Weight) -> bool:
         """True iff b - a is a nonnegative integer sum of simple roots."""
         coeffs = self.root_lattice_coords(wsub(b, a))
         return coeffs is not None and all(c >= 0 for c in coeffs)
+
+    def fundamental_coweight(self, i: int) -> tuple[Weight, int]:
+        """The coweight dual to simple root ``i`` as ``(x, d)``: the point
+        ``x / d`` in the coordinates dual to the weight coordinates, on which
+        simple root ``j`` takes the value ``[i == j]``.  It is row ``i`` of the
+        inverse Cartan matrix over the simple coroots."""
+        x = [0] * self.n
+        for c, coroot in zip(self._adj[i], self._simple_coroots):
+            for j, y in enumerate(coroot):
+                x[j] += c * y
+        return tuple(x), self._det
 
     # -- classical data ------------------------------------------------------
 
@@ -500,10 +537,8 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
         offsets.append(pos)
         pos += rank
     all_roots: list[Root] = []
-    cartan_blocks: list[list[list[int]]] = []
     for comp, (family, rank) in enumerate(spec.components):
         cartan, d = _cartan_and_symmetrizer(family, rank)
-        cartan_blocks.append(cartan)
         off = offsets[comp]
         for coeffs in sorted(_component_roots(cartan, d), key=lambda c: (sum(c), c)):
             local_coords = [
@@ -534,32 +569,17 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
                 )
             )
     all_roots.sort(key=lambda r: (r.component, r.height, r.simple_coeffs))
-    index_of = {r.coords: i for i, r in enumerate(all_roots)}
-    simple_indices = []
-    for comp, (family, rank) in enumerate(spec.components):
-        cartan = cartan_blocks[comp]
-        off = offsets[comp]
-        ixs = []
-        for j in range(rank):
-            coords = [0] * n
-            coords[off : off + rank] = [cartan[k][j] for k in range(rank)]
-            ixs.append(index_of[tuple(coords)])
-        simple_indices.append(tuple(ixs))
-    full_cartan = [[0] * spec.semisimple_rank for _ in range(spec.semisimple_rank)]
-    row = 0
-    for comp, block in enumerate(cartan_blocks):
-        size = len(block)
-        for i in range(size):
-            for j in range(size):
-                full_cartan[row + i][row + j] = block[i][j]
-        row += size
+    index_of = {(r.component, r.simple_coeffs): i for i, r in enumerate(all_roots)}
+    simple_indices = [
+        tuple(index_of[comp, tuple(int(k == j) for k in range(rank))] for j in range(rank))
+        for comp, (_, rank) in enumerate(spec.components)
+    ]
     rho = tuple([1] * spec.semisimple_rank + [0] * spec.extra_torus_rank)
     return RootDatum(
         spec=spec,
         n=n,
         roots=all_roots,
         simple_indices=simple_indices,
-        cartan=full_cartan,
         rho=rho,
     )
 
@@ -578,92 +598,54 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     """
     subset = {tuple(c) for c in coords_subset}
     members = [r for r in ambient.roots if r.coords in subset]
-    assert len(members) == len(subset), "subset contains non-roots"
+    if len(members) != len(subset):
+        raise InvariantViolation("subset contains non-roots")
     positives = [r for r in members if r.height > 0]
     pos_coords = {r.coords for r in positives}
     simples = [
         r
         for r in positives
-        if not any(
-            wsub(r.coords, s.coords) in pos_coords and s.coords != r.coords
-            for s in positives
-        )
+        if not any(wsub(r.coords, s.coords) in pos_coords for s in positives)
     ]
-    simples.sort(key=lambda r: ambient.root_order_index(r.coords))
-    for a, b in itertools.combinations(simples, 2):
-        assert dot(a.coords, b.coroot) <= 0, "indecomposables do not form a base"
-    # connected components of the induced Dynkin graph
-    comp_of = list(range(len(simples)))
-
-    def find(i):
-        while comp_of[i] != i:
-            comp_of[i] = comp_of[comp_of[i]]
-            i = comp_of[i]
-        return i
-
-    for i, j in itertools.combinations(range(len(simples)), 2):
-        if dot(simples[i].coords, simples[j].coroot) != 0:
-            comp_of[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(simples)):
-        groups.setdefault(find(i), []).append(i)
-    ordered_groups = sorted(groups.values(), key=lambda g: g[0])
-    flat_order = [i for g in ordered_groups for i in g]
-    simples = [simples[i] for i in flat_order]
-    comp_index = {}
-    local_index = {}
-    start = 0
-    for comp, g in enumerate(ordered_groups):
-        for offset in range(len(g)):
-            comp_index[start + offset] = comp
-            local_index[start + offset] = offset
-        start += len(g)
-    comp_sizes = [len(g) for g in ordered_groups]
-    root_solver = _LinSolver([r.coords for r in simples])
-    coroot_solver = _LinSolver([r.coroot for r in simples])
+    if any(dot(a.coords, b.coroot) > 0 for a, b in itertools.combinations(simples, 2)):
+        raise InvariantViolation("indecomposables do not form a base")
+    groups = _dynkin_components(simples)
+    simples = [simples[i] for g in groups for i in g]
+    bounds = list(itertools.pairwise(itertools.accumulate((len(g) for g in groups), initial=0)))
+    det, adj = _integer_inverse(_cartan_matrix(simples))
+    adj_t = tuple(zip(*adj))
+    root_basis = [s.coords for s in simples]
+    coroot_basis = [s.coroot for s in simples]
     new_roots: list[Root] = []
     for r in members:
-        coeffs = root_solver.solve_int(r.coords)
-        cor_coeffs = coroot_solver.solve_int(r.coroot)
-        assert coeffs is not None and cor_coeffs is not None
-        assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
-        support = [i for i, c in enumerate(coeffs) if c != 0]
-        comp = comp_index[support[0]] if support else 0
-        assert all(comp_index[i] == comp for i in support)
-        local = [0] * comp_sizes[comp] if comp_sizes else []
-        cor_local = [0] * comp_sizes[comp] if comp_sizes else []
-        for i in support:
-            local[local_index[i]] = coeffs[i]
-            cor_local[local_index[i]] = cor_coeffs[i]
+        coeffs = _cartan_solve(det, adj, root_basis, coroot_basis, r.coords)
+        cor_coeffs = _cartan_solve(det, adj_t, coroot_basis, root_basis, r.coroot)
+        if coeffs is None or cor_coeffs is None:
+            raise InvariantViolation(f"{r} is not an integer sum of the simple roots")
+        if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+            raise InvariantViolation(f"{r} has coefficients of both signs")
+        comp = next(k for k, (lo, hi) in enumerate(bounds) if any(coeffs[lo:hi]))
+        lo, hi = bounds[comp]
+        if any(coeffs[:lo]) or any(coeffs[hi:]):
+            raise InvariantViolation(f"{r} meets two components of the Dynkin graph")
         new_roots.append(
             Root(
                 coords=r.coords,
-                simple_coeffs=tuple(local),
+                simple_coeffs=coeffs[lo:hi],
                 component=comp,
                 coroot=r.coroot,
-                coroot_coeffs=tuple(cor_local),
+                coroot_coeffs=cor_coeffs[lo:hi],
                 form=r.form,
             )
         )
     new_roots.sort(key=lambda r: (r.component, r.height, r.simple_coeffs))
     index_of = {r.coords: i for i, r in enumerate(new_roots)}
-    simple_indices = []
-    start = 0
-    for size in comp_sizes:
-        simple_indices.append(
-            tuple(index_of[simples[start + j].coords] for j in range(size))
-        )
-        start += size
-    k = len(simples)
-    cartan = [
-        [dot(simples[j].coords, simples[i].coroot) for j in range(k)] for i in range(k)
-    ]
+    simple_indices = [tuple(index_of[s.coords] for s in simples[lo:hi]) for lo, hi in bounds]
     return RootDatum(
         spec=None,
         n=ambient.n,
         roots=new_roots,
         simple_indices=simple_indices,
-        cartan=cartan,
         rho=None,
     )
 
@@ -737,15 +719,17 @@ def classify_cartan(cartan) -> tuple[str, int]:
     raise ValueError(f"unrecognized Cartan matrix {cartan}")
 
 
+def classify_nodes(nodes, n: int) -> DynkinSpec:
+    """The Dynkin type of a set of simple roots in Z^n: each connected
+    component of their Dynkin graph is classified, and the remaining rank is
+    a central torus."""
+    components = sorted(
+        classify_cartan(_cartan_matrix([nodes[i] for i in group]))
+        for group in _dynkin_components(nodes)
+    )
+    return DynkinSpec(tuple(components), n - sum(rank for _, rank in components))
+
+
 def classify_root_datum(datum: RootDatum) -> DynkinSpec:
     """The Dynkin type of a datum, torus rank inferred from the ambient rank."""
-    components = []
-    for comp in range(datum.num_components):
-        simples = datum.component_simple_roots(comp)
-        cartan = [
-            [dot(b.coords, a.coroot) for b in simples] for a in simples
-        ]
-        components.append(classify_cartan(cartan))
-    components.sort()
-    semisimple = sum(rank for _, rank in components)
-    return DynkinSpec(tuple(components), datum.n - semisimple)
+    return classify_nodes(datum.simple_roots, datum.n)

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used by the tests.
 
 These recompute expected values along routes that do not share code with the
-library: explicit matrix closure for Weyl groups, exact linear solves for
-marks, and hand-built weight multisets for small modules.
+library: explicit matrix closure for Weyl groups, exact Fraction solves for
+marks and lattice coordinates, a box scan for the dominant weights below a
+weight, and hand-built weight multisets for small modules.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -58,16 +60,15 @@ def roots_by_weyl_images(datum):
     }
 
 
-def solve_marks(basis_elements):
-    """Solve delta = sum m_beta * beta exactly for one component's extended
-    basis, given (gradient coords, level) pairs.  Returns integer marks."""
-    k = len(basis_elements)
-    n = len(basis_elements[0][0])
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(basis_elements[j][0][i]) for j in range(k)] + [Fraction(0)])
-    rows.append([Fraction(basis_elements[j][1]) for j in range(k)] + [Fraction(1)])
-    # gaussian elimination on the (n+1) x (k+1) augmented system
+def solve_exact(columns, target):
+    """The unique rational solution of sum c_j * columns[j] = target by
+    Gaussian elimination over Fractions, or None when there is none or it is
+    not unique."""
+    k = len(columns)
+    rows = [
+        [Fraction(col[i]) for col in columns] + [Fraction(target[i])]
+        for i in range(len(target))
+    ]
     pivots = []
     r = 0
     for col in range(k):
@@ -83,14 +84,54 @@ def solve_marks(basis_elements):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
-    for i in range(r, len(rows)):
-        assert rows[i][-1] == 0, "inconsistent marks system"
-    assert len(pivots) == k, "marks system underdetermined"
+    if any(rows[i][-1] != 0 for i in range(r, len(rows))) or len(pivots) < k:
+        return None
     sol = [Fraction(0)] * k
     for row_idx, col in enumerate(pivots):
         sol[col] = rows[row_idx][-1]
+    return tuple(sol)
+
+
+def integer_coords(columns, target):
+    """Integer coordinates of target over the columns, or None."""
+    sol = solve_exact(columns, target)
+    if sol is None or any(x.denominator != 1 for x in sol):
+        return None
+    return tuple(int(x) for x in sol)
+
+
+def solve_marks(basis_elements):
+    """Solve delta = sum m_beta * beta exactly for one component's extended
+    basis, given (gradient coords, level) pairs.  Returns integer marks."""
+    columns = [tuple(coords) + (level,) for coords, level in basis_elements]
+    delta = (0,) * len(basis_elements[0][0]) + (1,)
+    sol = solve_exact(columns, delta)
+    assert sol is not None, "marks system inconsistent or underdetermined"
     assert all(x.denominator == 1 and x > 0 for x in sol)
     return tuple(int(x) for x in sol)
+
+
+def dominant_below_box_scan(datum, lam):
+    """Every dominant mu <= lam with the height of lam - mu, by scanning the
+    box of root-lattice coordinates of lam - w0(lam), the lowest weight of
+    the orbit of lam."""
+    low = lam
+    while True:
+        raising = [a for a in datum.simple_roots if datum.pair(low, a.coroot) > 0]
+        if not raising:
+            break
+        low = datum.reflect(raising[0], low)
+    simples = [a.coords for a in datum.simple_roots]
+    cmax = integer_coords(simples, tuple(x - y for x, y in zip(lam, low)))
+    assert cmax is not None and all(c >= 0 for c in cmax)
+    out = {}
+    for c in itertools.product(*(range(m + 1) for m in cmax)):
+        mu = tuple(
+            x - sum(ci * col[i] for ci, col in zip(c, simples)) for i, x in enumerate(lam)
+        )
+        if datum.is_dominant(mu):
+            out[mu] = sum(c)
+    return out
 
 
 def sl3_adjoint_weights():

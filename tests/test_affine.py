@@ -215,16 +215,17 @@ def test_grading_zero_iff_vanishing_at_barycenter():
 
 
 def test_barycenter_lies_on_facet():
-    rd, b = _basis("G2")
-    for theta in enumerate_facets(rd, b):
-        bary = facet_barycenter(rd, b, theta)
-        for cb, part in zip(b.components, theta.theta):
-            for i, el in enumerate(cb.elements):
-                value = affine_eval(el, bary)
-                if i in part:
-                    assert value > 0
-                else:
-                    assert value == 0
+    for name in ["G2", "B3", "C3", "D4", "F4", "A1xA1+T1", "B2xG2"]:
+        rd, b = _basis(name)
+        for theta in enumerate_facets(rd, b):
+            bary = facet_barycenter(rd, b, theta)
+            for cb, part in zip(b.components, theta.theta):
+                for i, el in enumerate(cb.elements):
+                    value = affine_eval(el, bary)
+                    if i in part:
+                        assert value > 0, (name, str(theta), i)
+                    else:
+                        assert value == 0, (name, str(theta), i)
 
 
 def test_psi_literal_iff_affine_nodes():

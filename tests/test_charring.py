@@ -20,12 +20,13 @@ from parahoric import (
     tensor,
 )
 from parahoric.charring import (
+    _dominant_below,
     chi_expand_map,
     evaluate_chi_sum,
     expand_full,
 )
 
-from _oracles import c2_w2_weights, sl3_adjoint_weights
+from _oracles import c2_w2_weights, dominant_below_box_scan, sl3_adjoint_weights
 
 
 def _full_multiset(ch):
@@ -65,6 +66,33 @@ def test_dim_matches_weyl_dim_small_grid():
         rd = build_root_datum(name)
         for lam in itertools.product(range(3), repeat=rd.n):
             assert dim(chi_char(rd, lam)) == rd.weyl_dim(lam), (name, lam)
+
+
+def _weight_box(rd, side, torus=((),)):
+    return [
+        lam + t
+        for lam in itertools.product(range(side + 1), repeat=rd.semisimple_rank)
+        for t in torus
+    ]
+
+
+def test_dominance_closure_matches_box_scan():
+    sides = {"A1": 4, "A2": 3, "B2": 3, "C2": 3, "G2": 3, "A3": 2, "B3": 2, "C3": 2,
+             "D3": 2, "A4": 1, "B4": 1, "C4": 1, "D4": 1, "B2xG2": 1}
+    cases = [(name, _weight_box(build_root_datum(name), side)) for name, side in sides.items()]
+    # F4 weights whose box scan stays under a fifth of a second
+    f4 = [lam for lam in _weight_box(build_root_datum("F4"), 1) if sum(lam) <= 1]
+    cases.append(("F4", f4 + [(0, 0, 1, 1), (1, 0, 0, 1)]))
+    cases.append(("A1xA1+T1", _weight_box(build_root_datum("A1xA1+T1"), 2, [(0,), (-3,)])))
+    cases.append(("A2xA1+T2", _weight_box(build_root_datum("A2xA1+T2"), 1, [(0, 0), (2, -1)])))
+    cases.append(("E6", [(0,) * 6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1)]))
+    checked = 0
+    for name, weights in cases:
+        rd = build_root_datum(name)
+        for lam in weights:
+            assert _dominant_below(rd, lam) == dominant_below_box_scan(rd, lam), (name, lam)
+            checked += 1
+    assert checked == 302
 
 
 def test_add_scale(a2):

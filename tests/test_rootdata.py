@@ -1,4 +1,8 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -9,11 +13,16 @@ from parahoric import (
     RootDatum,
     build_root_datum,
     classify_root_datum,
+    extended_basis,
+    parahoric_model,
     parse_dynkin_spec,
+    parse_facet_spec,
 )
 from parahoric.rootdata import weight_key, parse_weight_key
 
-from _oracles import roots_by_weyl_images, weyl_group_matrices
+from _oracles import integer_coords, roots_by_weyl_images, weyl_group_matrices
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 CLASSICAL_COUNTS = {
     "A1": 2,
@@ -177,6 +186,57 @@ def test_dominance_order(a2):
     assert a2.dominance_leq((2, 0), (3, 1))  # difference (1,1) = alpha1 + alpha2
     assert not a2.dominance_leq((0, 0), (1, 0))  # not in the root lattice
     assert not a2.dominance_leq((1, 1), (0, 0))
+
+
+def _facet_quotient(name, spec):
+    rd = build_root_datum(name)
+    basis = extended_basis(rd)
+    return parahoric_model(rd, parse_facet_spec(spec, basis), basis).quotient_datum
+
+
+def test_root_lattice_coords_constructive():
+    names = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2",
+             "A1xA1+T1", "B2xG2"]
+    data = [build_root_datum(name) for name in names]
+    # A1xA2+T1 inside F4, and the pure torus T3 left by the Iwahori of B3
+    data += [_facet_quotient("F4", "0,1"), _facet_quotient("B3", "0,1,2,3")]
+    assert data[-1].semisimple_rank == 0
+    rng = random.Random(11)
+    for rd in data:
+        simples = [a.coords for a in rd.simple_roots]
+        zero = (0,) * rd.n
+        for _ in range(20):
+            c = tuple(rng.randint(-4, 4) for _ in simples)
+            v = tuple(sum(ci * s[i] for ci, s in zip(c, simples)) for i in range(rd.n))
+            assert rd.root_lattice_coords(v) == c
+            assert rd.dominance_leq(zero, v) == all(ci >= 0 for ci in c)
+            # unit shifts: fundamental weights, torus directions, off-span vectors
+            for i in range(rd.n):
+                shifted = tuple(x + (j == i) for j, x in enumerate(v))
+                assert rd.root_lattice_coords(shifted) == integer_coords(simples, shifted)
+    a2, torus_type = data[names.index("A2")], data[names.index("A1xA1+T1")]
+    pure_torus = data[-1]
+    assert a2.root_lattice_coords((1, 0)) is None  # fundamental weight outside Q
+    assert torus_type.root_lattice_coords((2, 0, 1)) is None  # torus shift of alpha_1
+    assert pure_torus.root_lattice_coords((0, 0, 0)) == ()
+    assert pure_torus.root_lattice_coords((0, 1, 0)) is None
+    assert not pure_torus.dominance_leq((0, 0, 0), (1, 0, 0))
+
+
+def test_invariant_violation_survives_optimize_flag():
+    code = (
+        "from parahoric import InvariantViolation, build_root_datum, sub_root_datum\n"
+        "try:\n"
+        "    sub_root_datum(build_root_datum('A2'), [(1, 0), (-1, 0)])\n"
+        "except InvariantViolation as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: subset contains non-roots")
 
 
 def test_torus_factors():
