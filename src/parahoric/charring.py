@@ -5,7 +5,7 @@ orbit-compressed form: a finite map from dominant weights to positive
 integers, the full support being the union of their Weyl orbits.  The basis
 characters ``chi(lam)`` (characters of the standard/Weyl modules) are
 computed by Freudenthal's multiplicity recursion on the dominant cone; every
-division in that recursion is asserted exact, so the results are certified
+division in that recursion is checked exact, so the results are certified
 integers.  The Weyl degree formula lives in :mod:`parahoric.rootdata` and is
 kept independent as a cross-check.
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rootdata import (
+    InvariantViolation,
     NotDominant,
     RootDatum,
     Weight,
@@ -91,8 +92,10 @@ class Character:
     mult: dict[Weight, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        assert all(m > 0 for m in self.mult.values())
-        assert all(self.datum.is_dominant(w) for w in self.mult)
+        if not all(m > 0 for m in self.mult.values()):
+            raise InvariantViolation(f"character multiplicities must be positive: {self.mult}")
+        if not all(self.datum.is_dominant(w) for w in self.mult):
+            raise InvariantViolation(f"character keys must be dominant: {list(self.mult)}")
 
     def __eq__(self, other):
         return (
@@ -118,7 +121,8 @@ class VirtualChiSum:
     coeffs: dict[Weight, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        assert all(c != 0 for c in self.coeffs.values())
+        if not all(c != 0 for c in self.coeffs.values()):
+            raise InvariantViolation(f"chi-sum coefficients must be nonzero: {self.coeffs}")
 
     def __eq__(self, other):
         return isinstance(other, VirtualChiSum) and self.coeffs == other.coeffs
@@ -210,10 +214,11 @@ def chi_char(rd: RootDatum, lam: Weight, disk_cache=None) -> Character:
             c * (dot(simple.form, lam_mu) + two_rho)
             for c, simple, two_rho in zip(coeffs, rd.simple_roots, rd._two_rho_form)
         )
-        assert denom > 0
-        assert (2 * total) % denom == 0
+        if denom <= 0 or (2 * total) % denom:
+            raise InvariantViolation(f"Freudenthal step at {mu}: {2 * total} / {denom}")
         m_mu = (2 * total) // denom
-        assert m_mu > 0
+        if m_mu <= 0:
+            raise InvariantViolation(f"multiplicity {m_mu} of {mu} in chi({lam}) is not positive")
         mult[mu] = m_mu
     rd._chi_cache[lam] = dict(mult)
     if disk_cache is not None and rd.spec_string is not None:
@@ -329,21 +334,17 @@ def chi_normalize(rd: RootDatum, mu: Weight):
 def chi_expand_map(rd: RootDatum, mult: dict[Weight, int]) -> VirtualChiSum:
     """Expand a compressed W-invariant integer function in the chi basis.
 
-    Greedy: repeatedly take a dominance-maximal supported weight (ties broken
-    by lexicographically largest coordinates), record its coefficient, and
-    subtract that multiple of the corresponding chi character.  Unitriangular
-    transition guarantees exactness and termination.
+    Greedy: repeatedly take the supported weight with the largest pairing
+    with 2*rho^vee, which grows strictly along the dominance order (ties:
+    lexicographically largest), record its coefficient, and subtract that
+    multiple of its chi character.  Unitriangularity makes this exact.
     """
     work = {w: m for w, m in mult.items() if m != 0}
-    assert all(rd.is_dominant(w) for w in work)
+    if not all(rd.is_dominant(w) for w in work):
+        raise InvariantViolation(f"chi-expansion of non-dominant keys: {list(work)}")
     out: dict[Weight, int] = {}
     while work:
-        maximal = [
-            w
-            for w in work
-            if not any(v != w and rd.dominance_leq(w, v) for v in work)
-        ]
-        top = max(maximal)
+        top = max(work, key=lambda w: (dot(w, rd._two_rho_coroot), w))
         c = work[top]
         out[top] = c
         for w, m in chi_char(rd, top).mult.items():

@@ -3,7 +3,7 @@
 One binary with subcommands; every numeric field in a report is an exact
 integer rendered in decimal.  ``--json`` wraps the command output in a
 report envelope ``{command, inputs, outputs, tool_version, elapsed_ms}``.
-Exit codes: 0 ok, 1 usage error, 2 verification mismatch.
+Exit codes: 0 ok, 1 usage error, 2 verification mismatch, 3 internal error.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from .charring import (
 )
 from .jantzen import NotPrime, SimpleLedger, ext2_chain, jantzen_report, jantzen_sum
 from .levicert import certify, from_parahoric, unitary_report
-from .rootdata import build_root_datum, parse_weight_key, weight_key
+from .rootdata import InvariantViolation, build_root_datum, parse_weight_key, weight_key
 
 USAGE_ERROR = 1
 VERIFY_MISMATCH = 2
+INTERNAL_ERROR = 3
 
 
 class FreudenthalDiskCache:
@@ -400,6 +401,9 @@ def main(argv=None) -> int:
     except (ValueError, NotPrime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def run() -> None:

@@ -38,7 +38,7 @@ from .charring import (
     exterior_square,
 )
 from .jantzen import NotPrime, is_prime
-from .rootdata import RootDatum, Weight, build_root_datum, weight_key
+from .rootdata import InvariantViolation, RootDatum, Weight, build_root_datum, weight_key
 
 __all__ = [
     "SplittingSequence",
@@ -69,8 +69,8 @@ class SplittingSequence:
     layers: tuple[Character, ...]
 
     def __post_init__(self):
-        for ch in self.layers:
-            assert ch.datum.same_datum(self.quotient_datum)
+        if not all(ch.datum.same_datum(self.quotient_datum) for ch in self.layers):
+            raise InvariantViolation("a layer character lives over another root datum")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -96,9 +96,9 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
             mult[key] = mult.get(key, 0) + 1
         compressed = {}
         for w, m in mult.items():
-            orbit = datum.orbit_size(w)
-            assert m % orbit == 0
-            compressed[w] = m // orbit
+            compressed[w], rest = divmod(m, datum.orbit_size(w))
+            if rest:
+                raise InvariantViolation(f"{m} layer weights conjugate to {w} are not whole orbits")
         layers.append(Character(datum, compressed))
     return SplittingSequence(datum, tuple(layers))
 
@@ -146,6 +146,7 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
         )
     bound = r * p if refinable else p
     dims = seq.dims
+    total_dim = sum(dims)
     rules: list[dict] = []
 
     torus_ok = len(datum.roots) == 0
@@ -176,7 +177,7 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
     for ch in seq.layers:
         aggregate = add(aggregate, ch)
     aggregate_expansion = chi_expand(aggregate)
-    e1_ok = seq.total_dim <= bound and aggregate_expansion.is_nonnegative()
+    e1_ok = total_dim <= bound and aggregate_expansion.is_nonnegative()
     rules.append(
         {
             "id": "E1",
@@ -185,7 +186,7 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
                 "character is a nonnegative chi-combination"
             ),
             "values": {
-                "total_dim": seq.total_dim,
+                "total_dim": total_dim,
                 "bound": bound,
                 "expansion": _expansion_json(aggregate_expansion),
                 "nonnegative": aggregate_expansion.is_nonnegative(),
@@ -196,12 +197,12 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
 
     layer_values = []
     e2_ok = True
-    for ch in seq.layers:
+    for ch, d in zip(seq.layers, dims):
         expansion = chi_expand(ch)
-        good = dim(ch) <= p and expansion.is_nonnegative()
+        good = d <= p and expansion.is_nonnegative()
         layer_values.append(
             {
-                "dim": dim(ch),
+                "dim": d,
                 "expansion": _expansion_json(expansion),
                 "nonnegative": expansion.is_nonnegative(),
             }

@@ -360,6 +360,8 @@ class RootDatum:
             sum(dot(beta.form, alpha.coords) for beta in self.positive_roots)
             for alpha in flat
         )
+        # 2*rho^vee, the sum of the positive coroots: 2 on every simple root
+        self._two_rho_coroot = tuple(map(sum, zip((0,) * n, *(b.coroot for b in self.positive_roots))))
 
     # -- basic structure ---------------------------------------------------
 
@@ -426,10 +428,7 @@ class RootDatum:
                         nxt.append(img)
             frontier = nxt
         orbit = tuple(sorted(seen))
-        key = self.dominant_conjugate(lam)
-        self._orbit_cache[key] = orbit
-        if lam != key:
-            self._orbit_cache[lam] = orbit
+        self._orbit_cache[lam] = orbit
         return orbit
 
     def dominant_conjugate(self, lam: Weight) -> Weight:
@@ -444,7 +443,18 @@ class RootDatum:
                 return w
 
     def orbit_size(self, lam: Weight) -> int:
-        return len(self.weyl_orbit(lam))
+        """|W|/|W_lam| as the product of (ht b + 1)/ht b over the positive roots
+        b that pair nonzero with the dominant conjugate: |W| and its parabolic
+        stabilizer each are such a product over their positive roots (the
+        Poincare series at q = 1; Macdonald, Math. Ann. 1972)."""
+        dom = self.dominant_conjugate(lam)
+        num = den = 1
+        for beta in self.positive_roots:
+            if dot(dom, beta.coroot):
+                num, den = num * (beta.height + 1), den * beta.height
+        if num % den:
+            raise InvariantViolation(f"height product {num}/{den} for {lam} is not an integer")
+        return num // den
 
     # -- dominance order ----------------------------------------------------
 

@@ -3,11 +3,16 @@
 These recompute expected values along routes that do not share code with the
 library: explicit matrix closure for Weyl groups, exact Fraction solves for
 marks and lattice coordinates, a box scan for the dominant weights below a
-weight, and hand-built weight multisets for small modules.
+weight, and hand-built weight multisets for small modules.  The one
+exception is the chi-expansion that picks its tops by pairwise dominance
+solves: it runs on the library's chi_char and dominance_leq, and checks the
+library's pick by a linear functional against those solves.
 """
 
 import itertools
 from fractions import Fraction
+
+from parahoric import chi_char
 
 
 def reflection_matrix(datum, simple_root):
@@ -131,6 +136,28 @@ def dominant_below_box_scan(datum, lam):
         )
         if datum.is_dominant(mu):
             out[mu] = sum(c)
+    return out
+
+
+def chi_expand_pairwise(datum, mult):
+    """Chi-basis coefficients of a compressed invariant function: take a
+    weight that no other supported weight dominates (the lexicographically
+    largest such), found by solving dominance for every pair, and subtract
+    that multiple of its chi character."""
+    work = {w: m for w, m in mult.items() if m != 0}
+    out = {}
+    while work:
+        top = max(
+            w for w in work if not any(v != w and datum.dominance_leq(w, v) for v in work)
+        )
+        c = work[top]
+        out[top] = c
+        for w, m in chi_char(datum, top).mult.items():
+            new = work.get(w, 0) - c * m
+            if new:
+                work[w] = new
+            else:
+                work.pop(w, None)
     return out
 
 

@@ -26,7 +26,12 @@ from parahoric.charring import (
     expand_full,
 )
 
-from _oracles import c2_w2_weights, dominant_below_box_scan, sl3_adjoint_weights
+from _oracles import (
+    c2_w2_weights,
+    chi_expand_pairwise,
+    dominant_below_box_scan,
+    sl3_adjoint_weights,
+)
 
 
 def _full_multiset(ch):
@@ -198,6 +203,21 @@ def test_chi_expand_fuzz_roundtrip():
             coeffs[w] = rng.choice([-3, -2, -1, 1, 2, 3])
         vcs = VirtualChiSum(coeffs)
         assert chi_expand_map(rd, evaluate_chi_sum(rd, vcs)) == vcs
+
+
+def test_chi_expand_matches_pairwise_oracle_on_random_combinations():
+    rng = random.Random(3)
+    names = ["A2", "B2", "G2", "A3", "C3", "A1xA1+T1"]
+    data = {name: build_root_datum(name) for name in names}
+    for _ in range(150):
+        rd = data[rng.choice(names)]
+        coeffs = {}
+        for _ in range(rng.randint(1, 4)):
+            lam = tuple(rng.randint(0, 2) for _ in range(rd.semisimple_rank))
+            lam += tuple(rng.randint(-2, 2) for _ in range(rd.n - rd.semisimple_rank))
+            coeffs[lam] = rng.choice([-3, -2, -1, 1, 2, 3])
+        mult = evaluate_chi_sum(rd, VirtualChiSum(coeffs))
+        assert chi_expand_map(rd, mult).coeffs == chi_expand_pairwise(rd, mult) == coeffs
 
 
 def test_characters_over_quotient_datum(a2, a2_basis):

@@ -139,6 +139,18 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
+    # a well-formed cache entry with a non-dominant key breaks a checked invariant
+    monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
+    target = tmp_path / "A2" / "1,0.json"
+    target.parent.mkdir(parents=True)
+    target.write_text('{"-1,0": 1}')
+    assert main(["character", "--type", "A2", "--weight", "1,0"]) == 3
+    assert "internal error: character keys must be dominant" in capsys.readouterr().err
+    assert main(["character", "--type", "A2", "--weight", "1,0", "--no-cache"]) == 0
+    capsys.readouterr()
+
+
 def test_cache_equivalence(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
     code, first = run_json(capsys, ["character", "--type", "G2", "--weight", "1,1"])

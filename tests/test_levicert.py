@@ -16,8 +16,10 @@ from parahoric import (
     parse_facet_spec,
     unitary_report,
 )
-from parahoric.charring import chi_expand, evaluate_chi_sum, VirtualChiSum, add
+from parahoric.charring import chi_expand, evaluate_chi_sum, exterior_square, VirtualChiSum, add
 from parahoric.levicert import CERTIFIED, CONDITIONAL, INCONCLUSIVE, SplittingSequence
+
+from _oracles import chi_expand_pairwise
 
 
 def _model(name, theta_text):
@@ -163,6 +165,26 @@ def test_aggregate_expansion_matches_layers():
         aggregate = add(aggregate, layer)
     recomputed = evaluate_chi_sum(seq.quotient_datum, chi_expand(aggregate))
     assert recomputed == aggregate.mult
+
+
+def test_chi_expand_matches_pairwise_oracle_on_certify_sweep():
+    for name in ["B3", "C3", "D4", "G2", "A1xA1+T1", "B2xG2", "F4"]:
+        rd = build_root_datum(name)
+        basis = extended_basis(rd)
+        for theta in enumerate_facets(rd, basis):
+            seq = from_parahoric(parahoric_model(rd, theta, basis))
+            aggregate = Character(seq.quotient_datum, {})
+            for layer in seq.layers:
+                aggregate = add(aggregate, layer)
+            for ch in (*seq.layers, aggregate):
+                assert chi_expand(ch).coeffs == chi_expand_pairwise(ch.datum, ch.mult)
+
+
+def test_chi_expand_matches_pairwise_oracle_on_unitary_family():
+    for n in range(2, 7):
+        rd = build_root_datum(f"C{n}")
+        lam2 = exterior_square(chi_char(rd, tuple(int(i == 0) for i in range(n))))
+        assert chi_expand(lam2).coeffs == chi_expand_pairwise(rd, lam2.mult)
 
 
 def test_unitary_report_table():

@@ -1,0 +1,63 @@
+"""Property tests: the counting and expansion fast paths against enumeration
+and the brute-force oracles, over generated types and weights."""
+
+import functools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parahoric import VirtualChiSum, build_root_datum
+from parahoric.charring import chi_expand_map, evaluate_chi_sum
+
+from _oracles import chi_expand_pairwise, weyl_group_matrices
+
+NAMES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "A1xA1+T1", "B2xG2"]
+
+PROPERTY_SETTINGS = settings(max_examples=80, derandomize=True, database=None, deadline=None)
+
+
+@functools.cache
+def _datum(name):
+    return build_root_datum(name)
+
+
+@functools.cache
+def _weyl_group_order(name):
+    return len(weyl_group_matrices(_datum(name)))
+
+
+def _weights(rd, low, high):
+    """Weights with semisimple coordinates in [low, high] and torus
+    coordinates in [-2, 2]."""
+    return st.tuples(
+        *[st.integers(low, high)] * rd.semisimple_rank,
+        *[st.integers(-2, 2)] * (rd.n - rd.semisimple_rank),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_orbit_size_counts_the_orbit_and_divides_the_group_order(data):
+    name = data.draw(st.sampled_from(NAMES))
+    rd = _datum(name)
+    lam = data.draw(_weights(rd, -3, 3))
+    size = rd.orbit_size(lam)
+    assert size == len(rd.weyl_orbit(lam))
+    assert _weyl_group_order(name) % size == 0
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_chi_expand_inverts_evaluation(data):
+    rd = _datum(data.draw(st.sampled_from(NAMES)))
+    coeffs = data.draw(
+        st.dictionaries(
+            _weights(rd, 0, 2),
+            st.integers(-3, 3).filter(bool),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    mult = evaluate_chi_sum(rd, VirtualChiSum(coeffs))
+    assert chi_expand_map(rd, mult) == VirtualChiSum(coeffs)
+    assert chi_expand_pairwise(rd, mult) == coeffs

@@ -13,12 +13,13 @@ from parahoric import (
     RootDatum,
     build_root_datum,
     classify_root_datum,
+    enumerate_facets,
     extended_basis,
     parahoric_model,
     parse_dynkin_spec,
     parse_facet_spec,
 )
-from parahoric.rootdata import weight_key, parse_weight_key
+from parahoric.rootdata import parse_weight_key, weight_key, wneg
 
 from _oracles import integer_coords, roots_by_weyl_images, weyl_group_matrices
 
@@ -151,6 +152,43 @@ def test_orbit_size_divides_group_order():
             assert order % rd.orbit_size(lam) == 0
 
 
+def _assert_orbit_sizes_enumerate(rd, weights):
+    """orbit_size(lam) is the length of the enumerated orbit containing lam."""
+    orbits = {}
+    for lam in weights:
+        dom = rd.dominant_conjugate(lam)
+        if dom not in orbits:
+            orbits[dom] = set(rd.weyl_orbit(dom))
+        assert lam in orbits[dom]
+        assert rd.orbit_size(lam) == len(orbits[dom]), (rd.spec_string, lam)
+
+
+def test_orbit_size_matches_orbit_enumeration():
+    names = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "G2", "F4"]
+    for name in names + ["A1xA1+T1", "B2xG2"]:
+        rd = build_root_datum(name)
+        _assert_orbit_sizes_enumerate(rd, itertools.product(range(-1, 3), repeat=rd.n))
+
+
+def test_orbit_size_on_facet_quotients():
+    for name in ["F4", "E6"]:
+        rd = build_root_datum(name)
+        basis = extended_basis(rd)
+        # 0, +-e_i and e_i - e_{i+1}: mostly not dominant for the quotient
+        weights = [tuple(s * (i == j) for j in range(rd.n)) for i in range(rd.n) for s in (0, 1, -1)]
+        weights += [tuple((i == j) - (i + 1 == j) for j in range(rd.n)) for i in range(rd.n - 1)]
+        for theta in enumerate_facets(rd, basis):
+            sub = parahoric_model(rd, theta, basis).quotient_datum
+            _assert_orbit_sizes_enumerate(sub, weights)
+
+
+def test_orbit_size_of_rho_is_weyl_group_order():
+    for name, order in [("E6", 51_840), ("E7", 2_903_040), ("E8", 696_729_600)]:
+        rd = build_root_datum(name)
+        assert rd.orbit_size(rd.rho) == order
+        assert rd.orbit_size(wneg(rd.rho)) == order
+
+
 def test_dominant_conjugate(a2):
     assert a2.dominant_conjugate((2, 1)) == (2, 1)
     assert a2.dominant_conjugate((-1, 1)) == (1, 0)
@@ -225,18 +263,24 @@ def test_root_lattice_coords_constructive():
 
 def test_invariant_violation_survives_optimize_flag():
     code = (
-        "from parahoric import InvariantViolation, build_root_datum, sub_root_datum\n"
-        "try:\n"
-        "    sub_root_datum(build_root_datum('A2'), [(1, 0), (-1, 0)])\n"
-        "except InvariantViolation as exc:\n"
-        "    print('raised:', exc)\n"
+        "from parahoric import Character, InvariantViolation, build_root_datum, sub_root_datum\n"
+        "a2 = build_root_datum('A2')\n"
+        "for make in (lambda: sub_root_datum(a2, [(1, 0), (-1, 0)]),\n"
+        "             lambda: Character(a2, {(-1, 0): 1})):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except InvariantViolation as exc:\n"
+        "        print('raised:', exc)\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: subset contains non-roots")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("raised: subset contains non-roots")
+    assert lines[1].startswith("raised: character keys must be dominant")
 
 
 def test_torus_factors():
