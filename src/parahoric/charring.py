@@ -168,6 +168,24 @@ def _dominant_below(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     return heights
 
 
+def _plausible_character(rd: RootDatum, lam: Weight, mult) -> bool:
+    """Whether a stored entry can be chi(lam): lam has multiplicity 1, every
+    key is a dominant weight below lam with a positive integer multiplicity,
+    and the orbit-weighted sum is the Weyl dimension."""
+    if mult.get(lam) != 1:
+        return False
+    for w, m in mult.items():
+        if not (
+            type(m) is int
+            and m > 0
+            and len(w) == rd.n
+            and rd.is_dominant(w)
+            and rd.dominance_leq(w, lam)
+        ):
+            return False
+    return sum(m * rd.orbit_size(w) for w, m in mult.items()) == rd.weyl_dim(lam)
+
+
 def chi_char(rd: RootDatum, lam: Weight, disk_cache=None) -> Character:
     """Character of the standard module with highest weight ``lam``.
 
@@ -175,6 +193,9 @@ def chi_char(rd: RootDatum, lam: Weight, disk_cache=None) -> Character:
     cone only; a non-dominant weight contributes through its dominant
     conjugate.  The divisor ``(lam+mu+2rho, lam-mu)`` is assembled from the
     per-root form functionals, so the whole computation is integer-exact.
+    A disk-cache entry is used only when it passes the checks of
+    :func:`_plausible_character`; otherwise it counts as a miss and is
+    overwritten with the recomputed character.
     """
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
@@ -185,7 +206,7 @@ def chi_char(rd: RootDatum, lam: Weight, disk_cache=None) -> Character:
         disk_cache = _active_disk_cache
     if disk_cache is not None and rd.spec_string is not None:
         stored = disk_cache.get(rd.spec_string, lam)
-        if stored is not None:
+        if stored is not None and _plausible_character(rd, lam, stored):
             rd._chi_cache[lam] = dict(stored)
             return Character(rd, dict(stored))
     # by height; ties in lexicographic order of the coordinates of lam - mu,
@@ -195,20 +216,28 @@ def chi_char(rd: RootDatum, lam: Weight, disk_cache=None) -> Character:
         for mu, height in _dominant_below(rd, lam).items()
     )
     mult: dict[Weight, int] = {}
-    positives = rd.positive_roots
+    # (form, coords, (alpha, alpha)) per positive root: each alpha-string is
+    # walked with its pairing (nu, alpha) updated by (alpha, alpha) per step
+    strings = [(a.form, a.coords, dot(a.form, a.coords)) for a in rd.positive_roots]
+    conjugates: dict[Weight, Weight] = {}
     for height, coeffs, mu in candidates:
         if height == 0:
             mult[mu] = 1
             continue
         total = 0
-        for alpha in positives:
+        for form, coords, norm in strings:
             nu = mu
+            f = dot(form, mu)
             while True:
-                nu = wadd(nu, alpha.coords)
-                m = mult.get(rd.dominant_conjugate(nu))
+                nu = wadd(nu, coords)
+                f += norm
+                dom = conjugates.get(nu)
+                if dom is None:
+                    dom = conjugates[nu] = rd.dominant_conjugate(nu)
+                m = mult.get(dom)
                 if m is None:
                     break
-                total += m * dot(alpha.form, nu)
+                total += m * f
         lam_mu = wadd(lam, mu)
         denom = sum(
             c * (dot(simple.form, lam_mu) + two_rho)
@@ -344,7 +373,7 @@ def chi_expand_map(rd: RootDatum, mult: dict[Weight, int]) -> VirtualChiSum:
         raise InvariantViolation(f"chi-expansion of non-dominant keys: {list(work)}")
     out: dict[Weight, int] = {}
     while work:
-        top = max(work, key=lambda w: (dot(w, rd._two_rho_coroot), w))
+        top = rd.top_weight(work)
         c = work[top]
         out[top] = c
         for w, m in chi_char(rd, top).mult.items():

@@ -52,7 +52,7 @@ class FreudenthalDiskCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return character_from_json(json.load(fh))
-        except (OSError, ValueError):
+        except (OSError, ValueError, AttributeError):
             return None
 
     def put(self, spec_string: str, lam, mult):

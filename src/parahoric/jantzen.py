@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 
 from .charring import (
     Character,
+    DatumMismatch,
     VirtualChiSum,
     chi_char,
     chi_normalize,
     dim,
     evaluate_chi_sum,
 )
-from .rootdata import NotDominant, Root, RootDatum, Weight, dot, wsub
+from .rootdata import InvariantViolation, NotDominant, Root, RootDatum, Weight, dot, wsub
 
 __all__ = [
     "NotPrime",
@@ -131,13 +132,17 @@ class LedgerEntry:
 class SimpleLedger:
     """Known simple characters at a fixed prime, with their provenance.
 
-    ``resolve`` memoizes; concurrent ledgers can be combined with ``merge``,
-    which takes the union and insists on equality where entries overlap.
+    ``resolve`` memoizes both outcomes: derived simples go to ``entries``,
+    weights the shallow rules cannot resolve go to ``undetermined``.  That
+    verdict depends only on (datum, p, lam), so it never goes stale.
+    Concurrent ledgers can be combined with ``merge``, which takes the union
+    and insists on equality where entries overlap.
     """
 
     datum: RootDatum
     p: int
     entries: dict[Weight, LedgerEntry] = field(default_factory=dict)
+    undetermined: set[Weight] = field(default_factory=set)
 
     def __post_init__(self):
         _require_prime(self.p)
@@ -149,52 +154,73 @@ class SimpleLedger:
         return resolve_simple(self.datum, self.p, lam, self)
 
     def merge(self, other: "SimpleLedger") -> "SimpleLedger":
-        assert self.datum.same_datum(other.datum) and self.p == other.p
+        _check_ledger(other, self.datum, self.p)
         merged = dict(self.entries)
         for lam, entry in other.entries.items():
-            if lam in merged:
-                assert merged[lam].char == entry.char
-            else:
+            if lam not in merged:
                 merged[lam] = entry
-        return SimpleLedger(self.datum, self.p, merged)
+            elif merged[lam].char != entry.char:
+                raise InvariantViolation(f"merged ledgers disagree on ch L({lam})")
+        undetermined = (self.undetermined | other.undetermined) - merged.keys()
+        return SimpleLedger(self.datum, self.p, merged, undetermined)
+
+
+def _check_ledger(ledger: SimpleLedger, rd: RootDatum, p: int):
+    if not ledger.datum.same_datum(rd):
+        raise DatumMismatch("the ledger is over a different root datum")
+    if ledger.p != p:
+        raise ValueError(f"the ledger is at p = {ledger.p}, not {p}")
 
 
 def resolve_simple(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger) -> Character | None:
     """Derive ch L(lam) if the shallow rules apply, else ``None``.
 
     Lowest-alcove weights give ch L = chi directly (the Weyl module is
-    simple).  Otherwise, if J(lam) evaluates to the character of exactly one
-    ledger entry mu, then rad V(lam) = L(mu) and
-    ch L(lam) = chi(lam) - ch L(mu).  The chi-support of J(lam) consists of
-    weights strictly below lam, so those are resolved first; recursion is
-    well-founded on dominance.
+    simple).  Otherwise, if J(lam) evaluates to the character of a ledger
+    entry mu, then rad V(lam) = L(mu) and ch L(lam) = chi(lam) - ch L(mu).
+    The chi-support of J(lam) consists of weights strictly below lam, so
+    those are resolved first; recursion is well-founded on dominance.
     """
     _require_prime(p)
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
-    assert ledger.datum.same_datum(rd) and ledger.p == p
+    _check_ledger(ledger, rd, p)
+    return _resolve(rd, p, lam, ledger, None)
+
+
+def _resolve(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger, j_sum) -> Character | None:
+    """:func:`resolve_simple` on checked arguments; ``j_sum`` is J(lam) when
+    the caller has it already, else ``None``."""
     known = ledger.entries.get(lam)
     if known is not None:
         return known.char
+    if lam in ledger.undetermined:
+        return None
     if lowest_alcove_test(rd, p, lam):
         ch = chi_char(rd, lam)
         ledger.entries[lam] = LedgerEntry(ch, LOWEST_ALCOVE, {})
         return ch
-    j_sum = jantzen_sum(rd, p, lam)
+    if j_sum is None:
+        j_sum = jantzen_sum(rd, p, lam)
     for w in sorted(j_sum.coeffs):
-        if w != lam and w not in ledger.entries:
-            resolve_simple(rd, p, w, ledger)
+        _resolve(rd, p, w, ledger, None)
     j_char = evaluate_chi_sum(rd, j_sum)
-    matches = [mu for mu, entry in ledger.entries.items() if entry.char.mult == j_char]
-    if len(matches) != 1:
+    # only ch L(mu) for the top weight mu of J(lam) can equal J(lam); mu is
+    # in the chi-support of J(lam), so it was resolved just above
+    entry = None
+    if j_char:
+        mu = rd.top_weight(j_char)
+        entry = ledger.entries.get(mu)
+    if entry is None or entry.char.mult != j_char:
+        ledger.undetermined.add(lam)
         return None
-    mu = matches[0]
     mult = dict(chi_char(rd, lam).mult)
-    for w, m in ledger.entries[mu].char.mult.items():
-        mult[w] -= m
+    for w, m in entry.char.mult.items():
+        mult[w] = mult.get(w, 0) - m
         if not mult[w]:
             del mult[w]
-    assert all(m > 0 for m in mult.values())
+    if not all(m > 0 for m in mult.values()):
+        raise InvariantViolation(f"chi({lam}) - ch L({mu}) is not a character: {mult}")
     ch = Character(rd, mult)
     ledger.entries[lam] = LedgerEntry(ch, JANTZEN_RESOLVED, {mu: 1})
     return ch
@@ -257,8 +283,9 @@ class JantzenReport:
 
 def jantzen_report(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger | None = None) -> JantzenReport:
     ledger = ledger if ledger is not None else SimpleLedger(rd, p)
+    _check_ledger(ledger, rd, p)
     j = jantzen_sum(rd, p, lam)
-    ch = resolve_simple(rd, p, lam, ledger)
+    ch = _resolve(rd, p, lam, ledger, j)
     entry = ledger.entries.get(lam)
     radical_id = None
     provenance = None

@@ -15,6 +15,7 @@ path for orbits, dominance and the Weyl degree formula.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -55,11 +56,11 @@ class InvariantViolation(ArithmeticError):
 
 
 def wadd(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def wsub(a: Weight, b: Weight) -> Weight:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def wneg(a: Weight) -> Weight:
@@ -71,7 +72,7 @@ def wscale(k: int, a: Weight) -> Weight:
 
 
 def dot(a: Weight, b: Weight) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def weight_key(w: Weight) -> str:
@@ -353,6 +354,7 @@ class RootDatum:
         self._det, self._adj = _integer_inverse(self.cartan)
         self._simple_coords = tuple(a.coords for a in flat)
         self._simple_coroots = tuple(a.coroot for a in flat)
+        self._cartan_columns = tuple(zip(*self.cartan))
         self._orbit_cache: dict[Weight, tuple[Weight, ...]] = {}
         self._chi_cache: dict[Weight, dict[Weight, int]] = {}
         # (2*rho, alpha_i) per simple root, for the Freudenthal denominator
@@ -432,15 +434,33 @@ class RootDatum:
         return orbit
 
     def dominant_conjugate(self, lam: Weight) -> Weight:
-        """The unique dominant member of the Weyl orbit of ``lam``."""
-        w = lam
+        """The unique dominant member of the Weyl orbit of ``lam``.
+
+        Reflects in the simple pairings ``p_i = <w, alpha_i^vee>``: s_i sends
+        ``p_j`` to ``p_j - p_i <alpha_i, alpha_j^vee>`` (column i of the Cartan
+        matrix) and subtracts ``p_i alpha_i`` from w, so w is rebuilt once from
+        the accumulated simple-root coefficients.
+        """
+        pairs = [dot(lam, f) for f in self._simple_coroots]
+        if min(pairs, default=0) >= 0:
+            return lam
+        subtracted = [0] * len(pairs)
         while True:
-            for a in self._simple_roots:
-                if dot(w, a.coroot) < 0:
-                    w = self.reflect(a, w)
+            for i, p_i in enumerate(pairs):
+                if p_i < 0:
                     break
             else:
-                return w
+                break
+            subtracted[i] += p_i
+            for j, c in enumerate(self._cartan_columns[i]):
+                if c:
+                    pairs[j] -= p_i * c
+        w = list(lam)
+        for c, alpha in zip(subtracted, self._simple_coords):
+            if c:
+                for k, x in enumerate(alpha):
+                    w[k] -= c * x
+        return tuple(w)
 
     def orbit_size(self, lam: Weight) -> int:
         """|W|/|W_lam| as the product of (ht b + 1)/ht b over the positive roots
@@ -466,6 +486,12 @@ class RootDatum:
         """True iff b - a is a nonnegative integer sum of simple roots."""
         coeffs = self.root_lattice_coords(wsub(b, a))
         return coeffs is not None and all(c >= 0 for c in coeffs)
+
+    def top_weight(self, weights) -> Weight:
+        """The weight of ``weights`` with the largest pairing with 2*rho^vee,
+        ties broken lexicographically.  That pairing grows strictly along
+        the dominance order, so no other weight given lies above it."""
+        return max(weights, key=lambda w: (dot(w, self._two_rho_coroot), w))
 
     def fundamental_coweight(self, i: int) -> tuple[Weight, int]:
         """The coweight dual to simple root ``i`` as ``(x, d)``: the point
@@ -507,28 +533,33 @@ class RootDatum:
 # Construction from a Dynkin specification
 
 
-def _component_roots(cartan, d):
-    """All roots of one irreducible component as simple-coefficient vectors.
+def _component_roots(cartan) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """All roots of one irreducible component: simple-coefficient vector ->
+    local fundamental-weight coordinates (the Cartan matrix times it).
 
     Closure of the simple roots under all simple reflections; finite root
-    systems are exactly the Weyl orbits of their simple roots.
+    systems are exactly the Weyl orbits of their simple roots.  The local
+    coordinates are the simple pairings, so s_i subtracts ``local[i]`` from
+    coefficient i and ``local[i]`` times column i of the Cartan matrix from
+    the local coordinates.
     """
     rank = len(cartan)
-    seen = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
-    frontier = list(seen)
+    columns = tuple(zip(*cartan))
+    roots = {tuple(int(j == i) for j in range(rank)): columns[i] for i in range(rank)}
+    frontier = list(roots.items())
     while frontier:
         nxt = []
-        for c in frontier:
-            for i in range(rank):
-                pairing = sum(cartan[i][j] * c[j] for j in range(rank))
-                img = tuple(
-                    c[j] - pairing if j == i else c[j] for j in range(rank)
-                )
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
+        for coeffs, local in frontier:
+            for i, pairing in enumerate(local):
+                if not pairing:
+                    continue
+                img = coeffs[:i] + (coeffs[i] - pairing,) + coeffs[i + 1 :]
+                if img not in roots:
+                    img_local = tuple(x - pairing * c for x, c in zip(local, columns[i]))
+                    roots[img] = img_local
+                    nxt.append((img, img_local))
         frontier = nxt
-    return seen
+    return roots
 
 
 def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
@@ -550,10 +581,9 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
     for comp, (family, rank) in enumerate(spec.components):
         cartan, d = _cartan_and_symmetrizer(family, rank)
         off = offsets[comp]
-        for coeffs in sorted(_component_roots(cartan, d), key=lambda c: (sum(c), c)):
-            local_coords = [
-                sum(cartan[k][j] * coeffs[j] for j in range(rank)) for k in range(rank)
-            ]
+        roots = _component_roots(cartan)
+        for coeffs in sorted(roots, key=lambda c: (sum(c), c)):
+            local_coords = roots[coeffs]
             coords = [0] * n
             coords[off : off + rank] = local_coords
             form_local = [coeffs[j] * d[j] for j in range(rank)]

@@ -3,16 +3,21 @@
 These recompute expected values along routes that do not share code with the
 library: explicit matrix closure for Weyl groups, exact Fraction solves for
 marks and lattice coordinates, a box scan for the dominant weights below a
-weight, and hand-built weight multisets for small modules.  The one
-exception is the chi-expansion that picks its tops by pairwise dominance
-solves: it runs on the library's chi_char and dominance_leq, and checks the
-library's pick by a linear functional against those solves.
+weight, the reflection loop for dominant conjugates, the coefficient-vector
+closure for root systems, and hand-built weight multisets for small modules.
+Two exceptions run on library code: the chi-expansion that picks its tops by
+pairwise dominance solves runs on the library's chi_char and dominance_leq,
+and checks the library's pick by a linear functional against those solves;
+the reference Freudenthal loop takes its dominant weights from the library's
+dominance closure (itself checked against the box scan here).
 """
 
 import itertools
 from fractions import Fraction
 
-from parahoric import chi_char
+from parahoric import chi_char, parse_dynkin_spec
+from parahoric.charring import _dominant_below
+from parahoric.rootdata import Root, _cartan_and_symmetrizer
 
 
 def reflection_matrix(datum, simple_root):
@@ -186,3 +191,98 @@ def c2_w2_weights():
             )
     sums.remove((0, 0))
     return sorted(sums)
+
+
+def dominant_conjugate_by_reflection(datum, lam):
+    """Reflect in the first simple root that pairs negatively until none does."""
+    w = lam
+    while True:
+        for a in datum.simple_roots:
+            if datum.pair(w, a.coroot) < 0:
+                w = datum.reflect(a, w)
+                break
+        else:
+            return w
+
+
+def chi_char_reference(datum, lam):
+    """Freudenthal's recursion as a plain loop: every alpha-string pairing is
+    recomputed in full and every dominant conjugate by reflection.
+    Weights are taken in the library's order (height, then coordinates of
+    lam - mu), so the insertion order of the result matches too."""
+    simples = [a.coords for a in datum.simple_roots]
+    candidates = sorted(
+        (height, integer_coords(simples, tuple(x - y for x, y in zip(lam, mu))), mu)
+        for mu, height in _dominant_below(datum, lam).items()
+    )
+
+    def pair(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    mult = {}
+    for height, coeffs, mu in candidates:
+        if height == 0:
+            mult[mu] = 1
+            continue
+        total = 0
+        for alpha in datum.positive_roots:
+            nu = mu
+            while True:
+                nu = tuple(x + y for x, y in zip(nu, alpha.coords))
+                m = mult.get(dominant_conjugate_by_reflection(datum, nu))
+                if m is None:
+                    break
+                total += m * pair(alpha.form, nu)
+        # (lam + mu + 2 rho, lam - mu) with lam - mu = sum c_i alpha_i
+        lam_mu = [x + y for x, y in zip(lam, mu)]
+        denom = sum(
+            c * (pair(simple.form, lam_mu) + sum(pair(b.form, simple.coords) for b in datum.positive_roots))
+            for c, simple in zip(coeffs, datum.simple_roots)
+        )
+        assert denom > 0 and (2 * total) % denom == 0, (lam, mu)
+        mult[mu] = 2 * total // denom
+    return mult
+
+
+def component_roots_closure(cartan):
+    """Simple-coefficient vectors of all roots of one irreducible component:
+    closure of the simple roots under s_i(c) = c - (C c)_i e_i."""
+    rank = len(cartan)
+    seen = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i in range(rank):
+                pairing = sum(cartan[i][j] * c[j] for j in range(rank))
+                img = tuple(c[j] - pairing if j == i else c[j] for j in range(rank))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+def roots_by_closure(text):
+    """The Root tuples of a Dynkin specification, each field computed from
+    its simple coefficients: coordinates C c, form d c, coroot 2 d c / |c|^2;
+    ordered by component, height and coefficients."""
+    spec = parse_dynkin_spec(text)
+    roots = []
+    off = 0
+    for comp, (family, rank) in enumerate(spec.components):
+        cartan, d = _cartan_and_symmetrizer(family, rank)
+
+        def ambient(v):
+            return tuple([0] * off + list(v) + [0] * (spec.rank - off - rank))
+
+        for c in component_roots_closure(cartan):
+            local = [sum(cartan[k][j] * c[j] for j in range(rank)) for k in range(rank)]
+            form = [c[j] * d[j] for j in range(rank)]
+            normsq = sum(f * x for f, x in zip(form, local))
+            coroot = [Fraction(2 * c[j] * d[j], normsq) for j in range(rank)]
+            assert all(x.denominator == 1 for x in coroot)
+            coroot = [int(x) for x in coroot]
+            roots.append(Root(ambient(local), c, comp, ambient(coroot), tuple(coroot), ambient(form)))
+        off += rank
+    return tuple(sorted(roots, key=lambda r: (r.component, r.height, r.simple_coeffs)))

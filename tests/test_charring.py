@@ -15,7 +15,10 @@ from parahoric import (
     chi_normalize,
     dim,
     dual,
+    enumerate_facets,
     exterior_square,
+    extended_basis,
+    parahoric_model,
     scale,
     tensor,
 )
@@ -28,6 +31,7 @@ from parahoric.charring import (
 
 from _oracles import (
     c2_w2_weights,
+    chi_char_reference,
     chi_expand_pairwise,
     dominant_below_box_scan,
     sl3_adjoint_weights,
@@ -81,7 +85,9 @@ def _weight_box(rd, side, torus=((),)):
     ]
 
 
-def test_dominance_closure_matches_box_scan():
+def _rank4_boxes():
+    """Weight boxes over every type of rank <= 4 plus D3, B2xG2, tori and four
+    E6 weights, as (type, weights) pairs."""
     sides = {"A1": 4, "A2": 3, "B2": 3, "C2": 3, "G2": 3, "A3": 2, "B3": 2, "C3": 2,
              "D3": 2, "A4": 1, "B4": 1, "C4": 1, "D4": 1, "B2xG2": 1}
     cases = [(name, _weight_box(build_root_datum(name), side)) for name, side in sides.items()]
@@ -91,6 +97,11 @@ def test_dominance_closure_matches_box_scan():
     cases.append(("A1xA1+T1", _weight_box(build_root_datum("A1xA1+T1"), 2, [(0,), (-3,)])))
     cases.append(("A2xA1+T2", _weight_box(build_root_datum("A2xA1+T2"), 1, [(0, 0), (2, -1)])))
     cases.append(("E6", [(0,) * 6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1)]))
+    return cases
+
+
+def test_dominance_closure_matches_box_scan():
+    cases = _rank4_boxes()
     checked = 0
     for name, weights in cases:
         rd = build_root_datum(name)
@@ -98,6 +109,25 @@ def test_dominance_closure_matches_box_scan():
             assert _dominant_below(rd, lam) == dominant_below_box_scan(rd, lam), (name, lam)
             checked += 1
     assert checked == 302
+
+
+def test_chi_char_matches_reference_freudenthal():
+    f4 = build_root_datum("F4")
+    cases = [(build_root_datum(name), weights) for name, weights in _rank4_boxes()]
+    cases.append((f4, [(1, 1, 1, 1)]))
+    basis = extended_basis(f4)
+    for theta in enumerate_facets(f4, basis):
+        model = parahoric_model(f4, theta, basis)
+        sub = model.quotient_datum
+        layer_weights = {w for layer in model.layers for w in layer}
+        cases.append((sub, [(0,) * sub.n] + sorted(w for w in layer_weights if sub.is_dominant(w))))
+    checked = 0
+    for rd, weights in cases:
+        for lam in weights:
+            expected = chi_char_reference(rd, lam)
+            assert list(chi_char(rd, lam).mult.items()) == list(expected.items()), (rd.spec, lam)
+            checked += 1
+    assert checked == 836
 
 
 def test_add_scale(a2):

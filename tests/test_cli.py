@@ -140,15 +140,38 @@ def test_usage_errors(capsys):
 
 
 def test_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
-    # a well-formed cache entry with a non-dominant key breaks a checked invariant
+    # a wrong chi(3,0) that passes the cache checks (dim 10, keys dominant
+    # below (3,0)) makes chi(3,0) - ch L(1,1) negative at p = 3
     monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
-    target = tmp_path / "A2" / "1,0.json"
+    target = tmp_path / "A2" / "3,0.json"
     target.parent.mkdir(parents=True)
-    target.write_text('{"-1,0": 1}')
-    assert main(["character", "--type", "A2", "--weight", "1,0"]) == 3
-    assert "internal error: character keys must be dominant" in capsys.readouterr().err
-    assert main(["character", "--type", "A2", "--weight", "1,0", "--no-cache"]) == 0
+    target.write_text('{"3,0": 1, "0,0": 7}')
+    assert main(["jantzen", "--type", "A2", "--weight", "3,0", "--p", "3"]) == 3
+    assert "internal error: chi((3, 0)) - ch L((1, 1)) is not a character" in capsys.readouterr().err
+    assert main(["jantzen", "--type", "A2", "--weight", "3,0", "--p", "3", "--no-cache"]) == 0
     capsys.readouterr()
+
+
+def test_cache_entries_are_checked_on_read(tmp_path, monkeypatch, capsys):
+    # a wrong top multiplicity, non-dominant keys, non-integer
+    # multiplicities, a non-object, a wrong dimension and a key not below lam
+    # all count as misses, and the recomputed character replaces the file
+    monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
+    (tmp_path / "A2").mkdir()
+    cases = [("1,0", bad, 3, {"1,0": 1})
+             for bad in ['{"1,0": 2}', '{"-1,0": 1}', '{"1,0": "1"}', '{"1,0": true}', "[1]"]]
+    cases += [("1,1", bad, 8, {"1,1": 1, "0,0": 2})
+              for bad in ['{"1,1": 1, "0,0": 1}', '{"1,1": 1, "0,0": 2.0}']]
+    cases.append(("2,0", '{"2,0": 1, "1,0": 1}', 6, {"2,0": 1, "0,1": 1}))
+    cases.append(("2,2", '{"2,2": 1, "-3,3": 1, "0,3": 1, "1,1": 2, "0,0": 3}', 27,
+                  {"2,2": 1, "3,0": 1, "0,3": 1, "1,1": 2, "0,0": 3}))
+    for weight, bad, dimension, good in cases:
+        target = tmp_path / "A2" / f"{weight}.json"
+        target.write_text(bad)
+        code, envelope = run_json(capsys, ["character", "--type", "A2", "--weight", weight])
+        assert code == 0, bad
+        assert envelope["outputs"]["dim"] == dimension, bad
+        assert json.loads(target.read_text()) == good, bad
 
 
 def test_cache_equivalence(tmp_path, monkeypatch, capsys):

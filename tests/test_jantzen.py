@@ -1,9 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from parahoric import (
+    DatumMismatch,
     HypothesisUnmet,
+    InvariantViolation,
     NotPrime,
     SimpleLedger,
     build_root_datum,
@@ -19,7 +22,8 @@ from parahoric import (
     resolve_simple,
     tensor,
 )
-from parahoric.jantzen import JANTZEN_RESOLVED, LOWEST_ALCOVE
+from parahoric import jantzen
+from parahoric.jantzen import JANTZEN_RESOLVED, LOWEST_ALCOVE, LedgerEntry
 from parahoric.rootdata import NotDominant, dot
 
 
@@ -113,6 +117,70 @@ def test_ledger_merge(a2):
     resolve_simple(a2, 5, (3, 1), right)
     merged = left.merge(right)
     assert set(merged.entries) == {(2, 0), (3, 1)}
+
+
+def test_ledger_merge_checks(a2, c2):
+    left = SimpleLedger(a2, 5)
+    resolve_simple(a2, 5, (2, 0), left)
+    with pytest.raises(DatumMismatch):
+        left.merge(SimpleLedger(c2, 5))
+    with pytest.raises(ValueError):
+        left.merge(SimpleLedger(a2, 7))
+    with pytest.raises(DatumMismatch):
+        resolve_simple(c2, 5, (1, 0), left)
+    with pytest.raises(ValueError):
+        resolve_simple(a2, 7, (1, 0), left)
+    other = SimpleLedger(a2, 5)
+    other.entries[(2, 0)] = LedgerEntry(chi_char(a2, (1, 0)), LOWEST_ALCOVE, {})
+    with pytest.raises(InvariantViolation):
+        left.merge(other)
+
+
+def test_ledger_remembers_undetermined_weights(a2, monkeypatch):
+    ledger = SimpleLedger(a2, 5)
+    for lam in itertools.product(range(8), repeat=2):
+        resolve_simple(a2, 5, lam, ledger)
+    assert ledger.undetermined and not ledger.undetermined & ledger.entries.keys()
+    lam = min(ledger.undetermined)
+    merged = SimpleLedger(a2, 5).merge(ledger)
+    assert merged.undetermined == ledger.undetermined and merged.entries == ledger.entries
+
+    def no_sums(*args):
+        raise AssertionError("J recomputed")
+
+    monkeypatch.setattr(jantzen, "jantzen_sum", no_sums)
+    assert resolve_simple(a2, 5, lam, ledger) is None
+    assert merged.resolve(lam) is None
+
+
+def test_report_computes_the_jantzen_sum_once(a2, monkeypatch):
+    calls = []
+    real = jantzen.jantzen_sum
+
+    def counted(rd, p, lam):
+        calls.append(lam)
+        return real(rd, p, lam)
+
+    monkeypatch.setattr(jantzen, "jantzen_sum", counted)
+    for lam in [(5, 0), (6, 3)]:
+        jantzen_report(a2, 5, lam)
+        assert calls.count(lam) == 1
+
+
+def test_ledger_is_order_independent():
+    # one shared ledger fed in three orders reports what a fresh ledger per
+    # weight reports
+    for name, p, side in [("A2", 5, 12), ("B2", 5, 10), ("G2", 7, 7)]:
+        rd = build_root_datum(name)
+        box = list(itertools.product(range(side), repeat=rd.n))
+        fresh = {lam: jantzen_report(rd, p, lam, SimpleLedger(rd, p)) for lam in box}
+        assert any(report.chL is None for report in fresh.values())
+        for seed in range(3):
+            order = random.Random(seed).sample(box, len(box))
+            ledger = SimpleLedger(rd, p)
+            for lam in order:
+                assert jantzen_report(rd, p, lam, ledger) == fresh[lam], (name, lam)
+            assert not ledger.undetermined & ledger.entries.keys()
 
 
 def test_ext1_examples(a2):

@@ -1,5 +1,5 @@
-"""Property tests: the counting and expansion fast paths against enumeration
-and the brute-force oracles, over generated types and weights."""
+"""Property tests: the counting, conjugation and expansion fast paths against
+enumeration and the brute-force oracles, over generated types and weights."""
 
 import functools
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from parahoric import VirtualChiSum, build_root_datum
 from parahoric.charring import chi_expand_map, evaluate_chi_sum
 
-from _oracles import chi_expand_pairwise, weyl_group_matrices
+from _oracles import chi_expand_pairwise, dominant_conjugate_by_reflection, weyl_group_matrices
 
 NAMES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "A1xA1+T1", "B2xG2"]
 
@@ -44,6 +44,16 @@ def test_orbit_size_counts_the_orbit_and_divides_the_group_order(data):
     size = rd.orbit_size(lam)
     assert size == len(rd.weyl_orbit(lam))
     assert _weyl_group_order(name) % size == 0
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_dominant_conjugate_matches_reflection_loop(data):
+    rd = _datum(data.draw(st.sampled_from(NAMES + ["F4", "E6"])))
+    lam = data.draw(_weights(rd, -4, 4))
+    dom = rd.dominant_conjugate(lam)
+    assert dom == dominant_conjugate_by_reflection(rd, lam)
+    assert rd.is_dominant(dom)
 
 
 @PROPERTY_SETTINGS

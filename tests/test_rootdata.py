@@ -21,7 +21,7 @@ from parahoric import (
 )
 from parahoric.rootdata import parse_weight_key, weight_key, wneg
 
-from _oracles import integer_coords, roots_by_weyl_images, weyl_group_matrices
+from _oracles import integer_coords, roots_by_closure, roots_by_weyl_images, weyl_group_matrices
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -170,6 +170,14 @@ def test_orbit_size_matches_orbit_enumeration():
         _assert_orbit_sizes_enumerate(rd, itertools.product(range(-1, 3), repeat=rd.n))
 
 
+def test_root_closure_matches_coefficient_closure():
+    names = [f"{family}{rank}" for family, ranks in
+             [("A", range(1, 7)), ("B", range(2, 7)), ("C", range(2, 7)), ("D", range(4, 7)),
+              ("E", range(6, 9))] for rank in ranks]
+    for name in names + ["F4", "G2", "A1xA1+T1", "B2xG2"]:
+        assert build_root_datum(name).roots == roots_by_closure(name), name
+
+
 def test_orbit_size_on_facet_quotients():
     for name in ["F4", "E6"]:
         rd = build_root_datum(name)
@@ -263,10 +271,25 @@ def test_root_lattice_coords_constructive():
 
 def test_invariant_violation_survives_optimize_flag():
     code = (
-        "from parahoric import Character, InvariantViolation, build_root_datum, sub_root_datum\n"
+        "from parahoric import (Character, InvariantViolation, SimpleLedger, build_root_datum,\n"
+        "                       chi_char, resolve_simple, sub_root_datum)\n"
+        "from parahoric.charring import using_disk_cache\n"
+        "from parahoric.jantzen import LOWEST_ALCOVE, LedgerEntry\n"
         "a2 = build_root_datum('A2')\n"
+        "conflicting = SimpleLedger(a2, 3)\n"
+        "conflicting.entries[(0, 0)] = LedgerEntry(chi_char(a2, (1, 1)), LOWEST_ALCOVE, {})\n"
+        "class WrongCache:  # a plausible but wrong chi(3,0): dim 10, keys below (3,0)\n"
+        "    def get(self, spec, lam):\n"
+        "        return {(3, 0): 1, (0, 0): 7} if lam == (3, 0) else None\n"
+        "    def put(self, spec, lam, mult):\n"
+        "        pass\n"
+        "def wrong_chi():\n"
+        "    with using_disk_cache(WrongCache()):\n"
+        "        resolve_simple(a2, 3, (3, 0), SimpleLedger(a2, 3))\n"
         "for make in (lambda: sub_root_datum(a2, [(1, 0), (-1, 0)]),\n"
-        "             lambda: Character(a2, {(-1, 0): 1})):\n"
+        "             lambda: Character(a2, {(-1, 0): 1}),\n"
+        "             lambda: SimpleLedger(a2, 3, {(0, 0): LedgerEntry(chi_char(a2, (0, 0)), LOWEST_ALCOVE, {})}).merge(conflicting),\n"
+        "             wrong_chi):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantViolation as exc:\n"
@@ -278,9 +301,11 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 4
     assert lines[0].startswith("raised: subset contains non-roots")
     assert lines[1].startswith("raised: character keys must be dominant")
+    assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
+    assert lines[3].startswith("raised: chi((3, 0)) - ch L((1, 1)) is not a character")
 
 
 def test_torus_factors():
