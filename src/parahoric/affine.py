@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .rootdata import (
     DynkinSpec,
+    InvariantViolation,
     Root,
     RootDatum,
     Weight,
@@ -109,8 +110,8 @@ def extended_basis(rd: RootDatum) -> AffineBasis:
         for m, el in zip(marks, elements):
             for i, c in enumerate(el.gradient.coords):
                 grad[i] += m * c
-        assert all(g == 0 for g in grad)
-        assert sum(m * el.level for m, el in zip(marks, elements)) == 1
+        if any(grad) or sum(m * el.level for m, el in zip(marks, elements)) != 1:
+            raise InvariantViolation(f"marks {marks} of component {comp} do not give delta")
         components.append(ComponentBasis(elements, marks))
     return AffineBasis(rd, tuple(components))
 
@@ -180,7 +181,8 @@ def affine_decompose(rd: RootDatum, basis: AffineBasis, alpha: AffineRoot) -> tu
     coeffs = tuple(
         c + gamma * m for c, m in zip(alpha.gradient.simple_coeffs, marks_gradient)
     ) + (gamma,)
-    assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
+    if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+        raise InvariantViolation(f"affine root {alpha} has coefficients {coeffs} of both signs")
     return coeffs
 
 
@@ -208,7 +210,8 @@ def canonical_rep(rd: RootDatum, basis: AffineBasis, theta: FacetSpec, a: Root) 
     base = ell_theta(rd, basis, theta, AffineRoot(a, 0))
     gamma = -(base // depth)
     rep = AffineRoot(a, gamma)
-    assert 0 <= base + gamma * depth < depth
+    if not 0 <= base + gamma * depth < depth:
+        raise InvariantViolation(f"{rep} falls outside the window [0, {depth})")
     return rep
 
 

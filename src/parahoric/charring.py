@@ -17,6 +17,8 @@ the dominance order, which makes the greedy expansion of
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, field
 
 from .rootdata import (
@@ -49,39 +51,12 @@ __all__ = [
     "evaluate_chi_sum",
     "character_to_json",
     "character_from_json",
-    "using_disk_cache",
+    "DiskCharacters",
 ]
 
 
 class DatumMismatch(ValueError):
     """Raised when combining characters over different root data."""
-
-
-_active_disk_cache = None
-
-
-class using_disk_cache:
-    """Context manager installing a persistent chi-character cache.
-
-    The cache object needs ``get(spec_string, lam) -> mult | None`` and
-    ``put(spec_string, lam, mult)``.  It is consulted only for data built
-    from a Dynkin specification; results are identical with or without it.
-    """
-
-    def __init__(self, cache):
-        self.cache = cache
-        self.previous = None
-
-    def __enter__(self):
-        global _active_disk_cache
-        self.previous = _active_disk_cache
-        _active_disk_cache = self.cache
-        return self.cache
-
-    def __exit__(self, *exc):
-        global _active_disk_cache
-        _active_disk_cache = self.previous
-        return False
 
 
 @dataclass(frozen=True)
@@ -186,29 +161,20 @@ def _plausible_character(rd: RootDatum, lam: Weight, mult) -> bool:
     return sum(m * rd.orbit_size(w) for w, m in mult.items()) == rd.weyl_dim(lam)
 
 
-def chi_char(rd: RootDatum, lam: Weight, disk_cache=None) -> Character:
+def chi_char(rd: RootDatum, lam: Weight) -> Character:
     """Character of the standard module with highest weight ``lam``.
 
     Multiplicities come from Freudenthal's recursion run over the dominant
     cone only; a non-dominant weight contributes through its dominant
     conjugate.  The divisor ``(lam+mu+2rho, lam-mu)`` is assembled from the
     per-root form functionals, so the whole computation is integer-exact.
-    A disk-cache entry is used only when it passes the checks of
-    :func:`_plausible_character`; otherwise it counts as a miss and is
-    overwritten with the recomputed character.
+    Results are memoized in ``rd.chi_cache``.
     """
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
-    cached = rd._chi_cache.get(lam)
+    cached = rd.chi_cache.get(lam)
     if cached is not None:
         return Character(rd, dict(cached))
-    if disk_cache is None:
-        disk_cache = _active_disk_cache
-    if disk_cache is not None and rd.spec_string is not None:
-        stored = disk_cache.get(rd.spec_string, lam)
-        if stored is not None and _plausible_character(rd, lam, stored):
-            rd._chi_cache[lam] = dict(stored)
-            return Character(rd, dict(stored))
     # by height; ties in lexicographic order of the coordinates of lam - mu,
     # which fixes the insertion order of mult
     candidates = sorted(
@@ -249,9 +215,7 @@ def chi_char(rd: RootDatum, lam: Weight, disk_cache=None) -> Character:
         if m_mu <= 0:
             raise InvariantViolation(f"multiplicity {m_mu} of {mu} in chi({lam}) is not positive")
         mult[mu] = m_mu
-    rd._chi_cache[lam] = dict(mult)
-    if disk_cache is not None and rd.spec_string is not None:
-        disk_cache.put(rd.spec_string, lam, mult)
+    rd.chi_cache[lam] = dict(mult)
     return Character(rd, mult)
 
 
@@ -413,3 +377,49 @@ def character_to_json(mult: dict[Weight, int]) -> dict[str, int]:
 
 def character_from_json(data: dict[str, int]) -> dict[Weight, int]:
     return {parse_weight_key(k): v for k, v in data.items()}
+
+
+# ---------------------------------------------------------------------------
+# Characters on disk
+
+
+class DiskCharacters:
+    """A ``chi_cache`` store for a datum built from a Dynkin specification:
+    one file ``<root>/<type>/<weight>.json`` per highest weight, in the
+    :func:`character_to_json` format.
+
+    A missing, unreadable or implausible file (see
+    :func:`_plausible_character`) is a miss, which the recomputed character
+    then overwrites.  Files are written atomically; an entry read or written
+    once is served from memory after that.
+    """
+
+    def __init__(self, rd: RootDatum, root: str):
+        self.rd = rd
+        self.dir = os.path.join(root, rd.spec_string)
+        self.memo: dict[Weight, dict[Weight, int]] = {}
+
+    def _path(self, lam: Weight) -> str:
+        return os.path.join(self.dir, weight_key(lam) + ".json")
+
+    def get(self, lam: Weight) -> dict[Weight, int] | None:
+        mult = self.memo.get(lam)
+        if mult is None:
+            try:
+                with open(self._path(lam), "r", encoding="utf-8") as fh:
+                    mult = character_from_json(json.load(fh))
+            except (OSError, ValueError, AttributeError):
+                return None
+            if not _plausible_character(self.rd, lam, mult):
+                return None
+            self.memo[lam] = mult
+        return mult
+
+    def __setitem__(self, lam: Weight, mult: dict[Weight, int]) -> None:
+        path = self._path(lam)
+        os.makedirs(self.dir, exist_ok=True)
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(character_to_json(mult), fh)
+        os.replace(tmp, path)
+        self.memo[lam] = mult

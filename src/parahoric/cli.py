@@ -22,13 +22,7 @@ from .affine import (
     parahoric_model,
     parse_facet_spec,
 )
-from .charring import (
-    character_from_json,
-    character_to_json,
-    chi_char,
-    dim,
-    using_disk_cache,
-)
+from .charring import DiskCharacters, character_to_json, chi_char, dim
 from .jantzen import NotPrime, SimpleLedger, ext2_chain, jantzen_report, jantzen_sum
 from .levicert import certify, from_parahoric, unitary_report
 from .rootdata import InvariantViolation, build_root_datum, parse_weight_key, weight_key
@@ -36,32 +30,6 @@ from .rootdata import InvariantViolation, build_root_datum, parse_weight_key, we
 USAGE_ERROR = 1
 VERIFY_MISMATCH = 2
 INTERNAL_ERROR = 3
-
-
-class FreudenthalDiskCache:
-    """One JSON file per (type string, highest weight), character format."""
-
-    def __init__(self, root: str):
-        self.root = root
-
-    def _path(self, spec_string: str, lam) -> str:
-        return os.path.join(self.root, spec_string, weight_key(lam) + ".json")
-
-    def get(self, spec_string: str, lam):
-        path = self._path(spec_string, lam)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return character_from_json(json.load(fh))
-        except (OSError, ValueError, AttributeError):
-            return None
-
-    def put(self, spec_string: str, lam, mult):
-        path = self._path(spec_string, lam)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(character_to_json(mult), fh)
-        os.replace(tmp, path)
 
 
 def default_cache_dir() -> str:
@@ -72,10 +40,12 @@ def default_cache_dir() -> str:
     return os.path.join(base, "parahoric")
 
 
-def _make_cache(args) -> FreudenthalDiskCache | None:
-    if getattr(args, "no_cache", False):
-        return None
-    return FreudenthalDiskCache(default_cache_dir())
+def _datum(args, spec: str):
+    """The datum of ``spec``, its characters kept on disk unless --no-cache."""
+    rd = build_root_datum(spec)
+    if not args.no_cache:
+        rd.chi_cache = DiskCharacters(rd, default_cache_dir())
+    return rd
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +135,7 @@ def _emit(args, command: str, inputs: dict, outputs: dict, started: float, lines
 
 def cmd_rootsys(args) -> int:
     started = time.monotonic()
-    rd = build_root_datum(args.type)
+    rd = _datum(args, args.type)
     lines = [f"type {rd.spec_string}: rank {rd.n}, {len(rd.roots)} roots"]
     components = []
     if rd.num_components:
@@ -200,7 +170,7 @@ def cmd_rootsys(args) -> int:
 
 def cmd_facets(args) -> int:
     started = time.monotonic()
-    rd = build_root_datum(args.type)
+    rd = _datum(args, args.type)
     basis = extended_basis(rd)
     rows = []
     lines = [f"{len(enumerate_facets(rd, basis))} facets of {rd.spec_string}"]
@@ -224,7 +194,7 @@ def cmd_facets(args) -> int:
 
 def cmd_parahoric(args) -> int:
     started = time.monotonic()
-    rd = build_root_datum(args.type)
+    rd = _datum(args, args.type)
     basis = extended_basis(rd)
     theta = parse_facet_spec(args.theta, basis)
     model = parahoric_model(rd, theta, basis)
@@ -243,7 +213,7 @@ def cmd_parahoric(args) -> int:
 
 def cmd_levi(args) -> int:
     started = time.monotonic()
-    rd = build_root_datum(args.type)
+    rd = _datum(args, args.type)
     basis = extended_basis(rd)
     theta = parse_facet_spec(args.theta, basis)
     model = parahoric_model(rd, theta, basis)
@@ -269,7 +239,7 @@ def cmd_levi(args) -> int:
 
 def cmd_character(args) -> int:
     started = time.monotonic()
-    rd = build_root_datum(args.type)
+    rd = _datum(args, args.type)
     lam = parse_weight_key(args.weight)
     if len(lam) != rd.n:
         raise ValueError(f"weight {args.weight!r} has wrong length for {rd.spec_string}")
@@ -291,7 +261,7 @@ def cmd_character(args) -> int:
 
 def cmd_jantzen(args) -> int:
     started = time.monotonic()
-    rd = build_root_datum(args.type)
+    rd = _datum(args, args.type)
     lam = parse_weight_key(args.weight)
     if len(lam) != rd.n:
         raise ValueError(f"weight {args.weight!r} has wrong length for {rd.spec_string}")
@@ -318,7 +288,7 @@ def cmd_verify_sl3(args) -> int:
     p = args.p
     if p < 3:
         raise ValueError("p must be an odd prime at least 3")
-    rd = build_root_datum("A2")
+    rd = _datum(args, "A2")
     lam, mu, gamma = (p, 0), (p - 2, 1), (p - 3, 0)
     j_mu = jantzen_sum(rd, p, mu)
     j_lam = jantzen_sum(rd, p, lam)
@@ -396,8 +366,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with using_disk_cache(_make_cache(args)):
-            return args.func(args)
+        return args.func(args)
     except (ValueError, NotPrime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

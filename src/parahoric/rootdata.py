@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "Weight",
@@ -213,7 +213,8 @@ def _cartan_and_symmetrizer(family: str, rank: int) -> tuple[list[list[int]], li
         d = [1, 3]
     for i in range(rank):
         for j in range(rank):
-            assert d[i] * c[i][j] == d[j] * c[j][i]
+            if d[i] * c[i][j] != d[j] * c[j][i]:
+                raise InvariantViolation(f"{family}{rank}: symmetrizer fails at ({i}, {j})")
     return c, d
 
 
@@ -232,6 +233,8 @@ class Root:
     the coroot over the component's simple coroots, so its entry sum equals
     ``<rho, alpha^vee>``.  ``form`` is the functional of a Weyl-invariant
     bilinear form paired against this root: ``(lam, alpha) = dot(lam, form)``.
+    ``height`` and ``coroot_height``, the entry sums of ``simple_coeffs`` and
+    ``coroot_coeffs``, are stored at construction.
     """
 
     coords: Weight
@@ -240,14 +243,12 @@ class Root:
     coroot: Weight
     coroot_coeffs: tuple[int, ...]
     form: Weight
+    height: int = field(init=False, compare=False)
+    coroot_height: int = field(init=False, compare=False)
 
-    @property
-    def height(self) -> int:
-        return sum(self.simple_coeffs)
-
-    @property
-    def coroot_height(self) -> int:
-        return sum(self.coroot_coeffs)
+    def __post_init__(self):
+        object.__setattr__(self, "height", sum(self.simple_coeffs))
+        object.__setattr__(self, "coroot_height", sum(self.coroot_coeffs))
 
     def __repr__(self) -> str:
         return f"Root({weight_key(self.coords)})"
@@ -331,10 +332,14 @@ def _dynkin_components(nodes) -> list[list[int]]:
 
 
 class RootDatum:
-    """An immutable root datum inside the ambient lattice Z^n.
+    """A root datum inside the ambient lattice Z^n.
 
-    Construct with :func:`build_root_datum` or :func:`sub_root_datum`.
-    Instances are safe to share; all methods are pure.
+    Construct with :func:`build_root_datum` or :func:`sub_root_datum`.  The
+    structure is fixed once built.  The one mutable attribute, ``chi_cache``,
+    memoizes ``chi(lam)`` multiplicities by highest weight for
+    :func:`parahoric.charring.chi_char`; it is a plain dict unless replaced by
+    another store with ``get`` and item assignment, such as the CLI's
+    :class:`parahoric.charring.DiskCharacters`.
     """
 
     def __init__(self, *, spec, n, roots, simple_indices, rho):
@@ -355,8 +360,7 @@ class RootDatum:
         self._simple_coords = tuple(a.coords for a in flat)
         self._simple_coroots = tuple(a.coroot for a in flat)
         self._cartan_columns = tuple(zip(*self.cartan))
-        self._orbit_cache: dict[Weight, tuple[Weight, ...]] = {}
-        self._chi_cache: dict[Weight, dict[Weight, int]] = {}
+        self.chi_cache: dict[Weight, dict[Weight, int]] = {}
         # (2*rho, alpha_i) per simple root, for the Freudenthal denominator
         self._two_rho_form = tuple(
             sum(dot(beta.form, alpha.coords) for beta in self.positive_roots)
@@ -415,9 +419,6 @@ class RootDatum:
 
     def weyl_orbit(self, lam: Weight) -> tuple[Weight, ...]:
         """The Weyl-group orbit of ``lam``, in a deterministic (sorted) order."""
-        cached = self._orbit_cache.get(lam)
-        if cached is not None:
-            return cached
         seen = {lam}
         frontier = [lam]
         while frontier:
@@ -429,9 +430,7 @@ class RootDatum:
                         seen.add(img)
                         nxt.append(img)
             frontier = nxt
-        orbit = tuple(sorted(seen))
-        self._orbit_cache[lam] = orbit
-        return orbit
+        return tuple(sorted(seen))
 
     def dominant_conjugate(self, lam: Weight) -> Weight:
         """The unique dominant member of the Weyl orbit of ``lam``.
@@ -512,7 +511,8 @@ class RootDatum:
             raise ValueError(f"no component {component}")
         candidates = [r for r in self.roots if r.component == component and r.height > 0]
         best = max(candidates, key=lambda r: r.height)
-        assert sum(1 for r in candidates if r.height == best.height) == 1
+        if sum(1 for r in candidates if r.height == best.height) != 1:
+            raise InvariantViolation(f"component {component} has no unique highest root")
         return best
 
     def weyl_dim(self, lam: Weight) -> int:
@@ -525,7 +525,8 @@ class RootDatum:
             h = a.coroot_height
             num *= dot(lam, a.coroot) + h
             den *= h
-        assert num % den == 0
+        if num % den:
+            raise InvariantViolation(f"Weyl dimension {num}/{den} for {lam} is not an integer")
         return num // den
 
 
@@ -588,11 +589,13 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
             coords[off : off + rank] = local_coords
             form_local = [coeffs[j] * d[j] for j in range(rank)]
             normsq = sum(f * x for f, x in zip(form_local, local_coords))
-            assert normsq > 0
+            if normsq <= 0:
+                raise InvariantViolation(f"root {coeffs} of {family}{rank} has norm {normsq}")
             coroot_local = []
             for j in range(rank):
                 num = coeffs[j] * 2 * d[j]
-                assert num % normsq == 0
+                if num % normsq:
+                    raise InvariantViolation(f"coroot of {coeffs} in {family}{rank} is not integral")
                 coroot_local.append(num // normsq)
             coroot = [0] * n
             coroot[off : off + rank] = coroot_local
@@ -705,8 +708,11 @@ def classify_cartan(cartan) -> tuple[str, int]:
         for j in range(i + 1, k):
             if cartan[i][j] != 0:
                 prods[(i, j)] = cartan[i][j] * cartan[j][i]
+    if len(prods) != k - 1:
+        raise InvariantViolation(f"Dynkin graph of {cartan} is not a tree")
     if any(m == 3 for m in prods.values()):
-        assert k == 2
+        if k != 2:
+            raise InvariantViolation(f"triple edge in rank {k}: {cartan}")
         return ("G", 2)
     degree = [0] * k
     for i, j in prods:
@@ -714,23 +720,27 @@ def classify_cartan(cartan) -> tuple[str, int]:
         degree[j] += 1
     doubles = [e for e, m in prods.items() if m == 2]
     if doubles:
-        assert len(doubles) == 1
+        if len(doubles) != 1:
+            raise InvariantViolation(f"{len(doubles)} double edges in {cartan}")
         if k == 2:
             return ("C", 2)
         (i, j) = doubles[0]
         short = i if cartan[i][j] == -2 else j
         long = j if short == i else i
-        assert max(degree) <= 2
+        if max(degree) > 2:
+            raise InvariantViolation(f"branch node beside a double edge in {cartan}")
         if degree[short] == 1:
             return ("B", k)
         if degree[long] == 1:
             return ("C", k)
-        assert k == 4
+        if k != 4:
+            raise InvariantViolation(f"double edge inside a chain of rank {k}: {cartan}")
         return ("F", 4)
     if max(degree) <= 2:
         return ("A", k)
     hubs = [i for i in range(k) if degree[i] == 3]
-    assert len(hubs) == 1
+    if len(hubs) != 1 or max(degree) > 3:
+        raise InvariantViolation(f"branch nodes of degrees {sorted(degree)} in {cartan}")
     hub = hubs[0]
     adjacency = {i: [] for i in range(k)}
     for i, j in prods:
@@ -756,7 +766,7 @@ def classify_cartan(cartan) -> tuple[str, int]:
         return ("E", 7)
     if lengths == [1, 2, 4]:
         return ("E", 8)
-    raise ValueError(f"unrecognized Cartan matrix {cartan}")
+    raise InvariantViolation(f"unrecognized Cartan matrix {cartan}")
 
 
 def classify_nodes(nodes, n: int) -> DynkinSpec:

@@ -2,6 +2,17 @@ import json
 
 import pytest
 
+from parahoric import (
+    build_root_datum,
+    certify,
+    chi_char,
+    extended_basis,
+    from_parahoric,
+    jantzen_report,
+    parahoric_model,
+    parse_facet_spec,
+    unitary_report,
+)
 from parahoric.cli import main
 
 
@@ -195,3 +206,52 @@ def test_cache_ignores_corrupt_files(tmp_path, monkeypatch, capsys):
     code, envelope = run_json(capsys, ["character", "--type", "A2", "--weight", "1,0"])
     assert code == 0
     assert envelope["outputs"]["dim"] == 3
+
+
+def _files_under(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize(
+    "argv, type_dir",
+    [
+        (["character", "--type", "B2", "--weight", "1,1"], "B2"),
+        (["jantzen", "--type", "A2", "--weight", "5,0", "--p", "5"], "A2"),
+        (["verify-sl3", "--p", "5"], "A2"),
+    ],
+)
+def test_character_commands_persist_characters(tmp_path, monkeypatch, capsys, argv, type_dir):
+    monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
+    assert main(argv) == 0
+    capsys.readouterr()
+    files = _files_under(tmp_path)
+    assert files
+    assert all(f.startswith(type_dir + "/") and f.endswith(".json") for f in files), files
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["character", "--type", "B2", "--weight", "1,1", "--no-cache"],
+        ["jantzen", "--type", "A2", "--weight", "5,0", "--p", "5", "--no-cache"],
+        ["verify-sl3", "--p", "5", "--no-cache"],
+        ["levi", "--type", "B3", "--theta", "0,1", "--p", "5", "--rank-refinement"],
+        ["verify-unitary", "--n", "3", "--p", "3"],
+    ],
+)
+def test_other_commands_write_no_files(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _files_under(tmp_path) == []
+
+
+def test_library_calls_write_no_files(tmp_path, monkeypatch):
+    monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
+    a2, b3 = build_root_datum("A2"), build_root_datum("B3")
+    chi_char(a2, (2, 1))
+    jantzen_report(a2, 5, (5, 0))
+    basis = extended_basis(b3)
+    certify(from_parahoric(parahoric_model(b3, parse_facet_spec("0,1", basis), basis)), 5, True)
+    unitary_report(3, 3)
+    assert _files_under(tmp_path) == []

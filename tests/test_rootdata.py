@@ -19,7 +19,13 @@ from parahoric import (
     parse_dynkin_spec,
     parse_facet_spec,
 )
-from parahoric.rootdata import parse_weight_key, weight_key, wneg
+from parahoric.rootdata import (
+    InvariantViolation,
+    classify_cartan,
+    parse_weight_key,
+    weight_key,
+    wneg,
+)
 
 from _oracles import integer_coords, roots_by_closure, roots_by_weyl_images, weyl_group_matrices
 
@@ -273,23 +279,21 @@ def test_invariant_violation_survives_optimize_flag():
     code = (
         "from parahoric import (Character, InvariantViolation, SimpleLedger, build_root_datum,\n"
         "                       chi_char, resolve_simple, sub_root_datum)\n"
-        "from parahoric.charring import using_disk_cache\n"
         "from parahoric.jantzen import LOWEST_ALCOVE, LedgerEntry\n"
+        "from parahoric.rootdata import classify_cartan\n"
         "a2 = build_root_datum('A2')\n"
         "conflicting = SimpleLedger(a2, 3)\n"
         "conflicting.entries[(0, 0)] = LedgerEntry(chi_char(a2, (1, 1)), LOWEST_ALCOVE, {})\n"
-        "class WrongCache:  # a plausible but wrong chi(3,0): dim 10, keys below (3,0)\n"
-        "    def get(self, spec, lam):\n"
-        "        return {(3, 0): 1, (0, 0): 7} if lam == (3, 0) else None\n"
-        "    def put(self, spec, lam, mult):\n"
-        "        pass\n"
-        "def wrong_chi():\n"
-        "    with using_disk_cache(WrongCache()):\n"
-        "        resolve_simple(a2, 3, (3, 0), SimpleLedger(a2, 3))\n"
+        "def wrong_chi():  # a plausible but wrong chi(3,0): dim 10, keys below (3,0)\n"
+        "    a2.chi_cache[(3, 0)] = {(3, 0): 1, (0, 0): 7}\n"
+        "    resolve_simple(a2, 3, (3, 0), SimpleLedger(a2, 3))\n"
+        "affine_d4 = [[2, 0, 0, 0, -1], [0, 2, 0, 0, -1], [0, 0, 2, 0, -1], [0, 0, 0, 2, -1],\n"
+        "             [-1, -1, -1, -1, 2]]\n"
         "for make in (lambda: sub_root_datum(a2, [(1, 0), (-1, 0)]),\n"
         "             lambda: Character(a2, {(-1, 0): 1}),\n"
         "             lambda: SimpleLedger(a2, 3, {(0, 0): LedgerEntry(chi_char(a2, (0, 0)), LOWEST_ALCOVE, {})}).merge(conflicting),\n"
-        "             wrong_chi):\n"
+        "             wrong_chi,\n"
+        "             lambda: classify_cartan(affine_d4)):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantViolation as exc:\n"
@@ -301,11 +305,12 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[0].startswith("raised: subset contains non-roots")
     assert lines[1].startswith("raised: character keys must be dominant")
     assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
     assert lines[3].startswith("raised: chi((3, 0)) - ch L((1, 1)) is not a character")
+    assert lines[4].startswith("raised: branch nodes of degrees [1, 1, 1, 1, 4]")
 
 
 def test_torus_factors():
@@ -325,6 +330,32 @@ def test_classify_roundtrip():
             assert spec == DynkinSpec((("A", 3),))
         else:
             assert spec == rd.spec, name
+
+
+def _cartan(k, edges):
+    """Cartan matrix of k nodes; an edge is (i, j) or (i, j, c_ij, c_ji)."""
+    c = [[2 if i == j else 0 for j in range(k)] for i in range(k)]
+    for i, j, *entries in edges:
+        c[i][j], c[j][i] = entries or (-1, -1)
+    return c
+
+
+@pytest.mark.parametrize(
+    "cartan, message",
+    [
+        (_cartan(3, [(0, 1), (1, 2), (2, 0)]), "Dynkin graph"),  # affine A2, a cycle
+        (_cartan(5, [(0, 4), (1, 4), (2, 4), (3, 4)]), "branch nodes"),  # affine D4
+        (_cartan(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]), "branch nodes"),  # affine D5
+        (_cartan(3, [(0, 1, -3, -1), (1, 2)]), "triple edge"),  # affine G2
+        (_cartan(3, [(0, 1, -2, -1), (1, 2, -1, -2)]), "2 double edges"),  # affine C2
+        (_cartan(4, [(0, 2), (1, 2), (2, 3, -1, -2)]), "branch node beside"),  # affine B3
+        (_cartan(5, [(0, 1), (1, 2), (2, 3, -1, -2), (3, 4)]), "double edge inside"),  # affine F4
+        (_cartan(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), "unrecognized"),  # affine E6
+    ],
+)
+def test_classify_cartan_rejects_affine_diagrams(cartan, message):
+    with pytest.raises(InvariantViolation, match=message):
+        classify_cartan(cartan)
 
 
 def test_weight_key_roundtrip():
