@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 from .rootdata import (
@@ -390,8 +391,9 @@ class DiskCharacters:
 
     A missing, unreadable or implausible file (see
     :func:`_plausible_character`) is a miss, which the recomputed character
-    then overwrites.  Files are written atomically; an entry read or written
-    once is served from memory after that.
+    then overwrites.  Files are written atomically, each writer through a
+    temporary file of its own; an entry read or written once is served from
+    memory after that.
     """
 
     def __init__(self, rd: RootDatum, root: str):
@@ -418,8 +420,14 @@ class DiskCharacters:
     def __setitem__(self, lam: Weight, mult: dict[Weight, int]) -> None:
         path = self._path(lam)
         os.makedirs(self.dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(character_to_json(mult), fh)
-        os.replace(tmp, path)
+        # a temporary file per writer: two writers of one entry must not
+        # write through, or rename away, each other's file
+        fd, tmp = tempfile.mkstemp(dir=self.dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                json.dump(character_to_json(mult), fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self.memo[lam] = mult

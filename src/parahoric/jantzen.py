@@ -25,7 +25,6 @@ from .charring import (
     chi_char,
     chi_normalize,
     dim,
-    evaluate_chi_sum,
 )
 from .rootdata import InvariantViolation, NotDominant, Root, RootDatum, Weight, dot, wsub
 
@@ -176,8 +175,11 @@ def resolve_simple(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger) -> 
     """Derive ch L(lam) if the shallow rules apply, else ``None``.
 
     Lowest-alcove weights give ch L = chi directly (the Weyl module is
-    simple).  Otherwise, if J(lam) evaluates to the character of a ledger
-    entry mu, then rad V(lam) = L(mu) and ch L(lam) = chi(lam) - ch L(mu).
+    simple).  Otherwise, if J(lam) equals the character of a ledger entry mu,
+    then rad V(lam) = L(mu) and ch L(lam) = chi(lam) - ch L(mu).  The match
+    is made in the chi basis: the chi-coefficients of J(lam) are compared
+    with those of ch L(mu), read off mu's radical chain, so J(lam) is never
+    evaluated to a weight multiset.
     The chi-support of J(lam) consists of weights strictly below lam, so
     those are resolved first; recursion is well-founded on dominance.
     """
@@ -204,14 +206,12 @@ def _resolve(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger, j_sum) ->
         j_sum = jantzen_sum(rd, p, lam)
     for w in sorted(j_sum.coeffs):
         _resolve(rd, p, w, ledger, None)
-    j_char = evaluate_chi_sum(rd, j_sum)
-    # only ch L(mu) for the top weight mu of J(lam) can equal J(lam); mu is
-    # in the chi-support of J(lam), so it was resolved just above
-    entry = None
-    if j_char:
-        mu = rd.top_weight(j_char)
-        entry = ledger.entries.get(mu)
-    if entry is None or entry.char.mult != j_char:
+    # the chi(nu) are linearly independent, so J(lam) = ch L(mu) exactly when
+    # their chi-coefficients agree; then mu is the top weight of J(lam), which
+    # is in its chi-support and so was resolved just above
+    mu = rd.top_weight(j_sum.coeffs) if j_sum.coeffs else None
+    entry = ledger.entries.get(mu)
+    if entry is None or j_sum.coeffs != _chi_coefficients(ledger, mu):
         ledger.undetermined.add(lam)
         return None
     mult = dict(chi_char(rd, lam).mult)
@@ -224,6 +224,23 @@ def _resolve(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger, j_sum) ->
     ch = Character(rd, mult)
     ledger.entries[lam] = LedgerEntry(ch, JANTZEN_RESOLVED, {mu: 1})
     return ch
+
+
+def _chi_coefficients(ledger: SimpleLedger, mu: Weight) -> dict[Weight, int]:
+    """ch L(mu) in the chi basis for a ledger entry mu, read off its radical
+    chain mu = mu_0 -> mu_1 -> ...: ch L(mu_0) = chi(mu_0) - ch L(mu_1), so
+    the coefficients alternate +1, -1, ... along the chain.  Every radical is
+    empty or a single simple, and the weights strictly decrease along the
+    chain, so no two terms collide."""
+    coeffs = {}
+    sign = 1
+    while True:
+        coeffs[mu] = sign
+        radical = ledger.entries[mu].radical
+        if not radical:
+            return coeffs
+        (mu,) = radical
+        sign = -sign
 
 
 def ext1_dim(rd: RootDatum, p: int, tau: Weight, gamma: Weight, ledger: SimpleLedger) -> int:

@@ -9,15 +9,24 @@ Two exceptions run on library code: the chi-expansion that picks its tops by
 pairwise dominance solves runs on the library's chi_char and dominance_leq,
 and checks the library's pick by a linear functional against those solves;
 the reference Freudenthal loop takes its dominant weights from the library's
-dominance closure (itself checked against the box scan here).
+dominance closure (itself checked against the box scan here); and the
+Jantzen resolver that evaluates J(lam) to a weight multiset runs on the
+library's Jantzen sums and characters.
 """
 
 import itertools
 from fractions import Fraction
 
-from parahoric import chi_char, parse_dynkin_spec
-from parahoric.charring import _dominant_below
-from parahoric.rootdata import Root, _cartan_and_symmetrizer
+from parahoric import Character, chi_char, parse_dynkin_spec
+from parahoric.charring import _dominant_below, evaluate_chi_sum
+from parahoric.jantzen import (
+    JANTZEN_RESOLVED,
+    LOWEST_ALCOVE,
+    LedgerEntry,
+    jantzen_sum,
+    lowest_alcove_test,
+)
+from parahoric.rootdata import InvariantViolation, Root, _cartan_and_symmetrizer
 
 
 def reflection_matrix(datum, simple_root):
@@ -286,3 +295,41 @@ def roots_by_closure(text):
             roots.append(Root(ambient(local), c, comp, ambient(coroot), tuple(coroot), ambient(form)))
         off += rank
     return tuple(sorted(roots, key=lambda r: (r.component, r.height, r.simple_coeffs)))
+
+
+def resolve_by_evaluation(rd, p, lam, ledger, j_sum):
+    """The ledger resolver that matches J(lam) as a weight multiset: J(lam)
+    is evaluated term by term with Freudenthal and compared with ch L(mu)
+    for the top weight mu of the result.  Same signature and ledger effects
+    as ``jantzen._resolve``, so it can stand in for it."""
+    known = ledger.entries.get(lam)
+    if known is not None:
+        return known.char
+    if lam in ledger.undetermined:
+        return None
+    if lowest_alcove_test(rd, p, lam):
+        ch = chi_char(rd, lam)
+        ledger.entries[lam] = LedgerEntry(ch, LOWEST_ALCOVE, {})
+        return ch
+    if j_sum is None:
+        j_sum = jantzen_sum(rd, p, lam)
+    for w in sorted(j_sum.coeffs):
+        resolve_by_evaluation(rd, p, w, ledger, None)
+    j_char = evaluate_chi_sum(rd, j_sum)
+    entry = None
+    if j_char:
+        mu = rd.top_weight(j_char)
+        entry = ledger.entries.get(mu)
+    if entry is None or entry.char.mult != j_char:
+        ledger.undetermined.add(lam)
+        return None
+    mult = dict(chi_char(rd, lam).mult)
+    for w, m in entry.char.mult.items():
+        mult[w] = mult.get(w, 0) - m
+        if not mult[w]:
+            del mult[w]
+    if not all(m > 0 for m in mult.values()):
+        raise InvariantViolation(f"chi({lam}) - ch L({mu}) is not a character: {mult}")
+    ch = Character(rd, mult)
+    ledger.entries[lam] = LedgerEntry(ch, JANTZEN_RESOLVED, {mu: 1})
+    return ch

@@ -13,6 +13,7 @@ from parahoric import (
     parse_facet_spec,
     unitary_report,
 )
+from parahoric.charring import DiskCharacters
 from parahoric.cli import main
 
 
@@ -210,6 +211,43 @@ def test_cache_ignores_corrupt_files(tmp_path, monkeypatch, capsys):
 
 def _files_under(root):
     return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
+def test_disk_cache_writers_of_one_entry_do_not_race(tmp_path, monkeypatch):
+    # two stores (as in two processes) write chi(2,1); the second writes and
+    # renames its file while the first is still inside json.dump
+    a2 = build_root_datum("A2")
+    first, second = DiskCharacters(a2, str(tmp_path)), DiskCharacters(a2, str(tmp_path))
+    mult = chi_char(a2, (2, 1)).mult
+    real_dump = json.dump
+    interleaved = []
+
+    def dump_after_second_writer(obj, fh):
+        if not interleaved:
+            interleaved.append(True)
+            second[(2, 1)] = mult
+        real_dump(obj, fh)
+
+    monkeypatch.setattr(json, "dump", dump_after_second_writer)
+    first[(2, 1)] = mult
+    assert interleaved
+    assert DiskCharacters(a2, str(tmp_path)).get((2, 1)) == mult
+    assert _files_under(tmp_path) == ["A2/2,1.json"]
+
+
+def test_disk_cache_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    a2 = build_root_datum("A2")
+    store = DiskCharacters(a2, str(tmp_path))
+
+    def failing_dump(obj, fh):
+        fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        store[(1, 0)] = {(1, 0): 1}
+    assert _files_under(tmp_path) == []
+    assert store.get((1, 0)) is None
 
 
 @pytest.mark.parametrize(

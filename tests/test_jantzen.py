@@ -26,6 +26,25 @@ from parahoric import jantzen
 from parahoric.jantzen import JANTZEN_RESOLVED, LOWEST_ALCOVE, LedgerEntry
 from parahoric.rootdata import NotDominant, dot
 
+from _oracles import resolve_by_evaluation
+
+# (type, p, side) of the box [0, side)^rank, as in the modular_ledger
+# benchmark workload, which also issues each box in this shuffled order
+LEDGER_BOXES = (("A2", 5, 12), ("A2", 7, 15), ("B2", 5, 10), ("G2", 7, 7), ("A3", 5, 5))
+
+
+def _shuffled_box(rd, name, p, side):
+    box = list(itertools.product(range(side), repeat=rd.n))
+    random.Random(f"{name}:{p}").shuffle(box)
+    return box
+
+
+def _by_evaluation(call, *args):
+    """Run a ledger call with the multiset-matching oracle as the resolver."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jantzen, "_resolve", resolve_by_evaluation)
+        return call(*args)
+
 
 def test_dot_reflect_anchor(a2):
     theta = a2.highest_root(0)
@@ -181,6 +200,33 @@ def test_ledger_is_order_independent():
             for lam in order:
                 assert jantzen_report(rd, p, lam, ledger) == fresh[lam], (name, lam)
             assert not ledger.undetermined & ledger.entries.keys()
+
+
+def test_chi_basis_match_agrees_with_evaluation(a2):
+    for name, p, side in LEDGER_BOXES:
+        rd = build_root_datum(name)
+        fast, slow = SimpleLedger(rd, p), SimpleLedger(rd, p)
+        for lam in _shuffled_box(rd, name, p, side):
+            expected = _by_evaluation(jantzen_report, rd, p, lam, slow)
+            assert jantzen_report(rd, p, lam, fast) == expected, (name, p, lam)
+        assert fast.entries == slow.entries, (name, p)
+        assert fast.undetermined == slow.undetermined, (name, p)
+    for p in (3, 5, 7, 11, 13):
+        args = (a2, p, (p, 0), (p - 2, 1), (p - 3, 0))
+        fast, slow = SimpleLedger(a2, p), SimpleLedger(a2, p)
+        assert ext2_chain(*args, fast) == _by_evaluation(ext2_chain, *args, slow) == 1
+        assert fast.entries == slow.entries and fast.undetermined == slow.undetermined
+
+
+def test_chi_basis_match_runs_no_freudenthal_for_jantzen_terms():
+    # only the weights the ledger resolves get a character; the chi-support
+    # of J(lam) is matched without evaluating it
+    rd = build_root_datum("A2")
+    ledger = SimpleLedger(rd, 5)
+    for lam in _shuffled_box(rd, "A2", 5, 12):
+        jantzen_report(rd, 5, lam, ledger)
+    assert ledger.undetermined
+    assert set(rd.chi_cache) == set(ledger.entries)
 
 
 def test_ext1_examples(a2):
