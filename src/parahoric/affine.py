@@ -9,11 +9,16 @@ facet this module computes the grading of the affine roots, the reductive
 quotient of the attached parahoric's special fiber, and the graded layers of
 its unipotent radical, as pure weight data.
 
-The normative layer model is the canonical-representative ("window") model:
-for each gradient ``a`` the unique level with grading value in
-``[0, depth-1]``.  Where the classical description via the set Psi (positive
-roots at level 0, negated positives at their vanishing level) is
-well-behaved, the two agree; ``psi_literal_agrees`` records the comparison.
+At a facet Theta, ``(a, gamma)`` has grading value ``base(a) + gamma * d``:
+``base(a)`` sums a's simple coefficients over the simple Theta-nodes of its
+component and the depth ``d`` sums the marks over Theta.  This is the
+Z/d-grading of the inner automorphism with Kac coordinates (marks on Theta,
+0 elsewhere) that Moy-Prasad filtrations are read from.  The normative
+layer model takes for each gradient its canonical representative, of value
+``base(a) mod d``.  The classical set Psi (positive roots at level 0, negated
+positives at their vanishing level) agrees with it exactly when no root has
+``base(a) = d``; ``psi_literal_agrees`` records this.  ``ell_theta`` and
+``canonical_rep`` compute the same values root by root, as a reference.
 """
 
 from __future__ import annotations
@@ -95,7 +100,9 @@ def extended_basis(rd: RootDatum) -> AffineBasis:
     The marks are the unique positive integers expressing the constant
     function delta = (0, 1): the gradient equation forces the highest-root
     coefficients on the simple nodes and the level equation forces 1 on the
-    affine node.
+    affine node.  Every root's simple coefficients are bounded by the marks
+    in absolute value, so each affine root ``(a, gamma)`` has coefficients of
+    one sign over the extended basis.
     """
     if rd.num_components == 0:
         raise ValueError("datum has no semisimple component")
@@ -112,6 +119,12 @@ def extended_basis(rd: RootDatum) -> AffineBasis:
                 grad[i] += m * c
         if any(grad) or sum(m * el.level for m, el in zip(marks, elements)) != 1:
             raise InvariantViolation(f"marks {marks} of component {comp} do not give delta")
+        for a in rd.roots:
+            if a.component == comp and any(abs(c) > m for c, m in zip(a.simple_coeffs, marks)):
+                raise InvariantViolation(
+                    f"root {weight_key(a.coords)} exceeds the marks {marks} of component "
+                    f"{comp}: its affine roots have coefficients of both signs"
+                )
         components.append(ComponentBasis(elements, marks))
     return AffineBasis(rd, tuple(components))
 
@@ -261,52 +274,36 @@ def classify_quotient(model: ParahoricModel) -> DynkinSpec:
     return classify_root_datum(model.quotient_datum)
 
 
-def _literal_psi(rd: RootDatum, basis: AffineBasis, theta: FacetSpec) -> set[tuple[Weight, int]]:
-    """The set Psi_Theta: positive roots at level 0 together with negated
-    positives at level e_a, where e_a = 0 exactly when a vanishes on the
-    facet (grading value 0) and e_a = 1 otherwise."""
-    psi = set()
-    for a in rd.positive_roots:
-        e_a = 0 if ell_theta(rd, basis, theta, AffineRoot(a, 0)) == 0 else 1
-        psi.add((a.coords, 0))
-        psi.add((wneg(a.coords), e_a))
-    return psi
-
-
 def parahoric_model(rd: RootDatum, theta: FacetSpec, basis: AffineBasis | None = None) -> ParahoricModel:
     """Compute the reductive quotient and graded radical layers at a facet.
 
-    Every root contributes its canonical representative; value 0 puts the
-    root into the quotient, value j >= 1 puts its gradient into layer j.
-    Layers of product types are merged by grading value across components.
+    Each root ``a`` takes the value ``base(a) mod d`` of its canonical
+    representative: value 0 puts the root into the quotient, value j >= 1
+    puts its gradient into layer j.  Layers of product types are merged by
+    grading value across components.  Psi places a root with ``base(a) = d``
+    at level 0 instead of -1, so it agrees exactly when there is none.
     """
     basis = basis or extended_basis(rd)
-    depth = facet_depths(basis, theta)
-    values: list[tuple[Root, int]] = []
-    reps: set[tuple[Weight, int]] = set()
-    for a in rd.roots:
-        rep = canonical_rep(rd, basis, theta, a)
-        reps.add((a.coords, rep.level))
-        values.append((a, ell_theta(rd, basis, theta, rep)))
-    quotient_roots = tuple(a for a, v in values if v == 0)
-    max_depth = max(depth)
-    layers = []
-    for j in range(1, max_depth):
-        layers.append(tuple(a.coords for a, v in values if v == j))
+    parts = list(zip(basis.components, theta.theta))
+    depth = tuple(sum(cb.marks[i] for i in part) for cb, part in parts)
+    nodes = [[i for i in part if i < cb.rank] for cb, part in parts]
+    bases = [(a, sum(a.simple_coeffs[i] for i in nodes[a.component])) for a in rd.roots]
+    by_value: list[list[Root]] = [[] for _ in range(max(depth))]
+    for a, base in bases:
+        by_value[base % depth[a.component]].append(a)
+    quotient_roots, *layers = by_value
     while layers and not layers[-1]:
         layers.pop()
-    dim_r = sum(len(layer) for layer in layers)
-    quotient_datum = sub_root_datum(rd, [a.coords for a in quotient_roots])
     return ParahoricModel(
         datum=rd,
         basis=basis,
         theta=theta,
         depth=depth,
-        quotient_roots=quotient_roots,
-        quotient_datum=quotient_datum,
-        layers=tuple(layers),
-        dim_R=dim_r,
-        psi_literal_agrees=reps == _literal_psi(rd, basis, theta),
+        quotient_roots=tuple(quotient_roots),
+        quotient_datum=sub_root_datum(rd, [a.coords for a in quotient_roots]),
+        layers=tuple(tuple(a.coords for a in layer) for layer in layers),
+        dim_R=sum(len(layer) for layer in layers),
+        psi_literal_agrees=all(base != depth[a.component] for a, base in bases),
     )
 
 

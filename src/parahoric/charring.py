@@ -80,9 +80,6 @@ class Character:
             and self.mult == other.mult
         )
 
-    def items(self):
-        return self.mult.items()
-
     def __repr__(self):
         body = " + ".join(
             f"{m}*[{weight_key(w)}]" for w, m in sorted(self.mult.items())

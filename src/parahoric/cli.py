@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 from . import __version__
 from .affine import (
@@ -22,10 +23,10 @@ from .affine import (
     parahoric_model,
     parse_facet_spec,
 )
-from .charring import DiskCharacters, character_to_json, chi_char, dim
+from .charring import DiskCharacters, character_to_json, chi_char, dim, dual, tensor
 from .jantzen import NotPrime, SimpleLedger, ext2_chain, jantzen_report, jantzen_sum
 from .levicert import certify, from_parahoric, unitary_report
-from .rootdata import InvariantViolation, build_root_datum, parse_weight_key, weight_key
+from .rootdata import InvariantViolation, Weight, build_root_datum, parse_weight_key, weight_key
 
 USAGE_ERROR = 1
 VERIFY_MISMATCH = 2
@@ -46,6 +47,14 @@ def _datum(args, spec: str):
     if not args.no_cache:
         rd.chi_cache = DiskCharacters(rd, default_cache_dir())
     return rd
+
+
+def _weight(args, rd) -> Weight:
+    """The --weight argument, checked to be a weight of ``rd``."""
+    lam = parse_weight_key(args.weight)
+    if len(lam) != rd.n:
+        raise ValueError(f"weight {args.weight!r} has wrong length for {rd.spec_string}")
+    return lam
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,27 +123,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, command: str, inputs: dict, outputs: dict, started: float, lines) -> None:
-    if args.json:
-        envelope = {
-            "command": command,
-            "inputs": inputs,
-            "outputs": outputs,
-            "tool_version": __version__,
-            "elapsed_ms": int((time.monotonic() - started) * 1000),
-        }
-        print(json.dumps(envelope, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+class Report(NamedTuple):
+    """What a command reports: the envelope's inputs and outputs, the plain
+    text lines, and the exit code."""
+
+    inputs: dict
+    outputs: dict
+    lines: list[str]
+    code: int = 0
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_rootsys(args) -> int:
-    started = time.monotonic()
+def cmd_rootsys(args) -> Report:
     rd = _datum(args, args.type)
     lines = [f"type {rd.spec_string}: rank {rd.n}, {len(rd.roots)} roots"]
     components = []
@@ -164,12 +167,10 @@ def cmd_rootsys(args) -> int:
         "extra_torus_rank": rd.spec.extra_torus_rank,
         "components": components,
     }
-    _emit(args, "rootsys", {"type": args.type}, outputs, started, lines)
-    return 0
+    return Report({"type": args.type}, outputs, lines)
 
 
-def cmd_facets(args) -> int:
-    started = time.monotonic()
+def cmd_facets(args) -> Report:
     rd = _datum(args, args.type)
     basis = extended_basis(rd)
     rows = []
@@ -188,12 +189,10 @@ def cmd_facets(args) -> int:
             f"  theta {str(theta):12s} quotient {rows[-1]['quotient_type']:10s} dim_R {model.dim_R}"
         )
     outputs = {"type": rd.spec_string, "count": len(rows), "facets": rows}
-    _emit(args, "facets", {"type": args.type}, outputs, started, lines)
-    return 0
+    return Report({"type": args.type}, outputs, lines)
 
 
-def cmd_parahoric(args) -> int:
-    started = time.monotonic()
+def cmd_parahoric(args) -> Report:
     rd = _datum(args, args.type)
     basis = extended_basis(rd)
     theta = parse_facet_spec(args.theta, basis)
@@ -207,12 +206,10 @@ def cmd_parahoric(args) -> int:
     for layer in outputs["layers"]:
         keys = " ".join(weight_key(tuple(w)) for w in layer["weights"])
         lines.append(f"  layer {layer['j']}: dim {layer['dim']}  weights {keys}")
-    _emit(args, "parahoric", {"type": args.type, "theta": args.theta}, outputs, started, lines)
-    return 0
+    return Report({"type": args.type, "theta": args.theta}, outputs, lines)
 
 
-def cmd_levi(args) -> int:
-    started = time.monotonic()
+def cmd_levi(args) -> Report:
     rd = _datum(args, args.type)
     basis = extended_basis(rd)
     theta = parse_facet_spec(args.theta, basis)
@@ -233,16 +230,12 @@ def cmd_levi(args) -> int:
         lines.append(f"  rule {rule['id']}: satisfied={rule['satisfied']}")
     for note in cert.notes:
         lines.append(f"  note: {note}")
-    _emit(args, "levi", {"type": args.type, "theta": args.theta, "p": args.p}, outputs, started, lines)
-    return 0
+    return Report({"type": args.type, "theta": args.theta, "p": args.p}, outputs, lines)
 
 
-def cmd_character(args) -> int:
-    started = time.monotonic()
+def cmd_character(args) -> Report:
     rd = _datum(args, args.type)
-    lam = parse_weight_key(args.weight)
-    if len(lam) != rd.n:
-        raise ValueError(f"weight {args.weight!r} has wrong length for {rd.spec_string}")
+    lam = _weight(args, rd)
     ch = chi_char(rd, lam)
     total = dim(ch)
     outputs = {
@@ -255,16 +248,12 @@ def cmd_character(args) -> int:
     lines = [f"chi({weight_key(lam)}) over {rd.spec_string}: dim {total}"]
     for w, m in sorted(ch.mult.items()):
         lines.append(f"  {weight_key(w):12s} mult {m:4d}  orbit {rd.orbit_size(w)}")
-    _emit(args, "character", {"type": args.type, "weight": args.weight}, outputs, started, lines)
-    return 0
+    return Report({"type": args.type, "weight": args.weight}, outputs, lines)
 
 
-def cmd_jantzen(args) -> int:
-    started = time.monotonic()
+def cmd_jantzen(args) -> Report:
     rd = _datum(args, args.type)
-    lam = parse_weight_key(args.weight)
-    if len(lam) != rd.n:
-        raise ValueError(f"weight {args.weight!r} has wrong length for {rd.spec_string}")
+    lam = _weight(args, rd)
     report = jantzen_report(rd, args.p, lam)
     outputs = report.to_json_dict()
     lines = [
@@ -272,19 +261,10 @@ def cmd_jantzen(args) -> int:
         f"  radical: {outputs['radical']}  ch L dim: {outputs['chL_dim']}  "
         f"provenance: {outputs['provenance']}",
     ]
-    _emit(
-        args,
-        "jantzen",
-        {"type": args.type, "weight": args.weight, "p": args.p},
-        outputs,
-        started,
-        lines,
-    )
-    return 0
+    return Report({"type": args.type, "weight": args.weight, "p": args.p}, outputs, lines)
 
 
-def cmd_verify_sl3(args) -> int:
-    started = time.monotonic()
+def cmd_verify_sl3(args) -> Report:
     p = args.p
     if p < 3:
         raise ValueError("p must be an odd prime at least 3")
@@ -294,8 +274,6 @@ def cmd_verify_sl3(args) -> int:
     j_lam = jantzen_sum(rd, p, lam)
     ledger = SimpleLedger(rd, p)
     ext2 = ext2_chain(rd, p, lam, mu, gamma, ledger)
-    from .charring import dual, tensor
-
     w_char = tensor(dual(ledger.entries[lam].char), ledger.entries[gamma].char)
     dim_w = dim(w_char)
     expected_dim_w = 3 * (p - 1) * (p - 2) // 2
@@ -327,12 +305,10 @@ def cmd_verify_sl3(args) -> int:
         f"  dim W = {dim_w} (expected {expected_dim_w})  [{'ok' if checks['dim_W'] else 'MISMATCH'}]",
         "PASS" if passed else "FAIL",
     ]
-    _emit(args, "verify-sl3", {"p": p}, outputs, started, lines)
-    return 0 if passed else VERIFY_MISMATCH
+    return Report({"p": p}, outputs, lines, 0 if passed else VERIFY_MISMATCH)
 
 
-def cmd_verify_unitary(args) -> int:
-    started = time.monotonic()
+def cmd_verify_unitary(args) -> Report:
     report = unitary_report(args.n, args.p)
     n = args.n
     w2_key = weight_key(tuple(1 if i == 1 else 0 for i in range(n)))
@@ -355,8 +331,7 @@ def cmd_verify_unitary(args) -> int:
         f"(p {'divides' if n % args.p == 0 else 'does not divide'} n)",
         "PASS" if passed else "FAIL",
     ]
-    _emit(args, "verify-unitary", {"n": args.n, "p": args.p}, outputs, started, lines)
-    return 0 if passed else VERIFY_MISMATCH
+    return Report({"n": args.n, "p": args.p}, outputs, lines, 0 if passed else VERIFY_MISMATCH)
 
 
 def main(argv=None) -> int:
@@ -365,14 +340,28 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        report = args.func(args)
     except (ValueError, NotPrime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    if args.json:
+        envelope = {
+            "command": args.command,
+            "inputs": report.inputs,
+            "outputs": report.outputs,
+            "tool_version": __version__,
+            "elapsed_ms": int((time.monotonic() - started) * 1000),
+        }
+        print(json.dumps(envelope, sort_keys=True))
+    else:
+        for line in report.lines:
+            print(line)
+    return report.code
 
 
 def run() -> None:

@@ -26,7 +26,7 @@ from .charring import (
     chi_normalize,
     dim,
 )
-from .rootdata import InvariantViolation, NotDominant, Root, RootDatum, Weight, dot, wsub
+from .rootdata import InvariantViolation, NotDominant, Root, RootDatum, Weight, dot, weight_key, wsub
 
 __all__ = [
     "NotPrime",
@@ -285,9 +285,6 @@ class JantzenReport:
     provenance: str | None
 
     def to_json_dict(self) -> dict:
-        from .charring import character_to_json
-        from .rootdata import weight_key
-
         return {
             "lambda": weight_key(self.lam),
             "p": self.p,

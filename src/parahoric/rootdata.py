@@ -390,9 +390,6 @@ class RootDatum:
     def component_simple_roots(self, component: int) -> tuple[Root, ...]:
         return tuple(self.roots[i] for i in self.simple_indices[component])
 
-    def is_root(self, coords: Weight) -> bool:
-        return coords in self._coords_index
-
     def root_with_coords(self, coords: Weight) -> Root:
         return self.roots[self._coords_index[coords]]
 

@@ -5,19 +5,28 @@ library: explicit matrix closure for Weyl groups, exact Fraction solves for
 marks and lattice coordinates, a box scan for the dominant weights below a
 weight, the reflection loop for dominant conjugates, the coefficient-vector
 closure for root systems, and hand-built weight multisets for small modules.
-Two exceptions run on library code: the chi-expansion that picks its tops by
+Four exceptions run on library code: the chi-expansion that picks its tops by
 pairwise dominance solves runs on the library's chi_char and dominance_leq,
 and checks the library's pick by a linear functional against those solves;
 the reference Freudenthal loop takes its dominant weights from the library's
-dominance closure (itself checked against the box scan here); and the
+dominance closure (itself checked against the box scan here); the
 Jantzen resolver that evaluates J(lam) to a weight multiset runs on the
-library's Jantzen sums and characters.
+library's Jantzen sums and characters; and the facet model that grades
+each root by its canonical representative runs on the library's per-root
+``canonical_rep`` and ``ell_theta``.
 """
 
 import itertools
 from fractions import Fraction
 
 from parahoric import Character, chi_char, parse_dynkin_spec
+from parahoric.affine import (
+    AffineRoot,
+    ParahoricModel,
+    canonical_rep,
+    ell_theta,
+    facet_depths,
+)
 from parahoric.charring import _dominant_below, evaluate_chi_sum
 from parahoric.jantzen import (
     JANTZEN_RESOLVED,
@@ -26,7 +35,13 @@ from parahoric.jantzen import (
     jantzen_sum,
     lowest_alcove_test,
 )
-from parahoric.rootdata import InvariantViolation, Root, _cartan_and_symmetrizer
+from parahoric.rootdata import (
+    InvariantViolation,
+    Root,
+    _cartan_and_symmetrizer,
+    sub_root_datum,
+    wneg,
+)
 
 
 def reflection_matrix(datum, simple_root):
@@ -333,3 +348,44 @@ def resolve_by_evaluation(rd, p, lam, ledger, j_sum):
     ch = Character(rd, mult)
     ledger.entries[lam] = LedgerEntry(ch, JANTZEN_RESOLVED, {mu: 1})
     return ch
+
+
+def _literal_psi(rd, basis, theta):
+    """The set Psi_Theta: positive roots at level 0 together with negated
+    positives at level e_a, where e_a = 0 exactly when a vanishes on the
+    facet (grading value 0) and e_a = 1 otherwise."""
+    psi = set()
+    for a in rd.positive_roots:
+        e_a = 0 if ell_theta(rd, basis, theta, AffineRoot(a, 0)) == 0 else 1
+        psi.add((a.coords, 0))
+        psi.add((wneg(a.coords), e_a))
+    return psi
+
+
+def parahoric_model_by_canonical_rep(rd, theta, basis):
+    """The facet model built root by root: each root's canonical
+    representative from ``canonical_rep``, graded by ``ell_theta``, and the
+    literal Psi compared with the representatives as a set.  Same fields as
+    ``parahoric_model``, so the two can be compared whole."""
+    depth = facet_depths(basis, theta)
+    values = []
+    reps = set()
+    for a in rd.roots:
+        rep = canonical_rep(rd, basis, theta, a)
+        reps.add((a.coords, rep.level))
+        values.append((a, ell_theta(rd, basis, theta, rep)))
+    quotient_roots = tuple(a for a, v in values if v == 0)
+    layers = [tuple(a.coords for a, v in values if v == j) for j in range(1, max(depth))]
+    while layers and not layers[-1]:
+        layers.pop()
+    return ParahoricModel(
+        datum=rd,
+        basis=basis,
+        theta=theta,
+        depth=depth,
+        quotient_roots=quotient_roots,
+        quotient_datum=sub_root_datum(rd, [a.coords for a in quotient_roots]),
+        layers=tuple(layers),
+        dim_R=sum(len(layer) for layer in layers),
+        psi_literal_agrees=reps == _literal_psi(rd, basis, theta),
+    )

@@ -21,9 +21,9 @@ from parahoric.affine import (
     facet_barycenter,
     facet_depths,
 )
-from parahoric.rootdata import wneg
+from parahoric.rootdata import InvariantViolation, RootDatum, wneg
 
-from _oracles import solve_marks
+from _oracles import parahoric_model_by_canonical_rep, solve_marks
 
 RANK_LE_3 = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
 
@@ -240,6 +240,31 @@ def test_psi_literal_iff_affine_nodes():
             if affine_nodes_in:
                 for a in rd.positive_roots:
                     assert canonical_rep(rd, b, theta, a).level == 0
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4", "E6",
+     "A1xA1+T1", "B2xG2", "A2xA1+T2"],
+)
+def test_functional_matches_canonical_rep_oracle(name):
+    rd, b = _basis(name)
+    for theta in enumerate_facets(rd, b):
+        model = parahoric_model(rd, theta, b)
+        oracle = parahoric_model_by_canonical_rep(rd, theta, b)
+        assert model.to_json_dict() == oracle.to_json_dict(), (name, str(theta))
+        assert model.quotient_roots == oracle.quotient_roots, (name, str(theta))
+        assert model.psi_literal_agrees == oracle.psi_literal_agrees, (name, str(theta))
+
+
+def test_extended_basis_rejects_roots_beyond_the_marks(monkeypatch):
+    # alpha_1 in place of the highest root still gives delta, but
+    # alpha_1 + alpha_2 exceeds its marks by one and would have coefficients
+    # of both signs at level -1
+    rd = build_root_datum("A2")
+    monkeypatch.setattr(RootDatum, "highest_root", lambda self, comp: self.simple_roots[0])
+    with pytest.raises(InvariantViolation, match="exceeds the marks"):
+        extended_basis(rd)
 
 
 def test_product_layers_merge_by_grading_value():
