@@ -173,9 +173,10 @@ def cmd_rootsys(args) -> Report:
 def cmd_facets(args) -> Report:
     rd = _datum(args, args.type)
     basis = extended_basis(rd)
+    thetas = enumerate_facets(rd, basis)
     rows = []
-    lines = [f"{len(enumerate_facets(rd, basis))} facets of {rd.spec_string}"]
-    for theta in enumerate_facets(rd, basis):
+    lines = [f"{len(thetas)} facets of {rd.spec_string}"]
+    for theta in thetas:
         model = parahoric_model(rd, theta, basis)
         rows.append(
             {

@@ -12,15 +12,19 @@ from parahoric import (
     NotDominant,
     RootDatum,
     build_root_datum,
+    chi_char,
     classify_root_datum,
+    dim,
     enumerate_facets,
     extended_basis,
     parahoric_model,
     parse_dynkin_spec,
     parse_facet_spec,
 )
+from parahoric.charring import DiskCharacters
 from parahoric.rootdata import (
     InvariantViolation,
+    _datum_structure,
     classify_cartan,
     parse_weight_key,
     weight_key,
@@ -361,3 +365,66 @@ def test_classify_cartan_rejects_affine_diagrams(cartan, message):
 def test_weight_key_roundtrip():
     for w in [(1, 0), (-3, 2, 0), (0,)]:
         assert parse_weight_key(weight_key(w)) == w
+
+
+def test_builds_of_one_spec_share_structure_but_not_characters(tmp_path):
+    first, second = build_root_datum("A2"), build_root_datum("A2")
+    assert first is not second
+    assert first.chi_cache == {} and second.chi_cache == {}
+    assert first.chi_cache is not second.chi_cache
+    assert first.roots is second.roots
+    assert first.same_datum(second) and second.same_datum(first)
+
+    # a wrong chi(1,1) poisoned into one build is served by that build only
+    first.chi_cache[(1, 1)] = {(1, 1): 1}
+    assert chi_char(first, (1, 1)).mult == {(1, 1): 1}
+    later = build_root_datum("A2")
+    assert later.chi_cache == {}
+    assert chi_char(later, (1, 1)).mult == {(1, 1): 1, (0, 0): 2}
+    assert dim(chi_char(later, (1, 1))) == 8
+
+    second.chi_cache = DiskCharacters(second, str(tmp_path))
+    assert type(build_root_datum("A2").chi_cache) is dict
+
+
+def test_illegal_specs_raise_on_every_call():
+    for bad in ["E9", "G3", "A0"]:
+        for _ in range(3):
+            with pytest.raises(IllegalRank):
+                build_root_datum(bad)
+
+
+def test_spellings_of_one_spec_share_the_memo_entry():
+    variants = ["A1xA1+T1", "a1xa1+t1", " a1 X A1 + t1 ", DynkinSpec([("A", 1), ("A", 1)], 1)]
+    data = [build_root_datum(v) for v in variants]
+    before = _datum_structure.cache_info()
+    data += [build_root_datum(v) for v in variants]
+    after = _datum_structure.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (len(variants), 0)
+    assert all(rd.roots is data[0].roots for rd in data)
+    assert all(rd.spec_string == "A1xA1+T1" for rd in data)
+    assert len({id(rd.chi_cache) for rd in data}) == len(data)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "G2", "F4",
+     "E6", "E7", "E8", "A1xA1+T1", "B2xG2", "A2xA1+T2"],
+)
+def test_memoized_build_matches_fresh_construction(name):
+    fresh = _datum_structure.__wrapped__(str(parse_dynkin_spec(name)))
+    memoized = build_root_datum(name)
+    assert memoized.roots == fresh.roots
+    assert [(r.height, r.coroot_height) for r in memoized.roots] == [
+        (r.height, r.coroot_height) for r in fresh.roots
+    ]
+    assert memoized.simple_indices == fresh.simple_indices
+    assert memoized.cartan == fresh.cartan
+    assert (memoized._det, memoized._adj) == (fresh._det, fresh._adj)
+    assert memoized._two_rho_form == fresh._two_rho_form
+    assert memoized._two_rho_coroot == fresh._two_rho_coroot
+    assert (memoized.spec, memoized.n, memoized.rho) == (fresh.spec, fresh.n, fresh.rho)
+    # each build keeps its own characters
+    chi_char(memoized, (0,) * memoized.n)
+    rebuilt = build_root_datum(name)
+    assert rebuilt.chi_cache == {} and memoized.chi_cache != {}
