@@ -4,7 +4,11 @@ A :class:`Character` stores a W-invariant multiplicity function in
 orbit-compressed form: a finite map from dominant weights to positive
 integers, the full support being the union of their Weyl orbits.  The basis
 characters ``chi(lam)`` (characters of the standard/Weyl modules) are
-computed by Freudenthal's multiplicity recursion on the dominant cone; every
+computed by Freudenthal's multiplicity recursion on the dominant cone, with
+the sum over positive roots taken over orbits of the stabilizer of each
+weight (Moody and Patera, "Fast recursion formula for weight
+multiplicities", Bull. AMS 1982; Stembridge, "Computational aspects of root
+systems, Coxeter groups, and Weyl characters", MSJ Memoirs 11, 2001); every
 division in that recursion is checked exact, so the results are certified
 integers.  The Weyl degree formula lives in :mod:`parahoric.rootdata` and is
 kept independent as a cross-check.
@@ -125,7 +129,9 @@ def _dominant_below(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     Closure from lam: subtract positive roots and keep the dominant results.
     This reaches every dominant mu <= lam because covers in the dominance
     order on dominant weights differ by a positive root (Stembridge, "The
-    partial order of dominant weights", Adv. Math. 1998).
+    partial order of dominant weights", Adv. Math. 1998).  Only roots beta
+    with ``<mu, beta^vee> >= 2`` are tried: for the others mu - beta is not
+    dominant.
     """
     heights = {lam: 0}
     frontier = [lam]
@@ -133,6 +139,10 @@ def _dominant_below(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         nxt = []
         for mu in frontier:
             for beta in rd.positive_roots:
+                # mu - beta dominant gives <mu - beta, beta^vee> >= 0, that is
+                # <mu, beta^vee> >= 2
+                if dot(mu, beta.coroot) < 2:
+                    continue
                 nu = wsub(mu, beta.coords)
                 if nu not in heights and rd.is_dominant(nu):
                     heights[nu] = heights[mu] + beta.height
@@ -167,6 +177,15 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
     conjugate.  The divisor ``(lam+mu+2rho, lam-mu)`` is assembled from the
     per-root form functionals, so the whole computation is integer-exact.
     Results are memoized in ``rd.chi_cache``.
+
+    The string sum ``T(alpha) = sum_{k>=1} m(mu+k alpha) (mu+k alpha, alpha)``
+    is constant on the orbits of W_J, the stabilizer of mu, where J is the
+    set of simple roots orthogonal to mu: m is W-invariant and W_J fixes mu.
+    So one string is walked per W_J-orbit of the roots, weighted by the
+    orbit's number of positive roots (all of an orbit outside Phi_J, half of
+    one inside it), from :meth:`RootDatum.stabilizer_orbits` (Moody and
+    Patera 1982; Stembridge 2001).  The sum, and so every check on it, is the
+    same as over all positive roots.
     """
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
@@ -180,18 +199,20 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
         for mu, height in _dominant_below(rd, lam).items()
     )
     mult: dict[Weight, int] = {}
-    # (form, coords, (alpha, alpha)) per positive root: each alpha-string is
-    # walked with its pairing (nu, alpha) updated by (alpha, alpha) per step
-    strings = [(a.form, a.coords, dot(a.form, a.coords)) for a in rd.positive_roots]
+    simple_coroots = [a.coroot for a in rd.simple_roots]
     conjugates: dict[Weight, Weight] = {}
     for height, coeffs, mu in candidates:
         if height == 0:
             mult[mu] = 1
             continue
+        # one alpha-string per W_J-orbit, weighted by its count of positive
+        # roots; the pairing (nu, alpha) grows by (alpha, alpha) per step
+        zeros = tuple(j for j, f in enumerate(simple_coroots) if not dot(mu, f))
         total = 0
-        for form, coords, norm in strings:
+        for form, coords, norm, count in rd.stabilizer_orbits(zeros):
             nu = mu
             f = dot(form, mu)
+            string = 0
             while True:
                 nu = wadd(nu, coords)
                 f += norm
@@ -201,7 +222,8 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
                 m = mult.get(dom)
                 if m is None:
                     break
-                total += m * f
+                string += m * f
+            total += count * string
         lam_mu = wadd(lam, mu)
         denom = sum(
             c * (dot(simple.form, lam_mu) + two_rho)

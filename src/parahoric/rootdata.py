@@ -332,13 +332,37 @@ def _dynkin_components(nodes) -> list[list[int]]:
     return list(groups.values())
 
 
+def _parabolic_orbits(datum: "RootDatum", zeros: tuple[int, ...]) -> list[list[Root]]:
+    """The orbits on the roots of the group generated by the simple
+    reflections ``zeros`` that contain a positive root, in root order of
+    their first positive root, each listed from that root."""
+    gens = [datum.simple_roots[j] for j in zeros]
+    seen: set[Weight] = set()
+    orbits = []
+    for alpha in datum.positive_roots:
+        if alpha.coords in seen:
+            continue
+        seen.add(alpha.coords)
+        orbit = [alpha]
+        for beta in orbit:  # the orbit grows while it is walked
+            for s in gens:
+                img = datum.reflect(s, beta.coords)
+                if img not in seen:
+                    seen.add(img)
+                    orbit.append(datum.root_with_coords(img))
+        orbits.append(orbit)
+    return orbits
+
+
 class RootDatum:
     """A root datum inside the ambient lattice Z^n.
 
     Construct with :func:`build_root_datum` or :func:`sub_root_datum`.  The
-    structure is fixed once built, and every datum that
-    :func:`build_root_datum` returns for one spec shares it.  The one mutable
-    attribute, ``chi_cache``, belongs to each datum alone: it memoizes
+    structure is fixed once built, apart from the root-orbit tables of
+    :meth:`stabilizer_orbits`, which are filled in on first use, and every
+    datum that :func:`build_root_datum` returns for one spec shares it,
+    tables included.  The one attribute that holds characters,
+    ``chi_cache``, belongs to each datum alone: it memoizes
     ``chi(lam)`` multiplicities by highest weight for
     :func:`parahoric.charring.chi_char`, starts as a new empty dict, and may be
     replaced by another store with ``get`` and item assignment, such as the
@@ -364,6 +388,9 @@ class RootDatum:
         self._simple_coroots = tuple(a.coroot for a in flat)
         self._cartan_columns = tuple(zip(*self.cartan))
         self.chi_cache: dict[Weight, dict[Weight, int]] = {}
+        # stabilizer_orbits tables by J, filled on first use and shared by
+        # every build of the spec; they hold root data only
+        self._orbit_tables: dict[tuple[int, ...], tuple[tuple[Weight, Weight, int, int], ...]] = {}
         # (2*rho, alpha_i) per simple root, for the Freudenthal denominator
         self._two_rho_form = tuple(
             sum(dot(beta.form, alpha.coords) for beta in self.positive_roots)
@@ -475,6 +502,42 @@ class RootDatum:
             raise InvariantViolation(f"height product {num}/{den} for {lam} is not an integer")
         return num // den
 
+    def stabilizer_orbits(self, zeros: tuple[int, ...]) -> tuple[tuple[Weight, Weight, int, int], ...]:
+        """The orbits of W_J on the roots that meet the positive roots, where
+        W_J is generated by the simple reflections ``zeros`` (indices into
+        :attr:`simple_roots`): the stabilizer of a dominant weight that pairs
+        to zero with exactly those simple coroots.
+
+        One ``(form, coords, (alpha, alpha), count)`` per orbit, in root order
+        of its first positive root alpha; ``count`` is the orbit's number of
+        positive roots.  W_J permutes the positive roots outside Phi_J, so
+        such an orbit counts in full; an orbit inside Phi_J is closed under
+        negation and counts half.  The counts must add up to the number of
+        positive roots.  Built on first use and shared by every build of the
+        spec.
+        """
+        table = self._orbit_tables.get(zeros)
+        if table is not None:
+            return table
+        rows = []
+        for orbit in _parabolic_orbits(self, zeros):
+            count = len(orbit)
+            if any(b.height < 0 for b in orbit):
+                if count % 2:
+                    raise InvariantViolation(
+                        f"W_J-orbit {orbit} (J = {zeros}) meets the negative roots and has odd size"
+                    )
+                count //= 2
+            alpha = orbit[0]
+            rows.append((alpha.form, alpha.coords, dot(alpha.form, alpha.coords), count))
+        counted = sum(row[3] for row in rows)
+        if counted != len(self.positive_roots):
+            raise InvariantViolation(
+                f"W_J-orbits (J = {zeros}) count {counted} positive roots, not {len(self.positive_roots)}"
+            )
+        table = self._orbit_tables[zeros] = tuple(rows)
+        return table
+
     # -- dominance order ----------------------------------------------------
 
     def root_lattice_coords(self, v: Weight) -> tuple[int, ...] | None:
@@ -571,7 +634,8 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
     lexicographic simple coefficients.
 
     The structure (roots, simple indices, Cartan matrix and its integer
-    inverse, the 2*rho functionals) is built and checked once per spec, keyed
+    inverse, the 2*rho functionals, the W_J-orbit tables of
+    :meth:`RootDatum.stabilizer_orbits`) is built and checked once per spec, keyed
     on the canonical ``str(spec)``, so ``"a1xa1+t1"`` and ``"A1xA1+T1"`` share
     it.  Every call returns a new datum that shares that structure and has its
     own empty ``chi_cache``.

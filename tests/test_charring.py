@@ -130,6 +130,25 @@ def test_chi_char_matches_reference_freudenthal():
     assert checked == 836
 
 
+@pytest.mark.parametrize(
+    "name, lam",
+    [
+        ("F4", (1, 1, 1, 1)),
+        ("E6", (1, 0, 0, 0, 0, 1)),
+        ("E6", (0, 1, 0, 0, 0, 0)),
+        ("E7", (1, 0, 0, 0, 0, 0, 0)),
+        ("E7", (0, 0, 0, 0, 0, 0, 1)),
+        ("E8", (1, 0, 0, 0, 0, 0, 0, 0)),
+        ("E8", (0, 0, 0, 0, 0, 0, 0, 1)),
+    ],
+)
+def test_chi_char_matches_reference_on_exceptional_types(name, lam):
+    rd = build_root_datum(name)
+    ch = chi_char(rd, lam)
+    assert list(ch.mult.items()) == list(chi_char_reference(rd, lam).items())
+    assert dim(ch) == rd.weyl_dim(lam)
+
+
 def test_add_scale(a2):
     ch = chi_char(a2, (1, 0))
     zero = Character(a2, {})

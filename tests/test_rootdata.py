@@ -21,12 +21,14 @@ from parahoric import (
     parse_dynkin_spec,
     parse_facet_spec,
 )
+from parahoric import rootdata
 from parahoric.charring import DiskCharacters
 from parahoric.rootdata import (
     InvariantViolation,
     _datum_structure,
     classify_cartan,
     parse_weight_key,
+    sub_root_datum,
     weight_key,
     wneg,
 )
@@ -293,11 +295,20 @@ def test_invariant_violation_survives_optimize_flag():
         "    resolve_simple(a2, 3, (3, 0), SimpleLedger(a2, 3))\n"
         "affine_d4 = [[2, 0, 0, 0, -1], [0, 2, 0, 0, -1], [0, 0, 2, 0, -1], [0, 0, 0, 2, -1],\n"
         "             [-1, -1, -1, -1, 2]]\n"
+        "import parahoric.rootdata as rootdata\n"
+        "def dropped_orbit():  # the W_J-orbit tables of C3 without their last orbit\n"
+        "    orbits = rootdata._parabolic_orbits\n"
+        "    rootdata._parabolic_orbits = lambda rd, zeros: orbits(rd, zeros)[:-1]\n"
+        "    try:\n"
+        "        chi_char(build_root_datum('C3'), (0, 1, 0))\n"
+        "    finally:\n"
+        "        rootdata._parabolic_orbits = orbits\n"
         "for make in (lambda: sub_root_datum(a2, [(1, 0), (-1, 0)]),\n"
         "             lambda: Character(a2, {(-1, 0): 1}),\n"
         "             lambda: SimpleLedger(a2, 3, {(0, 0): LedgerEntry(chi_char(a2, (0, 0)), LOWEST_ALCOVE, {})}).merge(conflicting),\n"
         "             wrong_chi,\n"
-        "             lambda: classify_cartan(affine_d4)):\n"
+        "             lambda: classify_cartan(affine_d4),\n"
+        "             dropped_orbit):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantViolation as exc:\n"
@@ -309,12 +320,13 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert lines[0].startswith("raised: subset contains non-roots")
     assert lines[1].startswith("raised: character keys must be dominant")
     assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
     assert lines[3].startswith("raised: chi((3, 0)) - ch L((1, 1)) is not a character")
     assert lines[4].startswith("raised: branch nodes of degrees [1, 1, 1, 1, 4]")
+    assert lines[5].startswith("raised: W_J-orbits (J = (0, 1, 2)) count 3 positive roots, not 9")
 
 
 def test_torus_factors():
@@ -387,6 +399,44 @@ def test_builds_of_one_spec_share_structure_but_not_characters(tmp_path):
     assert type(build_root_datum("A2").chi_cache) is dict
 
 
+def test_orbit_tables_are_shared_per_spec_and_hold_root_data_only():
+    first, second = build_root_datum("B3"), build_root_datum("B3")
+    assert first._orbit_tables is second._orbit_tables
+    alpha = first.simple_roots[0].coords
+    sub = sub_root_datum(first, [alpha, wneg(alpha)])
+    assert sub._orbit_tables is not first._orbit_tables
+
+    chi_char(first, (1, 1, 1))
+    chi_char(sub, (2, 0, 0))
+    assert first._orbit_tables and sub._orbit_tables
+    for tables in (first._orbit_tables, sub._orbit_tables):
+        for zeros, table in tables.items():
+            assert all(type(j) is int for j in zeros)
+            for form, coords, norm, count in table:
+                assert all(type(x) is int for x in form + coords)
+                assert type(norm) is int and type(count) is int
+    assert build_root_datum("B3").chi_cache == {}
+
+
+@pytest.mark.parametrize("drop", ["orbit", "root"])
+def test_corrupt_orbit_table_raises(monkeypatch, drop):
+    orbits = rootdata._parabolic_orbits
+
+    def corrupt(datum, zeros):
+        found = orbits(datum, zeros)
+        if drop == "orbit":
+            return found[1:]
+        # leave alpha_1 out of its orbit {alpha_1, -alpha_1}
+        return [orbit[1:] if any(b.height < 0 for b in orbit) else orbit for orbit in found]
+
+    monkeypatch.setattr(rootdata, "_parabolic_orbits", corrupt)
+    fresh = _datum_structure.__wrapped__("A2")
+    message = "count 1 positive roots, not 3" if drop == "orbit" else "has odd size"
+    with pytest.raises(InvariantViolation, match=message):
+        fresh.stabilizer_orbits((0,))
+    assert fresh._orbit_tables == {}
+
+
 def test_illegal_specs_raise_on_every_call():
     for bad in ["E9", "G3", "A0"]:
         for _ in range(3):
@@ -404,6 +454,9 @@ def test_spellings_of_one_spec_share_the_memo_entry():
     assert all(rd.roots is data[0].roots for rd in data)
     assert all(rd.spec_string == "A1xA1+T1" for rd in data)
     assert len({id(rd.chi_cache) for rd in data}) == len(data)
+
+
+ORBIT_TABLE_TYPES = {"A1", "A2", "A3", "A4", "B3", "C3", "G2", "F4", "B2xG2"}
 
 
 @pytest.mark.parametrize(
@@ -424,6 +477,10 @@ def test_memoized_build_matches_fresh_construction(name):
     assert memoized._two_rho_form == fresh._two_rho_form
     assert memoized._two_rho_coroot == fresh._two_rho_coroot
     assert (memoized.spec, memoized.n, memoized.rho) == (fresh.spec, fresh.n, fresh.rho)
+    if name in ORBIT_TABLE_TYPES:
+        for k in range(memoized.semisimple_rank + 1):
+            for zeros in itertools.combinations(range(memoized.semisimple_rank), k):
+                assert memoized.stabilizer_orbits(zeros) == fresh.stabilizer_orbits(zeros)
     # each build keeps its own characters
     chi_char(memoized, (0,) * memoized.n)
     rebuilt = build_root_datum(name)
