@@ -24,8 +24,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zlib
 from dataclasses import dataclass, field
 
+from . import __version__
 from .rootdata import (
     InvariantViolation,
     NotDominant,
@@ -392,6 +394,8 @@ def evaluate_chi_sum(rd: RootDatum, vcs: VirtualChiSum) -> dict[Weight, int]:
 
 
 def character_to_json(mult: dict[Weight, int]) -> dict[str, int]:
+    """The JSON form of a weight -> integer map, a character's multiplicities
+    or a chi-sum's coefficients: weight keys in sorted weight order."""
     return {weight_key(w): m for w, m in sorted(mult.items())}
 
 
@@ -405,8 +409,11 @@ def character_from_json(data: dict[str, int]) -> dict[Weight, int]:
 
 class DiskCharacters:
     """A ``chi_cache`` store for a datum built from a Dynkin specification:
-    one file ``<root>/<type>/<weight>.json`` per highest weight, in the
-    :func:`character_to_json` format.
+    one file ``<root>/<version>/<type>-<fingerprint>/<weight>.json`` per
+    highest weight, in the :func:`character_to_json` format.  The version is
+    the package's, and the fingerprint is the CRC-32 of ``repr((n, cartan))``
+    in 8 hex digits, so an entry written by another release or for another
+    lattice or Cartan convention is never read.
 
     A missing, unreadable or implausible file (see
     :func:`_plausible_character`) is a miss, which the recomputed character
@@ -417,7 +424,10 @@ class DiskCharacters:
 
     def __init__(self, rd: RootDatum, root: str):
         self.rd = rd
-        self.dir = os.path.join(root, rd.spec_string)
+        # CRC-32, not SHA-256: importing hashlib adds about 5 ms to every CLI
+        # process, and the fingerprint only tells data apart, it guards nothing
+        fingerprint = f"{zlib.crc32(repr((rd.n, rd.cartan)).encode()):08x}"
+        self.dir = os.path.join(root, __version__, f"{rd.spec_string}-{fingerprint}")
         self.memo: dict[Weight, dict[Weight, int]] = {}
 
     def _path(self, lam: Weight) -> str:

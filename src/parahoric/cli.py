@@ -290,8 +290,8 @@ def cmd_verify_sl3(args) -> Report:
         "lambda": weight_key(lam),
         "mu": weight_key(mu),
         "gamma": weight_key(gamma),
-        "J_mu": {weight_key(w): c for w, c in sorted(j_mu.coeffs.items())},
-        "J_lambda": {weight_key(w): c for w, c in sorted(j_lam.coeffs.items())},
+        "J_mu": character_to_json(j_mu.coeffs),
+        "J_lambda": character_to_json(j_lam.coeffs),
         "ext2": ext2,
         "dim_W": dim_w,
         "expected_dim_W": expected_dim_w,

@@ -22,6 +22,7 @@ from .charring import (
     Character,
     DatumMismatch,
     VirtualChiSum,
+    character_to_json,
     chi_char,
     chi_normalize,
     dim,
@@ -288,7 +289,7 @@ class JantzenReport:
         return {
             "lambda": weight_key(self.lam),
             "p": self.p,
-            "J": {weight_key(w): c for w, c in sorted(self.J.coeffs.items())},
+            "J": character_to_json(self.J.coeffs),
             "radical": weight_key(self.radical_id) if self.radical_id else None,
             "chL_dim": dim(self.chL) if self.chL is not None else None,
             "provenance": self.provenance,

@@ -31,14 +31,15 @@ from dataclasses import dataclass, field
 from .affine import ParahoricModel
 from .charring import (
     Character,
-    add,
+    character_to_json,
     chi_char,
     chi_expand,
+    chi_expand_map,
     dim,
     exterior_square,
 )
 from .jantzen import NotPrime, is_prime
-from .rootdata import InvariantViolation, RootDatum, Weight, build_root_datum, weight_key
+from .rootdata import InvariantViolation, RootDatum, Weight, build_root_datum
 
 __all__ = [
     "SplittingSequence",
@@ -122,10 +123,6 @@ class LeviCertificate:
         }
 
 
-def _expansion_json(vcs) -> dict[str, int]:
-    return {weight_key(w): c for w, c in sorted(vcs.coeffs.items())}
-
-
 def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -> LeviCertificate:
     """Evaluate all certificate rules and combine their verdicts.
 
@@ -173,10 +170,11 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
         }
     )
 
-    aggregate = Character(datum, {})
+    aggregate: dict[Weight, int] = {}
     for ch in seq.layers:
-        aggregate = add(aggregate, ch)
-    aggregate_expansion = chi_expand(aggregate)
+        for w, m in ch.mult.items():
+            aggregate[w] = aggregate.get(w, 0) + m
+    aggregate_expansion = chi_expand_map(datum, aggregate)
     e1_ok = total_dim <= bound and aggregate_expansion.is_nonnegative()
     rules.append(
         {
@@ -188,7 +186,7 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
             "values": {
                 "total_dim": total_dim,
                 "bound": bound,
-                "expansion": _expansion_json(aggregate_expansion),
+                "expansion": character_to_json(aggregate_expansion.coeffs),
                 "nonnegative": aggregate_expansion.is_nonnegative(),
             },
             "satisfied": e1_ok,
@@ -203,7 +201,7 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
         layer_values.append(
             {
                 "dim": d,
-                "expansion": _expansion_json(expansion),
+                "expansion": character_to_json(expansion.coeffs),
                 "nonnegative": expansion.is_nonnegative(),
             }
         )
@@ -263,7 +261,7 @@ def unitary_report(n: int, p: int) -> dict:
         "type": f"C{n}",
         "dim_natural": dim(natural),
         "dim_lambda2": dim(lam2),
-        "expansion": _expansion_json(expansion),
+        "expansion": character_to_json(expansion.coeffs),
         "dim_w0": dim_w0,
         "existence": True,
         "conjugacy_by_group_points": n % p != 0,

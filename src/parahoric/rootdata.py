@@ -266,7 +266,8 @@ def _integer_inverse(matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
     Fraction-free (Bareiss) Gauss-Jordan elimination of ``[matrix | I]``:
     every division is exact and the k-th pivot is the k-th leading principal
     minor.  No rows are exchanged, because every principal minor of a
-    finite-type Cartan matrix is positive.
+    finite-type Cartan matrix is positive; a pivot that is not raises, which
+    is how :func:`classify_cartan` rejects every other diagram.
     """
     k = len(matrix)
     rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(matrix)]
@@ -309,6 +310,16 @@ def _cartan_solve(det, adj, basis, duals, v: Weight) -> tuple[int, ...] | None:
             for i, x in enumerate(b):
                 rebuilt[i] += c * x
     return tuple(coeffs) if rebuilt == list(v) else None
+
+
+def _coroot_coeffs(coeffs, simple_norms, normsq: int) -> tuple[int, ...]:
+    """The coroot of ``alpha = sum c_i alpha_i`` over the simple coroots, from
+    ``alpha^vee = 2 alpha / (alpha, alpha)``: ``c_i (alpha_i, alpha_i) /
+    (alpha, alpha)``, each division checked exact."""
+    scaled = [c * norm for c, norm in zip(coeffs, simple_norms)]
+    if any(x % normsq for x in scaled):
+        raise InvariantViolation(f"coroot of {tuple(coeffs)} (norm {normsq}) is not integral")
+    return tuple(x // normsq for x in scaled)
 
 
 def _dynkin_components(nodes) -> list[list[int]]:
@@ -660,44 +671,31 @@ def _datum_structure(spec_string: str) -> RootDatum:
     keep every datum alive."""
     spec = parse_dynkin_spec(spec_string)
     n = spec.rank
-    offsets = []
-    pos = 0
-    for _, rank in spec.components:
-        offsets.append(pos)
-        pos += rank
     all_roots: list[Root] = []
+    off = 0  # where the component's coordinates start
     for comp, (family, rank) in enumerate(spec.components):
         cartan, d = _cartan_and_symmetrizer(family, rank)
-        off = offsets[comp]
         roots = _component_roots(cartan)
+        simple_norms = [2 * dj for dj in d]  # (alpha_j, alpha_j)
+        before, after = (0,) * off, (0,) * (n - off - rank)
         for coeffs in sorted(roots, key=lambda c: (sum(c), c)):
             local_coords = roots[coeffs]
-            coords = [0] * n
-            coords[off : off + rank] = local_coords
-            form_local = [coeffs[j] * d[j] for j in range(rank)]
-            normsq = sum(f * x for f, x in zip(form_local, local_coords))
+            form_local = tuple(c * dj for c, dj in zip(coeffs, d))
+            normsq = dot(form_local, local_coords)
             if normsq <= 0:
                 raise InvariantViolation(f"root {coeffs} of {family}{rank} has norm {normsq}")
-            coroot_local = []
-            for j in range(rank):
-                num = coeffs[j] * 2 * d[j]
-                if num % normsq:
-                    raise InvariantViolation(f"coroot of {coeffs} in {family}{rank} is not integral")
-                coroot_local.append(num // normsq)
-            coroot = [0] * n
-            coroot[off : off + rank] = coroot_local
-            form = [0] * n
-            form[off : off + rank] = form_local
+            coroot_local = _coroot_coeffs(coeffs, simple_norms, normsq)
             all_roots.append(
                 Root(
-                    coords=tuple(coords),
-                    simple_coeffs=tuple(coeffs),
+                    coords=before + local_coords + after,
+                    simple_coeffs=coeffs,
                     component=comp,
-                    coroot=tuple(coroot),
-                    coroot_coeffs=tuple(coroot_local),
-                    form=tuple(form),
+                    coroot=before + coroot_local + after,
+                    coroot_coeffs=coroot_local,
+                    form=before + form_local + after,
                 )
             )
+        off += rank
     all_roots.sort(key=lambda r: (r.component, r.height, r.simple_coeffs))
     index_of = {(r.component, r.simple_coeffs): i for i, r in enumerate(all_roots)}
     simple_indices = [
@@ -743,14 +741,13 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     simples = [simples[i] for g in groups for i in g]
     bounds = list(itertools.pairwise(itertools.accumulate((len(g) for g in groups), initial=0)))
     det, adj = _integer_inverse(_cartan_matrix(simples))
-    adj_t = tuple(zip(*adj))
     root_basis = [s.coords for s in simples]
     coroot_basis = [s.coroot for s in simples]
+    norms = [dot(s.form, s.coords) for s in simples]
     new_roots: list[Root] = []
     for r in members:
         coeffs = _cartan_solve(det, adj, root_basis, coroot_basis, r.coords)
-        cor_coeffs = _cartan_solve(det, adj_t, coroot_basis, root_basis, r.coroot)
-        if coeffs is None or cor_coeffs is None:
+        if coeffs is None:
             raise InvariantViolation(f"{r} is not an integer sum of the simple roots")
         if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
             raise InvariantViolation(f"{r} has coefficients of both signs")
@@ -764,7 +761,7 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
                 simple_coeffs=coeffs[lo:hi],
                 component=comp,
                 coroot=r.coroot,
-                coroot_coeffs=cor_coeffs[lo:hi],
+                coroot_coeffs=_coroot_coeffs(coeffs[lo:hi], norms[lo:hi], dot(r.form, r.coords)),
                 form=r.form,
             )
         )
@@ -785,75 +782,32 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
 
 
 def classify_cartan(cartan) -> tuple[str, int]:
-    """Name one connected Cartan matrix.  Rank-2 double-edge systems are
-    reported as C2 (the B2 datum is the same system with nodes swapped)."""
+    """Name one connected Cartan matrix of finite type.
+
+    The Dynkin graph must be a tree and every leading principal minor
+    positive, which is finite type (Sylvester's criterion; the Bareiss
+    inverse raises otherwise).  The largest bond, the rank k and the
+    determinant then name the type (Bourbaki, *Lie Groups and Lie Algebras*,
+    ch. VI, Plates I-IX): det A_k = k + 1, B_k = C_k = 2, D_k = 4, E6 = 3,
+    E7 = 2, E8 = F4 = G2 = 1.  B_k is the k > 2 case whose short end of the
+    double bond, the row holding -2, is a leaf; so B2 reads as C2, D3 as A3.
+    """
     k = len(cartan)
-    if k == 1:
-        return ("A", 1)
-    prods = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if cartan[i][j] != 0:
-                prods[(i, j)] = cartan[i][j] * cartan[j][i]
-    if len(prods) != k - 1:
+    bonds = [cartan[i][j] * cartan[j][i] for i, j in itertools.combinations(range(k), 2) if cartan[i][j]]
+    if len(bonds) != k - 1:
         raise InvariantViolation(f"Dynkin graph of {cartan} is not a tree")
-    if any(m == 3 for m in prods.values()):
-        if k != 2:
-            raise InvariantViolation(f"triple edge in rank {k}: {cartan}")
+    det, _ = _integer_inverse(cartan)
+    bond = max(bonds, default=1)
+    if bond == 3:
         return ("G", 2)
-    degree = [0] * k
-    for i, j in prods:
-        degree[i] += 1
-        degree[j] += 1
-    doubles = [e for e, m in prods.items() if m == 2]
-    if doubles:
-        if len(doubles) != 1:
-            raise InvariantViolation(f"{len(doubles)} double edges in {cartan}")
-        if k == 2:
-            return ("C", 2)
-        (i, j) = doubles[0]
-        short = i if cartan[i][j] == -2 else j
-        long = j if short == i else i
-        if max(degree) > 2:
-            raise InvariantViolation(f"branch node beside a double edge in {cartan}")
-        if degree[short] == 1:
-            return ("B", k)
-        if degree[long] == 1:
-            return ("C", k)
-        if k != 4:
-            raise InvariantViolation(f"double edge inside a chain of rank {k}: {cartan}")
-        return ("F", 4)
-    if max(degree) <= 2:
+    if bond == 2:
+        if det == 1:
+            return ("F", 4)
+        short = next(row for row in cartan if -2 in row)  # a leaf has k - 2 zeros
+        return ("B", k) if k > 2 and short.count(0) == k - 2 else ("C", k)
+    if det == k + 1:
         return ("A", k)
-    hubs = [i for i in range(k) if degree[i] == 3]
-    if len(hubs) != 1 or max(degree) > 3:
-        raise InvariantViolation(f"branch nodes of degrees {sorted(degree)} in {cartan}")
-    hub = hubs[0]
-    adjacency = {i: [] for i in range(k)}
-    for i, j in prods:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    lengths = []
-    for start in adjacency[hub]:
-        length = 1
-        prev, cur = hub, start
-        while True:
-            nxt = [x for x in adjacency[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    lengths.sort()
-    if lengths[:2] == [1, 1]:
-        return ("D", k)
-    if lengths == [1, 2, 2]:
-        return ("E", 6)
-    if lengths == [1, 2, 3]:
-        return ("E", 7)
-    if lengths == [1, 2, 4]:
-        return ("E", 8)
-    raise InvariantViolation(f"unrecognized Cartan matrix {cartan}")
+    return ("D", k) if det == 4 else ("E", k)
 
 
 def classify_nodes(nodes, n: int) -> DynkinSpec:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -13,8 +14,14 @@ from parahoric import (
     parse_facet_spec,
     unitary_report,
 )
-from parahoric.charring import DiskCharacters
+from parahoric import charring
+from parahoric.charring import DiskCharacters, character_to_json
 from parahoric.cli import main
+
+
+def _type_dir(root, spec):
+    """The directory in which the disk cache under ``root`` keeps ``spec``."""
+    return pathlib.Path(DiskCharacters(build_root_datum(spec), str(root)).dir)
 
 
 def run_json(capsys, argv):
@@ -155,7 +162,7 @@ def test_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
     # a wrong chi(3,0) that passes the cache checks (dim 10, keys dominant
     # below (3,0)) makes chi(3,0) - ch L(1,1) negative at p = 3
     monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
-    target = tmp_path / "A2" / "3,0.json"
+    target = _type_dir(tmp_path, "A2") / "3,0.json"
     target.parent.mkdir(parents=True)
     target.write_text('{"3,0": 1, "0,0": 7}')
     assert main(["jantzen", "--type", "A2", "--weight", "3,0", "--p", "3"]) == 3
@@ -169,7 +176,7 @@ def test_cache_entries_are_checked_on_read(tmp_path, monkeypatch, capsys):
     # multiplicities, a non-object, a wrong dimension and a key not below lam
     # all count as misses, and the recomputed character replaces the file
     monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
-    (tmp_path / "A2").mkdir()
+    _type_dir(tmp_path, "A2").mkdir(parents=True)
     cases = [("1,0", bad, 3, {"1,0": 1})
              for bad in ['{"1,0": 2}', '{"-1,0": 1}', '{"1,0": "1"}', '{"1,0": true}', "[1]"]]
     cases += [("1,1", bad, 8, {"1,1": 1, "0,0": 2})
@@ -178,7 +185,7 @@ def test_cache_entries_are_checked_on_read(tmp_path, monkeypatch, capsys):
     cases.append(("2,2", '{"2,2": 1, "-3,3": 1, "0,3": 1, "1,1": 2, "0,0": 3}', 27,
                   {"2,2": 1, "3,0": 1, "0,3": 1, "1,1": 2, "0,0": 3}))
     for weight, bad, dimension, good in cases:
-        target = tmp_path / "A2" / f"{weight}.json"
+        target = _type_dir(tmp_path, "A2") / f"{weight}.json"
         target.write_text(bad)
         code, envelope = run_json(capsys, ["character", "--type", "A2", "--weight", weight])
         assert code == 0, bad
@@ -201,7 +208,7 @@ def test_cache_equivalence(tmp_path, monkeypatch, capsys):
 
 def test_cache_ignores_corrupt_files(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
-    target = tmp_path / "A2" / "1,0.json"
+    target = _type_dir(tmp_path, "A2") / "1,0.json"
     target.parent.mkdir(parents=True)
     target.write_text("{ not json")
     code, envelope = run_json(capsys, ["character", "--type", "A2", "--weight", "1,0"])
@@ -232,7 +239,29 @@ def test_disk_cache_writers_of_one_entry_do_not_race(tmp_path, monkeypatch):
     first[(2, 1)] = mult
     assert interleaved
     assert DiskCharacters(a2, str(tmp_path)).get((2, 1)) == mult
-    assert _files_under(tmp_path) == ["A2/2,1.json"]
+    entry = _type_dir(tmp_path, "A2") / "2,1.json"
+    assert _files_under(tmp_path) == [entry.relative_to(tmp_path).as_posix()]
+
+
+def test_disk_cache_entries_are_keyed_by_version_and_datum(tmp_path, monkeypatch):
+    a2 = build_root_datum("A2")
+    mult = chi_char(a2, (1, 0)).mult
+    DiskCharacters(a2, str(tmp_path))[(1, 0)] = mult
+    assert DiskCharacters(build_root_datum("A2"), str(tmp_path)).get((1, 0)) == mult
+    # the same type name over another Cartan matrix has another fingerprint
+    other = build_root_datum("A2")
+    other.cartan = ((2, -1), (-2, 2))
+    assert DiskCharacters(other, str(tmp_path)).dir != DiskCharacters(a2, str(tmp_path)).dir
+    assert DiskCharacters(other, str(tmp_path)).get((1, 0)) is None
+    # another release reads nothing this one wrote
+    with monkeypatch.context() as patch:
+        patch.setattr(charring, "__version__", "0.0.0-other")
+        assert DiskCharacters(a2, str(tmp_path)).get((1, 0)) is None
+    # an entry in the flat <root>/<type>/ layout of earlier releases is a miss
+    legacy = tmp_path / "legacy"
+    (legacy / "A2").mkdir(parents=True)
+    (legacy / "A2" / "1,0.json").write_text(json.dumps(character_to_json(mult)))
+    assert DiskCharacters(a2, str(legacy)).get((1, 0)) is None
 
 
 def test_disk_cache_failed_write_leaves_no_file(tmp_path, monkeypatch):
@@ -264,7 +293,8 @@ def test_character_commands_persist_characters(tmp_path, monkeypatch, capsys, ar
     capsys.readouterr()
     files = _files_under(tmp_path)
     assert files
-    assert all(f.startswith(type_dir + "/") and f.endswith(".json") for f in files), files
+    prefix = _type_dir(tmp_path, type_dir).relative_to(tmp_path).as_posix() + "/"
+    assert all(f.startswith(prefix) and f.endswith(".json") for f in files), files
 
 
 @pytest.mark.parametrize(

@@ -325,7 +325,7 @@ def test_invariant_violation_survives_optimize_flag():
     assert lines[1].startswith("raised: character keys must be dominant")
     assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
     assert lines[3].startswith("raised: chi((3, 0)) - ch L((1, 1)) is not a character")
-    assert lines[4].startswith("raised: branch nodes of degrees [1, 1, 1, 1, 4]")
+    assert lines[4].startswith("raised: leading minor 5 of [[2, 0, 0, 0, -1]")
     assert lines[5].startswith("raised: W_J-orbits (J = (0, 1, 2)) count 3 positive roots, not 9")
 
 
@@ -360,18 +360,74 @@ def _cartan(k, edges):
     "cartan, message",
     [
         (_cartan(3, [(0, 1), (1, 2), (2, 0)]), "Dynkin graph"),  # affine A2, a cycle
-        (_cartan(5, [(0, 4), (1, 4), (2, 4), (3, 4)]), "branch nodes"),  # affine D4
-        (_cartan(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]), "branch nodes"),  # affine D5
-        (_cartan(3, [(0, 1, -3, -1), (1, 2)]), "triple edge"),  # affine G2
-        (_cartan(3, [(0, 1, -2, -1), (1, 2, -1, -2)]), "2 double edges"),  # affine C2
-        (_cartan(4, [(0, 2), (1, 2), (2, 3, -1, -2)]), "branch node beside"),  # affine B3
-        (_cartan(5, [(0, 1), (1, 2), (2, 3, -1, -2), (3, 4)]), "double edge inside"),  # affine F4
-        (_cartan(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), "unrecognized"),  # affine E6
+        (_cartan(5, [(0, 4), (1, 4), (2, 4), (3, 4)]), "leading minor"),  # affine D4
+        (_cartan(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]), "leading minor"),  # affine D5
+        (_cartan(3, [(0, 1, -3, -1), (1, 2)]), "leading minor"),  # affine G2
+        (_cartan(3, [(0, 1, -2, -1), (1, 2, -1, -2)]), "leading minor"),  # affine C2
+        (_cartan(4, [(0, 2), (1, 2), (2, 3, -1, -2)]), "leading minor"),  # affine B3
+        (_cartan(5, [(0, 1), (1, 2), (2, 3, -1, -2), (3, 4)]), "leading minor"),  # affine F4
+        (_cartan(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), "leading minor"),  # affine E6
     ],
 )
 def test_classify_cartan_rejects_affine_diagrams(cartan, message):
     with pytest.raises(InvariantViolation, match=message):
         classify_cartan(cartan)
+
+
+FINITE_TYPES = (
+    [("A", k) for k in range(1, 13)]
+    + [(family, k) for family in "BC" for k in range(2, 13)]
+    + [("D", k) for k in range(4, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family, rank", FINITE_TYPES)
+def test_classify_cartan_names_every_finite_type_in_any_node_order(family, rank):
+    cartan = build_root_datum(f"{family}{rank}").cartan
+    # B2 is C2 with its two nodes swapped
+    expected = ("C", 2) if (family, rank) == ("B", 2) else (family, rank)
+    rng = random.Random(f"{family}{rank}")
+    for _ in range(8):
+        order = rng.sample(range(rank), rank)
+        permuted = [[cartan[i][j] for j in order] for i in order]
+        assert classify_cartan(permuted) == expected, order
+
+
+def test_classify_cartan_rejects_affine_diagrams_under_optimize_flag():
+    cases = test_classify_cartan_rejects_affine_diagrams.pytestmark[0].args[1]
+    code = (
+        "from parahoric.rootdata import InvariantViolation, classify_cartan\n"
+        f"for cartan in {[cartan for cartan, _ in cases]!r}:\n"
+        "    try:\n"
+        "        print('named:', classify_cartan(cartan))\n"
+        "    except InvariantViolation as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(cases) == 8
+    assert all(line.startswith(f"raised: {message}") for line, (_, message) in zip(lines, cases))
+
+
+@pytest.mark.parametrize("name", ["B3", "C4", "D5", "G2", "F4", "E6", "B2xG2"])
+def test_quotient_coroot_coefficients_rebuild_the_coroots(name):
+    # coroot_coeffs come from root lengths; summed against the simple
+    # coroots of the quotient they must give back each inherited coroot
+    rd = build_root_datum(name)
+    basis = extended_basis(rd)
+    for theta in enumerate_facets(rd, basis):
+        q = parahoric_model(rd, theta, basis).quotient_datum
+        for r in q.roots:
+            rebuilt = [0] * q.n
+            for c, a in zip(r.coroot_coeffs, q.component_simple_roots(r.component)):
+                rebuilt = [x + c * y for x, y in zip(rebuilt, a.coroot)]
+            assert tuple(rebuilt) == r.coroot, (name, theta, r)
+            assert (r.coroot_height > 0) == (r.height > 0)
 
 
 def test_weight_key_roundtrip():
