@@ -90,7 +90,6 @@ class ComponentBasis:
 
 @dataclass(frozen=True)
 class AffineBasis:
-    datum: RootDatum
     components: tuple[ComponentBasis, ...]
 
 
@@ -126,7 +125,7 @@ def extended_basis(rd: RootDatum) -> AffineBasis:
                     f"{comp}: its affine roots have coefficients of both signs"
                 )
         components.append(ComponentBasis(elements, marks))
-    return AffineBasis(rd, tuple(components))
+    return AffineBasis(tuple(components))
 
 
 @dataclass(frozen=True)

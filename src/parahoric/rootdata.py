@@ -8,14 +8,17 @@ throughout; no floats appear anywhere.
 
 A :class:`RootDatum` is either built from a :class:`DynkinSpec` (the ambient
 group) or carved out of an ambient datum with :func:`sub_root_datum` (the
-reductive quotient attached to a parahoric facet).  Both kinds share one code
-path for orbits, dominance and the Weyl degree formula.
+reductive quotient attached to a parahoric facet).  Both are built on one
+path that inverts each component's Cartan matrix once and closes its simple
+roots under reflection; a quotient is then checked against the roots it was
+carved from, and a datum's type is read off its stored component matrices.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -255,9 +258,27 @@ class Root:
         return f"Root({weight_key(self.coords)})"
 
 
-def _cartan_matrix(nodes) -> tuple[tuple[int, ...], ...]:
-    """``[<alpha_j, alpha_i^vee>]_ij`` over a list of roots."""
-    return tuple(tuple(dot(b.coords, a.coroot) for b in nodes) for a in nodes)
+def _cartan_matrix(coords, coroots) -> tuple[tuple[int, ...], ...]:
+    """``[<alpha_j, alpha_i^vee>]_ij`` over parallel lists of roots and coroots."""
+    return tuple(tuple(dot(b, f) for b in coords) for f in coroots)
+
+
+def _block_diagonal(blocks) -> tuple[tuple[int, ...], ...]:
+    """The block-diagonal matrix with the given square blocks."""
+    size, rows = sum(map(len, blocks)), []
+    for block in blocks:
+        rows += [(0,) * len(rows) + tuple(row) + (0,) * (size - len(rows) - len(block)) for row in block]
+    return tuple(rows)
+
+
+def _combine(coeffs, vectors, start: Weight) -> Weight:
+    """``start + sum c_j vectors[j]``, skipping zero coefficients."""
+    out = list(start)
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                out[i] += c * x
+    return tuple(out)
 
 
 def _integer_inverse(matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -304,22 +325,7 @@ def _cartan_solve(det, adj, basis, duals, v: Weight) -> tuple[int, ...] | None:
         if num % det:
             return None
         coeffs.append(num // det)
-    rebuilt = [0] * len(v)
-    for c, b in zip(coeffs, basis):
-        if c:
-            for i, x in enumerate(b):
-                rebuilt[i] += c * x
-    return tuple(coeffs) if rebuilt == list(v) else None
-
-
-def _coroot_coeffs(coeffs, simple_norms, normsq: int) -> tuple[int, ...]:
-    """The coroot of ``alpha = sum c_i alpha_i`` over the simple coroots, from
-    ``alpha^vee = 2 alpha / (alpha, alpha)``: ``c_i (alpha_i, alpha_i) /
-    (alpha, alpha)``, each division checked exact."""
-    scaled = [c * norm for c, norm in zip(coeffs, simple_norms)]
-    if any(x % normsq for x in scaled):
-        raise InvariantViolation(f"coroot of {tuple(coeffs)} (norm {normsq}) is not integral")
-    return tuple(x // normsq for x in scaled)
+    return tuple(coeffs) if _combine(coeffs, basis, (0,) * len(v)) == tuple(v) else None
 
 
 def _dynkin_components(nodes) -> list[list[int]]:
@@ -368,11 +374,13 @@ def _parabolic_orbits(datum: "RootDatum", zeros: tuple[int, ...]) -> list[list[R
 class RootDatum:
     """A root datum inside the ambient lattice Z^n.
 
-    Construct with :func:`build_root_datum` or :func:`sub_root_datum`.  The
-    structure is fixed once built, apart from the root-orbit tables of
-    :meth:`stabilizer_orbits`, which are filled in on first use, and every
-    datum that :func:`build_root_datum` returns for one spec shares it,
-    tables included.  The one attribute that holds characters,
+    Construct with :func:`build_root_datum` or :func:`sub_root_datum`.
+    ``blocks`` holds each component's Cartan matrix, determinant and
+    adjugate; the datum's Cartan matrix and exact inverse are assembled from
+    them, not inverted again.  The structure is fixed once built, apart from
+    the root-orbit tables of :meth:`stabilizer_orbits`, which are filled in
+    on first use, and every datum that :func:`build_root_datum` returns for
+    one spec shares it, tables included.  The one attribute that holds characters,
     ``chi_cache``, belongs to each datum alone: it memoizes
     ``chi(lam)`` multiplicities by highest weight for
     :func:`parahoric.charring.chi_char`, starts as a new empty dict, and may be
@@ -380,21 +388,24 @@ class RootDatum:
     CLI's :class:`parahoric.charring.DiskCharacters`.
     """
 
-    def __init__(self, *, spec, n, roots, simple_indices, rho):
+    def __init__(self, *, spec, n, roots, simple_indices, rho, blocks):
         self.spec: DynkinSpec | None = spec
         self.n: int = n
         self.roots: tuple[Root, ...] = tuple(roots)
         self.positive_roots: tuple[Root, ...] = tuple(r for r in self.roots if r.height > 0)
-        self.simple_indices: tuple[tuple[int, ...], ...] = tuple(
-            tuple(ix) for ix in simple_indices
-        )
+        self.simple_indices: tuple[tuple[int, ...], ...] = tuple(simple_indices)
         self.rho: Weight | None = rho
         self._coords_index = {r.coords: i for i, r in enumerate(self.roots)}
         flat = [self.roots[i] for comp in self.simple_indices for i in comp]
         self._simple_roots = tuple(flat)
-        self.cartan: tuple[tuple[int, ...], ...] = _cartan_matrix(flat)
+        # per component: (Cartan matrix, det, adj) with adj * C == det * I
+        self._blocks = tuple(blocks)
+        self.cartan: tuple[tuple[int, ...], ...] = _block_diagonal([c for c, _, _ in self._blocks])
         # det * C^-1 = adj, the one exact inverse behind every lattice solve
-        self._det, self._adj = _integer_inverse(self.cartan)
+        self._det = math.prod(det for _, det, _ in self._blocks)
+        self._adj = _block_diagonal(
+            [[[self._det // det * x for x in row] for row in adj] for _, det, adj in self._blocks]
+        )
         self._simple_coords = tuple(a.coords for a in flat)
         self._simple_coroots = tuple(a.coroot for a in flat)
         self._cartan_columns = tuple(zip(*self.cartan))
@@ -481,23 +492,18 @@ class RootDatum:
         pairs = [dot(lam, f) for f in self._simple_coroots]
         if min(pairs, default=0) >= 0:
             return lam
-        subtracted = [0] * len(pairs)
+        added = [0] * len(pairs)
         while True:
             for i, p_i in enumerate(pairs):
                 if p_i < 0:
                     break
             else:
                 break
-            subtracted[i] += p_i
+            added[i] -= p_i
             for j, c in enumerate(self._cartan_columns[i]):
                 if c:
                     pairs[j] -= p_i * c
-        w = list(lam)
-        for c, alpha in zip(subtracted, self._simple_coords):
-            if c:
-                for k, x in enumerate(alpha):
-                    w[k] -= c * x
-        return tuple(w)
+        return _combine(added, self._simple_coords, lam)
 
     def orbit_size(self, lam: Weight) -> int:
         """|W|/|W_lam| as the product of (ht b + 1)/ht b over the positive roots
@@ -571,11 +577,7 @@ class RootDatum:
         ``x / d`` in the coordinates dual to the weight coordinates, on which
         simple root ``j`` takes the value ``[i == j]``.  It is row ``i`` of the
         inverse Cartan matrix over the simple coroots."""
-        x = [0] * self.n
-        for c, coroot in zip(self._adj[i], self._simple_coroots):
-            for j, y in enumerate(coroot):
-                x[j] += c * y
-        return tuple(x), self._det
+        return _combine(self._adj[i], self._simple_coroots, (0,) * self.n), self._det
 
     # -- classical data ------------------------------------------------------
 
@@ -637,6 +639,44 @@ def _component_roots(cartan) -> dict[tuple[int, ...], tuple[int, ...]]:
     return roots
 
 
+def _datum_from_simples(spec, n: int, rho, components) -> RootDatum:
+    """The datum with the given simple roots, per component the parallel
+    lists ``(coords, coroots, forms)`` of vectors in Z^n.
+
+    Each component's Cartan matrix is inverted first: its positive leading
+    minors certify finite type, without which the reflection closure would
+    not end.  The closure gives each root's simple coefficients c; its
+    coordinates, form and coroot are integer sums over the simple roots',
+    the coroot's coefficients ``c_j (alpha_j, alpha_j) / (alpha, alpha)``
+    checked exact.  Roots are listed by component, height, coefficients.
+    """
+    zero, roots, simple_indices, blocks = (0,) * n, [], [], []
+    for comp, (coords, coroots, forms) in enumerate(components):
+        start, rank = len(roots), len(coords)
+        cartan = _cartan_matrix(coords, coroots)
+        det, adj = _integer_inverse(cartan)
+        blocks.append((cartan, det, adj))
+        norms = [dot(f, a) for f, a in zip(forms, coords)]  # (alpha_j, alpha_j)
+        closure = sorted(_component_roots(cartan), key=lambda c: (sum(c), c))
+        for coeffs in closure:
+            if min(coeffs) < 0 < max(coeffs):
+                raise InvariantViolation(f"root {coeffs} has coefficients of both signs")
+            root_coords = _combine(coeffs, coords, zero)
+            form = _combine(coeffs, forms, zero)
+            normsq = dot(form, root_coords)
+            if normsq <= 0:
+                raise InvariantViolation(f"root {coeffs} has norm {normsq}")
+            scaled = [c * norm for c, norm in zip(coeffs, norms)]
+            if any(x % normsq for x in scaled):
+                raise InvariantViolation(f"coroot of {coeffs} (norm {normsq}) is not integral")
+            coroot_coeffs = tuple(x // normsq for x in scaled)
+            coroot = _combine(coroot_coeffs, coroots, zero)
+            roots.append(Root(root_coords, coeffs, comp, coroot, coroot_coeffs, form))
+        units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+        simple_indices.append(tuple(start + closure.index(unit) for unit in units))
+    return RootDatum(spec=spec, n=n, roots=roots, simple_indices=simple_indices, rho=rho, blocks=blocks)
+
+
 def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
     """Build the simply-connected root datum of a Dynkin specification.
 
@@ -671,45 +711,16 @@ def _datum_structure(spec_string: str) -> RootDatum:
     keep every datum alive."""
     spec = parse_dynkin_spec(spec_string)
     n = spec.rank
-    all_roots: list[Root] = []
+    components = []
     off = 0  # where the component's coordinates start
-    for comp, (family, rank) in enumerate(spec.components):
+    for family, rank in spec.components:
         cartan, d = _cartan_and_symmetrizer(family, rank)
-        roots = _component_roots(cartan)
-        simple_norms = [2 * dj for dj in d]  # (alpha_j, alpha_j)
-        before, after = (0,) * off, (0,) * (n - off - rank)
-        for coeffs in sorted(roots, key=lambda c: (sum(c), c)):
-            local_coords = roots[coeffs]
-            form_local = tuple(c * dj for c, dj in zip(coeffs, d))
-            normsq = dot(form_local, local_coords)
-            if normsq <= 0:
-                raise InvariantViolation(f"root {coeffs} of {family}{rank} has norm {normsq}")
-            coroot_local = _coroot_coeffs(coeffs, simple_norms, normsq)
-            all_roots.append(
-                Root(
-                    coords=before + local_coords + after,
-                    simple_coeffs=coeffs,
-                    component=comp,
-                    coroot=before + coroot_local + after,
-                    coroot_coeffs=coroot_local,
-                    form=before + form_local + after,
-                )
-            )
+        units = [tuple(int(i == off + j) for i in range(n)) for j in range(rank)]
+        columns = [_combine(column, units, (0,) * n) for column in zip(*cartan)]
+        components.append((columns, units, [wscale(dj, u) for dj, u in zip(d, units)]))
         off += rank
-    all_roots.sort(key=lambda r: (r.component, r.height, r.simple_coeffs))
-    index_of = {(r.component, r.simple_coeffs): i for i, r in enumerate(all_roots)}
-    simple_indices = [
-        tuple(index_of[comp, tuple(int(k == j) for k in range(rank))] for j in range(rank))
-        for comp, (_, rank) in enumerate(spec.components)
-    ]
     rho = tuple([1] * spec.semisimple_rank + [0] * spec.extra_torus_rank)
-    return RootDatum(
-        spec=spec,
-        n=n,
-        roots=all_roots,
-        simple_indices=simple_indices,
-        rho=rho,
-    )
+    return _datum_from_simples(spec, n, rho, components)
 
 
 # ---------------------------------------------------------------------------
@@ -720,15 +731,19 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     """The root datum spanned by a closed symmetric subset of ambient roots.
 
     The positive system is inherited from the ambient one; the simple roots
-    are its indecomposable elements.  Coroots and the invariant form are
-    inherited verbatim, so characters over the sub-datum live in the same
-    lattice as characters over the ambient datum.
+    are its indecomposable elements, grouped by the connected components of
+    their Dynkin graph.  The datum is built from them on the same path as a
+    Dynkin spec's, and then checked, not assumed: the roots they generate
+    must be exactly the subset (as for every closed symmetric subset), each
+    with the coroot and invariant form of the ambient root with its
+    coordinates, so characters over the sub-datum live in the same lattice
+    as characters over the ambient datum.
     """
     subset = {tuple(c) for c in coords_subset}
-    members = [r for r in ambient.roots if r.coords in subset]
+    members = {r.coords: r for r in ambient.roots if r.coords in subset}
     if len(members) != len(subset):
         raise InvariantViolation("subset contains non-roots")
-    positives = [r for r in members if r.height > 0]
+    positives = [r for r in members.values() if r.height > 0]
     pos_coords = {r.coords for r in positives}
     simples = [
         r
@@ -737,44 +752,16 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     ]
     if any(dot(a.coords, b.coroot) > 0 for a, b in itertools.combinations(simples, 2)):
         raise InvariantViolation("indecomposables do not form a base")
-    groups = _dynkin_components(simples)
-    simples = [simples[i] for g in groups for i in g]
-    bounds = list(itertools.pairwise(itertools.accumulate((len(g) for g in groups), initial=0)))
-    det, adj = _integer_inverse(_cartan_matrix(simples))
-    root_basis = [s.coords for s in simples]
-    coroot_basis = [s.coroot for s in simples]
-    norms = [dot(s.form, s.coords) for s in simples]
-    new_roots: list[Root] = []
-    for r in members:
-        coeffs = _cartan_solve(det, adj, root_basis, coroot_basis, r.coords)
-        if coeffs is None:
-            raise InvariantViolation(f"{r} is not an integer sum of the simple roots")
-        if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
-            raise InvariantViolation(f"{r} has coefficients of both signs")
-        comp = next(k for k, (lo, hi) in enumerate(bounds) if any(coeffs[lo:hi]))
-        lo, hi = bounds[comp]
-        if any(coeffs[:lo]) or any(coeffs[hi:]):
-            raise InvariantViolation(f"{r} meets two components of the Dynkin graph")
-        new_roots.append(
-            Root(
-                coords=r.coords,
-                simple_coeffs=coeffs[lo:hi],
-                component=comp,
-                coroot=r.coroot,
-                coroot_coeffs=_coroot_coeffs(coeffs[lo:hi], norms[lo:hi], dot(r.form, r.coords)),
-                form=r.form,
-            )
-        )
-    new_roots.sort(key=lambda r: (r.component, r.height, r.simple_coeffs))
-    index_of = {r.coords: i for i, r in enumerate(new_roots)}
-    simple_indices = [tuple(index_of[s.coords] for s in simples[lo:hi]) for lo, hi in bounds]
-    return RootDatum(
-        spec=None,
-        n=ambient.n,
-        roots=new_roots,
-        simple_indices=simple_indices,
-        rho=None,
-    )
+    groups = [[simples[i] for i in group] for group in _dynkin_components(simples)]
+    simple_data = [([s.coords for s in g], [s.coroot for s in g], [s.form for s in g]) for g in groups]
+    datum = _datum_from_simples(None, ambient.n, None, simple_data)
+    differ = members.keys() ^ {r.coords for r in datum.roots}
+    if differ:
+        raise InvariantViolation(f"subset is not the root system of its base, which differs on {sorted(differ)}")
+    for r in datum.roots:
+        if (members[r.coords].coroot, members[r.coords].form) != (r.coroot, r.form):
+            raise InvariantViolation(f"{r} does not get the coroot and form of the ambient root")
+    return datum
 
 
 # ---------------------------------------------------------------------------
@@ -786,18 +773,27 @@ def classify_cartan(cartan) -> tuple[str, int]:
 
     The Dynkin graph must be a tree and every leading principal minor
     positive, which is finite type (Sylvester's criterion; the Bareiss
-    inverse raises otherwise).  The largest bond, the rank k and the
-    determinant then name the type (Bourbaki, *Lie Groups and Lie Algebras*,
-    ch. VI, Plates I-IX): det A_k = k + 1, B_k = C_k = 2, D_k = 4, E6 = 3,
-    E7 = 2, E8 = F4 = G2 = 1.  B_k is the k > 2 case whose short end of the
-    double bond, the row holding -2, is a leaf; so B2 reads as C2, D3 as A3.
+    inverse raises otherwise).  :func:`_dynkin_type` then names it.
     """
     k = len(cartan)
     bonds = [cartan[i][j] * cartan[j][i] for i, j in itertools.combinations(range(k), 2) if cartan[i][j]]
     if len(bonds) != k - 1:
         raise InvariantViolation(f"Dynkin graph of {cartan} is not a tree")
     det, _ = _integer_inverse(cartan)
-    bond = max(bonds, default=1)
+    return _dynkin_type(cartan, det)
+
+
+def _dynkin_type(cartan, det: int) -> tuple[str, int]:
+    """The type of a connected finite-type Cartan matrix with determinant
+    ``det``, from its largest bond, its rank k and ``det`` (Bourbaki, *Lie
+    Groups and Lie Algebras*, ch. VI, Plates I-IX): det A_k = k + 1,
+    B_k = C_k = 2, D_k = 4, E6 = 3, E7 = 2, E8 = F4 = G2 = 1.  B_k is the
+    k > 2 case whose short end of the double bond, the row holding -2, is a
+    leaf; so B2 reads as C2, D3 as A3.
+    """
+    k = len(cartan)
+    # a finite-type bond c_ij * c_ji is its larger |entry|: one of the two is -1
+    bond = max(1, -min(map(min, cartan)))
     if bond == 3:
         return ("G", 2)
     if bond == 2:
@@ -815,12 +811,15 @@ def classify_nodes(nodes, n: int) -> DynkinSpec:
     component of their Dynkin graph is classified, and the remaining rank is
     a central torus."""
     components = sorted(
-        classify_cartan(_cartan_matrix([nodes[i] for i in group]))
-        for group in _dynkin_components(nodes)
+        classify_cartan(_cartan_matrix([nodes[i].coords for i in g], [nodes[i].coroot for i in g]))
+        for g in _dynkin_components(nodes)
     )
     return DynkinSpec(tuple(components), n - sum(rank for _, rank in components))
 
 
 def classify_root_datum(datum: RootDatum) -> DynkinSpec:
-    """The Dynkin type of a datum, torus rank inferred from the ambient rank."""
-    return classify_nodes(datum.simple_roots, datum.n)
+    """The Dynkin type of a datum, torus rank inferred from the ambient rank;
+    each component is named from the Cartan matrix and determinant it was
+    built with."""
+    components = sorted(_dynkin_type(cartan, det) for cartan, det, _ in datum._blocks)
+    return DynkinSpec(tuple(components), datum.n - sum(rank for _, rank in components))

@@ -5,15 +5,18 @@ library: explicit matrix closure for Weyl groups, exact Fraction solves for
 marks and lattice coordinates, a box scan for the dominant weights below a
 weight, the reflection loop for dominant conjugates, the coefficient-vector
 closure for root systems, and hand-built weight multisets for small modules.
-Four exceptions run on library code: the chi-expansion that picks its tops by
-pairwise dominance solves runs on the library's chi_char and dominance_leq,
-and checks the library's pick by a linear functional against those solves;
-the reference Freudenthal loop takes its dominant weights from the library's
-dominance closure (itself checked against the box scan here); the
-Jantzen resolver that evaluates J(lam) to a weight multiset runs on the
-library's Jantzen sums and characters; and the facet model that grades
-each root by its canonical representative runs on the library's per-root
-``canonical_rep`` and ``ell_theta``.
+Five exceptions run on library code: the quotient datum solved root by root
+over its simple roots, with one exact inverse of their whole Cartan matrix,
+runs on the library's Bareiss inverse, lattice solve and Dynkin-graph
+grouping, and names its type by node classification; the chi-expansion that
+picks its tops by pairwise dominance solves runs on the library's chi_char
+and dominance_leq, and checks the library's pick by a linear functional
+against those solves; the reference Freudenthal loop takes its dominant
+weights from the library's dominance closure (itself checked against the box
+scan here); the Jantzen resolver that evaluates J(lam) to a weight multiset
+runs on the library's Jantzen sums and characters; and the facet model that
+grades each root by its canonical representative runs on the library's
+per-root ``canonical_rep`` and ``ell_theta``.
 """
 
 import itertools
@@ -39,8 +42,15 @@ from parahoric.rootdata import (
     InvariantViolation,
     Root,
     _cartan_and_symmetrizer,
+    _cartan_matrix,
+    _cartan_solve,
+    _dynkin_components,
+    _integer_inverse,
+    classify_nodes,
+    dot,
     sub_root_datum,
     wneg,
+    wsub,
 )
 
 
@@ -389,3 +399,78 @@ def parahoric_model_by_canonical_rep(rd, theta, basis):
         dim_R=sum(len(layer) for layer in layers),
         psi_literal_agrees=reps == _literal_psi(rd, basis, theta),
     )
+
+
+def _coroot_coeffs(coeffs, simple_norms, normsq):
+    """The coroot of ``alpha = sum c_i alpha_i`` over the simple coroots, from
+    ``alpha^vee = 2 alpha / (alpha, alpha)``: ``c_i (alpha_i, alpha_i) /
+    (alpha, alpha)``, each division checked exact."""
+    scaled = [c * norm for c, norm in zip(coeffs, simple_norms)]
+    if any(x % normsq for x in scaled):
+        raise InvariantViolation(f"coroot of {tuple(coeffs)} (norm {normsq}) is not integral")
+    return tuple(x // normsq for x in scaled)
+
+
+def sub_root_datum_by_solves(ambient, coords_subset):
+    """The quotient datum of a closed symmetric subset, solved root by root.
+
+    Each member is solved over the indecomposable positive roots with one
+    exact inverse of their whole Cartan matrix, and the datum's 2*rho
+    functionals and type are recomputed from the result.  Returns the fields
+    that ``sub_root_datum`` must reproduce, as a dict.
+    """
+    subset = {tuple(c) for c in coords_subset}
+    members = [r for r in ambient.roots if r.coords in subset]
+    if len(members) != len(subset):
+        raise InvariantViolation("subset contains non-roots")
+    positives = [r for r in members if r.height > 0]
+    pos_coords = {r.coords for r in positives}
+    simples = [
+        r
+        for r in positives
+        if not any(wsub(r.coords, s.coords) in pos_coords for s in positives)
+    ]
+    if any(dot(a.coords, b.coroot) > 0 for a, b in itertools.combinations(simples, 2)):
+        raise InvariantViolation("indecomposables do not form a base")
+    groups = _dynkin_components(simples)
+    simples = [simples[i] for g in groups for i in g]
+    bounds = list(itertools.pairwise(itertools.accumulate((len(g) for g in groups), initial=0)))
+    root_basis = [s.coords for s in simples]
+    coroot_basis = [s.coroot for s in simples]
+    cartan = _cartan_matrix(root_basis, coroot_basis)
+    det, adj = _integer_inverse(cartan)
+    norms = [dot(s.form, s.coords) for s in simples]
+    new_roots = []
+    for r in members:
+        coeffs = _cartan_solve(det, adj, root_basis, coroot_basis, r.coords)
+        if coeffs is None:
+            raise InvariantViolation(f"{r} is not an integer sum of the simple roots")
+        if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+            raise InvariantViolation(f"{r} has coefficients of both signs")
+        comp = next(k for k, (lo, hi) in enumerate(bounds) if any(coeffs[lo:hi]))
+        lo, hi = bounds[comp]
+        if any(coeffs[:lo]) or any(coeffs[hi:]):
+            raise InvariantViolation(f"{r} meets two components of the Dynkin graph")
+        new_roots.append(
+            Root(
+                coords=r.coords,
+                simple_coeffs=coeffs[lo:hi],
+                component=comp,
+                coroot=r.coroot,
+                coroot_coeffs=_coroot_coeffs(coeffs[lo:hi], norms[lo:hi], dot(r.form, r.coords)),
+                form=r.form,
+            )
+        )
+    new_roots.sort(key=lambda r: (r.component, r.height, r.simple_coeffs))
+    index_of = {r.coords: i for i, r in enumerate(new_roots)}
+    simple_indices = tuple(tuple(index_of[s.coords] for s in simples[lo:hi]) for lo, hi in bounds)
+    positive = [r for r in new_roots if r.height > 0]
+    return {
+        "roots": new_roots,
+        "simple_indices": simple_indices,
+        "cartan": cartan,
+        "inverse": (det, adj),
+        "two_rho_form": tuple(sum(dot(b.form, a.coords) for b in positive) for a in simples),
+        "two_rho_coroot": tuple(map(sum, zip((0,) * ambient.n, *(b.coroot for b in positive)))),
+        "type": classify_nodes(simples, ambient.n),
+    }

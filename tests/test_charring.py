@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,7 @@ from parahoric.charring import (
     evaluate_chi_sum,
     expand_full,
 )
+from parahoric.rootdata import dot
 
 from _oracles import (
     c2_w2_weights,
@@ -147,6 +149,33 @@ def test_chi_char_matches_reference_on_exceptional_types(name, lam):
     ch = chi_char(rd, lam)
     assert list(ch.mult.items()) == list(chi_char_reference(rd, lam).items())
     assert dim(ch) == rd.weyl_dim(lam)
+    lhs, rhs = _second_moment_sides(rd, ch, lam)
+    assert lhs == rhs > 0
+
+
+def _second_moment_sides(rd, ch, lam):
+    """Both sides of Dynkin's second-moment identity for V(lam) over a simple
+    datum: dim g * sum_mu m_mu (mu, mu) = rank * dim V * (lam, lam + 2 rho),
+    the trace of the Casimir on the Cartan subalgebra.  The left sum runs
+    over dominant keys, each counted |W mu| times; the form on weights is
+    (w_i, w_l) = adj[l][i] d_l / det, with d_l = (alpha_l, alpha_l) / 2."""
+    d = [Fraction(dot(a.form, a.coords), 2) for a in rd.simple_roots]
+
+    def form(mu, nu):
+        return sum(mu[i] * nu[l] * rd._adj[l][i] * d[l] for i in range(rd.n) for l in range(rd.n)) / rd._det
+
+    dim_g = len(rd.roots) + rd.semisimple_rank
+    lhs = dim_g * sum(m * rd.orbit_size(mu) * form(mu, mu) for mu, m in ch.mult.items())
+    rhs = rd.semisimple_rank * rd.weyl_dim(lam) * form(lam, tuple(x + 2 * r for x, r in zip(lam, rd.rho)))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("name, lam", [("B3", (1, 0, 1)), ("G2", (1, 1)), ("C3", (0, 1, 1))])
+def test_second_moment_identity_on_classical_and_g2_characters(name, lam):
+    rd = build_root_datum(name)
+    ch = chi_char(rd, lam)
+    lhs, rhs = _second_moment_sides(rd, ch, lam)
+    assert lhs == rhs > 0
 
 
 def test_add_scale(a2):

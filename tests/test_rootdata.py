@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -33,7 +35,13 @@ from parahoric.rootdata import (
     wneg,
 )
 
-from _oracles import integer_coords, roots_by_closure, roots_by_weyl_images, weyl_group_matrices
+from _oracles import (
+    integer_coords,
+    roots_by_closure,
+    roots_by_weyl_images,
+    sub_root_datum_by_solves,
+    weyl_group_matrices,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -308,7 +316,8 @@ def test_invariant_violation_survives_optimize_flag():
         "             lambda: SimpleLedger(a2, 3, {(0, 0): LedgerEntry(chi_char(a2, (0, 0)), LOWEST_ALCOVE, {})}).merge(conflicting),\n"
         "             wrong_chi,\n"
         "             lambda: classify_cartan(affine_d4),\n"
-        "             dropped_orbit):\n"
+        "             dropped_orbit,\n"
+        "             lambda: sub_root_datum(a2, [(2, -1), (-2, 1), (-1, 2), (1, -2)])):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantViolation as exc:\n"
@@ -320,13 +329,16 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert lines[0].startswith("raised: subset contains non-roots")
     assert lines[1].startswith("raised: character keys must be dominant")
     assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
     assert lines[3].startswith("raised: chi((3, 0)) - ch L((1, 1)) is not a character")
     assert lines[4].startswith("raised: leading minor 5 of [[2, 0, 0, 0, -1]")
     assert lines[5].startswith("raised: W_J-orbits (J = (0, 1, 2)) count 3 positive roots, not 9")
+    assert lines[6].startswith(
+        "raised: subset is not the root system of its base, which differs on [(-1, -1), (1, 1)]"
+    )
 
 
 def test_torus_factors():
@@ -541,3 +553,104 @@ def test_memoized_build_matches_fresh_construction(name):
     chi_char(memoized, (0,) * memoized.n)
     rebuilt = build_root_datum(name)
     assert rebuilt.chi_cache == {} and memoized.chi_cache != {}
+
+
+def _root_fields(roots):
+    return [
+        (r.coords, r.simple_coeffs, r.component, r.coroot, r.coroot_coeffs, r.form, r.height,
+         r.coroot_height)
+        for r in roots
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, subset, differ",
+    [
+        # A2: +-alpha_1, +-alpha_2, not closed; the base adds +-(alpha_1 + alpha_2)
+        ("A2", [(2, -1), (-2, 1), (-1, 2), (1, -2)], [(-1, -1), (1, 1)]),
+        # A2 without -(alpha_1 + alpha_2), not symmetric
+        ("A2", [(2, -1), (-2, 1), (-1, 2), (1, -2), (1, 1)], [(-1, -1)]),
+        # C2: +-alpha_1, +-(alpha_1 + alpha_2), +-(2 alpha_1 + alpha_2), not closed
+        # (alpha_1 - (alpha_1 + alpha_2) = -alpha_2); the base does not reach
+        # +-(2 alpha_1 + alpha_2)
+        ("C2", [(2, -1), (-2, 1), (0, 1), (0, -1), (2, 0), (-2, 0)], [(-2, 0), (2, 0)]),
+    ],
+)
+def test_sub_root_datum_rejects_subsets_that_are_not_the_root_system_of_their_base(name, subset, differ):
+    message = f"subset is not the root system of its base, which differs on {differ}"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        sub_root_datum(build_root_datum(name), subset)
+
+
+SWEEP_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5", "D4", "D5",
+    "D6", "G2", "F4", "E6", "E7", "E8", "A1xA1+T1", "B2xG2", "A2xA1+T2",
+]
+
+
+@pytest.mark.parametrize("name", SWEEP_TYPES)
+def test_quotient_data_match_the_root_by_root_solve(name):
+    rd = build_root_datum(name)
+    basis = extended_basis(rd)
+    for theta in enumerate_facets(rd, basis):
+        model = parahoric_model(rd, theta, basis)
+        q = model.quotient_datum
+        expected = sub_root_datum_by_solves(rd, [a.coords for a in model.quotient_roots])
+        assert _root_fields(q.roots) == _root_fields(expected["roots"]), theta
+        assert q.simple_indices == expected["simple_indices"], theta
+        assert q.cartan == expected["cartan"], theta
+        assert (q._det, q._adj) == expected["inverse"], theta
+        assert q._two_rho_form == expected["two_rho_form"], theta
+        assert q._two_rho_coroot == expected["two_rho_coroot"], theta
+        assert classify_root_datum(q) == expected["type"], theta
+
+
+# SHA-256 of each spec's structure (the fields of _structure_digest),
+# recorded before Dynkin specs and quotients were built by one constructor;
+# unlike the comparison with _datum_structure.__wrapped__, it does not run
+# the code under test on both sides
+SPEC_DIGESTS = {
+    "A1": "ce48a5c56a25a3fd297368fa90e4abdde58e8fe3038a43d9681955fc6dcb0f68",
+    "A2": "a4de954bb6ff453acb9da5a85753837e456906b790f8c76b923c5852ae21cefa",
+    "A3": "6be9882fba6d748db6a7d54558be2f5f541f6b8d2c99c4f2bff32a6d89d2307d",
+    "A4": "8c0e3df4a4c6c557c3c6b7b25767f262e1c59aeb667680e036a347a34e1664f4",
+    "A5": "a6f048b1e6d85a81df62399c901e2f000092faca9e23c23bd1a95a1f2ec31594",
+    "B2": "3cb4fd8493828316c486bc4c11fdd70bae70b41b9505fbd8f5bb1fe693216b37",
+    "B3": "105f741b6cc959b254c8226fbdece9131ade4e55225c7d5076e70736bf804135",
+    "B4": "13b8a35b90b900482012ad3dcf91c886c87d7910d0a2f1572f44875e1caa2a8a",
+    "B5": "c38e0b95a5f77ae3c7a83c024aeeba075f7581ae41647fc262a14ae10d1724de",
+    "C2": "cecca63893d93d23c8f3b0e0a494c7b2c2da7d162b853006dfd556bfb8fbda23",
+    "C3": "6ea2492f5ad4d52a1b34f64afb85f6a20fa772b4651b75a67d368cf73f34e9e1",
+    "C4": "8448b5235500e762b070224ceec6663a1f786ae99254c4cd5f08b3462c980541",
+    "C5": "993151ccdb5565f4e36bd0ac073b722116172412f450139d4de5d3c785d7f559",
+    "D4": "d9f206157ec0acc205946d2c59d53a60bdbd0fb46f724b68fd6dcfb3b49a596e",
+    "D5": "b239aeb54901b7a1a52813309ece3a39abeb49ae623dd27e92f97e52252c8fbe",
+    "D6": "b8efe403f127824dff4835e8284225d93cbca0242147e7d7abffd3dd985a4730",
+    "G2": "4515002ee3980d30ca0d8327064ac36f4d386284514144b6557fe9a1f62bf18c",
+    "F4": "1e4dc9350feb7ca5963034c4165e34702c14363c55c7b94655923f76a4b15ddc",
+    "E6": "87a917c0bb4dcae0db5c800e2ee2a7942bb5593b972e561c33e0b70d15102800",
+    "E7": "c3d543ef1a300802b8a74dbfed531ae1449cd738ae72309b86751ed5afd65bea",
+    "E8": "04adcbfca84e5e607a58d2a99aff182891f0de7ddb3f9b8a6fdcc4c0466c94dc",
+    "A1xA1+T1": "1299fa8c8137f931eba0a12dcc0cdad47c04bf928da179fe6452e346cf31845b",
+    "B2xG2": "9d1bbb008a842dd164c6a7d78423d73f4448ace3b9ac20f3f4d6a2bfa285d8c8",
+    "A2xA1+T2": "fd7162af4bf4e8eec51689861c27b52d336f28e73339e471371c04655cfe5fb9",
+    "D3": "8d2d85e6fcd99616b59c3bceafac370f900b6cfe2531fa7a7cee1ac106928e9e",
+    "A1+T1": "bc64565cd4d6754400432a91a6f76aa8c98b4459c5196908ddd6e2a1a4d42d67",
+}
+
+
+def _structure_digest(rd):
+    fields = [
+        str(rd.spec), rd.n, rd.rho, _root_fields(rd.roots), rd.simple_indices, rd.cartan,
+        rd._det, rd._adj, rd._two_rho_form, rd._two_rho_coroot,
+    ]
+    if rd.spec_string in ORBIT_TABLE_TYPES:
+        rank = rd.semisimple_rank
+        fields.append([rd.stabilizer_orbits(zeros) for k in range(rank + 1)
+                       for zeros in itertools.combinations(range(rank), k)])
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_DIGESTS))
+def test_spec_structure_matches_its_recorded_digest(name):
+    assert _structure_digest(build_root_datum(name)) == SPEC_DIGESTS[name]

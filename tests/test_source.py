@@ -48,3 +48,24 @@ def test_no_unused_imports():
         for line in _unused_imports(path)
     ]
     assert offenders == []
+
+
+def test_no_unreferenced_private_definitions():
+    # a module-level _helper that no module of the package names any more is
+    # dead code left behind by a refactor
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    offenders = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert offenders == []
