@@ -90,7 +90,11 @@ class ComponentBasis:
 
 @dataclass(frozen=True)
 class AffineBasis:
+    """The extended bases of a datum's components, and per component the
+    alcove vertex opposite each node (see :func:`_alcove_vertices`)."""
+
     components: tuple[ComponentBasis, ...]
+    vertices: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
 def extended_basis(rd: RootDatum) -> AffineBasis:
@@ -102,7 +106,19 @@ def extended_basis(rd: RootDatum) -> AffineBasis:
     affine node.  Every root's simple coefficients are bounded by the marks
     in absolute value, so each affine root ``(a, gamma)`` has coefficients of
     one sign over the extended basis.
+
+    The basis depends on the root structure alone, so it is built and
+    checked once, with the alcove vertices, on first use, and shared like
+    the tables of :meth:`RootDatum.stabilizer_orbits`: every datum that
+    :func:`build_root_datum` returns for one spec gets the same basis.
     """
+    basis = rd._derived.get("extended_basis")
+    if basis is None:
+        basis = rd._derived["extended_basis"] = _build_extended_basis(rd)
+    return basis
+
+
+def _build_extended_basis(rd: RootDatum) -> AffineBasis:
     if rd.num_components == 0:
         raise ValueError("datum has no semisimple component")
     components = []
@@ -125,7 +141,7 @@ def extended_basis(rd: RootDatum) -> AffineBasis:
                     f"{comp}: its affine roots have coefficients of both signs"
                 )
         components.append(ComponentBasis(elements, marks))
-    return AffineBasis(tuple(components))
+    return AffineBasis(tuple(components), _alcove_vertices(rd, components))
 
 
 @dataclass(frozen=True)
@@ -335,7 +351,9 @@ def affine_eval(alpha: AffineRoot, point: tuple[Fraction, ...]) -> Fraction:
     ) + alpha.level
 
 
-def _alcove_vertices(rd: RootDatum, basis: AffineBasis) -> list[list[tuple[Fraction, ...]]]:
+def _alcove_vertices(
+    rd: RootDatum, components: list[ComponentBasis]
+) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """Per component, the alcove vertex opposite each extended-basis node.
 
     Every other node of the component vanishes at that vertex.  Opposite a
@@ -345,24 +363,23 @@ def _alcove_vertices(rd: RootDatum, basis: AffineBasis) -> list[list[tuple[Fract
     origin = tuple(Fraction(0) for _ in range(rd.n))
     all_vertices = []
     start = 0
-    for cb in basis.components:
+    for cb in components:
         vertices = []
         for pick in range(cb.rank):
             x, d = rd.fundamental_coweight(start + pick)
             vertices.append(tuple(Fraction(c, d * cb.marks[pick]) for c in x))
-        all_vertices.append(vertices + [origin])
+        all_vertices.append(tuple(vertices) + (origin,))
         start += cb.rank
-    return all_vertices
+    return tuple(all_vertices)
 
 
 def facet_barycenter(rd: RootDatum, basis: AffineBasis, theta: FacetSpec) -> tuple[Fraction, ...]:
     """Barycenter of the facet: the average of the alcove vertices opposite
     the Theta nodes, component by component.  Lies in the open facet, so an
     affine root vanishes at it iff it vanishes identically on the facet."""
-    vertices = _alcove_vertices(rd, basis)
     point = [Fraction(0)] * rd.n
     for comp, part in enumerate(theta.theta):
-        chosen = [vertices[comp][i] for i in part]
+        chosen = [basis.vertices[comp][i] for i in part]
         for i in range(rd.n):
             point[i] += sum(v[i] for v in chosen) / len(chosen)
     return tuple(point)

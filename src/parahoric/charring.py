@@ -191,9 +191,19 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
     """
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
+    return Character(rd, dict(_chi_mult(rd, lam)))
+
+
+def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
+    """The multiplicities of ``chi(lam)`` for a dominant ``lam``, as the map
+    that ``rd.chi_cache`` holds: computed and stored on a miss, returned as
+    stored on a hit.  Readers must not change it.  :func:`chi_char` copies
+    it into a checked :class:`Character`; :func:`chi_expand_map`, whose tops
+    are dominant by construction, and :func:`evaluate_chi_sum`, which checks
+    its weights, read it without that copy and check."""
     cached = rd.chi_cache.get(lam)
     if cached is not None:
-        return Character(rd, dict(cached))
+        return cached
     # by height; ties in lexicographic order of the coordinates of lam - mu,
     # which fixes the insertion order of mult
     candidates = sorted(
@@ -237,8 +247,8 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
         if m_mu <= 0:
             raise InvariantViolation(f"multiplicity {m_mu} of {mu} in chi({lam}) is not positive")
         mult[mu] = m_mu
-    rd.chi_cache[lam] = dict(mult)
-    return Character(rd, mult)
+    rd.chi_cache[lam] = mult
+    return mult
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +372,7 @@ def chi_expand_map(rd: RootDatum, mult: dict[Weight, int]) -> VirtualChiSum:
         top = rd.top_weight(work)
         c = work[top]
         out[top] = c
-        for w, m in chi_char(rd, top).mult.items():
+        for w, m in _chi_mult(rd, top).items():
             new = work.get(w, 0) - c * m
             if new:
                 work[w] = new
@@ -378,9 +388,11 @@ def chi_expand(ch: Character) -> VirtualChiSum:
 def evaluate_chi_sum(rd: RootDatum, vcs: VirtualChiSum) -> dict[Weight, int]:
     """Evaluate an integer chi-combination to a compressed weight function
     (entries may be negative; an actual module character is nonnegative)."""
+    if not all(rd.is_dominant(w) for w in vcs.coeffs):
+        raise NotDominant(f"chi-sum over non-dominant weights: {list(vcs.coeffs)}")
     out: dict[Weight, int] = {}
     for w, c in vcs.coeffs.items():
-        for v, m in chi_char(rd, w).mult.items():
+        for v, m in _chi_mult(rd, w).items():
             new = out.get(v, 0) + c * m
             if new:
                 out[v] = new

@@ -22,6 +22,14 @@ numeric evidence it checked:
 
 Only sufficient conditions are certified; a verdict of "inconclusive" never
 asserts non-existence or non-conjugacy.
+
+The layers of a parahoric model are unions of whole Weyl orbits of the
+quotient, each weight once (see :func:`from_parahoric`), so their characters
+and dimensions are read off the weights.  Rule E2 expands every layer in the
+chi basis.  The chi(lam) are linearly independent, so an expansion is unique
+and additive: rule E1's expansion of the aggregate character is the sum of
+the layer expansions, with zero coefficients dropped, and is not expanded
+again.
 """
 
 from __future__ import annotations
@@ -31,15 +39,15 @@ from dataclasses import dataclass, field
 from .affine import ParahoricModel
 from .charring import (
     Character,
+    VirtualChiSum,
     character_to_json,
     chi_char,
     chi_expand,
-    chi_expand_map,
     dim,
     exterior_square,
 )
 from .jantzen import NotPrime, is_prime
-from .rootdata import InvariantViolation, RootDatum, Weight, build_root_datum
+from .rootdata import InvariantViolation, RootDatum, Weight, build_root_datum, dot, wscale, wsub
 
 __all__ = [
     "SplittingSequence",
@@ -64,18 +72,24 @@ TORUS_RULE_NOTE = (
 
 @dataclass(frozen=True)
 class SplittingSequence:
-    """Radical layer characters V_0, ..., V_{n-1} over the reductive quotient."""
+    """Radical layer characters V_0, ..., V_{n-1} over the reductive quotient.
+
+    ``dims`` holds the layer dimensions, summed from the characters once at
+    construction unless the caller passes them: :func:`from_parahoric`
+    counts weights, having checked that each weight is one dimension.
+    """
 
     quotient_datum: RootDatum
     layers: tuple[Character, ...]
+    dims: tuple[int, ...] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not all(ch.datum.same_datum(self.quotient_datum) for ch in self.layers):
             raise InvariantViolation("a layer character lives over another root datum")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim(ch) for ch in self.layers)
+        if self.dims is None:
+            object.__setattr__(self, "dims", tuple(dim(ch) for ch in self.layers))
+        elif len(self.dims) != len(self.layers):
+            raise InvariantViolation(f"{len(self.dims)} dimensions for {len(self.layers)} layers")
 
     @property
     def total_dim(self) -> int:
@@ -85,23 +99,36 @@ class SplittingSequence:
 def from_parahoric(model: ParahoricModel) -> SplittingSequence:
     """Layer weights of a parahoric model as characters of the quotient.
 
-    Layer at grading value j becomes V_{j-1} (each weight with multiplicity
-    one), matching the radical filtration from the top: V_0 is R_0/R_1.
+    Layer at grading value j becomes V_{j-1}, matching the radical filtration
+    from the top: V_0 is R_0/R_1.  A layer is a set of distinct ambient
+    roots that the quotient's Weyl group W keeps stable, since a reflection
+    in a quotient root keeps the grading value.  So it is a union of whole
+    W-orbits, each weight of multiplicity one: its compressed character is 1
+    on each dominant member and its dimension is its number of weights.
+    Both facts are checked, not assumed: the weights must be distinct and
+    closed under the quotient's simple reflections, which generate W.
     """
     datum = model.quotient_datum
+    simples = [(a.coords, a.coroot) for a in datum.simple_roots]
     layers = []
     for weights in model.layers:
-        mult: dict[Weight, int] = {}
+        members = set(weights)
+        if len(members) != len(weights):
+            raise InvariantViolation(f"layer weights are not distinct: {len(members)} of {len(weights)}")
+        dominant = {}
         for w in weights:
-            key = datum.dominant_conjugate(w)
-            mult[key] = mult.get(key, 0) + 1
-        compressed = {}
-        for w, m in mult.items():
-            compressed[w], rest = divmod(m, datum.orbit_size(w))
-            if rest:
-                raise InvariantViolation(f"{m} layer weights conjugate to {w} are not whole orbits")
-        layers.append(Character(datum, compressed))
-    return SplittingSequence(datum, tuple(layers))
+            # s_a(w) = w - <w, a^vee> a; w is dominant iff no pairing is negative
+            lowest = 0
+            for coords, coroot in simples:
+                pairing = dot(w, coroot)
+                if pairing:
+                    lowest = min(lowest, pairing)
+                    if wsub(w, wscale(pairing, coords)) not in members:
+                        raise InvariantViolation(f"layer is not stable under the quotient's Weyl group at {w}")
+            if lowest == 0:
+                dominant[w] = 1
+        layers.append(Character(datum, dominant))
+    return SplittingSequence(datum, tuple(layers), tuple(map(len, model.layers)))
 
 
 @dataclass
@@ -170,11 +197,13 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
         }
     )
 
+    # E1 by linearity: the aggregate's expansion is the sum of E2's
+    expansions = [chi_expand(ch) for ch in seq.layers]
     aggregate: dict[Weight, int] = {}
-    for ch in seq.layers:
-        for w, m in ch.mult.items():
-            aggregate[w] = aggregate.get(w, 0) + m
-    aggregate_expansion = chi_expand_map(datum, aggregate)
+    for expansion in expansions:
+        for w, c in expansion.coeffs.items():
+            aggregate[w] = aggregate.get(w, 0) + c
+    aggregate_expansion = VirtualChiSum({w: c for w, c in aggregate.items() if c})
     e1_ok = total_dim <= bound and aggregate_expansion.is_nonnegative()
     rules.append(
         {
@@ -195,8 +224,7 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
 
     layer_values = []
     e2_ok = True
-    for ch, d in zip(seq.layers, dims):
-        expansion = chi_expand(ch)
+    for expansion, d in zip(expansions, dims):
         good = d <= p and expansion.is_nonnegative()
         layer_values.append(
             {

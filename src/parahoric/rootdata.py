@@ -96,7 +96,7 @@ _LEGAL_RANKS = {
     "A": lambda r: r >= 1,
     "B": lambda r: r >= 1,
     "C": lambda r: r >= 1,
-    "D": lambda r: r >= 2,
+    "D": lambda r: r >= 3,  # D2 would be A1xA1, not one component
     "E": lambda r: r in (6, 7, 8),
     "F": lambda r: r == 4,
     "G": lambda r: r == 2,
@@ -199,8 +199,7 @@ def _cartan_and_symmetrizer(family: str, rank: int) -> tuple[list[list[int]], li
     elif family == "D":
         for i in range(rank - 2):
             edge(i, i + 1)
-        if rank >= 3:
-            edge(rank - 3, rank - 1)
+        edge(rank - 3, rank - 1)
     elif family == "E":
         chain = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
         for i, j in chain:
@@ -378,14 +377,15 @@ class RootDatum:
     ``blocks`` holds each component's Cartan matrix, determinant and
     adjugate; the datum's Cartan matrix and exact inverse are assembled from
     them, not inverted again.  The structure is fixed once built, apart from
-    the root-orbit tables of :meth:`stabilizer_orbits`, which are filled in
-    on first use, and every datum that :func:`build_root_datum` returns for
-    one spec shares it, tables included.  The one attribute that holds characters,
-    ``chi_cache``, belongs to each datum alone: it memoizes
-    ``chi(lam)`` multiplicities by highest weight for
-    :func:`parahoric.charring.chi_char`, starts as a new empty dict, and may be
-    replaced by another store with ``get`` and item assignment, such as the
-    CLI's :class:`parahoric.charring.DiskCharacters`.
+    the root-orbit tables of :meth:`stabilizer_orbits` and the extended
+    affine basis of :func:`parahoric.affine.extended_basis`, which are filled
+    in on first use, and every datum that :func:`build_root_datum` returns
+    for one spec shares it, tables and basis included.  The one attribute
+    that holds characters, ``chi_cache``, belongs to each datum alone: it
+    memoizes ``chi(lam)`` multiplicities by highest weight for
+    :func:`parahoric.charring.chi_char`, starts as a new empty dict, and may
+    be replaced by another store with ``get`` and item assignment, such as
+    the CLI's :class:`parahoric.charring.DiskCharacters`.
     """
 
     def __init__(self, *, spec, n, roots, simple_indices, rho, blocks):
@@ -413,6 +413,9 @@ class RootDatum:
         # stabilizer_orbits tables by J, filled on first use and shared by
         # every build of the spec; they hold root data only
         self._orbit_tables: dict[tuple[int, ...], tuple[tuple[Weight, Weight, int, int], ...]] = {}
+        # structure that other modules derive from the roots alone, by name
+        # (parahoric.affine.extended_basis), filled and shared the same way
+        self._derived: dict[str, object] = {}
         # (2*rho, alpha_i) per simple root, for the Freudenthal denominator
         self._two_rho_form = tuple(
             sum(dot(beta.form, alpha.coords) for beta in self.positive_roots)
@@ -686,10 +689,10 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
 
     The structure (roots, simple indices, Cartan matrix and its integer
     inverse, the 2*rho functionals, the W_J-orbit tables of
-    :meth:`RootDatum.stabilizer_orbits`) is built and checked once per spec, keyed
-    on the canonical ``str(spec)``, so ``"a1xa1+t1"`` and ``"A1xA1+T1"`` share
-    it.  Every call returns a new datum that shares that structure and has its
-    own empty ``chi_cache``.
+    :meth:`RootDatum.stabilizer_orbits`, the extended affine basis) is built
+    and checked once per spec, keyed on the canonical ``str(spec)``, so
+    ``"a1xa1+t1"`` and ``"A1xA1+T1"`` share it.  Every call returns a new
+    datum that shares that structure and has its own empty ``chi_cache``.
     """
     if isinstance(spec, str):
         spec = parse_dynkin_spec(spec)
@@ -738,6 +741,13 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     with the coroot and invariant form of the ambient root with its
     coordinates, so characters over the sub-datum live in the same lattice
     as characters over the ambient datum.
+
+    Last, the subset S must be closed: no a + b with a, b in S is a root
+    outside S.  It suffices to test a simple root a of S, at rank_S * |S|
+    lookups instead of |S|^2.  For let a + b be a root outside S, and take
+    w in W_S with w(a) simple in S; it exists because S is the root system
+    of its base.  W_S keeps S stable, and so the roots outside S, so w(a) +
+    w(b) is again a root outside S, with w(b) in S.
     """
     subset = {tuple(c) for c in coords_subset}
     members = {r.coords: r for r in ambient.roots if r.coords in subset}
@@ -761,6 +771,11 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     for r in datum.roots:
         if (members[r.coords].coroot, members[r.coords].form) != (r.coroot, r.form):
             raise InvariantViolation(f"{r} does not get the coroot and form of the ambient root")
+    for a in datum.simple_roots:
+        for b in members:
+            total = wadd(a.coords, b)
+            if total not in members and total in ambient._coords_index:
+                raise InvariantViolation(f"subset is not closed: {a} + Root({weight_key(b)}) lies outside it")
     return datum
 
 

@@ -5,7 +5,7 @@ library: explicit matrix closure for Weyl groups, exact Fraction solves for
 marks and lattice coordinates, a box scan for the dominant weights below a
 weight, the reflection loop for dominant conjugates, the coefficient-vector
 closure for root systems, and hand-built weight multisets for small modules.
-Five exceptions run on library code: the quotient datum solved root by root
+Seven exceptions run on library code: the quotient datum solved root by root
 over its simple roots, with one exact inverse of their whole Cartan matrix,
 runs on the library's Bareiss inverse, lattice solve and Dynkin-graph
 grouping, and names its type by node classification; the chi-expansion that
@@ -13,8 +13,11 @@ picks its tops by pairwise dominance solves runs on the library's chi_char
 and dominance_leq, and checks the library's pick by a linear functional
 against those solves; the reference Freudenthal loop takes its dominant
 weights from the library's dominance closure (itself checked against the box
-scan here); the Jantzen resolver that evaluates J(lam) to a weight multiset
-runs on the library's Jantzen sums and characters; and the facet model that
+scan here); the splitting sequence compressed weight by weight runs on the
+library's dominant conjugates and orbit sizes, and the E1 expansion of the
+summed layers on its chi-expansion; the Jantzen resolver that evaluates
+J(lam) to a weight multiset runs on the library's Jantzen sums and
+characters; and the facet model that
 grades each root by its canonical representative runs on the library's
 per-root ``canonical_rep`` and ``ell_theta``.
 """
@@ -30,7 +33,7 @@ from parahoric.affine import (
     ell_theta,
     facet_depths,
 )
-from parahoric.charring import _dominant_below, evaluate_chi_sum
+from parahoric.charring import _dominant_below, chi_expand_map, evaluate_chi_sum
 from parahoric.jantzen import (
     JANTZEN_RESOLVED,
     LOWEST_ALCOVE,
@@ -38,6 +41,7 @@ from parahoric.jantzen import (
     jantzen_sum,
     lowest_alcove_test,
 )
+from parahoric.levicert import SplittingSequence
 from parahoric.rootdata import (
     InvariantViolation,
     Root,
@@ -474,3 +478,34 @@ def sub_root_datum_by_solves(ambient, coords_subset):
         "two_rho_coroot": tuple(map(sum, zip((0,) * ambient.n, *(b.coroot for b in positive)))),
         "type": classify_nodes(simples, ambient.n),
     }
+
+
+def from_parahoric_by_conjugates(model):
+    """The splitting sequence of a parahoric model, compressed weight by
+    weight: each layer weight counted at its dominant conjugate, each count
+    divided by the orbit size of its key and checked exact.  Its dims are
+    summed from the characters."""
+    datum = model.quotient_datum
+    layers = []
+    for weights in model.layers:
+        mult = {}
+        for w in weights:
+            key = datum.dominant_conjugate(w)
+            mult[key] = mult.get(key, 0) + 1
+        compressed = {}
+        for w, m in mult.items():
+            compressed[w], rest = divmod(m, datum.orbit_size(w))
+            if rest:
+                raise InvariantViolation(f"{m} layer weights conjugate to {w} are not whole orbits")
+        layers.append(Character(datum, compressed))
+    return SplittingSequence(datum, tuple(layers))
+
+
+def aggregate_expansion(seq):
+    """Rule E1's expansion found directly: the layer characters summed into
+    one compressed function, which is then expanded in the chi basis."""
+    aggregate = {}
+    for ch in seq.layers:
+        for w, m in ch.mult.items():
+            aggregate[w] = aggregate.get(w, 0) + m
+    return chi_expand_map(seq.quotient_datum, aggregate)

@@ -21,7 +21,7 @@ from parahoric.affine import (
     facet_barycenter,
     facet_depths,
 )
-from parahoric.rootdata import InvariantViolation, RootDatum, wneg
+from parahoric.rootdata import InvariantViolation, RootDatum, sub_root_datum, wneg
 
 from _oracles import parahoric_model_by_canonical_rep, solve_marks
 
@@ -260,8 +260,11 @@ def test_functional_matches_canonical_rep_oracle(name):
 def test_extended_basis_rejects_roots_beyond_the_marks(monkeypatch):
     # alpha_1 in place of the highest root still gives delta, but
     # alpha_1 + alpha_2 exceeds its marks by one and would have coefficients
-    # of both signs at level -1
-    rd = build_root_datum("A2")
+    # of both signs at level -1.  The basis of a spec is built once and
+    # shared, so the check runs on a structure of its own: A2 rebuilt from
+    # all its roots.
+    a2 = build_root_datum("A2")
+    rd = sub_root_datum(a2, [r.coords for r in a2.roots])
     monkeypatch.setattr(RootDatum, "highest_root", lambda self, comp: self.simple_roots[0])
     with pytest.raises(InvariantViolation, match="exceeds the marks"):
         extended_basis(rd)

@@ -1,0 +1,28 @@
+"""Levi certificates of whole facet sweeps against recorded digests.
+
+The digests were recorded from the engine that compressed each layer weight
+by weight (dominant conjugates, counts divided by orbit sizes) and expanded
+the aggregate character of rule E1 on its own.  ``check_certificate_digests.py``
+also checks the recorded E7 and E8 sweeps.
+"""
+
+import pytest
+
+from check_certificate_digests import PRIMES, recorded, sweep_digest, sweep_key
+
+SWEEPS = [(spec, p, refine) for spec in ("F4", "E6") for p in PRIMES for refine in (False, True)]
+SWEEPS += [("E7", 5, False), ("E7", 5, True)]
+
+
+@pytest.mark.parametrize("spec,p,refine", SWEEPS, ids=lambda v: str(v))
+def test_certificate_sweep_matches_its_recorded_digest(spec, p, refine):
+    assert sweep_digest(spec, p, refine) == recorded()[sweep_key(spec, p, refine)]
+
+
+def test_every_recorded_sweep_is_known():
+    assert sorted(recorded()) == sorted(
+        sweep_key(spec, p, refine)
+        for spec in ("F4", "E6", "E7", "E8")
+        for p in PRIMES
+        for refine in (False, True)
+    )

@@ -319,3 +319,16 @@ def test_characters_over_torus_datum(a2, a2_basis):
     ch = chi_char(torus, (2, -1))
     assert ch.mult == {(2, -1): 1} and dim(ch) == 1
     assert chi_expand(Character(torus, {(1, 0): 2})).coeffs == {(1, 0): 2}
+
+
+def test_chi_readers_share_the_cached_map_without_changing_it():
+    rd = build_root_datum("B2")
+    lam = (1, 2)
+    stored = dict(chi_char(rd, lam).mult)
+    mult = evaluate_chi_sum(rd, VirtualChiSum({lam: 2, (0, 0): -1}))
+    assert chi_expand_map(rd, mult).coeffs == {lam: 2, (0, 0): -1}
+    # chi_char hands out a copy: changing it leaves the cached map as it was
+    chi_char(rd, lam).mult[lam] = 99
+    assert rd.chi_cache[lam] == stored == chi_char(rd, lam).mult
+    with pytest.raises(NotDominant):
+        evaluate_chi_sum(rd, VirtualChiSum({(-1, 0): 1}))

@@ -158,6 +158,16 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_d2_is_a_usage_error(capsys):
+    # D2 is A1xA1: as one component it has no unique highest root, which
+    # made every command exit 3
+    for command in (["rootsys"], ["facets"], ["levi", "--theta", "0", "--p", "5"]):
+        assert main([command[0], "--type", "D2", *command[1:]]) == 1
+        assert "illegal rank 2 for family D" in capsys.readouterr().err
+    assert main(["rootsys", "--type", "D3"]) == 0
+    capsys.readouterr()
+
+
 def test_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
     # a wrong chi(3,0) that passes the cache checks (dim 10, keys dominant
     # below (3,0)) makes chi(3,0) - ch L(1,1) negative at p = 3

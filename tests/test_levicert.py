@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,10 +19,19 @@ from parahoric import (
     parse_facet_spec,
     unitary_report,
 )
-from parahoric.charring import chi_expand, evaluate_chi_sum, exterior_square, VirtualChiSum, add
+from parahoric.charring import (
+    VirtualChiSum,
+    add,
+    character_to_json,
+    chi_expand,
+    evaluate_chi_sum,
+    exterior_square,
+)
 from parahoric.levicert import CERTIFIED, CONDITIONAL, INCONCLUSIVE, SplittingSequence
 
-from _oracles import chi_expand_pairwise
+from _oracles import aggregate_expansion, chi_expand_pairwise, from_parahoric_by_conjugates
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _model(name, theta_text):
@@ -178,6 +190,74 @@ def test_chi_expand_matches_pairwise_oracle_on_certify_sweep():
                 aggregate = add(aggregate, layer)
             for ch in (*seq.layers, aggregate):
                 assert chi_expand(ch).coeffs == chi_expand_pairwise(ch.datum, ch.mult)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "D4", "G2", "F4", "E6", "A1xA1+T1", "B2xG2"])
+def test_layers_and_e1_match_the_per_weight_oracles(name):
+    rd = build_root_datum(name)
+    basis = extended_basis(rd)
+    for theta in enumerate_facets(rd, basis):
+        model = parahoric_model(rd, theta, basis)
+        seq = from_parahoric(model)
+        expected = from_parahoric_by_conjugates(model)
+        assert seq.layers == expected.layers, theta
+        assert seq.dims == expected.dims, theta
+        e1 = certify(seq, 5).rule("E1")["values"]
+        direct = aggregate_expansion(expected)
+        assert e1["expansion"] == character_to_json(direct.coeffs), theta
+        assert e1["nonnegative"] == direct.is_nonnegative(), theta
+
+
+def test_e1_sums_the_layer_expansions_dropping_cancelled_terms():
+    # over A2 the orbit sum m(1,1) is chi(1,1) - 2 chi(0,0); a second layer
+    # 2 chi(0,0) cancels the negative term in the aggregate
+    a2 = build_root_datum("A2")
+    orbit_sum = Character(a2, {(1, 1): 1})
+    trivial = Character(a2, {(0, 0): 2})
+    for layers, expansion in [
+        ((orbit_sum,), {"0,0": -2, "1,1": 1}),
+        ((orbit_sum, trivial), {"1,1": 1}),
+    ]:
+        seq = SplittingSequence(a2, layers)
+        cert = certify(seq, 11)
+        e1 = cert.rule("E1")["values"]
+        assert e1["expansion"] == expansion == character_to_json(aggregate_expansion(seq).coeffs)
+        assert e1["nonnegative"] == (len(layers) == 2)
+        assert [layer["expansion"] for layer in cert.rule("E2")["values"]["layers"]] == [
+            character_to_json(chi_expand(ch).coeffs) for ch in layers
+        ]
+
+
+# B3 at the facet {2}: the quotient is A3 and the one layer of six weights is
+# a single orbit of it.  Dropping a weight, or repeating one, leaves a layer
+# that is no union of whole orbits of multiplicity one.
+BROKEN_LAYERS = (
+    "import dataclasses\n"
+    "from parahoric import (InvariantViolation, build_root_datum, extended_basis, from_parahoric,\n"
+    "                       parahoric_model, parse_facet_spec)\n"
+    "rd = build_root_datum('B3')\n"
+    "basis = extended_basis(rd)\n"
+    "model = parahoric_model(rd, parse_facet_spec('2', basis), basis)\n"
+    "(layer,) = model.layers\n"
+    "for broken in (layer[1:], layer + layer[:1]):\n"
+    "    try:\n"
+    "        from_parahoric(dataclasses.replace(model, layers=(broken,)))\n"
+    "    except InvariantViolation as exc:\n"
+    "        print('raised:', exc)\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_from_parahoric_rejects_layers_that_are_not_whole_orbits(flags):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", BROKEN_LAYERS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised: layer is not stable under the quotient's Weyl group at (1, -1, 0)",
+        "raised: layer weights are not distinct: 6 of 7",
+    ]
 
 
 def test_chi_expand_matches_pairwise_oracle_on_unitary_family():

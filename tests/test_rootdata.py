@@ -74,7 +74,7 @@ def test_parse_grammar():
 
 
 def test_parse_rejects_bad_specs():
-    for bad in ["", "H3", "A0", "D1", "E5", "F3", "G4", "A1+X2", "A", "A1x"]:
+    for bad in ["", "H3", "A0", "D1", "D2", "E5", "F3", "G4", "A1+X2", "A", "A1x"]:
         with pytest.raises(IllegalRank):
             parse_dynkin_spec(bad)
 
@@ -580,6 +580,48 @@ def test_sub_root_datum_rejects_subsets_that_are_not_the_root_system_of_their_ba
     message = f"subset is not the root system of its base, which differs on {differ}"
     with pytest.raises(InvariantViolation, match=re.escape(message)):
         sub_root_datum(build_root_datum(name), subset)
+
+
+def test_sub_root_datum_rejects_subsets_that_are_not_closed():
+    # C2: +-alpha_1, +-(alpha_1 + alpha_2), both short and orthogonal, is the
+    # root system A1xA1 of its base, but alpha_1 - (alpha_1 + alpha_2) =
+    # -alpha_2 is a root outside it
+    c2 = build_root_datum("C2")
+    with pytest.raises(InvariantViolation, match=re.escape("subset is not closed: Root(2,-1) + Root(0,-1)")):
+        sub_root_datum(c2, [(2, -1), (-2, 1), (0, 1), (0, -1)])
+
+
+CLOSURE_SWEEP_TYPES = [
+    "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2", "A1xA1", "B2xA1", "B2xB2", "G2xA1",
+]
+
+
+def test_closure_check_matches_the_all_pairs_check():
+    """Every symmetric subset that is the root system of its base (every
+    nonempty set of positive roots with their negatives, kept unless
+    ``sub_root_datum`` rejects it on another ground) is accepted exactly when
+    no sum of two of its roots is a root outside it."""
+    subsystems = not_closed = 0
+    for name in CLOSURE_SWEEP_TYPES:
+        rd = build_root_datum(name)
+        roots = {r.coords for r in rd.roots}
+        positives = [r.coords for r in rd.positive_roots]
+        for k in range(1, len(positives) + 1):
+            for chosen in itertools.combinations(positives, k):
+                subset = set(chosen) | {wneg(c) for c in chosen}
+                sums = {tuple(x + y for x, y in zip(a, b)) for a in subset for b in subset}
+                closed = not (sums & roots) - subset
+                try:
+                    sub_root_datum(rd, subset)
+                except InvariantViolation as exc:
+                    if not str(exc).startswith("subset is not closed"):
+                        continue
+                    assert not closed, (name, sorted(subset))
+                else:
+                    assert closed, (name, sorted(subset))
+                subsystems += 1
+                not_closed += not closed
+    assert (subsystems, not_closed) == (349, 36)
 
 
 SWEEP_TYPES = [
