@@ -112,10 +112,10 @@ def extended_basis(rd: RootDatum) -> AffineBasis:
     the tables of :meth:`RootDatum.stabilizer_orbits`: every datum that
     :func:`build_root_datum` returns for one spec gets the same basis.
     """
-    basis = rd._derived.get("extended_basis")
-    if basis is None:
-        basis = rd._derived["extended_basis"] = _build_extended_basis(rd)
-    return basis
+    built = rd._extended_basis
+    if not built:
+        built.append(_build_extended_basis(rd))
+    return built[0]
 
 
 def _build_extended_basis(rd: RootDatum) -> AffineBasis:

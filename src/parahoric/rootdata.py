@@ -21,6 +21,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .affine import AffineBasis
 
 __all__ = [
     "Weight",
@@ -413,9 +417,10 @@ class RootDatum:
         # stabilizer_orbits tables by J, filled on first use and shared by
         # every build of the spec; they hold root data only
         self._orbit_tables: dict[tuple[int, ...], tuple[tuple[Weight, Weight, int, int], ...]] = {}
-        # structure that other modules derive from the roots alone, by name
-        # (parahoric.affine.extended_basis), filled and shared the same way
-        self._derived: dict[str, object] = {}
+        # the extended affine basis of parahoric.affine.extended_basis, empty
+        # until first use; a list so that every build of the spec shares the
+        # one basis built, as it shares the orbit tables
+        self._extended_basis: list[AffineBasis] = []
         # (2*rho, alpha_i) per simple root, for the Freudenthal denominator
         self._two_rho_form = tuple(
             sum(dot(beta.form, alpha.coords) for beta in self.positive_roots)

@@ -270,6 +270,16 @@ def test_extended_basis_rejects_roots_beyond_the_marks(monkeypatch):
         extended_basis(rd)
 
 
+def test_extended_basis_is_built_once_per_spec():
+    first, second = build_root_datum("B3"), build_root_datum("B3")
+    basis = extended_basis(first)
+    assert extended_basis(second) is basis
+    assert first.chi_cache is not second.chi_cache
+    rebuilt = sub_root_datum(first, [r.coords for r in first.roots])
+    assert extended_basis(rebuilt) is not basis
+    assert extended_basis(rebuilt) is extended_basis(rebuilt)
+
+
 def test_product_layers_merge_by_grading_value():
     rd, b = _basis("A1xA1")
     mixed = parahoric_model(rd, parse_facet_spec("0,1/1", b), b)

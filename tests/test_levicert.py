@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -201,11 +202,25 @@ def test_layers_and_e1_match_the_per_weight_oracles(name):
         seq = from_parahoric(model)
         expected = from_parahoric_by_conjugates(model)
         assert seq.layers == expected.layers, theta
-        assert seq.dims == expected.dims, theta
+        assert seq.dims == expected.dims == tuple(map(len, model.layers)), theta
         e1 = certify(seq, 5).rule("E1")["values"]
         direct = aggregate_expansion(expected)
         assert e1["expansion"] == character_to_json(direct.coeffs), theta
         assert e1["nonnegative"] == direct.is_nonnegative(), theta
+
+
+def test_dims_follow_the_layers():
+    a2 = build_root_datum("A2")
+    seq = SplittingSequence(a2, (Character(a2, {(1, 1): 1}),))
+    assert seq.dims == (6,)
+    with pytest.raises(TypeError):
+        SplittingSequence(a2, seq.layers, (1,))
+    replaced = dataclasses.replace(seq, layers=seq.layers + (Character(a2, {(0, 0): 2}),))
+    assert replaced.dims == (6, 2)
+    # from_parahoric counts weights; a replaced sequence sums its characters
+    counted = from_parahoric(_model("A2", "0,2"))
+    assert counted.dims == (4,)
+    assert dataclasses.replace(counted, layers=counted.layers * 2).dims == (4, 4)
 
 
 def test_e1_sums_the_layer_expansions_dropping_cancelled_terms():
