@@ -11,7 +11,10 @@ multiplicities", Bull. AMS 1982; Stembridge, "Computational aspects of root
 systems, Coxeter groups, and Weyl characters", MSJ Memoirs 11, 2001); every
 division in that recursion is checked exact, so the results are certified
 integers.  The Weyl degree formula lives in :mod:`parahoric.rootdata` and is
-kept independent as a cross-check.
+kept independent as a cross-check.  The Weyl-group walks come from there
+too: the dominant weights below lam are a breadth-first closure, and
+:func:`chi_normalize` is the chamber walk run on the pairings with
+alpha_i^vee shifted by rho.
 
 A :class:`VirtualChiSum` is an integer combination of the ``chi(lam)``; the
 transition matrix between orbit sums and the chi-basis is unitriangular for
@@ -33,6 +36,9 @@ from .rootdata import (
     NotDominant,
     RootDatum,
     Weight,
+    _chamber_walk,
+    _closure,
+    _combine,
     dot,
     parse_weight_key,
     wadd,
@@ -126,31 +132,23 @@ def _check_same(ch1: Character, ch2: Character):
 
 
 def _dominant_below(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
-    """All dominant mu <= lam, each with the height of lam - mu.
-
-    Closure from lam: subtract positive roots and keep the dominant results.
-    This reaches every dominant mu <= lam because covers in the dominance
-    order on dominant weights differ by a positive root (Stembridge, "The
-    partial order of dominant weights", Adv. Math. 1998).  Only roots beta
-    with ``<mu, beta^vee> >= 2`` are tried: for the others mu - beta is not
-    dominant.
+    """All dominant mu <= lam, each with the height of lam - mu, in the
+    order reached by :func:`_closure` from lam, which subtracts positive
+    roots and keeps the dominant results.  This reaches every dominant mu <=
+    lam because covers in the dominance order on dominant weights differ by
+    a positive root (Stembridge, "The partial order of dominant weights",
+    Adv. Math. 1998).  Only roots beta with ``<mu, beta^vee> >= 2`` are
+    tried: for the others ``<mu - beta, beta^vee> < 0``.
     """
     heights = {lam: 0}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for beta in rd.positive_roots:
-                # mu - beta dominant gives <mu - beta, beta^vee> >= 0, that is
-                # <mu, beta^vee> >= 2
-                if dot(mu, beta.coroot) < 2:
-                    continue
+
+    def step(mu, height):
+        for beta in rd.positive_roots:
+            if dot(mu, beta.coroot) >= 2:
                 nu = wsub(mu, beta.coords)
                 if nu not in heights and rd.is_dominant(nu):
-                    heights[nu] = heights[mu] + beta.height
-                    nxt.append(nu)
-        frontier = nxt
-    return heights
+                    yield nu, height + beta.height
+    return _closure(heights, step)
 
 
 def _plausible_character(rd: RootDatum, lam: Weight, mult) -> bool:
@@ -336,24 +334,15 @@ def chi_normalize(rd: RootDatum, mu: Weight):
 
     Returns ``None`` when mu + rho is singular (chi vanishes), else the pair
     ``(sign, dominant weight)`` with ``chi(mu) = sign * chi(dominant)``.
-    Pairings with rho enter only through coroot heights, so this works over
-    quotient data where rho itself is not a lattice point.
-    """
-    w = mu
-    sign = 1
-    while True:
-        progressed = False
-        for a in rd.simple_roots:
-            shifted = dot(w, a.coroot) + 1  # <mu + rho, a^vee>
-            if shifted == 0:
-                return None
-            if shifted < 0:
-                w = wsub(w, tuple(shifted * c for c in a.coords))
-                sign = -sign
-                progressed = True
-                break
-        if not progressed:
-            return sign, w
+    :func:`_chamber_walk` runs on ``<mu + rho, alpha_i^vee> = <mu,
+    alpha_i^vee> + 1``, which also serves quotient data, where rho is no
+    lattice point: mu + rho is singular exactly when a final pairing is 0,
+    and otherwise each step shortens w by one, so the sign is (-1)^steps."""
+    pairs = [dot(mu, f) + 1 for f in rd._simple_coroots]  # <mu + rho, a_i^vee>
+    if pairs and min(pairs) > 0:  # regular dominant already, the common case
+        return 1, mu
+    added, steps = _chamber_walk(pairs, rd._cartan_columns)
+    return None if 0 in pairs else ((-1) ** steps, _combine(added, rd._simple_coords, mu))
 
 
 def chi_expand_map(rd: RootDatum, mult: dict[Weight, int]) -> VirtualChiSum:
@@ -430,8 +419,9 @@ class DiskCharacters:
     A missing, unreadable or implausible file (see
     :func:`_plausible_character`) is a miss, which the recomputed character
     then overwrites.  Files are written atomically, each writer through a
-    temporary file of its own; an entry read or written once is served from
-    memory after that.
+    temporary file of its own; a write that fails with an ``OSError`` (say,
+    the root is a regular file) leaves no file and is a miss too.  An entry
+    read or written once, or not written, is served from memory after that.
     """
 
     def __init__(self, rd: RootDatum, root: str):
@@ -460,15 +450,19 @@ class DiskCharacters:
 
     def __setitem__(self, lam: Weight, mult: dict[Weight, int]) -> None:
         path = self._path(lam)
-        os.makedirs(self.dir, exist_ok=True)
-        # a temporary file per writer: two writers of one entry must not
-        # write through, or rename away, each other's file
-        fd, tmp = tempfile.mkstemp(dir=self.dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
+        tmp = None
         try:
+            os.makedirs(self.dir, exist_ok=True)
+            # a temporary file per writer: two writers of one entry must not
+            # write through, or rename away, each other's file
+            fd, tmp = tempfile.mkstemp(dir=self.dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
             with open(fd, "w", encoding="utf-8") as fh:
                 json.dump(character_to_json(mult), fh)
             os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            tmp = None
+        except OSError:
+            pass  # an unwritable cache is a miss; the character stays in memory
+        finally:
+            if tmp is not None:
+                os.unlink(tmp)
         self.memo[lam] = mult

@@ -350,6 +350,13 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    except Exception as exc:
+        # imported only here, so that no run that succeeds pays for it
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     if args.json:
         envelope = {
             "command": args.command,

@@ -12,6 +12,14 @@ reductive quotient attached to a parahoric facet).  Both are built on one
 path that inverts each component's Cartan matrix once and closes its simple
 roots under reflection; a quotient is then checked against the roots it was
 carved from, and a datum's type is read off its stored component matrices.
+
+Every walk of the Weyl group runs on two helpers.  :func:`_closure` is a
+breadth-first closure of labelled points.  It gives the roots of a
+component, Weyl orbits, the W_J-orbits on the roots, and, in
+:mod:`parahoric.charring`, the dominant weights below a weight.
+:func:`_chamber_walk` walks simple pairings into the dominant chamber.  It
+gives :meth:`RootDatum.dominant_conjugate` and, shifted by rho, the
+dot-action normalization :func:`parahoric.charring.chi_normalize`.
 """
 
 from __future__ import annotations
@@ -352,25 +360,50 @@ def _dynkin_components(nodes) -> list[list[int]]:
     return list(groups.values())
 
 
+def _closure(reached: dict, step) -> dict:
+    """Breadth-first closure in place: ``reached`` maps the start points to
+    labels, and each ``(neighbour, label)`` that ``step(point, label)``
+    yields for a point not yet in it is added, in the order reached.  A step
+    may read ``reached`` to skip points already in."""
+    queue = list(reached.items())
+    for point, label in queue:  # the queue grows while it is walked
+        for img, img_label in step(point, label):
+            if img not in reached:
+                reached[img] = img_label
+                queue.append((img, img_label))
+    return reached
+
+
+def _chamber_walk(pairs: list[int], columns) -> tuple[list[int], int]:
+    """Walk a point's simple pairings ``pairs`` into the dominant chamber in
+    place: s_i for the first p_i < 0 adds ``-p_i`` alpha_i to the point and
+    ``-p_i`` times Cartan column i (its nonzero ``(j, c)`` in ``columns[i]``)
+    to the pairings.  Returns the simple-root coefficients added and the
+    number of steps: l(w) if the point is off the walls and w moves it in."""
+    added, steps = [0] * len(pairs), 0
+    while True:
+        for i, p_i in enumerate(pairs):
+            if p_i < 0:
+                break
+        else:
+            return added, steps
+        added[i] -= p_i
+        steps += 1
+        for j, c in columns[i]:
+            pairs[j] -= p_i * c
+
+
 def _parabolic_orbits(datum: "RootDatum", zeros: tuple[int, ...]) -> list[list[Root]]:
     """The orbits on the roots of the group generated by the simple
     reflections ``zeros`` that contain a positive root, in root order of
     their first positive root, each listed from that root."""
     gens = [datum.simple_roots[j] for j in zeros]
-    seen: set[Weight] = set()
-    orbits = []
+    orbits, seen = [], set()
     for alpha in datum.positive_roots:
-        if alpha.coords in seen:
-            continue
-        seen.add(alpha.coords)
-        orbit = [alpha]
-        for beta in orbit:  # the orbit grows while it is walked
-            for s in gens:
-                img = datum.reflect(s, beta.coords)
-                if img not in seen:
-                    seen.add(img)
-                    orbit.append(datum.root_with_coords(img))
-        orbits.append(orbit)
+        if alpha.coords not in seen:
+            orbit = _closure({alpha.coords: None}, lambda b, _: ((datum.reflect(s, b), None) for s in gens))
+            seen.update(orbit)
+            orbits.append([datum.root_with_coords(b) for b in orbit])
     return orbits
 
 
@@ -412,7 +445,8 @@ class RootDatum:
         )
         self._simple_coords = tuple(a.coords for a in flat)
         self._simple_coroots = tuple(a.coroot for a in flat)
-        self._cartan_columns = tuple(zip(*self.cartan))
+        # the nonzero entries (j, c) of each Cartan column, for _chamber_walk
+        self._cartan_columns = tuple(tuple((j, c) for j, c in enumerate(col) if c) for col in zip(*self.cartan))
         self.chi_cache: dict[Weight, dict[Weight, int]] = {}
         # stabilizer_orbits tables by J, filled on first use and shared by
         # every build of the spec; they hold root data only
@@ -421,11 +455,9 @@ class RootDatum:
         # until first use; a list so that every build of the spec shares the
         # one basis built, as it shares the orbit tables
         self._extended_basis: list[AffineBasis] = []
-        # (2*rho, alpha_i) per simple root, for the Freudenthal denominator
-        self._two_rho_form = tuple(
-            sum(dot(beta.form, alpha.coords) for beta in self.positive_roots)
-            for alpha in flat
-        )
+        # (2*rho, alpha_i) per simple root, for the Freudenthal denominator:
+        # <2*rho, alpha_i^vee> (alpha_i, alpha_i) / 2 = (alpha_i, alpha_i)
+        self._two_rho_form = tuple(dot(alpha.form, alpha.coords) for alpha in flat)
         # 2*rho^vee, the sum of the positive coroots: 2 on every simple root
         self._two_rho_coroot = tuple(map(sum, zip((0,) * n, *(b.coroot for b in self.positive_roots))))
 
@@ -472,46 +504,20 @@ class RootDatum:
         return wsub(lam, wscale(dot(lam, root.coroot), root.coords))
 
     def is_dominant(self, lam: Weight) -> bool:
-        return all(dot(lam, a.coroot) >= 0 for a in self._simple_roots)
+        return all(dot(lam, f) >= 0 for f in self._simple_coroots)
 
     def weyl_orbit(self, lam: Weight) -> tuple[Weight, ...]:
         """The Weyl-group orbit of ``lam``, in a deterministic (sorted) order."""
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for a in self._simple_roots:
-                    img = self.reflect(a, w)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return tuple(sorted(seen))
+        orbit = _closure({lam: None}, lambda w, _: ((self.reflect(a, w), None) for a in self._simple_roots))
+        return tuple(sorted(orbit))
 
     def dominant_conjugate(self, lam: Weight) -> Weight:
-        """The unique dominant member of the Weyl orbit of ``lam``.
-
-        Reflects in the simple pairings ``p_i = <w, alpha_i^vee>``: s_i sends
-        ``p_j`` to ``p_j - p_i <alpha_i, alpha_j^vee>`` (column i of the Cartan
-        matrix) and subtracts ``p_i alpha_i`` from w, so w is rebuilt once from
-        the accumulated simple-root coefficients.
-        """
+        """The unique dominant member of the Weyl orbit of ``lam``:
+        :func:`_chamber_walk` on the pairings ``<lam, alpha_i^vee>``, and
+        ``lam`` rebuilt once from the simple-root coefficients it adds."""
         pairs = [dot(lam, f) for f in self._simple_coroots]
-        if min(pairs, default=0) >= 0:
-            return lam
-        added = [0] * len(pairs)
-        while True:
-            for i, p_i in enumerate(pairs):
-                if p_i < 0:
-                    break
-            else:
-                break
-            added[i] -= p_i
-            for j, c in enumerate(self._cartan_columns[i]):
-                if c:
-                    pairs[j] -= p_i * c
-        return _combine(added, self._simple_coords, lam)
+        added, steps = _chamber_walk(pairs, self._cartan_columns)
+        return _combine(added, self._simple_coords, lam) if steps else lam
 
     def orbit_size(self, lam: Weight) -> int:
         """|W|/|W_lam| as the product of (ht b + 1)/ht b over the positive roots
@@ -631,20 +637,14 @@ def _component_roots(cartan) -> dict[tuple[int, ...], tuple[int, ...]]:
     rank = len(cartan)
     columns = tuple(zip(*cartan))
     roots = {tuple(int(j == i) for j in range(rank)): columns[i] for i in range(rank)}
-    frontier = list(roots.items())
-    while frontier:
-        nxt = []
-        for coeffs, local in frontier:
-            for i, pairing in enumerate(local):
-                if not pairing:
-                    continue
+
+    def step(coeffs, local):
+        for i, pairing in enumerate(local):
+            if pairing:
                 img = coeffs[:i] + (coeffs[i] - pairing,) + coeffs[i + 1 :]
                 if img not in roots:
-                    img_local = tuple(x - pairing * c for x, c in zip(local, columns[i]))
-                    roots[img] = img_local
-                    nxt.append((img, img_local))
-        frontier = nxt
-    return roots
+                    yield img, tuple(x - pairing * c for x, c in zip(local, columns[i]))
+    return _closure(roots, step)
 
 
 def _datum_from_simples(spec, n: int, rho, components) -> RootDatum:

@@ -3,8 +3,9 @@
 These recompute expected values along routes that do not share code with the
 library: explicit matrix closure for Weyl groups, exact Fraction solves for
 marks and lattice coordinates, a box scan for the dominant weights below a
-weight, the reflection loop for dominant conjugates, the coefficient-vector
-closure for root systems, and hand-built weight multisets for small modules.
+weight, the reflection loop for dominant conjugates, the coordinate rescan
+for the dot action, the coefficient-vector closure for root systems, and
+hand-built weight multisets for small modules.
 Seven exceptions run on library code: the quotient datum solved root by root
 over its simple roots, with one exact inverse of their whole Cartan matrix,
 runs on the library's Bareiss inverse, lattice solve and Dynkin-graph
@@ -241,6 +242,28 @@ def dominant_conjugate_by_reflection(datum, lam):
                 break
         else:
             return w
+
+
+def chi_normalize_by_rescans(datum, mu):
+    """chi at an arbitrary weight through the dot action, by rescanning: after
+    every reflection all pairings <w + rho, a^vee> are recomputed from the
+    coordinates, and the scan stops at the first simple root pairing to zero
+    or negatively.  None when mu + rho is singular, else (sign, dominant)."""
+    w = mu
+    sign = 1
+    while True:
+        progressed = False
+        for a in datum.simple_roots:
+            shifted = dot(w, a.coroot) + 1  # <mu + rho, a^vee>
+            if shifted == 0:
+                return None
+            if shifted < 0:
+                w = wsub(w, tuple(shifted * c for c in a.coords))
+                sign = -sign
+                progressed = True
+                break
+        if not progressed:
+            return sign, w
 
 
 def chi_char_reference(datum, lam):

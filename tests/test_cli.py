@@ -275,18 +275,61 @@ def test_disk_cache_entries_are_keyed_by_version_and_datum(tmp_path, monkeypatch
 
 
 def test_disk_cache_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    # an OSError is a miss that keeps the character in memory; any other
+    # error is raised, after the same cleanup
     a2 = build_root_datum("A2")
     store = DiskCharacters(a2, str(tmp_path))
+    errors = [OSError("disk full"), TypeError("not serializable")]
 
     def failing_dump(obj, fh):
         fh.write("{")
-        raise OSError("disk full")
+        raise errors.pop(0)
 
     monkeypatch.setattr(json, "dump", failing_dump)
-    with pytest.raises(OSError, match="disk full"):
-        store[(1, 0)] = {(1, 0): 1}
+    store[(1, 0)] = {(1, 0): 1}
     assert _files_under(tmp_path) == []
-    assert store.get((1, 0)) is None
+    assert store.get((1, 0)) == {(1, 0): 1}
+    with pytest.raises(TypeError, match="not serializable"):
+        store[(0, 1)] = {(0, 1): 1}
+    assert _files_under(tmp_path) == []
+    assert store.get((0, 1)) is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["character", "--type", "A2", "--weight", "1,1"],
+        ["jantzen", "--type", "A2", "--weight", "5,0", "--p", "5"],
+        ["verify-sl3", "--p", "5"],
+    ],
+)
+def test_unwritable_cache_is_a_miss(tmp_path, monkeypatch, capsys, argv):
+    # a cache root that is a regular file made every write raise
+    # NotADirectoryError, and the command exit 1 with a traceback
+    root = tmp_path / "cache"
+    root.write_text("")
+    monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(root))
+    code, envelope = run_json(capsys, argv)
+    _, uncached = run_json(capsys, argv + ["--no-cache"])
+    assert code == 0
+    del envelope["elapsed_ms"], uncached["elapsed_ms"]
+    assert envelope == uncached
+    assert _files_under(tmp_path) == ["cache"]
+
+
+def test_unexpected_exceptions_exit_3(monkeypatch, capsys):
+    import parahoric.cli as cli_mod
+
+    def broken(rd, lam):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli_mod, "chi_char", broken)
+    assert main(["character", "--type", "A2", "--weight", "1,1", "--no-cache"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "internal error: KeyError: 'boom'"
+    assert main(["character", "--type", "A2", "--weight", "1"]) == 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

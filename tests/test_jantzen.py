@@ -11,6 +11,7 @@ from parahoric import (
     SimpleLedger,
     build_root_datum,
     chi_char,
+    chi_normalize,
     dim,
     dot_reflect,
     dual,
@@ -26,7 +27,7 @@ from parahoric import jantzen
 from parahoric.jantzen import JANTZEN_RESOLVED, LOWEST_ALCOVE, LedgerEntry
 from parahoric.rootdata import NotDominant, dot
 
-from _oracles import resolve_by_evaluation
+from _oracles import chi_normalize_by_rescans, resolve_by_evaluation
 
 # (type, p, side) of the box [0, side)^rank, as in the modular_ledger
 # benchmark workload, which also issues each box in this shuffled order
@@ -79,6 +80,22 @@ def test_jantzen_sum_validates_input(a2):
         jantzen_sum(a2, 6, (1, 0))
     with pytest.raises(NotDominant):
         jantzen_sum(a2, 5, (-1, 0))
+
+
+def test_chi_normalize_matches_the_rescanning_oracle_on_jantzen_reflections():
+    # every dot reflection s_{alpha, mp} . lam that jantzen_sum normalizes,
+    # over the weight boxes [0, side)^rank of six types at p = 5 and 7
+    outcomes = {None: 0, 1: 0, -1: 0}
+    for name, side in (("A2", 12), ("B2", 10), ("G2", 7), ("A3", 5), ("B3", 4), ("C3", 4)):
+        rd = build_root_datum(name)
+        for p, lam in itertools.product((5, 7), itertools.product(range(side), repeat=rd.n)):
+            for alpha in rd.positive_roots:
+                for mp in range(p, dot(lam, alpha.coroot) + alpha.coroot_height, p):
+                    mu = dot_reflect(rd, alpha, mp, lam)
+                    got = chi_normalize(rd, mu)
+                    assert got == chi_normalize_by_rescans(rd, mu), (name, p, lam, alpha, mp)
+                    outcomes[got and got[0]] += 1
+    assert outcomes == {None: 1137, 1: 1965, -1: 917}
 
 
 def test_jantzen_sum_empty_for_interior_lowest_alcove():

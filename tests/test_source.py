@@ -51,8 +51,8 @@ def test_no_unused_imports():
 
 
 def test_no_unreferenced_private_definitions():
-    # a module-level _helper that no module of the package names any more is
-    # dead code left behind by a refactor
+    # a module-level _helper, or a _method of a class, that no module of the
+    # package names any more is dead code left behind by a refactor
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     referenced = {
         node.id if isinstance(node, ast.Name) else node.attr
@@ -63,9 +63,11 @@ def test_no_unreferenced_private_definitions():
     offenders = [
         f"{name}:{node.lineno} {node.name}"
         for name, tree in trees.items()
-        for node in tree.body
+        for top in tree.body
+        for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_")
+        and not node.name.endswith("__")
         and node.name not in referenced
     ]
     assert offenders == []
