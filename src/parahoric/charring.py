@@ -341,7 +341,7 @@ def chi_normalize(rd: RootDatum, mu: Weight):
     pairs = [dot(mu, f) + 1 for f in rd._simple_coroots]  # <mu + rho, a_i^vee>
     if pairs and min(pairs) > 0:  # regular dominant already, the common case
         return 1, mu
-    added, steps = _chamber_walk(pairs, rd._cartan_columns)
+    added, steps = _chamber_walk(pairs, rd._cartan_columns, len(rd.positive_roots))
     return None if 0 in pairs else ((-1) ** steps, _combine(added, rd._simple_coords, mu))
 
 

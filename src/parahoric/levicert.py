@@ -47,7 +47,7 @@ from .charring import (
     exterior_square,
 )
 from .jantzen import NotPrime, is_prime
-from .rootdata import InvariantViolation, RootDatum, Weight, build_root_datum, dot, wscale, wsub
+from .rootdata import InvariantViolation, RootDatum, Weight, build_root_datum
 
 __all__ = [
     "SplittingSequence",
@@ -105,25 +105,34 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
     on each dominant member and its dimension is its number of weights.
     W-stability is checked, not assumed: the weights must be distinct and
     closed under the quotient's simple reflections, which generate W.
+
+    Both tests are lookups by ambient root index: each quotient simple root
+    a reads its row of :meth:`RootDatum.reflection_row` on the ambient datum,
+    and a weight w is dominant when no s_a raises its ambient height, since
+    s_a(w) - w = -<w, a^vee> a and a is a positive ambient root.
     """
-    datum = model.quotient_datum
-    simples = [(a.coords, a.coroot) for a in datum.simple_roots]
+    datum, ambient = model.quotient_datum, model.datum
+    roots, index = ambient.roots, ambient._coords_index
+    rows = [ambient.reflection_row(index[a.coords]) for a in datum.simple_roots]
     layers = []
     for weights in model.layers:
-        members = set(weights)
+        try:
+            positions = [index[w] for w in weights]
+        except KeyError as exc:
+            raise InvariantViolation(f"layer weight {exc.args[0]} is not an ambient root") from None
+        members = set(positions)
         if len(members) != len(weights):
             raise InvariantViolation(f"layer weights are not distinct: {len(members)} of {len(weights)}")
         dominant = {}
-        for w in weights:
-            # s_a(w) = w - <w, a^vee> a; w is dominant iff no pairing is negative
-            lowest = 0
-            for coords, coroot in simples:
-                pairing = dot(w, coroot)
-                if pairing:
-                    lowest = min(lowest, pairing)
-                    if wsub(w, wscale(pairing, coords)) not in members:
+        for w, j in zip(weights, positions):
+            height, highest = roots[j].height, True
+            for row in rows:
+                k = row[j]
+                if k != j:  # <w, a^vee> != 0
+                    if k not in members:
                         raise InvariantViolation(f"layer is not stable under the quotient's Weyl group at {w}")
-            if lowest == 0:
+                    highest = highest and roots[k].height < height
+            if highest:
                 dominant[w] = 1
         layers.append(Character(datum, dominant))
     # built without __init__, which would sum the same dims again from orbit

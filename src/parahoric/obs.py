@@ -1,0 +1,47 @@
+"""Opt-in counters that show what a run of the library did.
+
+Counting is off until a caller opens :func:`recording`; inside it, each
+:func:`count` adds to the dict that :func:`recording` yields.  The dict lives
+in a :class:`contextvars.ContextVar`, so a thread or an asyncio task counts
+only into the recording it opened, and an inner recording hides the outer
+one until it closes.  Off, a count is one context-variable lookup.
+
+Counter names are ``<module>.<function>.<what>``:
+
+* ``rootdata.build_root_datum.hits``: builds whose spec structure was
+  already memoized;
+* ``rootdata.reflection_rows.built``: rows of
+  :meth:`parahoric.rootdata.RootDatum.reflection_row` built.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+
+__all__ = ["count", "enabled", "recording"]
+
+_counters: ContextVar[dict[str, int] | None] = ContextVar("parahoric.obs", default=None)
+
+
+def enabled() -> bool:
+    """True inside :func:`recording`."""
+    return _counters.get() is not None
+
+
+def count(name: str, n: int = 1) -> None:
+    """Add ``n`` to the counter ``name`` if a recording is open."""
+    counters = _counters.get()
+    if counters is not None:
+        counters[name] = counters.get(name, 0) + n
+
+
+@contextmanager
+def recording():
+    """Record counts in a new dict, yielded, until the block ends."""
+    counters: dict[str, int] = {}
+    token = _counters.set(counters)
+    try:
+        yield counters
+    finally:
+        _counters.reset(token)

@@ -31,6 +31,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from . import obs
+
 if TYPE_CHECKING:
     from .affine import AffineBasis
 
@@ -237,7 +239,7 @@ def _cartan_and_symmetrizer(family: str, rank: int) -> tuple[list[list[int]], li
 # Roots and data
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Root:
     """A root of a datum, with all derived integer data precomputed.
 
@@ -374,12 +376,15 @@ def _closure(reached: dict, step) -> dict:
     return reached
 
 
-def _chamber_walk(pairs: list[int], columns) -> tuple[list[int], int]:
+def _chamber_walk(pairs: list[int], columns, bound: int) -> tuple[list[int], int]:
     """Walk a point's simple pairings ``pairs`` into the dominant chamber in
     place: s_i for the first p_i < 0 adds ``-p_i`` alpha_i to the point and
     ``-p_i`` times Cartan column i (its nonzero ``(j, c)`` in ``columns[i]``)
     to the pairings.  Returns the simple-root coefficients added and the
-    number of steps: l(w) if the point is off the walls and w moves it in."""
+    number of steps: l(w) if the point is off the walls and w moves it in.
+    Each step lowers by one the number of positive roots that pair
+    negatively, so a walk of more than ``bound`` steps (callers pass the
+    number of positive roots) raises instead of running on."""
     added, steps = [0] * len(pairs), 0
     while True:
         for i, p_i in enumerate(pairs):
@@ -387,6 +392,8 @@ def _chamber_walk(pairs: list[int], columns) -> tuple[list[int], int]:
                 break
         else:
             return added, steps
+        if steps == bound:
+            raise InvariantViolation(f"chamber walk takes more than {bound} steps")
         added[i] -= p_i
         steps += 1
         for j, c in columns[i]:
@@ -414,10 +421,11 @@ class RootDatum:
     ``blocks`` holds each component's Cartan matrix, determinant and
     adjugate; the datum's Cartan matrix and exact inverse are assembled from
     them, not inverted again.  The structure is fixed once built, apart from
-    the root-orbit tables of :meth:`stabilizer_orbits` and the extended
-    affine basis of :func:`parahoric.affine.extended_basis`, which are filled
-    in on first use, and every datum that :func:`build_root_datum` returns
-    for one spec shares it, tables and basis included.  The one attribute
+    the root-orbit tables of :meth:`stabilizer_orbits`, the rows of
+    :meth:`reflection_row` and the extended affine basis of
+    :func:`parahoric.affine.extended_basis`, which are filled in on first
+    use, and every datum that :func:`build_root_datum` returns for one spec
+    shares it, tables, rows and basis included.  The one attribute
     that holds characters, ``chi_cache``, belongs to each datum alone: it
     memoizes ``chi(lam)`` multiplicities by highest weight for
     :func:`parahoric.charring.chi_char`, starts as a new empty dict, and may
@@ -455,6 +463,9 @@ class RootDatum:
         # until first use; a list so that every build of the spec shares the
         # one basis built, as it shares the orbit tables
         self._extended_basis: list[AffineBasis] = []
+        # reflection_row tables by root index, filled on first use and shared
+        # like the orbit tables
+        self._reflection_rows: dict[int, tuple[int, ...]] = {}
         # (2*rho, alpha_i) per simple root, for the Freudenthal denominator:
         # <2*rho, alpha_i^vee> (alpha_i, alpha_i) / 2 = (alpha_i, alpha_i)
         self._two_rho_form = tuple(dot(alpha.form, alpha.coords) for alpha in flat)
@@ -503,6 +514,17 @@ class RootDatum:
         """s_alpha(lam) = lam - <lam, alpha^vee> alpha."""
         return wsub(lam, wscale(dot(lam, root.coroot), root.coords))
 
+    def reflection_row(self, i: int) -> tuple[int, ...]:
+        """Entry j is the index of s_alpha(beta_j), where alpha is
+        ``roots[i]`` and beta_j is ``roots[j]``.  Built on first use and
+        shared by every build of the spec, like the orbit tables."""
+        row = self._reflection_rows.get(i)
+        if row is None:
+            alpha, index = self.roots[i], self._coords_index
+            row = self._reflection_rows[i] = tuple(index[self.reflect(alpha, b.coords)] for b in self.roots)
+            obs.count("rootdata.reflection_rows.built")
+        return row
+
     def is_dominant(self, lam: Weight) -> bool:
         return all(dot(lam, f) >= 0 for f in self._simple_coroots)
 
@@ -516,7 +538,7 @@ class RootDatum:
         :func:`_chamber_walk` on the pairings ``<lam, alpha_i^vee>``, and
         ``lam`` rebuilt once from the simple-root coefficients it adds."""
         pairs = [dot(lam, f) for f in self._simple_coroots]
-        added, steps = _chamber_walk(pairs, self._cartan_columns)
+        added, steps = _chamber_walk(pairs, self._cartan_columns, len(self.positive_roots))
         return _combine(added, self._simple_coords, lam) if steps else lam
 
     def orbit_size(self, lam: Weight) -> int:
@@ -694,7 +716,8 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
 
     The structure (roots, simple indices, Cartan matrix and its integer
     inverse, the 2*rho functionals, the W_J-orbit tables of
-    :meth:`RootDatum.stabilizer_orbits`, the extended affine basis) is built
+    :meth:`RootDatum.stabilizer_orbits`, the reflection rows of
+    :meth:`RootDatum.reflection_row`, the extended affine basis) is built
     and checked once per spec, keyed on the canonical ``str(spec)``, so
     ``"a1xa1+t1"`` and ``"A1xA1+T1"`` share it.  Every call returns a new
     datum that shares that structure and has its own empty ``chi_cache``.
@@ -704,10 +727,13 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
     # attribute by attribute rather than copy.copy: a copied __dict__ loses
     # CPython's shared-key instance layout, which makes every later attribute
     # read on the datum slower (about 3x, measured on Python 3.11)
+    hits = _datum_structure.cache_info().hits if obs.enabled() else 0
     datum = object.__new__(RootDatum)
     for name, value in vars(_datum_structure(str(spec))).items():
         setattr(datum, name, value)
     datum.chi_cache = {}
+    if obs.enabled():
+        obs.count("rootdata.build_root_datum.hits", _datum_structure.cache_info().hits - hits)
     return datum
 
 
@@ -753,6 +779,10 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     w in W_S with w(a) simple in S; it exists because S is the root system
     of its base.  W_S keeps S stable, and so the roots outside S, so w(a) +
     w(b) is again a root outside S, with w(b) in S.
+
+    Every call builds and checks the datum anew, with tables of its own: a
+    memo of quotients per ambient spec and subset saved time on facet
+    sweeps but held every quotient for the life of the process.
     """
     subset = {tuple(c) for c in coords_subset}
     members = {r.coords: r for r in ambient.roots if r.coords in subset}

@@ -193,7 +193,7 @@ def test_chi_expand_matches_pairwise_oracle_on_certify_sweep():
                 assert chi_expand(ch).coeffs == chi_expand_pairwise(ch.datum, ch.mult)
 
 
-@pytest.mark.parametrize("name", ["B3", "C3", "D4", "G2", "F4", "E6", "A1xA1+T1", "B2xG2"])
+@pytest.mark.parametrize("name", ["B3", "C3", "D4", "G2", "F4", "E6", "E7", "A1xA1+T1", "B2xG2"])
 def test_layers_and_e1_match_the_per_weight_oracles(name):
     rd = build_root_datum(name)
     basis = extended_basis(rd)
@@ -245,7 +245,8 @@ def test_e1_sums_the_layer_expansions_dropping_cancelled_terms():
 
 # B3 at the facet {2}: the quotient is A3 and the one layer of six weights is
 # a single orbit of it.  Dropping a weight, or repeating one, leaves a layer
-# that is no union of whole orbits of multiplicity one.
+# that is no union of whole orbits of multiplicity one; a weight that is no
+# ambient root has no place in the reflection rows.
 BROKEN_LAYERS = (
     "import dataclasses\n"
     "from parahoric import (InvariantViolation, build_root_datum, extended_basis, from_parahoric,\n"
@@ -254,7 +255,7 @@ BROKEN_LAYERS = (
     "basis = extended_basis(rd)\n"
     "model = parahoric_model(rd, parse_facet_spec('2', basis), basis)\n"
     "(layer,) = model.layers\n"
-    "for broken in (layer[1:], layer + layer[:1]):\n"
+    "for broken in (layer[1:], layer + layer[:1], layer[1:] + ((9, 9, 9),)):\n"
     "    try:\n"
     "        from_parahoric(dataclasses.replace(model, layers=(broken,)))\n"
     "    except InvariantViolation as exc:\n"
@@ -272,6 +273,7 @@ def test_from_parahoric_rejects_layers_that_are_not_whole_orbits(flags):
     assert proc.stdout.splitlines() == [
         "raised: layer is not stable under the quotient's Weyl group at (1, -1, 0)",
         "raised: layer weights are not distinct: 6 of 7",
+        "raised: layer weight (9, 9, 9) is not an ambient root",
     ]
 
 

@@ -1,0 +1,55 @@
+from parahoric import (
+    build_root_datum,
+    enumerate_facets,
+    extended_basis,
+    from_parahoric,
+    obs,
+    parahoric_model,
+)
+from parahoric.rootdata import _datum_structure
+
+
+def test_nothing_is_recorded_when_off():
+    # a B3 structure of its own, so its rows are built here
+    rd = _datum_structure.__wrapped__("B3")
+    assert not obs.enabled()
+    obs.count("rootdata.reflection_rows.built")
+    rd.reflection_row(0)
+    with obs.recording() as counters:
+        assert obs.enabled() and counters == {}
+    assert not obs.enabled()
+    rd.reflection_row(1)
+    build_root_datum("B3")
+    assert counters == {}
+
+
+def test_recordings_nest_and_count_build_memo_hits():
+    build_root_datum("G2")
+    with obs.recording() as outer:
+        build_root_datum("G2")
+        with obs.recording() as inner:
+            build_root_datum("g2")
+            build_root_datum("G2")
+        build_root_datum("G2")
+    assert outer == {"rootdata.build_root_datum.hits": 2}
+    assert inner == {"rootdata.build_root_datum.hits": 2}
+
+
+def test_reflection_rows_are_built_once_per_spec_over_two_facet_sweeps():
+    rd = _datum_structure.__wrapped__("B3")
+    basis = extended_basis(rd)
+    facets = enumerate_facets(rd, basis)
+    sweeps = []
+    for _ in range(2):
+        with obs.recording() as counters:
+            for theta in facets:
+                from_parahoric(parahoric_model(rd, theta, basis))
+        sweeps.append(counters)
+    # one row per ambient root that is a simple root of some facet's quotient
+    simples = {
+        rd._coords_index[a.coords]
+        for theta in facets
+        for a in parahoric_model(rd, theta, basis).quotient_datum.simple_roots
+    }
+    assert sweeps == [{"rootdata.reflection_rows.built": len(simples)}, {}]
+    assert sorted(rd._reflection_rows) == sorted(simples)

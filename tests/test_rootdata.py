@@ -647,6 +647,27 @@ def test_quotient_data_match_the_root_by_root_solve(name):
         assert classify_root_datum(q) == expected["type"], theta
 
 
+@pytest.mark.parametrize("name", ["G2", "F4", "E6"])
+def test_reflection_rows_match_reflect(name):
+    rd = build_root_datum(name)
+    for i, alpha in enumerate(rd.roots):
+        row = rd.reflection_row(i)
+        assert [rd.roots[k].coords for k in row] == [rd.reflect(alpha, b.coords) for b in rd.roots]
+    assert build_root_datum(name).reflection_row(0) is rd.reflection_row(0)
+
+
+def test_chamber_walk_is_bounded_by_the_number_of_positive_roots():
+    # a pairing that no step changes never reaches the chamber
+    with pytest.raises(InvariantViolation, match="chamber walk takes more than 3 steps"):
+        rootdata._chamber_walk([-1], [()], 3)
+    # -rho needs the longest element, which takes exactly that many steps
+    for name in ["A2", "B3", "G2", "E6"]:
+        rd = build_root_datum(name)
+        pairs = [-1] * rd.semisimple_rank
+        _, steps = rootdata._chamber_walk(pairs, rd._cartan_columns, len(rd.positive_roots))
+        assert steps == len(rd.positive_roots) and pairs == [1] * rd.semisimple_rank
+
+
 # SHA-256 of each spec's structure (the fields of _structure_digest),
 # recorded before Dynkin specs and quotients were built by one constructor;
 # unlike the comparison with _datum_structure.__wrapped__, it does not run
