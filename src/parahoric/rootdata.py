@@ -724,10 +724,10 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
     """
     if isinstance(spec, str):
         spec = parse_dynkin_spec(spec)
+    hits = _datum_structure.cache_info().hits if obs.enabled() else 0
     # attribute by attribute rather than copy.copy: a copied __dict__ loses
     # CPython's shared-key instance layout, which makes every later attribute
     # read on the datum slower (about 3x, measured on Python 3.11)
-    hits = _datum_structure.cache_info().hits if obs.enabled() else 0
     datum = object.__new__(RootDatum)
     for name, value in vars(_datum_structure(str(spec))).items():
         setattr(datum, name, value)
