@@ -146,7 +146,9 @@ def _build_extended_basis(rd: RootDatum) -> AffineBasis:
 
 @dataclass(frozen=True)
 class FacetSpec:
-    """Per-component index subsets of the extended basis, each nonempty."""
+    """Per-component index subsets of the extended basis, each nonempty and
+    strictly increasing; every function that takes one checks it against its
+    basis."""
 
     theta: tuple[tuple[int, ...], ...]
 
@@ -160,24 +162,33 @@ def parse_facet_spec(text: str, basis: AffineBasis) -> FacetSpec:
     Index order within a component is (simple roots in datum order, then the
     affine node).
     """
-    parts = text.strip().split("/")
-    if len(parts) != len(basis.components):
-        raise ValueError(
-            f"facet spec {text!r} has {len(parts)} component(s), "
-            f"datum has {len(basis.components)}"
-        )
     theta = []
-    for part, cb in zip(parts, basis.components):
+    for part in text.strip().split("/"):
         try:
-            indices = sorted({int(tok) for tok in part.split(",") if tok != ""})
+            theta.append(tuple(sorted({int(tok) for tok in part.split(",") if tok != ""})))
         except ValueError:
             raise ValueError(f"bad theta indices {part!r}") from None
-        if not indices:
+    spec = FacetSpec(tuple(theta))
+    _check_facet(spec, basis)
+    return spec
+
+
+def _check_facet(theta: FacetSpec, basis: AffineBasis) -> None:
+    """Raise ``ValueError`` unless ``theta`` has one part per component of
+    ``basis``, each a nonempty, strictly increasing run of indices into the
+    component's extended basis."""
+    if len(theta.theta) != len(basis.components):
+        raise ValueError(
+            f"facet spec {str(theta)!r} has {len(theta.theta)} component(s), "
+            f"datum has {len(basis.components)}"
+        )
+    for part, cb in zip(theta.theta, basis.components):
+        if not part:
             raise ValueError("each component needs a nonempty theta")
-        if indices[0] < 0 or indices[-1] >= len(cb.elements):
-            raise ValueError(f"theta index out of range in {part!r}")
-        theta.append(tuple(indices))
-    return FacetSpec(tuple(theta))
+        if any(i >= j for i, j in zip(part, part[1:])):
+            raise ValueError(f"theta indices {part} are not strictly increasing")
+        if part[0] < 0 or part[-1] >= len(cb.elements):
+            raise ValueError(f"theta index out of range in {part}")
 
 
 def enumerate_facets(rd: RootDatum, basis: AffineBasis | None = None) -> list[FacetSpec]:
@@ -299,6 +310,7 @@ def parahoric_model(rd: RootDatum, theta: FacetSpec, basis: AffineBasis | None =
     at level 0 instead of -1, so it agrees exactly when there is none.
     """
     basis = basis or extended_basis(rd)
+    _check_facet(theta, basis)
     parts = list(zip(basis.components, theta.theta))
     depth = tuple(sum(cb.marks[i] for i in part) for cb, part in parts)
     nodes = [[i for i in part if i < cb.rank] for cb, part in parts]
@@ -328,6 +340,7 @@ def quotient_by_deletion(rd: RootDatum, theta: FacetSpec, basis: AffineBasis | N
     surviving subdiagram.  Must agree with the type computed from the window
     model."""
     basis = basis or extended_basis(rd)
+    _check_facet(theta, basis)
     survivors = [
         el.gradient
         for cb, part in zip(basis.components, theta.theta)
@@ -377,6 +390,7 @@ def facet_barycenter(rd: RootDatum, basis: AffineBasis, theta: FacetSpec) -> tup
     """Barycenter of the facet: the average of the alcove vertices opposite
     the Theta nodes, component by component.  Lies in the open facet, so an
     affine root vanishes at it iff it vanishes identically on the facet."""
+    _check_facet(theta, basis)
     point = [Fraction(0)] * rd.n
     for comp, part in enumerate(theta.theta):
         chosen = [basis.vertices[comp][i] for i in part]

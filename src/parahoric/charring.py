@@ -80,6 +80,7 @@ class Character:
     mult: dict[Weight, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.datum.check_weights(*self.mult)
         if not all(m > 0 for m in self.mult.values()):
             raise InvariantViolation(f"character multiplicities must be positive: {self.mult}")
         if not all(self.datum.is_dominant(w) for w in self.mult):
@@ -187,6 +188,7 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
     Patera 1982; Stembridge 2001).  The sum, and so every check on it, is the
     same as over all positive roots.
     """
+    rd.check_weights(lam)
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
     return Character(rd, dict(_chi_mult(rd, lam)))

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .affine import (
@@ -24,7 +24,7 @@ from .affine import (
     parse_facet_spec,
 )
 from .charring import DiskCharacters, character_to_json, chi_char, dim, dual, tensor
-from .jantzen import NotPrime, SimpleLedger, ext2_chain, jantzen_report, jantzen_sum
+from .jantzen import SimpleLedger, ext2_chain, jantzen_report, jantzen_sum
 from .levicert import certify, from_parahoric, unitary_report
 from .rootdata import InvariantViolation, Weight, build_root_datum, parse_weight_key, weight_key
 
@@ -52,82 +52,14 @@ def _datum(args, spec: str):
 def _weight(args, rd) -> Weight:
     """The --weight argument, checked to be a weight of ``rd``."""
     lam = parse_weight_key(args.weight)
-    if len(lam) != rd.n:
-        raise ValueError(f"weight {args.weight!r} has wrong length for {rd.spec_string}")
+    rd.check_weights(lam)
     return lam
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="parahoric")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON report envelope")
-        p.add_argument("--no-cache", action="store_true", help="disable the disk cache")
-
-    p = sub.add_parser("rootsys", help="root counts, highest roots, marks")
-    p.add_argument("--type", required=True)
-    common(p)
-    p.set_defaults(func=cmd_rootsys)
-
-    p = sub.add_parser("facets", help="facet table with quotient types")
-    p.add_argument("--type", required=True)
-    common(p)
-    p.set_defaults(func=cmd_facets)
-
-    p = sub.add_parser("parahoric", help="reductive quotient and radical layers at a facet")
-    p.add_argument("--type", required=True)
-    p.add_argument("--theta", required=True)
-    common(p)
-    p.set_defaults(func=cmd_parahoric)
-
-    p = sub.add_parser("levi", help="Levi-decomposition certificate at a facet")
-    p.add_argument("--type", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--rank-refinement", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_levi)
-
-    p = sub.add_parser("character", help="weight multiplicities of a chi-basis character")
-    p.add_argument("--type", required=True)
-    p.add_argument("--weight", required=True, help="comma-separated fundamental coordinates")
-    common(p)
-    p.set_defaults(func=cmd_character)
-
-    p = sub.add_parser("jantzen", help="Jantzen sum and derived simple character")
-    p.add_argument("--type", required=True)
-    p.add_argument("--weight", required=True, help="comma-separated fundamental coordinates")
-    p.add_argument("--p", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_jantzen)
-
-    p = sub.add_parser("verify-sl3", help="check the rank-2 modular chain end to end")
-    p.add_argument("--p", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_verify_sl3)
-
-    p = sub.add_parser("verify-unitary", help="check the symplectic exterior-square example")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_verify_unitary)
-
-    return parser
-
-
 class Report(NamedTuple):
-    """What a command reports: the envelope's inputs and outputs, the plain
-    text lines, and the exit code."""
+    """What a command reports: the envelope's outputs, the plain text lines,
+    and the exit code.  The envelope's inputs come from :data:`COMMANDS`."""
 
-    inputs: dict
     outputs: dict
     lines: list[str]
     code: int = 0
@@ -167,7 +99,7 @@ def cmd_rootsys(args) -> Report:
         "extra_torus_rank": rd.spec.extra_torus_rank,
         "components": components,
     }
-    return Report({"type": args.type}, outputs, lines)
+    return Report(outputs, lines)
 
 
 def cmd_facets(args) -> Report:
@@ -190,31 +122,33 @@ def cmd_facets(args) -> Report:
             f"  theta {str(theta):12s} quotient {rows[-1]['quotient_type']:10s} dim_R {model.dim_R}"
         )
     outputs = {"type": rd.spec_string, "count": len(rows), "facets": rows}
-    return Report({"type": args.type}, outputs, lines)
+    return Report(outputs, lines)
+
+
+def _facet_model(args):
+    """The parahoric model of the datum --type at the facet --theta."""
+    rd = _datum(args, args.type)
+    basis = extended_basis(rd)
+    return parahoric_model(rd, parse_facet_spec(args.theta, basis), basis)
 
 
 def cmd_parahoric(args) -> Report:
-    rd = _datum(args, args.type)
-    basis = extended_basis(rd)
-    theta = parse_facet_spec(args.theta, basis)
-    model = parahoric_model(rd, theta, basis)
+    model = _facet_model(args)
     outputs = model.to_json_dict()
     lines = [
-        f"{rd.spec_string} facet {theta}: quotient {outputs['quotient_type']}, "
+        f"{model.datum.spec_string} facet {model.theta}: quotient {outputs['quotient_type']}, "
         f"dim_R {model.dim_R}, depth {list(model.depth)}, "
         f"psi_literal_agrees {model.psi_literal_agrees}",
     ]
     for layer in outputs["layers"]:
         keys = " ".join(weight_key(tuple(w)) for w in layer["weights"])
         lines.append(f"  layer {layer['j']}: dim {layer['dim']}  weights {keys}")
-    return Report({"type": args.type, "theta": args.theta}, outputs, lines)
+    return Report(outputs, lines)
 
 
 def cmd_levi(args) -> Report:
-    rd = _datum(args, args.type)
-    basis = extended_basis(rd)
-    theta = parse_facet_spec(args.theta, basis)
-    model = parahoric_model(rd, theta, basis)
+    model = _facet_model(args)
+    rd, theta = model.datum, model.theta
     cert = certify(from_parahoric(model), args.p, args.rank_refinement)
     outputs = {
         "type": rd.spec_string,
@@ -231,7 +165,7 @@ def cmd_levi(args) -> Report:
         lines.append(f"  rule {rule['id']}: satisfied={rule['satisfied']}")
     for note in cert.notes:
         lines.append(f"  note: {note}")
-    return Report({"type": args.type, "theta": args.theta, "p": args.p}, outputs, lines)
+    return Report(outputs, lines)
 
 
 def cmd_character(args) -> Report:
@@ -249,7 +183,7 @@ def cmd_character(args) -> Report:
     lines = [f"chi({weight_key(lam)}) over {rd.spec_string}: dim {total}"]
     for w, m in sorted(ch.mult.items()):
         lines.append(f"  {weight_key(w):12s} mult {m:4d}  orbit {rd.orbit_size(w)}")
-    return Report({"type": args.type, "weight": args.weight}, outputs, lines)
+    return Report(outputs, lines)
 
 
 def cmd_jantzen(args) -> Report:
@@ -262,7 +196,16 @@ def cmd_jantzen(args) -> Report:
         f"  radical: {outputs['radical']}  ch L dim: {outputs['chL_dim']}  "
         f"provenance: {outputs['provenance']}",
     ]
-    return Report({"type": args.type, "weight": args.weight, "p": args.p}, outputs, lines)
+    return Report(outputs, lines)
+
+
+def _verdict(outputs: dict, checks: dict, lines: list[str]) -> Report:
+    """The report of a verify command: ``checks`` and whether all of them
+    passed added to ``outputs``, PASS or FAIL after ``lines``, and exit code
+    2 on a failed check."""
+    passed = all(checks.values())
+    outputs.update(checks=checks, passed=passed)
+    return Report(outputs, [*lines, "PASS" if passed else "FAIL"], 0 if passed else VERIFY_MISMATCH)
 
 
 def cmd_verify_sl3(args) -> Report:
@@ -284,7 +227,6 @@ def cmd_verify_sl3(args) -> Report:
         "ext2": ext2 == 1,
         "dim_W": dim_w == expected_dim_w,
     }
-    passed = all(checks.values())
     outputs = {
         "p": p,
         "lambda": weight_key(lam),
@@ -295,8 +237,6 @@ def cmd_verify_sl3(args) -> Report:
         "ext2": ext2,
         "dim_W": dim_w,
         "expected_dim_W": expected_dim_w,
-        "checks": checks,
-        "passed": passed,
     }
     lines = [
         f"p={p}: lambda={weight_key(lam)} mu={weight_key(mu)} gamma={weight_key(gamma)}",
@@ -304,9 +244,8 @@ def cmd_verify_sl3(args) -> Report:
         f"  J(lambda) = {outputs['J_lambda']}  [{'ok' if checks['J_lambda'] else 'MISMATCH'}]",
         f"  dim Ext^2 = {ext2}  [{'ok' if checks['ext2'] else 'MISMATCH'}]",
         f"  dim W = {dim_w} (expected {expected_dim_w})  [{'ok' if checks['dim_W'] else 'MISMATCH'}]",
-        "PASS" if passed else "FAIL",
     ]
-    return Report({"p": p}, outputs, lines, 0 if passed else VERIFY_MISMATCH)
+    return _verdict(outputs, checks, lines)
 
 
 def cmd_verify_unitary(args) -> Report:
@@ -319,10 +258,6 @@ def cmd_verify_unitary(args) -> Report:
         "dim_lambda2": report["dim_lambda2"] == n * (2 * n - 1),
         "dim_w0": report["dim_w0"] == 2 * n * n - n - 1,
     }
-    passed = all(checks.values())
-    outputs = dict(report)
-    outputs["checks"] = checks
-    outputs["passed"] = passed
     lines = [
         f"C{n} at p={args.p}: dim lambda^2 = {report['dim_lambda2']}, "
         f"expansion {report['expansion']}",
@@ -330,9 +265,65 @@ def cmd_verify_unitary(args) -> Report:
         f"  Levi factor exists: yes (cited); conjugate by group points: "
         f"{'yes' if report['conjugacy_by_group_points'] else 'no'} "
         f"(p {'divides' if n % args.p == 0 else 'does not divide'} n)",
-        "PASS" if passed else "FAIL",
     ]
-    return Report({"n": args.n, "p": args.p}, outputs, lines, 0 if passed else VERIFY_MISMATCH)
+    return _verdict(dict(report), checks, lines)
+
+
+# ---------------------------------------------------------------------------
+# The command table: parser, dispatch and envelope inputs
+
+
+class Command(NamedTuple):
+    func: Callable[[argparse.Namespace], Report]
+    help: str
+    options: tuple[str, ...]
+
+
+#: Each subcommand, in help order, with its options in usage order.  Every
+#: subcommand also takes --json and --no-cache.
+COMMANDS = {
+    "rootsys": Command(cmd_rootsys, "root counts, highest roots, marks", ("--type",)),
+    "facets": Command(cmd_facets, "facet table with quotient types", ("--type",)),
+    "parahoric": Command(cmd_parahoric, "reductive quotient and radical layers at a facet",
+                         ("--type", "--theta")),
+    "levi": Command(cmd_levi, "Levi-decomposition certificate at a facet",
+                    ("--type", "--theta", "--p", "--rank-refinement")),
+    "character": Command(cmd_character, "weight multiplicities of a chi-basis character",
+                         ("--type", "--weight")),
+    "jantzen": Command(cmd_jantzen, "Jantzen sum and derived simple character", ("--type", "--weight", "--p")),
+    "verify-sl3": Command(cmd_verify_sl3, "check the rank-2 modular chain end to end", ("--p",)),
+    "verify-unitary": Command(cmd_verify_unitary, "check the symplectic exterior-square example",
+                              ("--n", "--p")),
+}
+
+#: The argparse keywords of each option.
+OPTIONS = {
+    "--type": {"required": True},
+    "--theta": {"required": True},
+    "--weight": {"required": True, "help": "comma-separated fundamental coordinates"},
+    "--p": {"type": int, "required": True},
+    "--n": {"type": int, "required": True},
+    "--rank-refinement": {"action": "store_true"},
+    "--json": {"action": "store_true", "help": "emit a JSON report envelope"},
+    "--no-cache": {"action": "store_true", "help": "disable the disk cache"},
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="parahoric")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option in (*command.options, "--json", "--no-cache"):
+            p.add_argument(option, **OPTIONS[option])
+    return parser
 
 
 def main(argv=None) -> int:
@@ -341,10 +332,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = COMMANDS[args.command]
     started = time.monotonic()
     try:
-        report = args.func(args)
-    except (ValueError, NotPrime) as exc:
+        report = command.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InvariantViolation as exc:
@@ -358,9 +350,11 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
     if args.json:
+        # the command's valued options; its flags stay out
+        valued = [o[2:].replace("-", "_") for o in command.options if "action" not in OPTIONS[o]]
         envelope = {
             "command": args.command,
-            "inputs": report.inputs,
+            "inputs": {dest: getattr(args, dest) for dest in valued},
             "outputs": report.outputs,
             "tool_version": __version__,
             "elapsed_ms": int((time.monotonic() - started) * 1000),

@@ -92,6 +92,7 @@ def dot_reflect(rd: RootDatum, alpha: Root, n: int, lam: Weight) -> Weight:
 def jantzen_sum(rd: RootDatum, p: int, lam: Weight) -> VirtualChiSum:
     """The Jantzen sum J(lam) as an integer chi-combination."""
     _require_prime(p)
+    rd.check_weights(lam)
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
     coeffs: dict[Weight, int] = {}
@@ -185,6 +186,7 @@ def resolve_simple(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger) -> 
     those are resolved first; recursion is well-founded on dominance.
     """
     _require_prime(p)
+    rd.check_weights(lam)
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
     _check_ledger(ledger, rd, p)

@@ -525,6 +525,14 @@ class RootDatum:
             obs.count("rootdata.reflection_rows.built")
         return row
 
+    def check_weights(self, *weights: Weight) -> None:
+        """Raise ``ValueError`` unless each weight has one coordinate per
+        lattice dimension: :func:`dot` and :func:`wadd` stop silently at the
+        shorter argument.  The hot :meth:`is_dominant` does not call it."""
+        for lam in weights:
+            if len(lam) != self.n:
+                raise ValueError(f"weight {lam} has length {len(lam)}, not the lattice rank {self.n}")
+
     def is_dominant(self, lam: Weight) -> bool:
         return all(dot(lam, f) >= 0 for f in self._simple_coroots)
 
@@ -546,6 +554,7 @@ class RootDatum:
         b that pair nonzero with the dominant conjugate: |W| and its parabolic
         stabilizer each are such a product over their positive roots (the
         Poincare series at q = 1; Macdonald, Math. Ann. 1972)."""
+        self.check_weights(lam)
         dom = self.dominant_conjugate(lam)
         num = den = 1
         for beta in self.positive_roots:
@@ -629,6 +638,7 @@ class RootDatum:
 
     def weyl_dim(self, lam: Weight) -> int:
         """Weyl degree formula: prod <lam+rho, a^vee> / <rho, a^vee>, exactly."""
+        self.check_weights(lam)
         if not self.is_dominant(lam):
             raise NotDominant(f"{lam} is not dominant")
         num = 1

@@ -300,3 +300,20 @@ def test_model_json_shape(a2, a2_basis):
     assert data["dim_R"] == 4
     assert data["layers"][0]["j"] == 1 and data["layers"][0]["dim"] == 4
     assert data["quotient_type"] == "A1+T1"
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [((),), ((0, 0),), ((0, 5),), (), ((0,), (1,))],
+    ids=["empty part", "repeated index", "index out of range", "no part", "extra part"],
+)
+def test_malformed_facet_specs_are_rejected(a2, a2_basis, theta):
+    # built without parse_facet_spec, these raised ZeroDivisionError, gave
+    # depth 2, type A2 or T2, or ignored a part
+    spec = FacetSpec(theta)
+    with pytest.raises(ValueError):
+        parahoric_model(a2, spec, a2_basis)
+    with pytest.raises(ValueError):
+        quotient_by_deletion(a2, spec, a2_basis)
+    with pytest.raises(ValueError):
+        facet_barycenter(a2, a2_basis, spec)

@@ -8,6 +8,7 @@ from parahoric import (
     Character,
     DatumMismatch,
     NotDominant,
+    SimpleLedger,
     VirtualChiSum,
     add,
     build_root_datum,
@@ -19,7 +20,9 @@ from parahoric import (
     enumerate_facets,
     exterior_square,
     extended_basis,
+    jantzen_sum,
     parahoric_model,
+    resolve_simple,
     scale,
     tensor,
 )
@@ -176,6 +179,27 @@ def test_second_moment_identity_on_classical_and_g2_characters(name, lam):
     ch = chi_char(rd, lam)
     lhs, rhs = _second_moment_sides(rd, ch, lam)
     assert lhs == rhs > 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a2: chi_char(a2, (1,)),
+        lambda a2: chi_char(a2, (2,)),
+        lambda a2: a2.weyl_dim((2,)),
+        lambda a2: a2.orbit_size((1,)),
+        lambda a2: jantzen_sum(a2, 5, (1, 0, 0)),
+        lambda a2: resolve_simple(a2, 5, (1,), SimpleLedger(a2, 5)),
+        lambda a2: Character(a2, {(1,): 1}),
+    ],
+    ids=["chi_char", "chi_char IndexError", "weyl_dim", "orbit_size", "jantzen_sum", "resolve_simple",
+         "Character"],
+)
+def test_weights_of_the_wrong_length_are_rejected(a2, call):
+    # dot and wadd stop at the shorter weight: chi(1) over A2 had dim 3,
+    # weyl_dim((2,)) was 6, chi((2,)) raised IndexError and J((1,0,0)) was 0
+    with pytest.raises(ValueError, match="has length"):
+        call(a2)
 
 
 def test_add_scale(a2):

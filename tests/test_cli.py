@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from parahoric import (
 )
 from parahoric import charring
 from parahoric.charring import DiskCharacters, character_to_json
-from parahoric.cli import main
+from parahoric.cli import COMMANDS, main
 
 
 def _type_dir(root, spec):
@@ -120,6 +121,36 @@ def test_verify_unitary(capsys):
     assert envelope["outputs"]["conjugacy_by_group_points"] is False
     code, envelope = run_json(capsys, ["verify-unitary", "--n", "4", "--p", "3"])
     assert envelope["outputs"]["dim_lambda2"] == 28
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (["rootsys", "--type", "G2"], {"type": "G2"}),
+        (["facets", "--type", "c2"], {"type": "c2"}),
+        (["parahoric", "--type", "A2", "--theta", "0,2"], {"type": "A2", "theta": "0,2"}),
+        (["levi", "--type", "B3", "--theta", "0,1", "--p", "5", "--rank-refinement"],
+         {"type": "B3", "theta": "0,1", "p": 5}),
+        (["character", "--type", "C2", "--weight", "0,1"], {"type": "C2", "weight": "0,1"}),
+        (["jantzen", "--type", "A2", "--weight", "5,0", "--p", "5"], {"type": "A2", "weight": "5,0", "p": 5}),
+        (["verify-sl3", "--p", "5"], {"p": 5}),
+        (["verify-unitary", "--n", "3", "--p", "3"], {"n": 3, "p": 3}),
+    ],
+)
+def test_envelope_names_the_command_and_its_valued_options(capsys, argv, inputs):
+    # the inputs are the options as given; flags such as --rank-refinement,
+    # --json and --no-cache stay out
+    code, envelope = run_json(capsys, argv + ["--no-cache"])
+    assert code == 0
+    assert envelope["command"] == argv[0]
+    assert envelope["inputs"] == inputs
+    assert sorted(envelope) == ["command", "elapsed_ms", "inputs", "outputs", "tool_version"]
+
+
+def test_readme_command_block_names_every_subcommand():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert sorted(re.findall(r"^parahoric (\S+)", block, re.MULTILINE)) == sorted(COMMANDS)
 
 
 def test_json_roundtrip(capsys):
