@@ -10,11 +10,14 @@ weight (Moody and Patera, "Fast recursion formula for weight
 multiplicities", Bull. AMS 1982; Stembridge, "Computational aspects of root
 systems, Coxeter groups, and Weyl characters", MSJ Memoirs 11, 2001); every
 division in that recursion is checked exact, so the results are certified
-integers.  The Weyl degree formula lives in :mod:`parahoric.rootdata` and is
-kept independent as a cross-check.  The Weyl-group walks come from there
-too: the dominant weights below lam are a breadth-first closure, and
-:func:`chi_normalize` is the chamber walk run on the pairings with
-alpha_i^vee shifted by rho.
+integers.  As in those papers, the recursion runs on Dynkin labels, the
+pairings ``<mu, alpha_i^vee>`` with the simple coroots: dominance is a sign
+test, subtracting or adding a root adds a fixed vector, and the chamber walk
+reads and writes the labels themselves.  The Weyl degree formula lives in
+:mod:`parahoric.rootdata` and is kept independent as a cross-check.  The
+Weyl-group walks come from there too: the dominant weights below lam are a
+breadth-first closure, and :func:`chi_normalize` is the chamber walk run on
+the pairings with alpha_i^vee shifted by rho.
 
 A :class:`VirtualChiSum` is an integer combination of the ``chi(lam)``; the
 transition matrix between orbit sums and the chi-basis is unitriangular for
@@ -25,12 +28,13 @@ the dominance order, which makes the greedy expansion of
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 import zlib
 from dataclasses import dataclass, field
 
-from . import __version__
+from . import __version__, obs
 from .rootdata import (
     InvariantViolation,
     NotDominant,
@@ -44,7 +48,6 @@ from .rootdata import (
     wadd,
     weight_key,
     wneg,
-    wsub,
 )
 
 __all__ = [
@@ -132,24 +135,33 @@ def _check_same(ch1: Character, ch2: Character):
 # Freudenthal recursion
 
 
-def _dominant_below(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
-    """All dominant mu <= lam, each with the height of lam - mu, in the
-    order reached by :func:`_closure` from lam, which subtracts positive
-    roots and keeps the dominant results.  This reaches every dominant mu <=
-    lam because covers in the dominance order on dominant weights differ by
-    a positive root (Stembridge, "The partial order of dominant weights",
-    Adv. Math. 1998).  Only roots beta with ``<mu, beta^vee> >= 2`` are
-    tried: for the others ``<mu - beta, beta^vee> < 0``.
-    """
-    heights = {lam: 0}
+def _dominant_below(rd: RootDatum, lam: Weight) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """All dominant mu <= lam, each as its Dynkin labels (its pairings with
+    the simple coroots) mapped to the coefficients of lam - mu over the
+    simple roots, in the order reached by :func:`_closure` from lam, which
+    subtracts positive roots and keeps the dominant results.  This reaches
+    every dominant mu <= lam because covers in the dominance order on
+    dominant weights differ by a positive root (Stembridge, "The partial
+    order of dominant weights", Adv. Math. 1998).  Only roots beta with
+    ``<mu, beta^vee> >= 2`` are tried: for the others ``<mu - beta,
+    beta^vee> < 0``.
 
-    def step(mu, height):
-        for beta in rd.positive_roots:
-            if dot(mu, beta.coroot) >= 2:
-                nu = wsub(mu, beta.coords)
-                if nu not in heights and rd.is_dominant(nu):
-                    yield nu, height + beta.height
-    return _closure(heights, step)
+    The closure runs on labels alone (Moody and Patera 1982): ``<mu,
+    beta^vee>`` is the labels paired with the coroot coefficients of beta,
+    mu - beta has the labels of mu minus those of beta, and it is dominant
+    when none of them is negative.
+    """
+    start = tuple(dot(lam, f) for f in rd._simple_coroots)
+    reached = {start: (0,) * len(start)}
+    _, rows = rd.label_tables()
+
+    def step(labels, coeffs):
+        for beta_labels, beta_coeffs, beta_coroot in rows:
+            if sum(map(operator.mul, labels, beta_coroot)) >= 2:  # dot, inlined
+                nu = tuple(map(operator.sub, labels, beta_labels))
+                if min(nu) >= 0 and nu not in reached:
+                    yield nu, wadd(coeffs, beta_coeffs)
+    return _closure(reached, step)
 
 
 def _plausible_character(rd: RootDatum, lam: Weight, mult) -> bool:
@@ -200,38 +212,52 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     stored on a hit.  Readers must not change it.  :func:`chi_char` copies
     it into a checked :class:`Character`; :func:`chi_expand_map`, whose tops
     are dominant by construction, and :func:`evaluate_chi_sum`, which checks
-    its weights, read it without that copy and check."""
+    its weights, read it without that copy and check.
+
+    The recursion runs on Dynkin labels: each weight of an alpha-string is
+    its labels, a step adds the labels of alpha, and :func:`_chamber_walk`
+    on a copy of them ends on the labels of the dominant conjugate, which
+    key the multiplicities found so far.  A weight is rebuilt only for the
+    map stored and the forms in the Freudenthal step.
+    """
     cached = rd.chi_cache.get(lam)
     if cached is not None:
         return cached
     # by height; ties in lexicographic order of the coordinates of lam - mu,
     # which fixes the insertion order of mult
     candidates = sorted(
-        (height, rd.root_lattice_coords(wsub(lam, mu)), mu)
-        for mu, height in _dominant_below(rd, lam).items()
+        (sum(coeffs), coeffs, _combine(map(operator.neg, coeffs), rd._simple_coords, lam), labels)
+        for labels, coeffs in _dominant_below(rd, lam).items()
     )
     mult: dict[Weight, int] = {}
-    simple_coroots = [a.coroot for a in rd.simple_roots]
-    conjugates: dict[Weight, Weight] = {}
-    for height, coeffs, mu in candidates:
+    found: dict[tuple[int, ...], int] = {}  # mult by the labels of its weight
+    conjugates: dict[tuple[int, ...], tuple[int, ...]] = {}  # labels -> dominant labels
+    root_labels, _ = rd.label_tables()
+    columns, bound = rd._cartan_columns, len(rd.positive_roots)
+    steps = 0
+    for height, coeffs, mu, labels in candidates:
         if height == 0:
-            mult[mu] = 1
+            mult[mu] = found[labels] = 1
             continue
         # one alpha-string per W_J-orbit, weighted by its count of positive
         # roots; the pairing (nu, alpha) grows by (alpha, alpha) per step
-        zeros = tuple(j for j, f in enumerate(simple_coroots) if not dot(mu, f))
+        zeros = tuple(j for j, x in enumerate(labels) if not x)
         total = 0
         for form, coords, norm, count in rd.stabilizer_orbits(zeros):
-            nu = mu
+            shift = root_labels[rd._coords_index[coords]]
+            nu = labels
             f = dot(form, mu)
             string = 0
             while True:
-                nu = wadd(nu, coords)
+                nu = tuple(map(operator.add, nu, shift))
                 f += norm
+                steps += 1
                 dom = conjugates.get(nu)
                 if dom is None:
-                    dom = conjugates[nu] = rd.dominant_conjugate(nu)
-                m = mult.get(dom)
+                    pairs = list(nu)
+                    _chamber_walk(pairs, columns, bound)
+                    dom = conjugates[nu] = tuple(pairs)
+                m = found.get(dom)
                 if m is None:
                     break
                 string += m * f
@@ -246,8 +272,12 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         m_mu = (2 * total) // denom
         if m_mu <= 0:
             raise InvariantViolation(f"multiplicity {m_mu} of {mu} in chi({lam}) is not positive")
-        mult[mu] = m_mu
+        mult[mu] = found[labels] = m_mu
     rd.chi_cache[lam] = mult
+    obs.count("charring.freudenthal.runs")
+    obs.count("charring.freudenthal.dominant_weights", len(candidates))
+    obs.count("charring.freudenthal.string_steps", steps)
+    obs.count("charring.freudenthal.chamber_walks", len(conjugates))
     return mult
 
 
@@ -307,7 +337,7 @@ def dual(ch: Character) -> Character:
     """Contragredient character: negate every weight, re-compress."""
     out: dict[Weight, int] = {}
     for w, m in ch.mult.items():
-        key = ch.datum.dominant_conjugate(wneg(w))
+        key = ch.datum._dominant_conjugate(wneg(w))
         out[key] = out.get(key, 0) + m
     return Character(ch.datum, out)
 
@@ -340,6 +370,13 @@ def chi_normalize(rd: RootDatum, mu: Weight):
     alpha_i^vee> + 1``, which also serves quotient data, where rho is no
     lattice point: mu + rho is singular exactly when a final pairing is 0,
     and otherwise each step shortens w by one, so the sign is (-1)^steps."""
+    rd.check_weights(mu)
+    return _chi_normalize(rd, mu)
+
+
+def _chi_normalize(rd: RootDatum, mu: Weight):
+    """:func:`chi_normalize` without the length check, for weights checked
+    already."""
     pairs = [dot(mu, f) + 1 for f in rd._simple_coroots]  # <mu + rho, a_i^vee>
     if pairs and min(pairs) > 0:  # regular dominant already, the common case
         return 1, mu

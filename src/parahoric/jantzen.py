@@ -22,9 +22,9 @@ from .charring import (
     Character,
     DatumMismatch,
     VirtualChiSum,
+    _chi_normalize,
     character_to_json,
     chi_char,
-    chi_normalize,
     dim,
 )
 from .rootdata import InvariantViolation, NotDominant, Root, RootDatum, Weight, dot, weight_key, wsub
@@ -100,7 +100,7 @@ def jantzen_sum(rd: RootDatum, p: int, lam: Weight) -> VirtualChiSum:
         pairing = dot(lam, alpha.coroot) + alpha.coroot_height
         mp = p
         while mp < pairing:
-            normalized = chi_normalize(rd, dot_reflect(rd, alpha, mp, lam))
+            normalized = _chi_normalize(rd, dot_reflect(rd, alpha, mp, lam))
             if normalized is not None:
                 sign, w = normalized
                 c = coeffs.get(w, 0) + sign * _nu_p(p, mp)
@@ -115,6 +115,13 @@ def jantzen_sum(rd: RootDatum, p: int, lam: Weight) -> VirtualChiSum:
 def lowest_alcove_test(rd: RootDatum, p: int, lam: Weight) -> bool:
     """True iff lam lies in the closure of the lowest p-alcove:
     <lam+rho, a^vee> <= p for every positive coroot."""
+    rd.check_weights(lam)
+    return _in_lowest_alcove(rd, p, lam)
+
+
+def _in_lowest_alcove(rd: RootDatum, p: int, lam: Weight) -> bool:
+    """:func:`lowest_alcove_test` without the length check, for weights
+    checked already."""
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
     return all(
@@ -201,7 +208,7 @@ def _resolve(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger, j_sum) ->
         return known.char
     if lam in ledger.undetermined:
         return None
-    if lowest_alcove_test(rd, p, lam):
+    if _in_lowest_alcove(rd, p, lam):
         ch = chi_char(rd, lam)
         ledger.entries[lam] = LedgerEntry(ch, LOWEST_ALCOVE, {})
         return ch

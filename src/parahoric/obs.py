@@ -11,7 +11,15 @@ Counter names are ``<module>.<function>.<what>``:
 * ``rootdata.build_root_datum.hits``: builds whose spec structure was
   already memoized;
 * ``rootdata.reflection_rows.built``: rows of
-  :meth:`parahoric.rootdata.RootDatum.reflection_row` built.
+  :meth:`parahoric.rootdata.RootDatum.reflection_row` built;
+* ``charring.freudenthal.runs``: characters computed by Freudenthal's
+  recursion, that is misses of ``chi_cache`` (a hit counts nothing);
+* ``charring.freudenthal.dominant_weights``: dominant weights of those
+  characters;
+* ``charring.freudenthal.string_steps``: weights visited on their
+  alpha-strings;
+* ``charring.freudenthal.chamber_walks``: chamber walks run on them, one
+  per weight whose dominant conjugate was not yet known in its character.
 """
 
 from __future__ import annotations

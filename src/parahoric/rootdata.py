@@ -18,8 +18,10 @@ breadth-first closure of labelled points.  It gives the roots of a
 component, Weyl orbits, the W_J-orbits on the roots, and, in
 :mod:`parahoric.charring`, the dominant weights below a weight.
 :func:`_chamber_walk` walks simple pairings into the dominant chamber.  It
-gives :meth:`RootDatum.dominant_conjugate` and, shifted by rho, the
-dot-action normalization :func:`parahoric.charring.chi_normalize`.
+gives :meth:`RootDatum.dominant_conjugate`, the dominant conjugates on the
+alpha-strings of Freudenthal's recursion in :mod:`parahoric.charring`, and,
+shifted by rho, the dot-action normalization
+:func:`parahoric.charring.chi_normalize`.
 """
 
 from __future__ import annotations
@@ -422,7 +424,8 @@ class RootDatum:
     adjugate; the datum's Cartan matrix and exact inverse are assembled from
     them, not inverted again.  The structure is fixed once built, apart from
     the root-orbit tables of :meth:`stabilizer_orbits`, the rows of
-    :meth:`reflection_row` and the extended affine basis of
+    :meth:`reflection_row`, the Dynkin-label tables of :meth:`label_tables`
+    and the extended affine basis of
     :func:`parahoric.affine.extended_basis`, which are filled in on first
     use, and every datum that :func:`build_root_datum` returns for one spec
     shares it, tables, rows and basis included.  The one attribute
@@ -471,6 +474,9 @@ class RootDatum:
         self._two_rho_form = tuple(dot(alpha.form, alpha.coords) for alpha in flat)
         # 2*rho^vee, the sum of the positive coroots: 2 on every simple root
         self._two_rho_coroot = tuple(map(sum, zip((0,) * n, *(b.coroot for b in self.positive_roots))))
+        # the tables of label_tables, empty until first use; a list so that
+        # every build of the spec shares them, as it shares the orbit tables
+        self._label_tables: list[tuple] = []
 
     # -- basic structure ---------------------------------------------------
 
@@ -528,7 +534,10 @@ class RootDatum:
     def check_weights(self, *weights: Weight) -> None:
         """Raise ``ValueError`` unless each weight has one coordinate per
         lattice dimension: :func:`dot` and :func:`wadd` stop silently at the
-        shorter argument.  The hot :meth:`is_dominant` does not call it."""
+        shorter argument.  The public entry points that take weights call
+        it; the hot :meth:`is_dominant` and the private bodies that callers
+        with checked weights use, such as :meth:`_dominant_conjugate`, do
+        not."""
         for lam in weights:
             if len(lam) != self.n:
                 raise ValueError(f"weight {lam} has length {len(lam)}, not the lattice rank {self.n}")
@@ -538,6 +547,7 @@ class RootDatum:
 
     def weyl_orbit(self, lam: Weight) -> tuple[Weight, ...]:
         """The Weyl-group orbit of ``lam``, in a deterministic (sorted) order."""
+        self.check_weights(lam)
         orbit = _closure({lam: None}, lambda w, _: ((self.reflect(a, w), None) for a in self._simple_roots))
         return tuple(sorted(orbit))
 
@@ -545,6 +555,12 @@ class RootDatum:
         """The unique dominant member of the Weyl orbit of ``lam``:
         :func:`_chamber_walk` on the pairings ``<lam, alpha_i^vee>``, and
         ``lam`` rebuilt once from the simple-root coefficients it adds."""
+        self.check_weights(lam)
+        return self._dominant_conjugate(lam)
+
+    def _dominant_conjugate(self, lam: Weight) -> Weight:
+        """:meth:`dominant_conjugate` without the length check, for weights
+        checked already."""
         pairs = [dot(lam, f) for f in self._simple_coroots]
         added, steps = _chamber_walk(pairs, self._cartan_columns, len(self.positive_roots))
         return _combine(added, self._simple_coords, lam) if steps else lam
@@ -555,7 +571,7 @@ class RootDatum:
         stabilizer each are such a product over their positive roots (the
         Poincare series at q = 1; Macdonald, Math. Ann. 1972)."""
         self.check_weights(lam)
-        dom = self.dominant_conjugate(lam)
+        dom = self._dominant_conjugate(lam)
         num = den = 1
         for beta in self.positive_roots:
             if dot(dom, beta.coroot):
@@ -600,6 +616,28 @@ class RootDatum:
         table = self._orbit_tables[zeros] = tuple(rows)
         return table
 
+    def label_tables(self):
+        """``(labels, rows)``: the Dynkin labels of each root, its pairings
+        with the simple coroots, in root order; and per positive root, in
+        root order, its labels, its simple coefficients and its coroot's
+        coefficients over the simple coroots, both over the whole list
+        :attr:`simple_roots`.  Freudenthal's recursion in
+        :mod:`parahoric.charring` runs on them.  Built on first use and
+        shared by every build of the spec, like the orbit tables."""
+        if not self._label_tables:
+            labels = tuple(tuple(dot(r.coords, f) for f in self._simple_coroots) for r in self.roots)
+            offsets = tuple(itertools.accumulate(map(len, self.simple_indices), initial=0))
+
+            def padded(b, coeffs):  # coefficients over b's component, padded to the simple list
+                return (0,) * offsets[b.component] + coeffs + (0,) * (offsets[-1] - offsets[b.component + 1])
+            rows = tuple(
+                (labels[i], padded(b, b.simple_coeffs), padded(b, b.coroot_coeffs))
+                for i, b in enumerate(self.roots)
+                if b.height > 0
+            )
+            self._label_tables.append((labels, rows))
+        return self._label_tables[0]
+
     # -- dominance order ----------------------------------------------------
 
     def root_lattice_coords(self, v: Weight) -> tuple[int, ...] | None:
@@ -608,6 +646,7 @@ class RootDatum:
 
     def dominance_leq(self, a: Weight, b: Weight) -> bool:
         """True iff b - a is a nonnegative integer sum of simple roots."""
+        self.check_weights(a, b)
         coeffs = self.root_lattice_coords(wsub(b, a))
         return coeffs is not None and all(c >= 0 for c in coeffs)
 
@@ -727,7 +766,8 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
     The structure (roots, simple indices, Cartan matrix and its integer
     inverse, the 2*rho functionals, the W_J-orbit tables of
     :meth:`RootDatum.stabilizer_orbits`, the reflection rows of
-    :meth:`RootDatum.reflection_row`, the extended affine basis) is built
+    :meth:`RootDatum.reflection_row`, the Dynkin-label tables of
+    :meth:`RootDatum.label_tables`, the extended affine basis) is built
     and checked once per spec, keyed on the canonical ``str(spec)``, so
     ``"a1xa1+t1"`` and ``"A1xA1+T1"`` share it.  Every call returns a new
     datum that shares that structure and has its own empty ``chi_cache``.

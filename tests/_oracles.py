@@ -6,15 +6,16 @@ marks and lattice coordinates, a box scan for the dominant weights below a
 weight, the reflection loop for dominant conjugates, the coordinate rescan
 for the dot action, the coefficient-vector closure for root systems, and
 hand-built weight multisets for small modules.
-Seven exceptions run on library code: the quotient datum solved root by root
+The reference Freudenthal loop runs on weights, not on Dynkin labels as the
+library does, and finds the dominant weights below lam by subtracting
+positive roots from weights.
+Six exceptions run on library code: the quotient datum solved root by root
 over its simple roots, with one exact inverse of their whole Cartan matrix,
 runs on the library's Bareiss inverse, lattice solve and Dynkin-graph
 grouping, and names its type by node classification; the chi-expansion that
 picks its tops by pairwise dominance solves runs on the library's chi_char
 and dominance_leq, and checks the library's pick by a linear functional
-against those solves; the reference Freudenthal loop takes its dominant
-weights from the library's dominance closure (itself checked against the box
-scan here); the splitting sequence compressed weight by weight runs on the
+against those solves; the splitting sequence compressed weight by weight runs on the
 library's dominant conjugates and orbit sizes, and the E1 expansion of the
 summed layers on its chi-expansion; the Jantzen resolver that evaluates
 J(lam) to a weight multiset runs on the library's Jantzen sums and
@@ -34,7 +35,7 @@ from parahoric.affine import (
     ell_theta,
     facet_depths,
 )
-from parahoric.charring import _dominant_below, chi_expand_map, evaluate_chi_sum
+from parahoric.charring import chi_expand_map, evaluate_chi_sum
 from parahoric.jantzen import (
     JANTZEN_RESOLVED,
     LOWEST_ALCOVE,
@@ -266,15 +267,31 @@ def chi_normalize_by_rescans(datum, mu):
             return sign, w
 
 
+def dominant_below_by_weights(datum, lam):
+    """Every dominant mu <= lam with the height of lam - mu: a breadth-first
+    search on weights from lam, subtracting each positive root beta with
+    <mu, beta^vee> >= 2 and keeping the dominant results."""
+    heights = {lam: 0}
+    queue = [lam]
+    for mu in queue:
+        for beta in datum.positive_roots:
+            if dot(mu, beta.coroot) >= 2:
+                nu = wsub(mu, beta.coords)
+                if nu not in heights and datum.is_dominant(nu):
+                    heights[nu] = heights[mu] + sum(beta.simple_coeffs)
+                    queue.append(nu)
+    return heights
+
+
 def chi_char_reference(datum, lam):
-    """Freudenthal's recursion as a plain loop: every alpha-string pairing is
-    recomputed in full and every dominant conjugate by reflection.
+    """Freudenthal's recursion as a plain loop on weights: every alpha-string
+    pairing is recomputed in full and every dominant conjugate by reflection.
     Weights are taken in the library's order (height, then coordinates of
     lam - mu), so the insertion order of the result matches too."""
     simples = [a.coords for a in datum.simple_roots]
     candidates = sorted(
         (height, integer_coords(simples, tuple(x - y for x, y in zip(lam, mu))), mu)
-        for mu, height in _dominant_below(datum, lam).items()
+        for mu, height in dominant_below_by_weights(datum, lam).items()
     )
 
     def pair(u, v):

@@ -21,6 +21,7 @@ from parahoric import (
     exterior_square,
     extended_basis,
     jantzen_sum,
+    lowest_alcove_test,
     parahoric_model,
     resolve_simple,
     scale,
@@ -32,13 +33,14 @@ from parahoric.charring import (
     evaluate_chi_sum,
     expand_full,
 )
-from parahoric.rootdata import dot
+from parahoric.rootdata import _combine, dot, wsub
 
 from _oracles import (
     c2_w2_weights,
     chi_char_reference,
     chi_expand_pairwise,
     dominant_below_box_scan,
+    dominant_below_by_weights,
     sl3_adjoint_weights,
 )
 
@@ -111,7 +113,14 @@ def test_dominance_closure_matches_box_scan():
     for name, weights in cases:
         rd = build_root_datum(name)
         for lam in weights:
-            assert _dominant_below(rd, lam) == dominant_below_box_scan(rd, lam), (name, lam)
+            expected = dominant_below_box_scan(rd, lam)
+            heights = {}
+            for labels, coeffs in _dominant_below(rd, lam).items():
+                mu = wsub(lam, _combine(coeffs, rd._simple_coords, (0,) * rd.n))
+                assert labels == tuple(dot(mu, a.coroot) for a in rd.simple_roots), (name, lam, mu)
+                heights[mu] = sum(coeffs)
+            assert heights == expected, (name, lam)
+            assert dominant_below_by_weights(rd, lam) == expected, (name, lam)
             checked += 1
     assert checked == 302
 
@@ -133,6 +142,33 @@ def test_chi_char_matches_reference_freudenthal():
             assert list(chi_char(rd, lam).mult.items()) == list(expected.items()), (rd.spec, lam)
             checked += 1
     assert checked == 836
+
+
+def test_label_path_matches_reference_across_components_and_quotients():
+    # the labels run over the whole simple list: components of different
+    # families side by side, and E6 quotients with several components.  Each
+    # layer character of an E6 quotient has a single dominant weight, so no
+    # alpha-string runs on it; twice a layer weight has several
+    b2g2 = build_root_datum("B2xG2")
+    cases = [(b2g2, _weight_box(b2g2, 2))]
+    e6 = build_root_datum("E6")
+    basis = extended_basis(e6)
+    for theta in enumerate_facets(e6, basis):
+        model = parahoric_model(e6, theta, basis)
+        sub = model.quotient_datum
+        layer_weights = sorted({w for layer in model.layers for w in layer if sub.is_dominant(w)})
+        cases.append((sub, [(0,) * sub.n] + layer_weights))
+        if sub.num_components > 1:
+            cases.append((sub, [tuple(2 * x for x in w) for w in layer_weights]))
+    assert max(sub.num_components for sub, _ in cases) == 4
+    checked = strings = 0
+    for rd, weights in cases:
+        for lam in weights:
+            expected = chi_char_reference(rd, lam)
+            assert list(chi_char(rd, lam).mult.items()) == list(expected.items()), (rd.spec, lam)
+            checked += 1
+            strings += len(expected) > 1
+    assert (checked, strings) == (81 + 2408 + 1511, 79 + 1165)
 
 
 @pytest.mark.parametrize(
@@ -191,13 +227,21 @@ def test_second_moment_identity_on_classical_and_g2_characters(name, lam):
         lambda a2: jantzen_sum(a2, 5, (1, 0, 0)),
         lambda a2: resolve_simple(a2, 5, (1,), SimpleLedger(a2, 5)),
         lambda a2: Character(a2, {(1,): 1}),
+        lambda a2: a2.weyl_orbit((1,)),
+        lambda a2: a2.dominant_conjugate((1,)),
+        lambda a2: a2.dominance_leq((1,), (1, 0)),
+        lambda a2: chi_normalize(a2, (1,)),
+        lambda a2: lowest_alcove_test(a2, 5, (1,)),
     ],
     ids=["chi_char", "chi_char IndexError", "weyl_dim", "orbit_size", "jantzen_sum", "resolve_simple",
-         "Character"],
+         "Character", "weyl_orbit", "dominant_conjugate", "dominance_leq", "chi_normalize",
+         "lowest_alcove_test"],
 )
 def test_weights_of_the_wrong_length_are_rejected(a2, call):
     # dot and wadd stop at the shorter weight: chi(1) over A2 had dim 3,
-    # weyl_dim((2,)) was 6, chi((2,)) raised IndexError and J((1,0,0)) was 0
+    # weyl_dim((2,)) was 6, chi((2,)) raised IndexError and J((1,0,0)) was 0;
+    # weyl_orbit((1,)) was ((-1,), (1,)), dominant_conjugate((1,)) was (1,),
+    # chi_normalize((1,)) was (1, (1,)), and the last two calls were True
     with pytest.raises(ValueError, match="has length"):
         call(a2)
 

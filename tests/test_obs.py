@@ -1,5 +1,6 @@
 from parahoric import (
     build_root_datum,
+    chi_char,
     enumerate_facets,
     extended_basis,
     from_parahoric,
@@ -53,3 +54,18 @@ def test_reflection_rows_are_built_once_per_spec_over_two_facet_sweeps():
     }
     assert sweeps == [{"rootdata.reflection_rows.built": len(simples)}, {}]
     assert sorted(rd._reflection_rows) == sorted(simples)
+
+
+def test_freudenthal_counts_a_run_once_and_nothing_on_a_hit():
+    f4 = build_root_datum("F4")
+    with obs.recording() as first:
+        chi_char(f4, (1, 1, 1, 1))
+    with obs.recording() as second:
+        chi_char(f4, (1, 1, 1, 1))
+    assert first == {
+        "charring.freudenthal.runs": 1,
+        "charring.freudenthal.dominant_weights": 58,
+        "charring.freudenthal.string_steps": 1594,
+        "charring.freudenthal.chamber_walks": 978,
+    }
+    assert second == {}

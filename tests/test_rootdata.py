@@ -311,13 +311,18 @@ def test_invariant_violation_survives_optimize_flag():
         "        chi_char(build_root_datum('C3'), (0, 1, 0))\n"
         "    finally:\n"
         "        rootdata._parabolic_orbits = orbits\n"
+        "def doubled_two_rho():  # a wrong Freudenthal denominator: (2 rho, alpha_i) doubled\n"
+        "    rd = build_root_datum('A2')\n"
+        "    rd._two_rho_form = tuple(2 * x for x in rd._two_rho_form)\n"
+        "    chi_char(rd, (1, 1))\n"
         "for make in (lambda: sub_root_datum(a2, [(1, 0), (-1, 0)]),\n"
         "             lambda: Character(a2, {(-1, 0): 1}),\n"
         "             lambda: SimpleLedger(a2, 3, {(0, 0): LedgerEntry(chi_char(a2, (0, 0)), LOWEST_ALCOVE, {})}).merge(conflicting),\n"
         "             wrong_chi,\n"
         "             lambda: classify_cartan(affine_d4),\n"
         "             dropped_orbit,\n"
-        "             lambda: sub_root_datum(a2, [(2, -1), (-2, 1), (-1, 2), (1, -2)])):\n"
+        "             lambda: sub_root_datum(a2, [(2, -1), (-2, 1), (-1, 2), (1, -2)]),\n"
+        "             doubled_two_rho):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantViolation as exc:\n"
@@ -329,7 +334,7 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert lines[0].startswith("raised: subset contains non-roots")
     assert lines[1].startswith("raised: character keys must be dominant")
     assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
@@ -339,6 +344,7 @@ def test_invariant_violation_survives_optimize_flag():
     assert lines[6].startswith(
         "raised: subset is not the root system of its base, which differs on [(-1, -1), (1, 1)]"
     )
+    assert lines[7] == "raised: Freudenthal step at (0, 0): 12 / 10"
 
 
 def test_torus_factors():
@@ -654,6 +660,22 @@ def test_reflection_rows_match_reflect(name):
         row = rd.reflection_row(i)
         assert [rd.roots[k].coords for k in row] == [rd.reflect(alpha, b.coords) for b in rd.roots]
     assert build_root_datum(name).reflection_row(0) is rd.reflection_row(0)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "B2xG2", "A2xA1+T2", "E6"])
+def test_label_tables_match_the_roots(name):
+    rd = build_root_datum(name)
+    quotient = sub_root_datum(rd, [b.coords for b in rd.roots if b.component == rd.num_components - 1])
+    for datum in (rd, quotient):
+        labels, rows = datum.label_tables()
+        zero = (0,) * datum.n
+        assert labels == tuple(tuple(datum.pair(b.coords, a.coroot) for a in datum.simple_roots) for b in datum.roots)
+        assert len(rows) == len(datum.positive_roots)
+        for (row_labels, coeffs, coroot), b in zip(rows, datum.positive_roots):
+            assert row_labels == labels[datum._coords_index[b.coords]]
+            assert rootdata._combine(coeffs, datum._simple_coords, zero) == b.coords
+            assert rootdata._combine(coroot, datum._simple_coroots, zero) == b.coroot
+    assert build_root_datum(name).label_tables() is rd.label_tables()
 
 
 def test_chamber_walk_is_bounded_by_the_number_of_positive_roots():
