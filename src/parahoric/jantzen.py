@@ -116,12 +116,6 @@ def lowest_alcove_test(rd: RootDatum, p: int, lam: Weight) -> bool:
     """True iff lam lies in the closure of the lowest p-alcove:
     <lam+rho, a^vee> <= p for every positive coroot."""
     rd.check_weights(lam)
-    return _in_lowest_alcove(rd, p, lam)
-
-
-def _in_lowest_alcove(rd: RootDatum, p: int, lam: Weight) -> bool:
-    """:func:`lowest_alcove_test` without the length check, for weights
-    checked already."""
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
     return all(
@@ -208,7 +202,7 @@ def _resolve(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger, j_sum) ->
         return known.char
     if lam in ledger.undetermined:
         return None
-    if _in_lowest_alcove(rd, p, lam):
+    if lowest_alcove_test(rd, p, lam):
         ch = chi_char(rd, lam)
         ledger.entries[lam] = LedgerEntry(ch, LOWEST_ALCOVE, {})
         return ch
