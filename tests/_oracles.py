@@ -15,11 +15,11 @@ runs on the library's Bareiss inverse, lattice solve and Dynkin-graph
 grouping, and names its type by node classification; the chi-expansion that
 picks its tops by pairwise dominance solves runs on the library's chi_char
 and dominance_leq, and checks the library's pick by a linear functional
-against those solves; the splitting sequence compressed weight by weight runs on the
-library's dominant conjugates and orbit sizes, and the E1 expansion of the
-summed layers on its chi-expansion; the Jantzen resolver that evaluates
-J(lam) to a weight multiset runs on the library's Jantzen sums and
-characters; and the facet model that
+against those solves; the splitting sequence compressed weight by weight
+runs on the library's dominant conjugates and orbit sizes, and the E1
+expansion of the summed layers on its chi-expansion; the Jantzen resolver
+that evaluates J(lam) to a weight multiset runs on the library's Jantzen
+sums and characters; and the facet model that
 grades each root by its canonical representative runs on the library's
 per-root ``canonical_rep`` and ``ell_theta``.
 """
