@@ -24,6 +24,7 @@ positives at their vanishing level) agrees with it exactly when no root has
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -391,9 +392,15 @@ def facet_barycenter(rd: RootDatum, basis: AffineBasis, theta: FacetSpec) -> tup
     the Theta nodes, component by component.  Lies in the open facet, so an
     affine root vanishes at it iff it vanishes identically on the facet."""
     _check_facet(theta, basis)
-    point = [Fraction(0)] * rd.n
+    # integer numerators over one common denominator, and one Fraction per
+    # coordinate at the end: each Fraction sum would reduce by a gcd
+    num, den = [0] * rd.n, 1
     for comp, part in enumerate(theta.theta):
         chosen = [basis.vertices[comp][i] for i in part]
-        for i in range(rd.n):
-            point[i] += sum(v[i] for v in chosen) / len(chosen)
-    return tuple(point)
+        lcm = math.lcm(*(x.denominator for v in chosen for x in v))
+        sums = [sum(x.numerator * (lcm // x.denominator) for x in xs) for xs in zip(*chosen)]
+        comp_den = lcm * len(chosen)
+        common = math.lcm(den, comp_den)
+        num = [a * (common // den) + b * (common // comp_den) for a, b in zip(num, sums)]
+        den = common
+    return tuple(Fraction(x, den) for x in num)

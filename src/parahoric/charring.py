@@ -103,6 +103,17 @@ class Character:
         return f"Character({body or '0'})"
 
 
+def _trusted_character(datum: RootDatum, mult: dict[Weight, int]) -> Character:
+    """A :class:`Character` built without its checks, for a producer that
+    has just shown every key of ``mult`` to be a dominant weight of
+    ``datum`` with a positive multiplicity.  The public constructor keeps
+    every check."""
+    ch = object.__new__(Character)
+    object.__setattr__(ch, "datum", datum)
+    object.__setattr__(ch, "mult", mult)
+    return ch
+
+
 @dataclass(frozen=True)
 class VirtualChiSum:
     """Finitely supported integer combination of chi-basis elements."""

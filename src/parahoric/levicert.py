@@ -40,6 +40,7 @@ from .affine import ParahoricModel
 from .charring import (
     Character,
     VirtualChiSum,
+    _trusted_character,
     character_to_json,
     chi_char,
     chi_expand,
@@ -109,7 +110,10 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
     Both tests are lookups by ambient root index: each quotient simple root
     a reads its row of :meth:`RootDatum.reflection_row` on the ambient datum,
     and a weight w is dominant when no s_a raises its ambient height, since
-    s_a(w) - w = -<w, a^vee> a and a is a positive ambient root.
+    s_a(w) - w = -<w, a^vee> a and a is a positive ambient root.  Each key
+    is then known to be dominant, of multiplicity 1 and of the lattice's
+    length, so the layer characters are built without the constructor's
+    checks.
     """
     datum, ambient = model.quotient_datum, model.datum
     roots, index = ambient.roots, ambient._coords_index
@@ -134,7 +138,7 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
                     highest = highest and roots[k].height < height
             if highest:
                 dominant[w] = 1
-        layers.append(Character(datum, dominant))
+        layers.append(_trusted_character(datum, dominant))
     # built without __init__, which would sum the same dims again from orbit
     # sizes: about a fifth of this function's time over the facets of B3 to E6
     seq = object.__new__(SplittingSequence)

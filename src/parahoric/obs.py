@@ -11,7 +11,10 @@ Counter names are ``<module>.<function>.<what>``:
 * ``rootdata.build_root_datum.hits``: builds whose spec structure was
   already memoized;
 * ``rootdata.reflection_rows.built``: rows of
-  :meth:`parahoric.rootdata.RootDatum.reflection_row` built;
+  :meth:`parahoric.rootdata.RootDatum.reflection_row` built, one per
+  ambient root first met as a simple root of a facet quotient, so
+  :func:`parahoric.affine.parahoric_model` builds them (through
+  :func:`parahoric.rootdata.sub_root_datum`);
 * ``charring.freudenthal.runs``: characters computed by Freudenthal's
   recursion, that is misses of ``chi_cache`` (a hit counts nothing);
 * ``charring.freudenthal.dominant_weights``: dominant weights of those

@@ -8,10 +8,13 @@ throughout; no floats appear anywhere.
 
 A :class:`RootDatum` is either built from a :class:`DynkinSpec` (the ambient
 group) or carved out of an ambient datum with :func:`sub_root_datum` (the
-reductive quotient attached to a parahoric facet).  Both are built on one
-path that inverts each component's Cartan matrix once and closes its simple
-roots under reflection; a quotient is then checked against the roots it was
-carved from, and a datum's type is read off its stored component matrices.
+reductive quotient attached to a parahoric facet).  Both read each
+component from one table per Cartan matrix, which holds its exact inverse
+and its roots' coefficients, closed under reflection once.  A spec build
+reads the roots' coordinates off that table; a quotient walks the ambient
+datum's reflection rows from its simple roots, shares the ambient roots'
+tuples and is checked against the roots it was carved from.  A datum's
+type is read off its stored component matrices.
 
 Every walk of the Weyl group runs on two helpers.  :func:`_closure` is a
 breadth-first closure of labelled points.  It gives the roots of a
@@ -343,11 +346,11 @@ def _cartan_solve(det, adj, basis, duals, v: Weight) -> tuple[int, ...] | None:
     return tuple(coeffs) if _combine(coeffs, basis, (0,) * len(v)) == tuple(v) else None
 
 
-def _dynkin_components(nodes) -> list[list[int]]:
-    """Connected components of the Dynkin graph on ``nodes`` (two roots are
-    joined when they pair nonzero), as ascending index lists ordered by their
-    first index."""
-    parent = list(range(len(nodes)))
+def _dynkin_components(cartan) -> list[list[int]]:
+    """Connected components of the Dynkin graph of a Cartan matrix (two
+    nodes are joined when they pair nonzero), as ascending index lists
+    ordered by their first index."""
+    parent = list(range(len(cartan)))
 
     def find(i):
         while parent[i] != i:
@@ -355,11 +358,11 @@ def _dynkin_components(nodes) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i, j in itertools.combinations(range(len(nodes)), 2):
-        if dot(nodes[i].coords, nodes[j].coroot) != 0:
+    for i, j in itertools.combinations(range(len(cartan)), 2):
+        if cartan[i][j]:
             parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
-    for i in range(len(nodes)):
+    for i in range(len(cartan)):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
@@ -420,9 +423,14 @@ class RootDatum:
     """A root datum inside the ambient lattice Z^n.
 
     Construct with :func:`build_root_datum` or :func:`sub_root_datum`.
+    Roots are listed by component, then height, then simple coefficients,
+    so a reflection that lowers a root's height lowers its index.
     ``blocks`` holds each component's Cartan matrix, determinant and
-    adjugate; the datum's Cartan matrix and exact inverse are assembled from
-    them, not inverted again.  The structure is fixed once built, apart from
+    adjugate, taken from the table of :func:`_cartan_table` that both
+    constructors share per Cartan matrix; the datum's Cartan matrix and
+    exact inverse are assembled from them, not inverted again.  A quotient's
+    roots share their ``coords``, ``coroot`` and ``form`` tuples with the
+    ambient datum's.  The structure is fixed once built, apart from
     the root-orbit tables of :meth:`stabilizer_orbits`, the rows of
     :meth:`reflection_row`, the Dynkin-label tables of :meth:`label_tables`
     and the extended affine basis of
@@ -695,65 +703,65 @@ class RootDatum:
 # Construction from a Dynkin specification
 
 
-def _component_roots(cartan) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _component_roots(cartan) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """All roots of one irreducible component: simple-coefficient vector ->
-    local fundamental-weight coordinates (the Cartan matrix times it).
+    ``(local, co, colocal)``: its local fundamental-weight coordinates (the
+    Cartan matrix times it), its coroot's coefficients over the simple
+    coroots, and the pairings of the simple roots with that coroot.
 
     Closure of the simple roots under all simple reflections; finite root
     systems are exactly the Weyl orbits of their simple roots.  The local
     coordinates are the simple pairings, so s_i subtracts ``local[i]`` from
     coefficient i and ``local[i]`` times column i of the Cartan matrix from
-    the local coordinates.
+    the local coordinates.  It maps the coroot b^vee to s_i(b^vee) = b^vee -
+    <alpha_i, b^vee> alpha_i^vee, so it subtracts ``colocal[i]`` from
+    coroot coefficient i and ``colocal[i]`` times row i from ``colocal``:
+    the coroots come out of the same walk, with no norm and no division.
     """
     rank = len(cartan)
     columns = tuple(zip(*cartan))
-    roots = {tuple(int(j == i) for j in range(rank)): columns[i] for i in range(rank)}
+    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    roots = {units[i]: (columns[i], units[i], tuple(cartan[i])) for i in range(rank)}
 
-    def step(coeffs, local):
+    def step(coeffs, label):
+        local, co, colocal = label
         for i, pairing in enumerate(local):
             if pairing:
                 img = coeffs[:i] + (coeffs[i] - pairing,) + coeffs[i + 1 :]
                 if img not in roots:
-                    yield img, tuple(x - pairing * c for x, c in zip(local, columns[i]))
+                    c = colocal[i]
+                    yield img, (
+                        tuple(x - pairing * y for x, y in zip(local, columns[i])),
+                        co[:i] + (co[i] - c,) + co[i + 1 :],
+                        tuple(x - c * y for x, y in zip(colocal, cartan[i])),
+                    )
     return _closure(roots, step)
 
 
-def _datum_from_simples(spec, n: int, rho, components) -> RootDatum:
-    """The datum with the given simple roots, per component the parallel
-    lists ``(coords, coroots, forms)`` of vectors in Z^n.
+@functools.lru_cache(maxsize=256)
+def _cartan_table(cartan: tuple[tuple[int, ...], ...]):
+    """``(det, adj, roots, simples)`` of one connected Cartan matrix, shared
+    by every component with that matrix, in Dynkin specs and facet
+    quotients alike: ``adj * cartan == det * I``; each root's ``(coeffs,
+    co)`` from :func:`_component_roots`, by height, then coefficients, each
+    checked to have coefficients of one sign; and the position in ``roots``
+    of each simple root.
 
-    Each component's Cartan matrix is inverted first: its positive leading
-    minors certify finite type, without which the reflection closure would
-    not end.  The closure gives each root's simple coefficients c; its
-    coordinates, form and coroot are integer sums over the simple roots',
-    the coroot's coefficients ``c_j (alpha_j, alpha_j) / (alpha, alpha)``
-    checked exact.  Roots are listed by component, height, coefficients.
+    The matrix is inverted first: its positive leading minors certify
+    finite type, without which the closure would not end.  The memo is
+    bounded; 32 matrices occur over every facet of F4, E6, E7 and E8.
     """
-    zero, roots, simple_indices, blocks = (0,) * n, [], [], []
-    for comp, (coords, coroots, forms) in enumerate(components):
-        start, rank = len(roots), len(coords)
-        cartan = _cartan_matrix(coords, coroots)
-        det, adj = _integer_inverse(cartan)
-        blocks.append((cartan, det, adj))
-        norms = [dot(f, a) for f, a in zip(forms, coords)]  # (alpha_j, alpha_j)
-        closure = sorted(_component_roots(cartan), key=lambda c: (sum(c), c))
-        for coeffs in closure:
-            if min(coeffs) < 0 < max(coeffs):
-                raise InvariantViolation(f"root {coeffs} has coefficients of both signs")
-            root_coords = _combine(coeffs, coords, zero)
-            form = _combine(coeffs, forms, zero)
-            normsq = dot(form, root_coords)
-            if normsq <= 0:
-                raise InvariantViolation(f"root {coeffs} has norm {normsq}")
-            scaled = [c * norm for c, norm in zip(coeffs, norms)]
-            if any(x % normsq for x in scaled):
-                raise InvariantViolation(f"coroot of {coeffs} (norm {normsq}) is not integral")
-            coroot_coeffs = tuple(x // normsq for x in scaled)
-            coroot = _combine(coroot_coeffs, coroots, zero)
-            roots.append(Root(root_coords, coeffs, comp, coroot, coroot_coeffs, form))
-        units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
-        simple_indices.append(tuple(start + closure.index(unit) for unit in units))
-    return RootDatum(spec=spec, n=n, roots=roots, simple_indices=simple_indices, rho=rho, blocks=blocks)
+    det, adj = _integer_inverse(cartan)
+    roots = sorted(
+        ((coeffs, co) for coeffs, (_, co, _) in _component_roots(cartan).items()),
+        key=lambda root: (sum(root[0]), root[0]),
+    )
+    for coeffs, _ in roots:
+        if min(coeffs) < 0 < max(coeffs):
+            raise InvariantViolation(f"root {coeffs} has coefficients of both signs")
+    position = {coeffs: k for k, (coeffs, _) in enumerate(roots)}
+    simples = tuple(position[tuple(int(i == j) for i in range(len(cartan)))] for j in range(len(cartan)))
+    return det, adj, tuple(roots), simples
 
 
 def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
@@ -783,7 +791,9 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
         setattr(datum, name, value)
     datum.chi_cache = {}
     if obs.enabled():
-        obs.count("rootdata.build_root_datum.hits", _datum_structure.cache_info().hits - hits)
+        hits = _datum_structure.cache_info().hits - hits
+        if hits:  # a miss records nothing, not a zero
+            obs.count("rootdata.build_root_datum.hits", hits)
     return datum
 
 
@@ -792,19 +802,33 @@ def _datum_structure(spec_string: str) -> RootDatum:
     """The datum of one canonical spec string, built from scratch.  Only
     copies of it leave :func:`build_root_datum`, so its ``chi_cache`` is
     never used.  The memo is bounded so that a sweep over many types does not
-    keep every datum alive."""
+    keep every datum alive.
+
+    A component's simple roots are the columns of its Cartan matrix in its
+    own coordinates, with the unit vectors there as coroots and the
+    symmetrizer times those as forms.  So a root of :func:`_cartan_table`
+    has the Cartan matrix times its coefficients as coordinates, its coroot
+    coefficients as coroot and its coefficients times the symmetrizer as
+    form, each padded with zeros.
+    """
     spec = parse_dynkin_spec(spec_string)
     n = spec.rank
-    components = []
+    roots, simple_indices, blocks = [], [], []
     off = 0  # where the component's coordinates start
-    for family, rank in spec.components:
+    for comp, (family, rank) in enumerate(spec.components):
         cartan, d = _cartan_and_symmetrizer(family, rank)
-        units = [tuple(int(i == off + j) for i in range(n)) for j in range(rank)]
-        columns = [_combine(column, units, (0,) * n) for column in zip(*cartan)]
-        components.append((columns, units, [wscale(dj, u) for dj, u in zip(d, units)]))
+        cartan = tuple(map(tuple, cartan))
+        det, adj, table, simples = _cartan_table(cartan)
+        blocks.append((cartan, det, adj))
+        simple_indices.append(tuple(len(roots) + k for k in simples))
+        before, after = (0,) * off, (0,) * (n - off - rank)
+        for coeffs, co in table:
+            coords = before + tuple(dot(row, coeffs) for row in cartan) + after
+            form = before + tuple(map(operator.mul, coeffs, d)) + after
+            roots.append(Root(coords, coeffs, comp, before + co + after, co, form))
         off += rank
     rho = tuple([1] * spec.semisimple_rank + [0] * spec.extra_torus_rank)
-    return _datum_from_simples(spec, n, rho, components)
+    return RootDatum(spec=spec, n=n, roots=roots, simple_indices=simple_indices, rho=rho, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -814,54 +838,96 @@ def _datum_structure(spec_string: str) -> RootDatum:
 def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     """The root datum spanned by a closed symmetric subset of ambient roots.
 
-    The positive system is inherited from the ambient one; the simple roots
-    are its indecomposable elements, grouped by the connected components of
-    their Dynkin graph.  The datum is built from them on the same path as a
-    Dynkin spec's, and then checked, not assumed: the roots they generate
-    must be exactly the subset (as for every closed symmetric subset), each
-    with the coroot and invariant form of the ambient root with its
-    coordinates, so characters over the sub-datum live in the same lattice
-    as characters over the ambient datum.
+    Its roots are read off the ambient datum, not rebuilt: each shares the
+    ``coords``, ``coroot`` and ``form`` tuples of its ambient root, so
+    characters over the sub-datum live in the ambient lattice, and each step
+    is a lookup by ambient index in the rows of
+    :meth:`RootDatum.reflection_row`.  Ambient roots are listed by
+    component, then height, so s_a(b) = b - <b, a^vee> a comes before b
+    exactly when the pairing is positive.
+
+    The positive system is the ambient one.  Taken in ambient order, a
+    positive root of the subset is simple unless it pairs positively with a
+    simple root found before it: in a root system, simple roots pair
+    non-positively, and a positive root that is not simple pairs positively
+    with a simple root of lower height.  The simple roots are grouped by the
+    components of their Dynkin graph, and each group is closed under its
+    rows.  Height is additive, so s_i(b) = b - p alpha_i has p = (ht b - ht
+    s_i b) / ht alpha_i: the walk carries each root's simple coefficients,
+    and the Cartan matrix is read off the same way.  :func:`_cartan_table`
+    gives that matrix's inverse, its coefficient closure in datum order, the
+    coroot coefficients and the sign check; the walk must give back exactly
+    that closure.  Then the roots walked must be exactly the subset, as for
+    every closed symmetric subset.
 
     Last, the subset S must be closed: no a + b with a, b in S is a root
     outside S.  It suffices to test a simple root a of S, at rank_S * |S|
     lookups instead of |S|^2.  For let a + b be a root outside S, and take
     w in W_S with w(a) simple in S; it exists because S is the root system
     of its base.  W_S keeps S stable, and so the roots outside S, so w(a) +
-    w(b) is again a root outside S, with w(b) in S.
+    w(b) is again a root outside S, with w(b) in S.  Only the b with <b,
+    a^vee> >= 0 are tested: for the others a + b is 0 or, S being a root
+    system, a root of S.
 
-    Every call builds and checks the datum anew, with tables of its own: a
-    memo of quotients per ambient spec and subset saved time on facet
-    sweeps but held every quotient for the life of the process.
+    Every call builds and checks the datum anew, with tables of its own, and
+    only the tables of :func:`_cartan_table` are shared: a memo of quotients
+    per ambient spec and subset saved time on facet sweeps but held every
+    quotient for the life of the process.
     """
-    subset = {tuple(c) for c in coords_subset}
-    members = {r.coords: r for r in ambient.roots if r.coords in subset}
-    if len(members) != len(subset):
-        raise InvariantViolation("subset contains non-roots")
-    positives = [r for r in members.values() if r.height > 0]
-    pos_coords = {r.coords for r in positives}
-    simples = [
-        r
-        for r in positives
-        if not any(wsub(r.coords, s.coords) in pos_coords for s in positives)
+    roots, index = ambient.roots, ambient._coords_index
+    try:
+        members = sorted({index[tuple(c)] for c in coords_subset})
+    except KeyError:
+        raise InvariantViolation("subset contains non-roots") from None
+    simples, rows = [], []
+    for b in members:
+        if roots[b].height > 0 and all(row[b] >= b for row in rows):
+            simples.append(b)
+            rows.append(ambient.reflection_row(b))
+    heights = [roots[a].height for a in simples]
+    # <alpha_j, alpha_i^vee> = (ht alpha_j - ht s_i alpha_j) / ht alpha_i
+    pairings = [
+        [(roots[a].height - roots[row[a]].height) // h for a in simples] for row, h in zip(rows, heights)
     ]
-    if any(dot(a.coords, b.coroot) > 0 for a, b in itertools.combinations(simples, 2)):
-        raise InvariantViolation("indecomposables do not form a base")
-    groups = [[simples[i] for i in group] for group in _dynkin_components(simples)]
-    simple_data = [([s.coords for s in g], [s.coroot for s in g], [s.form for s in g]) for g in groups]
-    datum = _datum_from_simples(None, ambient.n, None, simple_data)
-    differ = members.keys() ^ {r.coords for r in datum.roots}
+    groups = _dynkin_components(pairings)
+    out, simple_indices, blocks, reached = [], [], [], set()
+    for comp, group in enumerate(groups):
+        cartan = tuple(tuple(pairings[i][j] for j in group) for i in group)
+        det, adj, table, positions = _cartan_table(cartan)
+        gens = [(rows[i], heights[i]) for i in group]
+        walked = {simples[i]: tuple(int(t == u) for u in range(len(group))) for t, i in enumerate(group)}
+
+        def step(b, coeffs):
+            for t, (row, h) in enumerate(gens):
+                k = row[b]
+                if k not in walked:
+                    p = (roots[b].height - roots[k].height) // h
+                    yield k, coeffs[:t] + (coeffs[t] - p,) + coeffs[t + 1 :]
+        _closure(walked, step)
+        by_coeffs = {coeffs: b for b, coeffs in walked.items()}
+        picked = [by_coeffs.get(coeffs) for coeffs, _ in table]
+        if len(walked) != len(table) or None in picked:
+            raise InvariantViolation(f"the reflection rows of component {comp} miss the roots of {cartan}")
+        start = len(out)
+        for k, (coeffs, co) in zip(picked, table):
+            b = roots[k]
+            out.append(Root(b.coords, coeffs, comp, b.coroot, co, b.form))
+        simple_indices.append(tuple(start + s for s in positions))
+        blocks.append((cartan, det, adj))
+        reached.update(walked)
+    differ = reached.symmetric_difference(members)
     if differ:
-        raise InvariantViolation(f"subset is not the root system of its base, which differs on {sorted(differ)}")
-    for r in datum.roots:
-        if (members[r.coords].coroot, members[r.coords].form) != (r.coroot, r.form):
-            raise InvariantViolation(f"{r} does not get the coroot and form of the ambient root")
-    for a in datum.simple_roots:
+        differ = sorted(roots[k].coords for k in differ)
+        raise InvariantViolation(f"subset is not the root system of its base, which differs on {differ}")
+    inside = set(members)
+    for i in (i for group in groups for i in group):
+        a, row = roots[simples[i]], rows[i]
         for b in members:
-            total = wadd(a.coords, b)
-            if total not in members and total in ambient._coords_index:
-                raise InvariantViolation(f"subset is not closed: {a} + Root({weight_key(b)}) lies outside it")
-    return datum
+            if row[b] <= b:  # else <b, a^vee> < 0, and a + b is 0 or a root of S
+                total = index.get(wadd(a.coords, roots[b].coords))
+                if total is not None and total not in inside:
+                    raise InvariantViolation(f"subset is not closed: {a} + {roots[b]} lies outside it")
+    return RootDatum(spec=None, n=ambient.n, roots=out, simple_indices=simple_indices, rho=None, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -910,9 +976,9 @@ def classify_nodes(nodes, n: int) -> DynkinSpec:
     """The Dynkin type of a set of simple roots in Z^n: each connected
     component of their Dynkin graph is classified, and the remaining rank is
     a central torus."""
+    cartan = _cartan_matrix([a.coords for a in nodes], [a.coroot for a in nodes])
     components = sorted(
-        classify_cartan(_cartan_matrix([nodes[i].coords for i in g], [nodes[i].coroot for i in g]))
-        for g in _dynkin_components(nodes)
+        classify_cartan([[cartan[i][j] for j in g] for i in g]) for g in _dynkin_components(cartan)
     )
     return DynkinSpec(tuple(components), n - sum(rank for _, rank in components))
 

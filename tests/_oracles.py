@@ -4,8 +4,9 @@ These recompute expected values along routes that do not share code with the
 library: explicit matrix closure for Weyl groups, exact Fraction solves for
 marks and lattice coordinates, a box scan for the dominant weights below a
 weight, the reflection loop for dominant conjugates, the coordinate rescan
-for the dot action, the coefficient-vector closure for root systems, and
-hand-built weight multisets for small modules.
+for the dot action, the coefficient-vector closure for root systems,
+``Fraction`` sums for facet barycenters, and hand-built weight multisets
+for small modules.
 The reference Freudenthal loop runs on weights, not on Dynkin labels as the
 library does, and finds the dominant weights below lam by subtracting
 positive roots from weights.
@@ -445,6 +446,18 @@ def parahoric_model_by_canonical_rep(rd, theta, basis):
     )
 
 
+def facet_barycenter_by_fractions(rd, basis, theta):
+    """The facet barycenter summed in ``Fraction``s, coordinate by
+    coordinate: per component, the average of the alcove vertices opposite
+    the Theta nodes."""
+    point = [Fraction(0)] * rd.n
+    for comp, part in enumerate(theta.theta):
+        chosen = [basis.vertices[comp][i] for i in part]
+        for i in range(rd.n):
+            point[i] += sum(v[i] for v in chosen) / len(chosen)
+    return tuple(point)
+
+
 def _coroot_coeffs(coeffs, simple_norms, normsq):
     """The coroot of ``alpha = sum c_i alpha_i`` over the simple coroots, from
     ``alpha^vee = 2 alpha / (alpha, alpha)``: ``c_i (alpha_i, alpha_i) /
@@ -476,7 +489,7 @@ def sub_root_datum_by_solves(ambient, coords_subset):
     ]
     if any(dot(a.coords, b.coroot) > 0 for a, b in itertools.combinations(simples, 2)):
         raise InvariantViolation("indecomposables do not form a base")
-    groups = _dynkin_components(simples)
+    groups = _dynkin_components(_cartan_matrix([s.coords for s in simples], [s.coroot for s in simples]))
     simples = [simples[i] for g in groups for i in g]
     bounds = list(itertools.pairwise(itertools.accumulate((len(g) for g in groups), initial=0)))
     root_basis = [s.coords for s in simples]

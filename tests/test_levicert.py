@@ -209,6 +209,17 @@ def test_layers_and_e1_match_the_per_weight_oracles(name):
         assert e1["nonnegative"] == direct.is_nonnegative(), theta
 
 
+@pytest.mark.parametrize("name", ["B3", "C3", "D4", "G2", "B2xG2", "F4", "E6"])
+def test_layer_characters_pass_the_checked_constructor(name):
+    # from_parahoric builds its layers without the constructor's checks
+    rd = build_root_datum(name)
+    basis = extended_basis(rd)
+    for theta in enumerate_facets(rd, basis):
+        seq = from_parahoric(parahoric_model(rd, theta, basis))
+        for layer in seq.layers:
+            assert layer == Character(layer.datum, dict(layer.mult)), theta
+
+
 def test_dims_follow_the_layers():
     a2 = build_root_datum("A2")
     seq = SplittingSequence(a2, (Character(a2, {(1, 1): 1}),))

@@ -1,3 +1,5 @@
+import itertools
+
 from parahoric import (
     build_root_datum,
     chi_char,
@@ -34,6 +36,18 @@ def test_recordings_nest_and_count_build_memo_hits():
         build_root_datum("G2")
     assert outer == {"rootdata.build_root_datum.hits": 2}
     assert inner == {"rootdata.build_root_datum.hits": 2}
+
+
+def test_a_memo_miss_records_no_hit_count():
+    # a torus rank no other test builds, raised until the build misses, so
+    # that the shared memo need not be cleared
+    for k in itertools.count(5):
+        misses = _datum_structure.cache_info().misses
+        with obs.recording() as counters:
+            build_root_datum(f"G2+T{k}")
+        if _datum_structure.cache_info().misses > misses:
+            break
+    assert "rootdata.build_root_datum.hits" not in counters
 
 
 def test_reflection_rows_are_built_once_per_spec_over_two_facet_sweeps():

@@ -24,6 +24,7 @@ from parahoric import (
     parse_facet_spec,
 )
 from parahoric import rootdata
+from parahoric.affine import facet_barycenter
 from parahoric.charring import DiskCharacters
 from parahoric.rootdata import (
     InvariantViolation,
@@ -36,6 +37,7 @@ from parahoric.rootdata import (
 )
 
 from _oracles import (
+    facet_barycenter_by_fractions,
     integer_coords,
     roots_by_closure,
     roots_by_weyl_images,
@@ -651,6 +653,19 @@ def test_quotient_data_match_the_root_by_root_solve(name):
         assert q._two_rho_form == expected["two_rho_form"], theta
         assert q._two_rho_coroot == expected["two_rho_coroot"], theta
         assert classify_root_datum(q) == expected["type"], theta
+        for r in q.roots:
+            b = rd.root_with_coords(r.coords)
+            assert r.coords is b.coords and r.coroot is b.coroot and r.form is b.form, theta
+
+
+@pytest.mark.parametrize("name", [name for name in SWEEP_TYPES if name != "E8"])
+def test_facet_barycenters_match_the_fraction_sum(name):
+    # the bench digests hash the barycenter strings, so compare those
+    rd = build_root_datum(name)
+    basis = extended_basis(rd)
+    for theta in enumerate_facets(rd, basis):
+        expected = facet_barycenter_by_fractions(rd, basis, theta)
+        assert [str(x) for x in facet_barycenter(rd, basis, theta)] == [str(x) for x in expected], theta
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6"])
