@@ -104,10 +104,11 @@ class Character:
 
 
 def _trusted_character(datum: RootDatum, mult: dict[Weight, int]) -> Character:
-    """A :class:`Character` built without its checks, for a producer that
-    has just shown every key of ``mult`` to be a dominant weight of
-    ``datum`` with a positive multiplicity.  The public constructor keeps
-    every check."""
+    """A :class:`Character` built without its checks, for a producer whose
+    every key of ``mult`` is a dominant weight of ``datum`` with a positive
+    multiplicity by construction: :func:`chi_char`, the ring operations
+    and :func:`parahoric.levicert.from_parahoric`.  The public constructor
+    keeps every check."""
     ch = object.__new__(Character)
     object.__setattr__(ch, "datum", datum)
     object.__setattr__(ch, "mult", mult)
@@ -209,21 +210,32 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
     orbit's number of positive roots (all of an orbit outside Phi_J, half of
     one inside it), from :meth:`RootDatum.stabilizer_orbits` (Moody and
     Patera 1982; Stembridge 2001).  The sum, and so every check on it, is the
-    same as over all positive roots.
+    same as over all positive roots.  Each string starts from the orbit's
+    highest positive root alpha, which pairs nonnegatively with the simple
+    coroots of J, so mu + k alpha does too and its chamber walk is short.
+
+    A minuscule or zero lam, one that pairs at most 1 with every positive
+    coroot, has no other dominant weight below it, and chi(lam) is its orbit
+    sum; it is stored as such, without the recursion.
+
+    The result is built without the checks of the :class:`Character`
+    constructor: its keys come from the dominance closure below the checked
+    ``lam`` and its multiplicities are checked positive as they are found, or
+    a disk entry passed :func:`_plausible_character`.
     """
     rd.check_weights(lam)
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
-    return Character(rd, dict(_chi_mult(rd, lam)))
+    return _trusted_character(rd, dict(_chi_mult(rd, lam)))
 
 
 def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     """The multiplicities of ``chi(lam)`` for a dominant ``lam``, as the map
     that ``rd.chi_cache`` holds: computed and stored on a miss, returned as
     stored on a hit.  Readers must not change it.  :func:`chi_char` copies
-    it into a checked :class:`Character`; :func:`chi_expand_map`, whose tops
-    are dominant by construction, and :func:`evaluate_chi_sum`, which checks
-    its weights, read it without that copy and check.
+    it into a :class:`Character`; :func:`chi_expand_map`, whose tops are
+    dominant by construction, and :func:`evaluate_chi_sum`, which checks its
+    weights, read it without that copy.
 
     The recursion runs on Dynkin labels: each weight of an alpha-string is
     its labels, a step adds the labels of alpha, and :func:`_chamber_walk`
@@ -234,6 +246,12 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     cached = rd.chi_cache.get(lam)
     if cached is not None:
         return cached
+    if all(dot(lam, b.coroot) <= 1 for b in rd.positive_roots):
+        # minuscule or zero: lam is the only dominant weight below it
+        mult = rd.chi_cache[lam] = {lam: 1}
+        obs.count("charring.freudenthal.runs")
+        obs.count("charring.freudenthal.dominant_weights")
+        return mult
     # by height; ties in lexicographic order of the coordinates of lam - mu,
     # which fixes the insertion order of mult
     candidates = sorted(
@@ -250,8 +268,9 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         if height == 0:
             mult[mu] = found[labels] = 1
             continue
-        # one alpha-string per W_J-orbit, weighted by its count of positive
-        # roots; the pairing (nu, alpha) grows by (alpha, alpha) per step
+        # one alpha-string per W_J-orbit, from its highest positive root and
+        # weighted by its count of positive roots; the pairing (nu, alpha)
+        # grows by (alpha, alpha) per step
         zeros = tuple(j for j, x in enumerate(labels) if not x)
         total = 0
         for form, coords, norm, count in rd.stabilizer_orbits(zeros):
@@ -311,8 +330,11 @@ def expand_full(ch: Character) -> dict[Weight, int]:
 
 
 def _compress(rd: RootDatum, full: dict[Weight, int]) -> Character:
+    """The dominant part of a full weight multiplicity function whose entries
+    are sums of products of positive multiplicities, over weights of the
+    lattice rank, so each kept entry is positive."""
     mult = {w: m for w, m in full.items() if m and rd.is_dominant(w)}
-    return Character(rd, mult)
+    return _trusted_character(rd, mult)
 
 
 def add(ch1: Character, ch2: Character) -> Character:
@@ -320,7 +342,7 @@ def add(ch1: Character, ch2: Character) -> Character:
     out = dict(ch1.mult)
     for w, m in ch2.mult.items():
         out[w] = out.get(w, 0) + m
-    return Character(ch1.datum, out)
+    return _trusted_character(ch1.datum, out)
 
 
 def scale(ch: Character, k: int) -> Character:
@@ -328,7 +350,7 @@ def scale(ch: Character, k: int) -> Character:
         raise ValueError("scale factor must be nonnegative")
     if k == 0:
         return Character(ch.datum, {})
-    return Character(ch.datum, {w: k * m for w, m in ch.mult.items()})
+    return _trusted_character(ch.datum, {w: k * m for w, m in ch.mult.items()})
 
 
 def tensor(ch1: Character, ch2: Character) -> Character:
@@ -350,7 +372,7 @@ def dual(ch: Character) -> Character:
     for w, m in ch.mult.items():
         key = ch.datum._dominant_conjugate(wneg(w))
         out[key] = out.get(key, 0) + m
-    return Character(ch.datum, out)
+    return _trusted_character(ch.datum, out)
 
 
 def exterior_square(ch: Character) -> Character:

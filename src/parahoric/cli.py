@@ -311,8 +311,10 @@ OPTIONS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        """argparse's usage line and ``prog: error: message``, with exit
+        status ``USAGE_ERROR`` instead of argparse's 2."""
         self.print_usage(sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

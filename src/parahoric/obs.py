@@ -16,7 +16,10 @@ Counter names are ``<module>.<function>.<what>``:
   :func:`parahoric.affine.parahoric_model` builds them (through
   :func:`parahoric.rootdata.sub_root_datum`);
 * ``charring.freudenthal.runs``: characters computed by Freudenthal's
-  recursion, that is misses of ``chi_cache`` (a hit counts nothing);
+  recursion, that is misses of ``chi_cache`` (a hit counts nothing); a
+  minuscule or zero highest weight, whose character is stored as its orbit
+  sum without the recursion, counts as a run with one dominant weight and
+  no string steps or chamber walks;
 * ``charring.freudenthal.dominant_weights``: dominant weights of those
   characters;
 * ``charring.freudenthal.string_steps``: weights visited on their

@@ -431,14 +431,14 @@ class RootDatum:
     exact inverse are assembled from them, not inverted again.  A quotient's
     roots share their ``coords``, ``coroot`` and ``form`` tuples with the
     ambient datum's.  The structure is fixed once built, apart from
-    the root-orbit tables of :meth:`stabilizer_orbits`, the rows of
-    :meth:`reflection_row`, the Dynkin-label tables of :meth:`label_tables`
-    and the extended affine basis of
-    :func:`parahoric.affine.extended_basis`, which are filled in on first
-    use, and every datum that :func:`build_root_datum` returns for one spec
-    shares it, tables, rows and basis included.  The one attribute
-    that holds characters, ``chi_cache``, belongs to each datum alone: it
-    memoizes ``chi(lam)`` multiplicities by highest weight for
+    the root-orbit tables of :meth:`stabilizer_orbits`, the orbit sizes of
+    :meth:`orbit_size`, the rows of :meth:`reflection_row`, the
+    Dynkin-label tables of :meth:`label_tables` and the extended affine
+    basis of :func:`parahoric.affine.extended_basis`, which are filled in on
+    first use, and every datum that :func:`build_root_datum` returns for one
+    spec shares it, tables, sizes, rows and basis included.  The one
+    attribute that holds characters, ``chi_cache``, belongs to each datum
+    alone: it memoizes ``chi(lam)`` multiplicities by highest weight for
     :func:`parahoric.charring.chi_char`, starts as a new empty dict, and may
     be replaced by another store with ``get`` and item assignment, such as
     the CLI's :class:`parahoric.charring.DiskCharacters`.
@@ -470,6 +470,8 @@ class RootDatum:
         # stabilizer_orbits tables by J, filled on first use and shared by
         # every build of the spec; they hold root data only
         self._orbit_tables: dict[tuple[int, ...], tuple[tuple[Weight, Weight, int, int], ...]] = {}
+        # orbit_size's |W/W_J| by J, filled and shared like the orbit tables
+        self._orbit_sizes: dict[tuple[int, ...], int] = {}
         # the extended affine basis of parahoric.affine.extended_basis, empty
         # until first use; a list so that every build of the spec shares the
         # one basis built, as it shares the orbit tables
@@ -574,19 +576,29 @@ class RootDatum:
         return _combine(added, self._simple_coords, lam) if steps else lam
 
     def orbit_size(self, lam: Weight) -> int:
-        """|W|/|W_lam| as the product of (ht b + 1)/ht b over the positive roots
-        b that pair nonzero with the dominant conjugate: |W| and its parabolic
-        stabilizer each are such a product over their positive roots (the
-        Poincare series at q = 1; Macdonald, Math. Ann. 1972)."""
+        """|W|/|W_lam| = |W/W_J|, where J is the set of simple roots that pair
+        to zero with the dominant conjugate: :func:`_chamber_walk` gives its
+        labels, and the size is looked up by J.  On the first lookup of a J
+        it is the product of (ht b + 1)/ht b over the positive roots b that
+        pair nonzero with the dominant conjugate, the roots outside Phi_J:
+        |W| and W_J each are such a product over their positive roots (the
+        Poincare series at q = 1; Macdonald, Math. Ann. 1972).  The sizes are
+        shared by every build of the spec, like the orbit tables."""
         self.check_weights(lam)
-        dom = self._dominant_conjugate(lam)
-        num = den = 1
-        for beta in self.positive_roots:
-            if dot(dom, beta.coroot):
-                num, den = num * (beta.height + 1), den * beta.height
-        if num % den:
-            raise InvariantViolation(f"height product {num}/{den} for {lam} is not an integer")
-        return num // den
+        pairs = [dot(lam, f) for f in self._simple_coroots]
+        added, steps = _chamber_walk(pairs, self._cartan_columns, len(self.positive_roots))
+        zeros = tuple(j for j, p in enumerate(pairs) if not p)
+        size = self._orbit_sizes.get(zeros)
+        if size is None:
+            dom = _combine(added, self._simple_coords, lam) if steps else lam
+            num = den = 1
+            for beta in self.positive_roots:
+                if dot(dom, beta.coroot):
+                    num, den = num * (beta.height + 1), den * beta.height
+            if num % den:
+                raise InvariantViolation(f"height product {num}/{den} for {lam} is not an integer")
+            size = self._orbit_sizes[zeros] = num // den
+        return size
 
     def stabilizer_orbits(self, zeros: tuple[int, ...]) -> tuple[tuple[Weight, Weight, int, int], ...]:
         """The orbits of W_J on the roots that meet the positive roots, where
@@ -595,12 +607,15 @@ class RootDatum:
         to zero with exactly those simple coroots.
 
         One ``(form, coords, (alpha, alpha), count)`` per orbit, in root order
-        of its first positive root alpha; ``count`` is the orbit's number of
-        positive roots.  W_J permutes the positive roots outside Phi_J, so
-        such an orbit counts in full; an orbit inside Phi_J is closed under
-        negation and counts half.  The counts must add up to the number of
-        positive roots.  Built on first use and shared by every build of the
-        spec.
+        of its first positive root; alpha is the orbit's highest positive
+        root, the last in root order, and ``count`` is the orbit's number of
+        positive roots.  Every other root of the orbit pairs negatively with
+        some alpha_j^vee, j in J, and s_j raises it, so alpha pairs
+        nonnegatively with each of them.  W_J permutes the positive roots
+        outside Phi_J, so such an orbit counts in full; an orbit inside Phi_J
+        is closed under negation and counts half.  The counts must add up to
+        the number of positive roots.  Built on first use and shared by every
+        build of the spec.
         """
         table = self._orbit_tables.get(zeros)
         if table is not None:
@@ -614,7 +629,7 @@ class RootDatum:
                         f"W_J-orbit {orbit} (J = {zeros}) meets the negative roots and has odd size"
                     )
                 count //= 2
-            alpha = orbit[0]
+            alpha = self.roots[max(self._coords_index[b.coords] for b in orbit)]
             rows.append((alpha.form, alpha.coords, dot(alpha.form, alpha.coords), count))
         counted = sum(row[3] for row in rows)
         if counted != len(self.positive_roots):
@@ -773,7 +788,8 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
 
     The structure (roots, simple indices, Cartan matrix and its integer
     inverse, the 2*rho functionals, the W_J-orbit tables of
-    :meth:`RootDatum.stabilizer_orbits`, the reflection rows of
+    :meth:`RootDatum.stabilizer_orbits`, the orbit sizes by J of
+    :meth:`RootDatum.orbit_size`, the reflection rows of
     :meth:`RootDatum.reflection_row`, the Dynkin-label tables of
     :meth:`RootDatum.label_tables`, the extended affine basis) is built
     and checked once per spec, keyed on the canonical ``str(spec)``, so

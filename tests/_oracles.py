@@ -7,6 +7,7 @@ weight, the reflection loop for dominant conjugates, the coordinate rescan
 for the dot action, the coefficient-vector closure for root systems,
 ``Fraction`` sums for facet barycenters, and hand-built weight multisets
 for small modules.
+The W_J-orbits on the roots are closed under W_J taken as a matrix group.
 The reference Freudenthal loop runs on weights, not on Dynkin labels as the
 library does, and finds the dominant weights below lam by subtracting
 positive roots from weights.
@@ -101,6 +102,28 @@ def weyl_group_matrices(datum):
                     nxt.append(prod)
         frontier = nxt
     return group
+
+
+def stabilizer_orbits_by_closure(datum, zeros):
+    """The orbits of W_J on the roots that meet the positive roots, W_J the
+    group of matrices generated by the simple reflections ``zeros``: each
+    as ``(orbit, count)``, the orbit's set of root coordinates and its
+    number of positive roots, in root order of each orbit's first positive
+    root."""
+    gens = [reflection_matrix(datum, datum.simple_roots[j]) for j in zeros]
+    n = datum.n
+    group = {tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+    frontier = list(group)
+    while frontier:
+        frontier = [g for g in {mat_mul(s, m) for m in frontier for s in gens} if g not in group]
+        group.update(frontier)
+    orbits, seen = [], set()
+    for alpha in datum.positive_roots:
+        if alpha.coords not in seen:
+            orbit = {mat_apply(m, alpha.coords) for m in group}
+            seen |= orbit
+            orbits.append((orbit, sum(datum.root_with_coords(b).height > 0 for b in orbit)))
+    return orbits
 
 
 def roots_by_weyl_images(datum):

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,9 @@ from parahoric import (
     scale,
     tensor,
 )
+from parahoric import charring
 from parahoric.charring import (
+    _chi_mult,
     _dominant_below,
     chi_expand_map,
     evaluate_chi_sum,
@@ -171,6 +175,43 @@ def test_label_path_matches_reference_across_components_and_quotients():
     assert (checked, strings) == (81 + 2408 + 1511, 79 + 1165)
 
 
+def test_minuscule_shortcut_fires_exactly_on_single_weight_closures(monkeypatch):
+    """chi(lam) is stored as {lam: 1} without the dominance closure exactly
+    when the closure would give lam alone."""
+    cases = [(build_root_datum(name), weights) for name, weights in _rank4_boxes()]
+    for name in ("E6", "E7"):
+        rd = build_root_datum(name)
+        cases.append((rd, [tuple(int(i == j) for j in range(rd.n)) for i in range(rd.n)]))
+    f4 = build_root_datum("F4")
+    basis = extended_basis(f4)
+    for theta in enumerate_facets(f4, basis):
+        model = parahoric_model(f4, theta, basis)
+        sub = model.quotient_datum
+        cases.append((sub, sorted({w for layer in model.layers for w in layer if sub.is_dominant(w)})))
+
+    class Closure(Exception):
+        pass
+
+    def closure(rd, lam):
+        raise Closure
+
+    monkeypatch.setattr(charring, "_dominant_below", closure)
+    fired = ran = 0
+    for rd, weights in cases:
+        for lam in weights:
+            rd.chi_cache = {}
+            single = len(_dominant_below(rd, lam)) == 1
+            try:
+                mult = _chi_mult(rd, lam)
+            except Closure:
+                assert not single, (rd.spec, lam)
+                ran += 1
+            else:
+                assert single and mult == {lam: 1} and rd.chi_cache[lam] is mult, (rd.spec, lam)
+                fired += 1
+    assert (fired, ran) == (496, 321)
+
+
 @pytest.mark.parametrize(
     "name, lam",
     [
@@ -256,6 +297,29 @@ def test_add_scale(a2):
     assert dim(two) == 2 * dim(ch)
     with pytest.raises(ValueError):
         scale(ch, -1)
+
+
+def test_ring_producers_pass_the_checked_constructor(monkeypatch):
+    # chi_char, add, scale, dual and _compress (under tensor and
+    # exterior_square) build their results without the constructor's checks
+    producers = collections.Counter()
+
+    def checked(datum, mult):
+        producers[sys._getframe(1).f_code.co_name] += 1
+        return Character(datum, mult)
+
+    monkeypatch.setattr(charring, "_trusted_character", checked)
+    for name, weights in _rank4_boxes():
+        rd = build_root_datum(name)
+        chars = [chi_char(rd, lam) for lam in weights]
+        for ch in chars:
+            assert dual(dual(ch)) == ch, (name, ch)
+            assert add(ch, scale(ch, 2)) == scale(ch, 3), (name, ch)
+        small = [ch for ch in chars if dim(ch) <= 30][:4]
+        for ch1, ch2 in itertools.combinations_with_replacement(small, 2):
+            assert dim(tensor(ch1, ch2)) == dim(ch1) * dim(ch2), (name, ch1, ch2)
+            assert dim(exterior_square(ch1)) == dim(ch1) * (dim(ch1) - 1) // 2, (name, ch1)
+    assert set(producers) == {"chi_char", "add", "scale", "dual", "_compress"}
 
 
 def test_datum_mismatch(a2, c2):

@@ -177,8 +177,18 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
 
 
 def test_usage_errors(capsys):
-    assert main(["nonsense"]) == 1
-    capsys.readouterr()
+    # argparse's own reason follows the usage line
+    for argv, reason in [
+        (["nonsense"], "parahoric: error: argument command: invalid choice: 'nonsense'"),
+        (["jantzen", "--type", "A2", "--weight", "1,1", "--p", "x"],
+         "parahoric jantzen: error: argument --p: invalid int value: 'x'"),
+        (["jantzen", "--type", "A2", "--p", "3"],
+         "parahoric jantzen: error: the following arguments are required: --weight"),
+        (["rootsys", "--type", "A2", "--bogus"], "parahoric: error: unrecognized arguments: --bogus"),
+    ]:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: parahoric") and f"\n{reason}" in err, argv
     assert main(["levi", "--type", "A2", "--theta", "9", "--p", "5"]) == 1
     capsys.readouterr()
     assert main(["levi", "--type", "A2", "--theta", "0,1", "--p", "4"]) == 1

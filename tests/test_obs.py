@@ -80,6 +80,6 @@ def test_freudenthal_counts_a_run_once_and_nothing_on_a_hit():
         "charring.freudenthal.runs": 1,
         "charring.freudenthal.dominant_weights": 58,
         "charring.freudenthal.string_steps": 1594,
-        "charring.freudenthal.chamber_walks": 978,
+        "charring.freudenthal.chamber_walks": 694,
     }
     assert second == {}

@@ -37,10 +37,12 @@ from parahoric.rootdata import (
 )
 
 from _oracles import (
+    dominant_conjugate_by_reflection,
     facet_barycenter_by_fractions,
     integer_coords,
     roots_by_closure,
     roots_by_weyl_images,
+    stabilizer_orbits_by_closure,
     sub_root_datum_by_solves,
     weyl_group_matrices,
 )
@@ -535,6 +537,47 @@ def test_spellings_of_one_spec_share_the_memo_entry():
 ORBIT_TABLE_TYPES = {"A1", "A2", "A3", "A4", "B3", "C3", "G2", "F4", "B2xG2"}
 
 
+@pytest.mark.parametrize("name", sorted(ORBIT_TABLE_TYPES))
+def test_stabilizer_orbits_match_the_matrix_closure(name):
+    """Each row covers the orbit of W_J that its position names, with its
+    count of positive roots, from the orbit's highest positive root: the
+    last in root order, the one of largest height and pairing nonnegatively
+    with every alpha_j^vee, j in J."""
+    rd = build_root_datum(name)
+    order = {r.coords: i for i, r in enumerate(rd.roots)}
+    for k in range(rd.semisimple_rank + 1):
+        for zeros in itertools.combinations(range(rd.semisimple_rank), k):
+            rows = rd.stabilizer_orbits(zeros)
+            expected = stabilizer_orbits_by_closure(rd, zeros)
+            assert len(rows) == len(expected), zeros
+            for (form, coords, norm, count), (orbit, positives) in zip(rows, expected):
+                alpha = rd.root_with_coords(coords)
+                assert coords in orbit and count == positives, (zeros, coords)
+                assert coords == max(orbit, key=order.get), (zeros, coords)
+                heights = [rd.root_with_coords(b).height for b in orbit]
+                assert heights.count(alpha.height) == 1 and alpha.height == max(heights)
+                assert all(rd.pair(coords, rd.simple_roots[j].coroot) >= 0 for j in zeros)
+                assert (form, norm) == (alpha.form, rootdata.dot(alpha.form, coords))
+
+
+def test_orbit_sizes_are_one_table_per_spec_with_an_entry_per_zero_set():
+    fresh = _datum_structure.__wrapped__("B3")
+    assert fresh._orbit_sizes == {}
+    met = {}
+    for lam in itertools.product(range(-1, 2), repeat=3):
+        dom = dominant_conjugate_by_reflection(fresh, lam)
+        zeros = tuple(j for j, a in enumerate(fresh.simple_roots) if not fresh.pair(dom, a.coroot))
+        met[zeros] = len(fresh.weyl_orbit(lam))
+        assert fresh.orbit_size(lam) == met[zeros], lam
+        assert fresh._orbit_sizes == met
+    first, second = build_root_datum("B3"), build_root_datum("B3")
+    assert first._orbit_sizes is second._orbit_sizes
+    alpha = first.simple_roots[0].coords
+    sub = sub_root_datum(first, [alpha, wneg(alpha)])
+    assert sub._orbit_sizes is not first._orbit_sizes and sub._orbit_sizes == {}
+    assert sub.orbit_size((1, 0, 0)) == 2 and sub._orbit_sizes == {(): 2}
+
+
 @pytest.mark.parametrize(
     "name",
     ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "G2", "F4",
@@ -708,31 +751,35 @@ def test_chamber_walk_is_bounded_by_the_number_of_positive_roots():
 # SHA-256 of each spec's structure (the fields of _structure_digest),
 # recorded before Dynkin specs and quotients were built by one constructor;
 # unlike the comparison with _datum_structure.__wrapped__, it does not run
-# the code under test on both sides
+# the code under test on both sides.  The eight types with orbit tables that
+# have a row of more than one root (all of ORBIT_TABLE_TYPES but A1) were
+# recorded again when each row came to be listed from its orbit's highest
+# positive root (test_stabilizer_orbits_match_the_matrix_closure), with
+# their other fields unchanged
 SPEC_DIGESTS = {
     "A1": "ce48a5c56a25a3fd297368fa90e4abdde58e8fe3038a43d9681955fc6dcb0f68",
-    "A2": "a4de954bb6ff453acb9da5a85753837e456906b790f8c76b923c5852ae21cefa",
-    "A3": "6be9882fba6d748db6a7d54558be2f5f541f6b8d2c99c4f2bff32a6d89d2307d",
-    "A4": "8c0e3df4a4c6c557c3c6b7b25767f262e1c59aeb667680e036a347a34e1664f4",
+    "A2": "a3badad188e8a01d329144d54a3c4099f65a50f7bdf532688f88004ef7844849",
+    "A3": "8df184c3ce9b3f9fd792fe4657a95487b3597c78b3e8d4b30c800bbbb2e0edb0",
+    "A4": "d53143a6f33c6d7193b60ebdf55bea905b7b766b69c247ee0bec671e69860d38",
     "A5": "a6f048b1e6d85a81df62399c901e2f000092faca9e23c23bd1a95a1f2ec31594",
     "B2": "3cb4fd8493828316c486bc4c11fdd70bae70b41b9505fbd8f5bb1fe693216b37",
-    "B3": "105f741b6cc959b254c8226fbdece9131ade4e55225c7d5076e70736bf804135",
+    "B3": "eb990b34289e1d29791d34484a7fbd0f78a488e317a3c481b32f70fc367d6070",
     "B4": "13b8a35b90b900482012ad3dcf91c886c87d7910d0a2f1572f44875e1caa2a8a",
     "B5": "c38e0b95a5f77ae3c7a83c024aeeba075f7581ae41647fc262a14ae10d1724de",
     "C2": "cecca63893d93d23c8f3b0e0a494c7b2c2da7d162b853006dfd556bfb8fbda23",
-    "C3": "6ea2492f5ad4d52a1b34f64afb85f6a20fa772b4651b75a67d368cf73f34e9e1",
+    "C3": "b3ca1b4b226d3a22f2f76f6a42e7b918ef5c7dc07a71be8c2798aa6e9b14a925",
     "C4": "8448b5235500e762b070224ceec6663a1f786ae99254c4cd5f08b3462c980541",
     "C5": "993151ccdb5565f4e36bd0ac073b722116172412f450139d4de5d3c785d7f559",
     "D4": "d9f206157ec0acc205946d2c59d53a60bdbd0fb46f724b68fd6dcfb3b49a596e",
     "D5": "b239aeb54901b7a1a52813309ece3a39abeb49ae623dd27e92f97e52252c8fbe",
     "D6": "b8efe403f127824dff4835e8284225d93cbca0242147e7d7abffd3dd985a4730",
-    "G2": "4515002ee3980d30ca0d8327064ac36f4d386284514144b6557fe9a1f62bf18c",
-    "F4": "1e4dc9350feb7ca5963034c4165e34702c14363c55c7b94655923f76a4b15ddc",
+    "G2": "291118d5761e75c70277878f518f79febf37c9815f83784405e0d71e71ab2494",
+    "F4": "507c571957c220a3ed03718fee9bdc06957633890505c417c2765957107d1dcd",
     "E6": "87a917c0bb4dcae0db5c800e2ee2a7942bb5593b972e561c33e0b70d15102800",
     "E7": "c3d543ef1a300802b8a74dbfed531ae1449cd738ae72309b86751ed5afd65bea",
     "E8": "04adcbfca84e5e607a58d2a99aff182891f0de7ddb3f9b8a6fdcc4c0466c94dc",
     "A1xA1+T1": "1299fa8c8137f931eba0a12dcc0cdad47c04bf928da179fe6452e346cf31845b",
-    "B2xG2": "9d1bbb008a842dd164c6a7d78423d73f4448ace3b9ac20f3f4d6a2bfa285d8c8",
+    "B2xG2": "8f1a4082f7f46e3be5d217d79965628d4d14ee4ab18c924004b80596230bd0c5",
     "A2xA1+T2": "fd7162af4bf4e8eec51689861c27b52d336f28e73339e471371c04655cfe5fb9",
     "D3": "8d2d85e6fcd99616b59c3bceafac370f900b6cfe2531fa7a7cee1ac106928e9e",
     "A1+T1": "bc64565cd4d6754400432a91a6f76aa8c98b4459c5196908ddd6e2a1a4d42d67",
