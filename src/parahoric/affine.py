@@ -109,17 +109,11 @@ def extended_basis(rd: RootDatum) -> AffineBasis:
     one sign over the extended basis.
 
     The basis depends on the root structure alone, so it is built and
-    checked once, with the alcove vertices, on first use, and shared like
-    the tables of :meth:`RootDatum.stabilizer_orbits`: every datum that
-    :func:`build_root_datum` returns for one spec gets the same basis.
+    checked once, with the alcove vertices, on first use, and kept in the
+    datum's :class:`parahoric.rootdata.DatumTables`.
     """
-    built = rd._extended_basis
-    if not built:
-        built.append(_build_extended_basis(rd))
-    return built[0]
-
-
-def _build_extended_basis(rd: RootDatum) -> AffineBasis:
+    if rd.tables.extended_basis is not None:
+        return rd.tables.extended_basis
     if rd.num_components == 0:
         raise ValueError("datum has no semisimple component")
     components = []
@@ -142,7 +136,8 @@ def _build_extended_basis(rd: RootDatum) -> AffineBasis:
                     f"{comp}: its affine roots have coefficients of both signs"
                 )
         components.append(ComponentBasis(elements, marks))
-    return AffineBasis(tuple(components), _alcove_vertices(rd, components))
+    rd.tables.extended_basis = AffineBasis(tuple(components), _alcove_vertices(rd, components))
+    return rd.tables.extended_basis
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,9 @@ from .rootdata import (
     NotDominant,
     RootDatum,
     Weight,
-    _chamber_walk,
-    _closure,
-    _combine,
+    chamber_walk,
+    closure,
+    combine,
     dot,
     parse_weight_key,
     wadd,
@@ -150,7 +150,7 @@ def _check_same(ch1: Character, ch2: Character):
 def _dominant_below(rd: RootDatum, lam: Weight) -> dict[tuple[int, ...], tuple[int, ...]]:
     """All dominant mu <= lam, each as its Dynkin labels (its pairings with
     the simple coroots) mapped to the coefficients of lam - mu over the
-    simple roots, in the order reached by :func:`_closure` from lam, which
+    simple roots, in the order reached by :func:`closure` from lam, which
     subtracts positive roots and keeps the dominant results.  This reaches
     every dominant mu <= lam because covers in the dominance order on
     dominant weights differ by a positive root (Stembridge, "The partial
@@ -163,7 +163,7 @@ def _dominant_below(rd: RootDatum, lam: Weight) -> dict[tuple[int, ...], tuple[i
     mu - beta has the labels of mu minus those of beta, and it is dominant
     when none of them is negative.
     """
-    start = tuple(dot(lam, f) for f in rd._simple_coroots)
+    start = tuple(dot(lam, f) for f in rd.simple_coroots)
     reached = {start: (0,) * len(start)}
     _, rows = rd.label_tables()
 
@@ -173,7 +173,7 @@ def _dominant_below(rd: RootDatum, lam: Weight) -> dict[tuple[int, ...], tuple[i
                 nu = tuple(map(operator.sub, labels, beta_labels))
                 if min(nu) >= 0 and nu not in reached:
                     yield nu, wadd(coeffs, beta_coeffs)
-    return _closure(reached, step)
+    return closure(reached, step)
 
 
 def _plausible_character(rd: RootDatum, lam: Weight, mult) -> bool:
@@ -238,7 +238,7 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     weights, read it without that copy.
 
     The recursion runs on Dynkin labels: each weight of an alpha-string is
-    its labels, a step adds the labels of alpha, and :func:`_chamber_walk`
+    its labels, a step adds the labels of alpha, and :func:`chamber_walk`
     on a copy of them ends on the labels of the dominant conjugate, which
     key the multiplicities found so far.  A weight is rebuilt only for the
     map stored and the forms in the Freudenthal step.
@@ -255,14 +255,14 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     # by height; ties in lexicographic order of the coordinates of lam - mu,
     # which fixes the insertion order of mult
     candidates = sorted(
-        (sum(coeffs), coeffs, _combine(map(operator.neg, coeffs), rd._simple_coords, lam), labels)
+        (sum(coeffs), coeffs, combine(map(operator.neg, coeffs), rd.simple_coords, lam), labels)
         for labels, coeffs in _dominant_below(rd, lam).items()
     )
     mult: dict[Weight, int] = {}
     found: dict[tuple[int, ...], int] = {}  # mult by the labels of its weight
     conjugates: dict[tuple[int, ...], tuple[int, ...]] = {}  # labels -> dominant labels
     root_labels, _ = rd.label_tables()
-    columns, bound = rd._cartan_columns, len(rd.positive_roots)
+    columns, bound = rd.cartan_columns, len(rd.positive_roots)
     steps = 0
     for height, coeffs, mu, labels in candidates:
         if height == 0:
@@ -274,7 +274,7 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         zeros = tuple(j for j, x in enumerate(labels) if not x)
         total = 0
         for form, coords, norm, count in rd.stabilizer_orbits(zeros):
-            shift = root_labels[rd._coords_index[coords]]
+            shift = root_labels[rd.root_index[coords]]
             nu = labels
             f = dot(form, mu)
             string = 0
@@ -285,7 +285,7 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
                 dom = conjugates.get(nu)
                 if dom is None:
                     pairs = list(nu)
-                    _chamber_walk(pairs, columns, bound)
+                    chamber_walk(pairs, columns, bound)
                     dom = conjugates[nu] = tuple(pairs)
                 m = found.get(dom)
                 if m is None:
@@ -295,7 +295,7 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         lam_mu = wadd(lam, mu)
         denom = sum(
             c * (dot(simple.form, lam_mu) + two_rho)
-            for c, simple, two_rho in zip(coeffs, rd.simple_roots, rd._two_rho_form)
+            for c, simple, two_rho in zip(coeffs, rd.simple_roots, rd.two_rho_form)
         )
         if denom <= 0 or (2 * total) % denom:
             raise InvariantViolation(f"Freudenthal step at {mu}: {2 * total} / {denom}")
@@ -399,7 +399,7 @@ def chi_normalize(rd: RootDatum, mu: Weight):
 
     Returns ``None`` when mu + rho is singular (chi vanishes), else the pair
     ``(sign, dominant weight)`` with ``chi(mu) = sign * chi(dominant)``.
-    :func:`_chamber_walk` runs on ``<mu + rho, alpha_i^vee> = <mu,
+    :func:`chamber_walk` runs on ``<mu + rho, alpha_i^vee> = <mu,
     alpha_i^vee> + 1``, which also serves quotient data, where rho is no
     lattice point: mu + rho is singular exactly when a final pairing is 0,
     and otherwise each step shortens w by one, so the sign is (-1)^steps."""
@@ -410,11 +410,11 @@ def chi_normalize(rd: RootDatum, mu: Weight):
 def _chi_normalize(rd: RootDatum, mu: Weight):
     """:func:`chi_normalize` without the length check, for weights checked
     already."""
-    pairs = [dot(mu, f) + 1 for f in rd._simple_coroots]  # <mu + rho, a_i^vee>
+    pairs = [dot(mu, f) + 1 for f in rd.simple_coroots]  # <mu + rho, a_i^vee>
     if pairs and min(pairs) > 0:  # regular dominant already, the common case
         return 1, mu
-    added, steps = _chamber_walk(pairs, rd._cartan_columns, len(rd.positive_roots))
-    return None if 0 in pairs else ((-1) ** steps, _combine(added, rd._simple_coords, mu))
+    added, steps = chamber_walk(pairs, rd.cartan_columns, len(rd.positive_roots))
+    return None if 0 in pairs else ((-1) ** steps, combine(added, rd.simple_coords, mu))
 
 
 def chi_expand_map(rd: RootDatum, mult: dict[Weight, int]) -> VirtualChiSum:
@@ -428,6 +428,17 @@ def chi_expand_map(rd: RootDatum, mult: dict[Weight, int]) -> VirtualChiSum:
     work = {w: m for w, m in mult.items() if m != 0}
     if not all(rd.is_dominant(w) for w in work):
         raise InvariantViolation(f"chi-expansion of non-dominant keys: {list(work)}")
+    return _chi_expand(rd, work)
+
+
+def chi_expand(ch: Character) -> VirtualChiSum:
+    """:func:`chi_expand_map` without its dominance test: a character's keys
+    were checked by its constructor or built dominant by a trusted producer."""
+    return _chi_expand(ch.datum, dict(ch.mult))
+
+
+def _chi_expand(rd: RootDatum, work: dict[Weight, int]) -> VirtualChiSum:
+    """The expansion of :func:`chi_expand_map`; it empties ``work``."""
     out: dict[Weight, int] = {}
     while work:
         top = rd.top_weight(work)
@@ -440,10 +451,6 @@ def chi_expand_map(rd: RootDatum, mult: dict[Weight, int]) -> VirtualChiSum:
             else:
                 work.pop(w, None)
     return VirtualChiSum(out)
-
-
-def chi_expand(ch: Character) -> VirtualChiSum:
-    return chi_expand_map(ch.datum, ch.mult)
 
 
 def evaluate_chi_sum(rd: RootDatum, vcs: VirtualChiSum) -> dict[Weight, int]:

@@ -320,7 +320,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="parahoric")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # not required, so that an unknown option is named when no command is given
+    sub = parser.add_subparsers(dest="command")
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for option in (*command.options, "--json", "--no-cache"):
@@ -332,6 +333,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("the following arguments are required: command")
     except SystemExit as exc:
         return int(exc.code or 0)
     command = COMMANDS[args.command]

@@ -116,7 +116,7 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
     checks.
     """
     datum, ambient = model.quotient_datum, model.datum
-    roots, index = ambient.roots, ambient._coords_index
+    roots, index = ambient.roots, ambient.root_index
     rows = [ambient.reflection_row(index[a.coords]) for a in datum.simple_roots]
     layers = []
     for weights in model.layers:

@@ -14,13 +14,15 @@ and its roots' coefficients, closed under reflection once.  A spec build
 reads the roots' coordinates off that table; a quotient walks the ambient
 datum's reflection rows from its simple roots, shares the ambient roots'
 tuples and is checked against the roots it was carved from.  A datum's
-type is read off its stored component matrices.
+type is read off its stored component matrices.  The tables a datum fills
+in on first use live in one :class:`DatumTables`, which every build of a
+spec shares.
 
-Every walk of the Weyl group runs on two helpers.  :func:`_closure` is a
+Every walk of the Weyl group runs on two helpers.  :func:`closure` is a
 breadth-first closure of labelled points.  It gives the roots of a
 component, Weyl orbits, the W_J-orbits on the roots, and, in
 :mod:`parahoric.charring`, the dominant weights below a weight.
-:func:`_chamber_walk` walks simple pairings into the dominant chamber.  It
+:func:`chamber_walk` walks simple pairings into the dominant chamber.  It
 gives :meth:`RootDatum.dominant_conjugate`, the dominant conjugates on the
 alpha-strings of Freudenthal's recursion in :mod:`parahoric.charring`, and,
 shifted by rho, the dot-action normalization
@@ -46,6 +48,7 @@ __all__ = [
     "DynkinSpec",
     "Root",
     "RootDatum",
+    "DatumTables",
     "IllegalRank",
     "NotDominant",
     "InvariantViolation",
@@ -289,7 +292,7 @@ def _block_diagonal(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _combine(coeffs, vectors, start: Weight) -> Weight:
+def combine(coeffs, vectors, start: Weight) -> Weight:
     """``start + sum c_j vectors[j]``, skipping zero coefficients."""
     out = list(start)
     for c, v in zip(coeffs, vectors):
@@ -343,7 +346,7 @@ def _cartan_solve(det, adj, basis, duals, v: Weight) -> tuple[int, ...] | None:
         if num % det:
             return None
         coeffs.append(num // det)
-    return tuple(coeffs) if _combine(coeffs, basis, (0,) * len(v)) == tuple(v) else None
+    return tuple(coeffs) if combine(coeffs, basis, (0,) * len(v)) == tuple(v) else None
 
 
 def _dynkin_components(cartan) -> list[list[int]]:
@@ -367,7 +370,7 @@ def _dynkin_components(cartan) -> list[list[int]]:
     return list(groups.values())
 
 
-def _closure(reached: dict, step) -> dict:
+def closure(reached: dict, step) -> dict:
     """Breadth-first closure in place: ``reached`` maps the start points to
     labels, and each ``(neighbour, label)`` that ``step(point, label)``
     yields for a point not yet in it is added, in the order reached.  A step
@@ -381,7 +384,7 @@ def _closure(reached: dict, step) -> dict:
     return reached
 
 
-def _chamber_walk(pairs: list[int], columns, bound: int) -> tuple[list[int], int]:
+def chamber_walk(pairs: list[int], columns, bound: int) -> tuple[list[int], int]:
     """Walk a point's simple pairings ``pairs`` into the dominant chamber in
     place: s_i for the first p_i < 0 adds ``-p_i`` alpha_i to the point and
     ``-p_i`` times Cartan column i (its nonzero ``(j, c)`` in ``columns[i]``)
@@ -413,10 +416,28 @@ def _parabolic_orbits(datum: "RootDatum", zeros: tuple[int, ...]) -> list[list[R
     orbits, seen = [], set()
     for alpha in datum.positive_roots:
         if alpha.coords not in seen:
-            orbit = _closure({alpha.coords: None}, lambda b, _: ((datum.reflect(s, b), None) for s in gens))
+            orbit = closure({alpha.coords: None}, lambda b, _: ((datum.reflect(s, b), None) for s in gens))
             seen.update(orbit)
             orbits.append([datum.root_with_coords(b) for b in orbit])
     return orbits
+
+
+@dataclass(slots=True)
+class DatumTables:
+    """The tables of a datum filled in on first use, each by one accessor:
+    by J, the W_J-orbit tables of :meth:`RootDatum.stabilizer_orbits` and
+    the orbit sizes of :meth:`RootDatum.orbit_size`; by root index, the
+    rows of :meth:`RootDatum.reflection_row`; the Dynkin-label tables of
+    :meth:`RootDatum.label_tables`; and the extended affine basis of
+    :func:`parahoric.affine.extended_basis`.  They hold root data only, so
+    every datum that :func:`build_root_datum` returns for one spec shares
+    one such object, and each :func:`sub_root_datum` gets a new one."""
+
+    orbits: dict[tuple[int, ...], tuple[tuple[Weight, Weight, int, int], ...]] = field(default_factory=dict)
+    orbit_sizes: dict[tuple[int, ...], int] = field(default_factory=dict)
+    reflection_rows: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    labels: tuple | None = None
+    extended_basis: AffineBasis | None = None
 
 
 class RootDatum:
@@ -431,12 +452,7 @@ class RootDatum:
     exact inverse are assembled from them, not inverted again.  A quotient's
     roots share their ``coords``, ``coroot`` and ``form`` tuples with the
     ambient datum's.  The structure is fixed once built, apart from
-    the root-orbit tables of :meth:`stabilizer_orbits`, the orbit sizes of
-    :meth:`orbit_size`, the rows of :meth:`reflection_row`, the
-    Dynkin-label tables of :meth:`label_tables` and the extended affine
-    basis of :func:`parahoric.affine.extended_basis`, which are filled in on
-    first use, and every datum that :func:`build_root_datum` returns for one
-    spec shares it, tables, sizes, rows and basis included.  The one
+    ``tables``, the :class:`DatumTables` filled in on first use.  The one
     attribute that holds characters, ``chi_cache``, belongs to each datum
     alone: it memoizes ``chi(lam)`` multiplicities by highest weight for
     :func:`parahoric.charring.chi_char`, starts as a new empty dict, and may
@@ -451,9 +467,8 @@ class RootDatum:
         self.positive_roots: tuple[Root, ...] = tuple(r for r in self.roots if r.height > 0)
         self.simple_indices: tuple[tuple[int, ...], ...] = tuple(simple_indices)
         self.rho: Weight | None = rho
-        self._coords_index = {r.coords: i for i, r in enumerate(self.roots)}
-        flat = [self.roots[i] for comp in self.simple_indices for i in comp]
-        self._simple_roots = tuple(flat)
+        self.root_index: dict[Weight, int] = {r.coords: i for i, r in enumerate(self.roots)}
+        self.simple_roots: tuple[Root, ...] = tuple(self.roots[i] for comp in self.simple_indices for i in comp)
         # per component: (Cartan matrix, det, adj) with adj * C == det * I
         self._blocks = tuple(blocks)
         self.cartan: tuple[tuple[int, ...], ...] = _block_diagonal([c for c, _, _ in self._blocks])
@@ -462,31 +477,17 @@ class RootDatum:
         self._adj = _block_diagonal(
             [[[self._det // det * x for x in row] for row in adj] for _, det, adj in self._blocks]
         )
-        self._simple_coords = tuple(a.coords for a in flat)
-        self._simple_coroots = tuple(a.coroot for a in flat)
-        # the nonzero entries (j, c) of each Cartan column, for _chamber_walk
-        self._cartan_columns = tuple(tuple((j, c) for j, c in enumerate(col) if c) for col in zip(*self.cartan))
+        self.simple_coords: tuple[Weight, ...] = tuple(a.coords for a in self.simple_roots)
+        self.simple_coroots: tuple[Weight, ...] = tuple(a.coroot for a in self.simple_roots)
+        # the nonzero entries (j, c) of each Cartan column, for chamber_walk
+        self.cartan_columns = tuple(tuple((j, c) for j, c in enumerate(col) if c) for col in zip(*self.cartan))
         self.chi_cache: dict[Weight, dict[Weight, int]] = {}
-        # stabilizer_orbits tables by J, filled on first use and shared by
-        # every build of the spec; they hold root data only
-        self._orbit_tables: dict[tuple[int, ...], tuple[tuple[Weight, Weight, int, int], ...]] = {}
-        # orbit_size's |W/W_J| by J, filled and shared like the orbit tables
-        self._orbit_sizes: dict[tuple[int, ...], int] = {}
-        # the extended affine basis of parahoric.affine.extended_basis, empty
-        # until first use; a list so that every build of the spec shares the
-        # one basis built, as it shares the orbit tables
-        self._extended_basis: list[AffineBasis] = []
-        # reflection_row tables by root index, filled on first use and shared
-        # like the orbit tables
-        self._reflection_rows: dict[int, tuple[int, ...]] = {}
+        self.tables = DatumTables()
         # (2*rho, alpha_i) per simple root, for the Freudenthal denominator:
         # <2*rho, alpha_i^vee> (alpha_i, alpha_i) / 2 = (alpha_i, alpha_i)
-        self._two_rho_form = tuple(dot(alpha.form, alpha.coords) for alpha in flat)
+        self.two_rho_form: tuple[int, ...] = tuple(dot(a.form, a.coords) for a in self.simple_roots)
         # 2*rho^vee, the sum of the positive coroots: 2 on every simple root
         self._two_rho_coroot = tuple(map(sum, zip((0,) * n, *(b.coroot for b in self.positive_roots))))
-        # the tables of label_tables, empty until first use; a list so that
-        # every build of the spec shares them, as it shares the orbit tables
-        self._label_tables: list[tuple] = []
 
     # -- basic structure ---------------------------------------------------
 
@@ -499,18 +500,14 @@ class RootDatum:
         return len(self.simple_indices)
 
     @property
-    def simple_roots(self) -> tuple[Root, ...]:
-        return self._simple_roots
-
-    @property
     def semisimple_rank(self) -> int:
-        return len(self._simple_roots)
+        return len(self.simple_roots)
 
     def component_simple_roots(self, component: int) -> tuple[Root, ...]:
         return tuple(self.roots[i] for i in self.simple_indices[component])
 
     def root_with_coords(self, coords: Weight) -> Root:
-        return self.roots[self._coords_index[coords]]
+        return self.roots[self.root_index[coords]]
 
     def same_datum(self, other: "RootDatum") -> bool:
         return self is other or self.roots is other.roots or (
@@ -532,12 +529,12 @@ class RootDatum:
 
     def reflection_row(self, i: int) -> tuple[int, ...]:
         """Entry j is the index of s_alpha(beta_j), where alpha is
-        ``roots[i]`` and beta_j is ``roots[j]``.  Built on first use and
-        shared by every build of the spec, like the orbit tables."""
-        row = self._reflection_rows.get(i)
+        ``roots[i]`` and beta_j is ``roots[j]``, kept in :attr:`tables`."""
+        rows = self.tables.reflection_rows
+        row = rows.get(i)
         if row is None:
-            alpha, index = self.roots[i], self._coords_index
-            row = self._reflection_rows[i] = tuple(index[self.reflect(alpha, b.coords)] for b in self.roots)
+            alpha, index = self.roots[i], self.root_index
+            row = rows[i] = tuple(index[self.reflect(alpha, b.coords)] for b in self.roots)
             obs.count("rootdata.reflection_rows.built")
         return row
 
@@ -553,17 +550,17 @@ class RootDatum:
                 raise ValueError(f"weight {lam} has length {len(lam)}, not the lattice rank {self.n}")
 
     def is_dominant(self, lam: Weight) -> bool:
-        return all(dot(lam, f) >= 0 for f in self._simple_coroots)
+        return all(dot(lam, f) >= 0 for f in self.simple_coroots)
 
     def weyl_orbit(self, lam: Weight) -> tuple[Weight, ...]:
         """The Weyl-group orbit of ``lam``, in a deterministic (sorted) order."""
         self.check_weights(lam)
-        orbit = _closure({lam: None}, lambda w, _: ((self.reflect(a, w), None) for a in self._simple_roots))
+        orbit = closure({lam: None}, lambda w, _: ((self.reflect(a, w), None) for a in self.simple_roots))
         return tuple(sorted(orbit))
 
     def dominant_conjugate(self, lam: Weight) -> Weight:
         """The unique dominant member of the Weyl orbit of ``lam``:
-        :func:`_chamber_walk` on the pairings ``<lam, alpha_i^vee>``, and
+        :func:`chamber_walk` on the pairings ``<lam, alpha_i^vee>``, and
         ``lam`` rebuilt once from the simple-root coefficients it adds."""
         self.check_weights(lam)
         return self._dominant_conjugate(lam)
@@ -571,33 +568,33 @@ class RootDatum:
     def _dominant_conjugate(self, lam: Weight) -> Weight:
         """:meth:`dominant_conjugate` without the length check, for weights
         checked already."""
-        pairs = [dot(lam, f) for f in self._simple_coroots]
-        added, steps = _chamber_walk(pairs, self._cartan_columns, len(self.positive_roots))
-        return _combine(added, self._simple_coords, lam) if steps else lam
+        pairs = [dot(lam, f) for f in self.simple_coroots]
+        added, steps = chamber_walk(pairs, self.cartan_columns, len(self.positive_roots))
+        return combine(added, self.simple_coords, lam) if steps else lam
 
     def orbit_size(self, lam: Weight) -> int:
         """|W|/|W_lam| = |W/W_J|, where J is the set of simple roots that pair
-        to zero with the dominant conjugate: :func:`_chamber_walk` gives its
+        to zero with the dominant conjugate: :func:`chamber_walk` gives its
         labels, and the size is looked up by J.  On the first lookup of a J
         it is the product of (ht b + 1)/ht b over the positive roots b that
         pair nonzero with the dominant conjugate, the roots outside Phi_J:
         |W| and W_J each are such a product over their positive roots (the
         Poincare series at q = 1; Macdonald, Math. Ann. 1972).  The sizes are
-        shared by every build of the spec, like the orbit tables."""
+        kept in :attr:`tables`."""
         self.check_weights(lam)
-        pairs = [dot(lam, f) for f in self._simple_coroots]
-        added, steps = _chamber_walk(pairs, self._cartan_columns, len(self.positive_roots))
+        pairs = [dot(lam, f) for f in self.simple_coroots]
+        added, steps = chamber_walk(pairs, self.cartan_columns, len(self.positive_roots))
         zeros = tuple(j for j, p in enumerate(pairs) if not p)
-        size = self._orbit_sizes.get(zeros)
+        size = self.tables.orbit_sizes.get(zeros)
         if size is None:
-            dom = _combine(added, self._simple_coords, lam) if steps else lam
+            dom = combine(added, self.simple_coords, lam) if steps else lam
             num = den = 1
             for beta in self.positive_roots:
                 if dot(dom, beta.coroot):
                     num, den = num * (beta.height + 1), den * beta.height
             if num % den:
                 raise InvariantViolation(f"height product {num}/{den} for {lam} is not an integer")
-            size = self._orbit_sizes[zeros] = num // den
+            size = self.tables.orbit_sizes[zeros] = num // den
         return size
 
     def stabilizer_orbits(self, zeros: tuple[int, ...]) -> tuple[tuple[Weight, Weight, int, int], ...]:
@@ -614,10 +611,9 @@ class RootDatum:
         nonnegatively with each of them.  W_J permutes the positive roots
         outside Phi_J, so such an orbit counts in full; an orbit inside Phi_J
         is closed under negation and counts half.  The counts must add up to
-        the number of positive roots.  Built on first use and shared by every
-        build of the spec.
+        the number of positive roots.  Kept in :attr:`tables`.
         """
-        table = self._orbit_tables.get(zeros)
+        table = self.tables.orbits.get(zeros)
         if table is not None:
             return table
         rows = []
@@ -629,14 +625,14 @@ class RootDatum:
                         f"W_J-orbit {orbit} (J = {zeros}) meets the negative roots and has odd size"
                     )
                 count //= 2
-            alpha = self.roots[max(self._coords_index[b.coords] for b in orbit)]
+            alpha = self.roots[max(self.root_index[b.coords] for b in orbit)]
             rows.append((alpha.form, alpha.coords, dot(alpha.form, alpha.coords), count))
         counted = sum(row[3] for row in rows)
         if counted != len(self.positive_roots):
             raise InvariantViolation(
                 f"W_J-orbits (J = {zeros}) count {counted} positive roots, not {len(self.positive_roots)}"
             )
-        table = self._orbit_tables[zeros] = tuple(rows)
+        table = self.tables.orbits[zeros] = tuple(rows)
         return table
 
     def label_tables(self):
@@ -645,10 +641,9 @@ class RootDatum:
         root order, its labels, its simple coefficients and its coroot's
         coefficients over the simple coroots, both over the whole list
         :attr:`simple_roots`.  Freudenthal's recursion in
-        :mod:`parahoric.charring` runs on them.  Built on first use and
-        shared by every build of the spec, like the orbit tables."""
-        if not self._label_tables:
-            labels = tuple(tuple(dot(r.coords, f) for f in self._simple_coroots) for r in self.roots)
+        :mod:`parahoric.charring` runs on them.  Kept in :attr:`tables`."""
+        if self.tables.labels is None:
+            labels = tuple(tuple(dot(r.coords, f) for f in self.simple_coroots) for r in self.roots)
             offsets = tuple(itertools.accumulate(map(len, self.simple_indices), initial=0))
 
             def padded(b, coeffs):  # coefficients over b's component, padded to the simple list
@@ -658,14 +653,14 @@ class RootDatum:
                 for i, b in enumerate(self.roots)
                 if b.height > 0
             )
-            self._label_tables.append((labels, rows))
-        return self._label_tables[0]
+            self.tables.labels = (labels, rows)
+        return self.tables.labels
 
     # -- dominance order ----------------------------------------------------
 
     def root_lattice_coords(self, v: Weight) -> tuple[int, ...] | None:
         """Integer coordinates of ``v`` over the simple roots, or None."""
-        return _cartan_solve(self._det, self._adj, self._simple_coords, self._simple_coroots, v)
+        return _cartan_solve(self._det, self._adj, self.simple_coords, self.simple_coroots, v)
 
     def dominance_leq(self, a: Weight, b: Weight) -> bool:
         """True iff b - a is a nonnegative integer sum of simple roots."""
@@ -684,7 +679,7 @@ class RootDatum:
         ``x / d`` in the coordinates dual to the weight coordinates, on which
         simple root ``j`` takes the value ``[i == j]``.  It is row ``i`` of the
         inverse Cartan matrix over the simple coroots."""
-        return _combine(self._adj[i], self._simple_coroots, (0,) * self.n), self._det
+        return combine(self._adj[i], self.simple_coroots, (0,) * self.n), self._det
 
     # -- classical data ------------------------------------------------------
 
@@ -750,7 +745,7 @@ def _component_roots(cartan) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...
                         co[:i] + (co[i] - c,) + co[i + 1 :],
                         tuple(x - c * y for x, y in zip(colocal, cartan[i])),
                     )
-    return _closure(roots, step)
+    return closure(roots, step)
 
 
 @functools.lru_cache(maxsize=256)
@@ -787,12 +782,8 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
     lexicographic simple coefficients.
 
     The structure (roots, simple indices, Cartan matrix and its integer
-    inverse, the 2*rho functionals, the W_J-orbit tables of
-    :meth:`RootDatum.stabilizer_orbits`, the orbit sizes by J of
-    :meth:`RootDatum.orbit_size`, the reflection rows of
-    :meth:`RootDatum.reflection_row`, the Dynkin-label tables of
-    :meth:`RootDatum.label_tables`, the extended affine basis) is built
-    and checked once per spec, keyed on the canonical ``str(spec)``, so
+    inverse, the 2*rho functionals, the :class:`DatumTables`) is built and
+    checked once per spec, keyed on the canonical ``str(spec)``, so
     ``"a1xa1+t1"`` and ``"A1xA1+T1"`` share it.  Every call returns a new
     datum that shares that structure and has its own empty ``chi_cache``.
     """
@@ -885,12 +876,13 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     a^vee> >= 0 are tested: for the others a + b is 0 or, S being a root
     system, a root of S.
 
-    Every call builds and checks the datum anew, with tables of its own, and
-    only the tables of :func:`_cartan_table` are shared: a memo of quotients
+    Every call builds and checks the datum anew, with a new
+    :class:`DatumTables`, and only the tables of :func:`_cartan_table` are
+    shared: a memo of quotients
     per ambient spec and subset saved time on facet sweeps but held every
     quotient for the life of the process.
     """
-    roots, index = ambient.roots, ambient._coords_index
+    roots, index = ambient.roots, ambient.root_index
     try:
         members = sorted({index[tuple(c)] for c in coords_subset})
     except KeyError:
@@ -919,7 +911,7 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
                 if k not in walked:
                     p = (roots[b].height - roots[k].height) // h
                     yield k, coeffs[:t] + (coeffs[t] - p,) + coeffs[t + 1 :]
-        _closure(walked, step)
+        closure(walked, step)
         by_coeffs = {coeffs: b for b, coeffs in walked.items()}
         picked = [by_coeffs.get(coeffs) for coeffs, _ in table]
         if len(walked) != len(table) or None in picked:

@@ -273,11 +273,12 @@ def test_extended_basis_rejects_roots_beyond_the_marks(monkeypatch):
 def test_extended_basis_is_built_once_per_spec():
     first, second = build_root_datum("B3"), build_root_datum("B3")
     basis = extended_basis(first)
-    assert extended_basis(second) is basis
+    assert extended_basis(second) is basis is second.tables.extended_basis
     assert first.chi_cache is not second.chi_cache
     rebuilt = sub_root_datum(first, [r.coords for r in first.roots])
+    assert rebuilt.tables.extended_basis is None
     assert extended_basis(rebuilt) is not basis
-    assert extended_basis(rebuilt) is extended_basis(rebuilt)
+    assert extended_basis(rebuilt) is extended_basis(rebuilt) is rebuilt.tables.extended_basis
 
 
 def test_product_layers_merge_by_grading_value():

@@ -9,7 +9,9 @@ import pytest
 from parahoric import (
     Character,
     DatumMismatch,
+    InvariantViolation,
     NotDominant,
+    RootDatum,
     SimpleLedger,
     VirtualChiSum,
     add,
@@ -37,7 +39,7 @@ from parahoric.charring import (
     evaluate_chi_sum,
     expand_full,
 )
-from parahoric.rootdata import _combine, dot, wsub
+from parahoric.rootdata import combine, dot, wsub
 
 from _oracles import (
     c2_w2_weights,
@@ -120,7 +122,7 @@ def test_dominance_closure_matches_box_scan():
             expected = dominant_below_box_scan(rd, lam)
             heights = {}
             for labels, coeffs in _dominant_below(rd, lam).items():
-                mu = wsub(lam, _combine(coeffs, rd._simple_coords, (0,) * rd.n))
+                mu = wsub(lam, combine(coeffs, rd.simple_coords, (0,) * rd.n))
                 assert labels == tuple(dot(mu, a.coroot) for a in rd.simple_roots), (name, lam, mu)
                 heights[mu] = sum(coeffs)
             assert heights == expected, (name, lam)
@@ -453,7 +455,7 @@ def test_characters_over_torus_datum(a2, a2_basis):
     assert chi_expand(Character(torus, {(1, 0): 2})).coeffs == {(1, 0): 2}
 
 
-def test_chi_readers_share_the_cached_map_without_changing_it():
+def test_chi_readers_share_the_cached_map_without_changing_it(monkeypatch):
     rd = build_root_datum("B2")
     lam = (1, 2)
     stored = dict(chi_char(rd, lam).mult)
@@ -464,3 +466,12 @@ def test_chi_readers_share_the_cached_map_without_changing_it():
     assert rd.chi_cache[lam] == stored == chi_char(rd, lam).mult
     with pytest.raises(NotDominant):
         evaluate_chi_sum(rd, VirtualChiSum({(-1, 0): 1}))
+    # a raw map keeps its dominance test; the keys of a Character were
+    # checked when it was built, so chi_expand does not test them again
+    with pytest.raises(InvariantViolation, match="non-dominant keys"):
+        chi_expand_map(rd, {lam: 1, (-1, 0): 1})
+    ch = chi_char(rd, lam)
+    monkeypatch.setattr(RootDatum, "is_dominant", lambda self, w: False)
+    assert chi_expand(ch).coeffs == {lam: 1}
+    with pytest.raises(InvariantViolation, match="non-dominant keys"):
+        chi_expand_map(rd, ch.mult)

@@ -185,6 +185,10 @@ def test_usage_errors(capsys):
         (["jantzen", "--type", "A2", "--p", "3"],
          "parahoric jantzen: error: the following arguments are required: --weight"),
         (["rootsys", "--type", "A2", "--bogus"], "parahoric: error: unrecognized arguments: --bogus"),
+        # an unknown option with no command is named, not hidden behind the
+        # missing command
+        (["--bogus"], "parahoric: error: unrecognized arguments: --bogus"),
+        ([], "parahoric: error: the following arguments are required: command"),
     ]:
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -62,12 +62,12 @@ def test_reflection_rows_are_built_once_per_spec_over_two_facet_sweeps():
         sweeps.append(counters)
     # one row per ambient root that is a simple root of some facet's quotient
     simples = {
-        rd._coords_index[a.coords]
+        rd.root_index[a.coords]
         for theta in facets
         for a in parahoric_model(rd, theta, basis).quotient_datum.simple_roots
     }
     assert sweeps == [{"rootdata.reflection_rows.built": len(simples)}, {}]
-    assert sorted(rd._reflection_rows) == sorted(simples)
+    assert sorted(rd.tables.reflection_rows) == sorted(simples)
 
 
 def test_freudenthal_counts_a_run_once_and_nothing_on_a_hit():

@@ -317,7 +317,7 @@ def test_invariant_violation_survives_optimize_flag():
         "        rootdata._parabolic_orbits = orbits\n"
         "def doubled_two_rho():  # a wrong Freudenthal denominator: (2 rho, alpha_i) doubled\n"
         "    rd = build_root_datum('A2')\n"
-        "    rd._two_rho_form = tuple(2 * x for x in rd._two_rho_form)\n"
+        "    rd.two_rho_form = tuple(2 * x for x in rd.two_rho_form)\n"
         "    chi_char(rd, (1, 1))\n"
         "for make in (lambda: sub_root_datum(a2, [(1, 0), (-1, 0)]),\n"
         "             lambda: Character(a2, {(-1, 0): 1}),\n"
@@ -479,15 +479,19 @@ def test_builds_of_one_spec_share_structure_but_not_characters(tmp_path):
 
 def test_orbit_tables_are_shared_per_spec_and_hold_root_data_only():
     first, second = build_root_datum("B3"), build_root_datum("B3")
-    assert first._orbit_tables is second._orbit_tables
+    # two builds of a spec share one table object; a quotient has its own
+    assert first.tables is second.tables
+    assert first.tables.orbits is second.tables.orbits
     alpha = first.simple_roots[0].coords
     sub = sub_root_datum(first, [alpha, wneg(alpha)])
-    assert sub._orbit_tables is not first._orbit_tables
+    assert sub.tables is not first.tables
+    assert sub_root_datum(first, [alpha, wneg(alpha)]).tables is not sub.tables
+    assert sub.tables.orbits is not first.tables.orbits
 
     chi_char(first, (1, 1, 1))
     chi_char(sub, (2, 0, 0))
-    assert first._orbit_tables and sub._orbit_tables
-    for tables in (first._orbit_tables, sub._orbit_tables):
+    assert first.tables.orbits and sub.tables.orbits
+    for tables in (first.tables.orbits, sub.tables.orbits):
         for zeros, table in tables.items():
             assert all(type(j) is int for j in zeros)
             for form, coords, norm, count in table:
@@ -512,7 +516,7 @@ def test_corrupt_orbit_table_raises(monkeypatch, drop):
     message = "count 1 positive roots, not 3" if drop == "orbit" else "has odd size"
     with pytest.raises(InvariantViolation, match=message):
         fresh.stabilizer_orbits((0,))
-    assert fresh._orbit_tables == {}
+    assert fresh.tables.orbits == {}
 
 
 def test_illegal_specs_raise_on_every_call():
@@ -562,20 +566,20 @@ def test_stabilizer_orbits_match_the_matrix_closure(name):
 
 def test_orbit_sizes_are_one_table_per_spec_with_an_entry_per_zero_set():
     fresh = _datum_structure.__wrapped__("B3")
-    assert fresh._orbit_sizes == {}
+    assert fresh.tables.orbit_sizes == {}
     met = {}
     for lam in itertools.product(range(-1, 2), repeat=3):
         dom = dominant_conjugate_by_reflection(fresh, lam)
         zeros = tuple(j for j, a in enumerate(fresh.simple_roots) if not fresh.pair(dom, a.coroot))
         met[zeros] = len(fresh.weyl_orbit(lam))
         assert fresh.orbit_size(lam) == met[zeros], lam
-        assert fresh._orbit_sizes == met
+        assert fresh.tables.orbit_sizes == met
     first, second = build_root_datum("B3"), build_root_datum("B3")
-    assert first._orbit_sizes is second._orbit_sizes
+    assert first.tables.orbit_sizes is second.tables.orbit_sizes
     alpha = first.simple_roots[0].coords
     sub = sub_root_datum(first, [alpha, wneg(alpha)])
-    assert sub._orbit_sizes is not first._orbit_sizes and sub._orbit_sizes == {}
-    assert sub.orbit_size((1, 0, 0)) == 2 and sub._orbit_sizes == {(): 2}
+    assert sub.tables.orbit_sizes is not first.tables.orbit_sizes and sub.tables.orbit_sizes == {}
+    assert sub.orbit_size((1, 0, 0)) == 2 and sub.tables.orbit_sizes == {(): 2}
 
 
 @pytest.mark.parametrize(
@@ -593,7 +597,7 @@ def test_memoized_build_matches_fresh_construction(name):
     assert memoized.simple_indices == fresh.simple_indices
     assert memoized.cartan == fresh.cartan
     assert (memoized._det, memoized._adj) == (fresh._det, fresh._adj)
-    assert memoized._two_rho_form == fresh._two_rho_form
+    assert memoized.two_rho_form == fresh.two_rho_form
     assert memoized._two_rho_coroot == fresh._two_rho_coroot
     assert (memoized.spec, memoized.n, memoized.rho) == (fresh.spec, fresh.n, fresh.rho)
     if name in ORBIT_TABLE_TYPES:
@@ -693,7 +697,7 @@ def test_quotient_data_match_the_root_by_root_solve(name):
         assert q.simple_indices == expected["simple_indices"], theta
         assert q.cartan == expected["cartan"], theta
         assert (q._det, q._adj) == expected["inverse"], theta
-        assert q._two_rho_form == expected["two_rho_form"], theta
+        assert q.two_rho_form == expected["two_rho_form"], theta
         assert q._two_rho_coroot == expected["two_rho_coroot"], theta
         assert classify_root_datum(q) == expected["type"], theta
         for r in q.roots:
@@ -724,27 +728,29 @@ def test_reflection_rows_match_reflect(name):
 def test_label_tables_match_the_roots(name):
     rd = build_root_datum(name)
     quotient = sub_root_datum(rd, [b.coords for b in rd.roots if b.component == rd.num_components - 1])
+    assert quotient.tables.labels is None
     for datum in (rd, quotient):
         labels, rows = datum.label_tables()
+        assert datum.tables.labels == (labels, rows)
         zero = (0,) * datum.n
         assert labels == tuple(tuple(datum.pair(b.coords, a.coroot) for a in datum.simple_roots) for b in datum.roots)
         assert len(rows) == len(datum.positive_roots)
         for (row_labels, coeffs, coroot), b in zip(rows, datum.positive_roots):
-            assert row_labels == labels[datum._coords_index[b.coords]]
-            assert rootdata._combine(coeffs, datum._simple_coords, zero) == b.coords
-            assert rootdata._combine(coroot, datum._simple_coroots, zero) == b.coroot
-    assert build_root_datum(name).label_tables() is rd.label_tables()
+            assert row_labels == labels[datum.root_index[b.coords]]
+            assert rootdata.combine(coeffs, datum.simple_coords, zero) == b.coords
+            assert rootdata.combine(coroot, datum.simple_coroots, zero) == b.coroot
+    assert build_root_datum(name).label_tables() is rd.label_tables() is rd.tables.labels
 
 
 def test_chamber_walk_is_bounded_by_the_number_of_positive_roots():
     # a pairing that no step changes never reaches the chamber
     with pytest.raises(InvariantViolation, match="chamber walk takes more than 3 steps"):
-        rootdata._chamber_walk([-1], [()], 3)
+        rootdata.chamber_walk([-1], [()], 3)
     # -rho needs the longest element, which takes exactly that many steps
     for name in ["A2", "B3", "G2", "E6"]:
         rd = build_root_datum(name)
         pairs = [-1] * rd.semisimple_rank
-        _, steps = rootdata._chamber_walk(pairs, rd._cartan_columns, len(rd.positive_roots))
+        _, steps = rootdata.chamber_walk(pairs, rd.cartan_columns, len(rd.positive_roots))
         assert steps == len(rd.positive_roots) and pairs == [1] * rd.semisimple_rank
 
 
@@ -789,7 +795,7 @@ SPEC_DIGESTS = {
 def _structure_digest(rd):
     fields = [
         str(rd.spec), rd.n, rd.rho, _root_fields(rd.roots), rd.simple_indices, rd.cartan,
-        rd._det, rd._adj, rd._two_rho_form, rd._two_rho_coroot,
+        rd._det, rd._adj, rd.two_rho_form, rd._two_rho_coroot,
     ]
     if rd.spec_string in ORBIT_TABLE_TYPES:
         rank = rd.semisimple_rank

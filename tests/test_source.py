@@ -71,3 +71,56 @@ def test_no_unreferenced_private_definitions():
         and node.name not in referenced
     ]
     assert offenders == []
+
+
+# The unchecked bodies of the validation boundary.  The library calls them
+# across modules on purpose, with data it built or checked already, to skip
+# the argument checks that their public entry points keep.
+TRUSTED_BODIES = {"_trusted_character", "_chi_normalize", "_dominant_conjugate"}
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _defined_names(tree):
+    """The names a module defines: functions, classes and assignments at
+    module or class level, and the attributes its methods set on ``self``."""
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+    for scope in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    names.add(target.id)
+    return names
+
+
+def test_no_private_access_across_modules():
+    # a module that needs another's _name reaches past its public interface;
+    # it gets a public name instead, unless it is one of the trusted bodies
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = _defined_names(tree) | TRUSTED_BODIES
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                offenders += [
+                    f"{path.name}:{node.lineno} import {alias.name}"
+                    for alias in node.names
+                    if _private(alias.name) and alias.name not in TRUSTED_BODIES
+                ]
+            elif (
+                isinstance(node, ast.Attribute)
+                and _private(node.attr)
+                and node.attr not in own
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            ):
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert offenders == []
