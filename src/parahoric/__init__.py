@@ -21,9 +21,7 @@ from .affine import (
     AffineRoot,
     FacetSpec,
     ParahoricModel,
-    canonical_rep,
     classify_quotient,
-    ell_theta,
     enumerate_facets,
     extended_basis,
     parahoric_model,

@@ -17,8 +17,11 @@ Z/d-grading of the inner automorphism with Kac coordinates (marks on Theta,
 layer model takes for each gradient its canonical representative, of value
 ``base(a) mod d``.  The classical set Psi (positive roots at level 0, negated
 positives at their vanishing level) agrees with it exactly when no root has
-``base(a) = d``; ``psi_literal_agrees`` records this.  ``ell_theta`` and
-``canonical_rep`` compute the same values root by root, as a reference.
+``base(a) = d``; ``psi_literal_agrees`` records this.
+
+Everything a facet sweep reads that does not depend on the facet is kept
+per spec in the extended basis: each component's extended Cartan matrix,
+its roots' simple coefficients as columns, and its alcove vertices.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ from .rootdata import (
     Root,
     RootDatum,
     Weight,
-    classify_nodes,
+    classify_diagram,
     classify_root_datum,
+    dot,
     sub_root_datum,
     weight_key,
     wneg,
@@ -48,16 +52,12 @@ __all__ = [
     "FacetSpec",
     "ParahoricModel",
     "extended_basis",
-    "affine_decompose",
     "enumerate_facets",
     "parse_facet_spec",
-    "ell_theta",
-    "canonical_rep",
     "parahoric_model",
     "classify_quotient",
     "quotient_by_deletion",
     "facet_barycenter",
-    "affine_eval",
 ]
 
 
@@ -75,10 +75,22 @@ class AffineRoot:
 @dataclass(frozen=True)
 class ComponentBasis:
     """Extended basis of one component: simple roots at level 0, then the
-    affine node.  ``marks`` solves delta = sum marks[i] * elements[i]."""
+    affine node.  ``marks`` solves delta = sum marks[i] * elements[i].
+
+    The facet tables of the component come with it.  ``cartan`` is the
+    extended Cartan matrix ``[<elements[j], elements[i]^vee>]_ij``.
+    ``columns[i]`` holds the i-th simple coefficient of every root of the
+    datum, in root order, and 0 for the roots of other components.
+    ``vertices[i]`` is the alcove vertex opposite node i (see
+    :func:`_alcove_vertices`) times ``denominator``, in integers.
+    """
 
     elements: tuple[AffineRoot, ...]
     marks: tuple[int, ...]
+    cartan: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    vertices: tuple[tuple[int, ...], ...]
+    denominator: int
 
     @property
     def ell(self) -> int:
@@ -91,11 +103,13 @@ class ComponentBasis:
 
 @dataclass(frozen=True)
 class AffineBasis:
-    """The extended bases of a datum's components, and per component the
-    alcove vertex opposite each node (see :func:`_alcove_vertices`)."""
+    """The extended bases of a datum's components, each with the tables
+    that a sweep over the facets reads: the extended Cartan matrix that
+    :func:`quotient_by_deletion` deletes nodes from, the coefficient
+    columns that :func:`parahoric_model` grades by, and the alcove vertices
+    that :func:`facet_barycenter` averages."""
 
     components: tuple[ComponentBasis, ...]
-    vertices: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
 def extended_basis(rd: RootDatum) -> AffineBasis:
@@ -109,14 +123,14 @@ def extended_basis(rd: RootDatum) -> AffineBasis:
     one sign over the extended basis.
 
     The basis depends on the root structure alone, so it is built and
-    checked once, with the alcove vertices, on first use, and kept in the
-    datum's :class:`parahoric.rootdata.DatumTables`.
+    checked once, with the facet tables of :class:`ComponentBasis`, on first
+    use, and kept in the datum's :class:`parahoric.rootdata.DatumTables`.
     """
     if rd.tables.extended_basis is not None:
         return rd.tables.extended_basis
     if rd.num_components == 0:
         raise ValueError("datum has no semisimple component")
-    components = []
+    components, start = [], 0
     for comp in range(rd.num_components):
         simples = rd.component_simple_roots(comp)
         theta = rd.highest_root(comp)
@@ -135,8 +149,14 @@ def extended_basis(rd: RootDatum) -> AffineBasis:
                     f"root {weight_key(a.coords)} exceeds the marks {marks} of component "
                     f"{comp}: its affine roots have coefficients of both signs"
                 )
-        components.append(ComponentBasis(elements, marks))
-    rd.tables.extended_basis = AffineBasis(tuple(components), _alcove_vertices(rd, components))
+        cartan = tuple(tuple(dot(b.gradient.coords, a.gradient.coroot) for b in elements) for a in elements)
+        columns = tuple(
+            tuple(a.simple_coeffs[i] if a.component == comp else 0 for a in rd.roots) for i in range(len(simples))
+        )
+        vertices, denominator = _alcove_vertices(rd, start, marks)
+        components.append(ComponentBasis(elements, marks, cartan, columns, vertices, denominator))
+        start += len(simples)
+    rd.tables.extended_basis = AffineBasis(tuple(components))
     return rd.tables.extended_basis
 
 
@@ -204,52 +224,6 @@ def enumerate_facets(rd: RootDatum, basis: AffineBasis | None = None) -> list[Fa
     return [FacetSpec(combo) for combo in itertools.product(*per_component)]
 
 
-def affine_decompose(rd: RootDatum, basis: AffineBasis, alpha: AffineRoot) -> tuple[int, ...]:
-    """Integer coefficients of an affine root over its component's extended
-    basis (simple nodes first, affine node last).  All coefficients share one
-    sign."""
-    comp = alpha.gradient.component
-    cb = basis.components[comp]
-    rank = cb.rank
-    gamma = alpha.level
-    marks_gradient = cb.marks[:rank]
-    coeffs = tuple(
-        c + gamma * m for c, m in zip(alpha.gradient.simple_coeffs, marks_gradient)
-    ) + (gamma,)
-    if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
-        raise InvariantViolation(f"affine root {alpha} has coefficients {coeffs} of both signs")
-    return coeffs
-
-
-def facet_depths(basis: AffineBasis, theta: FacetSpec) -> tuple[int, ...]:
-    """Per-component depth d_i = sum of marks over Theta_i."""
-    return tuple(
-        sum(cb.marks[i] for i in part)
-        for cb, part in zip(basis.components, theta.theta)
-    )
-
-
-def ell_theta(rd: RootDatum, basis: AffineBasis, theta: FacetSpec, alpha: AffineRoot) -> int:
-    """Grading value: the sum of the decomposition coefficients of ``alpha``
-    over the Theta-indices of its component.  Additive in the level: raising
-    the level by one adds the component depth."""
-    coeffs = affine_decompose(rd, basis, alpha)
-    part = theta.theta[alpha.gradient.component]
-    return sum(coeffs[i] for i in part)
-
-
-def canonical_rep(rd: RootDatum, basis: AffineBasis, theta: FacetSpec, a: Root) -> AffineRoot:
-    """The unique affine root with gradient ``a`` whose grading value lies in
-    the window [0, depth-1] of a's component."""
-    depth = facet_depths(basis, theta)[a.component]
-    base = ell_theta(rd, basis, theta, AffineRoot(a, 0))
-    gamma = -(base // depth)
-    rep = AffineRoot(a, gamma)
-    if not 0 <= base + gamma * depth < depth:
-        raise InvariantViolation(f"{rep} falls outside the window [0, {depth})")
-    return rep
-
-
 @dataclass(frozen=True)
 class ParahoricModel:
     """Weight-level model of a parahoric special fiber at one facet.
@@ -309,8 +283,9 @@ def parahoric_model(rd: RootDatum, theta: FacetSpec, basis: AffineBasis | None =
     _check_facet(theta, basis)
     parts = list(zip(basis.components, theta.theta))
     depth = tuple(sum(cb.marks[i] for i in part) for cb, part in parts)
-    nodes = [[i for i in part if i < cb.rank] for cb, part in parts]
-    bases = [(a, sum(a.simple_coeffs[i] for i in nodes[a.component])) for a in rd.roots]
+    # base(a) of every root at once, from the columns of the simple Theta-nodes
+    columns = [cb.columns[i] for cb, part in parts for i in part if i < cb.rank]
+    bases = list(zip(rd.roots, map(sum, zip(*columns)) if columns else itertools.repeat(0)))
     by_value: list[list[Root]] = [[] for _ in range(max(depth))]
     for a, base in bases:
         by_value[base % depth[a.component]].append(a)
@@ -334,52 +309,38 @@ def quotient_by_deletion(rd: RootDatum, theta: FacetSpec, basis: AffineBasis | N
     """Type of the reductive quotient read off the extended Dynkin diagram:
     delete the Theta nodes and every edge adjacent to them, then classify the
     surviving subdiagram.  Must agree with the type computed from the window
-    model."""
+    model.  The surviving nodes' Cartan matrix is read off the extended
+    Cartan matrices of the basis."""
     basis = basis or extended_basis(rd)
     _check_facet(theta, basis)
-    survivors = [
-        el.gradient
-        for cb, part in zip(basis.components, theta.theta)
-        for i, el in enumerate(cb.elements)
-        if i not in part
-    ]
-    return classify_nodes(survivors, rd.n)
+    cbs = basis.components
+    survivors = [(c, i) for c, part in enumerate(theta.theta) for i in range(len(cbs[c].elements)) if i not in part]
+    cartan = [[cbs[c].cartan[i][j] if c == d else 0 for d, j in survivors] for c, i in survivors]
+    return classify_diagram(cartan, rd.n)
 
 
 # ---------------------------------------------------------------------------
-# Facet geometry (exact rational arithmetic)
+# Facet geometry (exact arithmetic)
 #
 # Apartment points are written over the basis dual to the fundamental-weight
 # coordinates, extended by zero on torus directions, so a root evaluates on a
 # point by a plain dot product.
 
 
-def affine_eval(alpha: AffineRoot, point: tuple[Fraction, ...]) -> Fraction:
-    return sum(
-        Fraction(c) * x for c, x in zip(alpha.gradient.coords, point)
-    ) + alpha.level
-
-
-def _alcove_vertices(
-    rd: RootDatum, components: list[ComponentBasis]
-) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    """Per component, the alcove vertex opposite each extended-basis node.
+def _alcove_vertices(rd: RootDatum, start: int, marks: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The alcove vertex opposite each extended-basis node of the component
+    whose simple roots start at ``start``, as integer numerators over one
+    denominator.
 
     Every other node of the component vanishes at that vertex.  Opposite a
     simple node it is the node's fundamental coweight divided by its mark;
     opposite the affine node it is the origin.
     """
-    origin = tuple(Fraction(0) for _ in range(rd.n))
-    all_vertices = []
-    start = 0
-    for cb in components:
-        vertices = []
-        for pick in range(cb.rank):
-            x, d = rd.fundamental_coweight(start + pick)
-            vertices.append(tuple(Fraction(c, d * cb.marks[pick]) for c in x))
-        all_vertices.append(tuple(vertices) + (origin,))
-        start += cb.rank
-    return tuple(all_vertices)
+    coweights = [rd.fundamental_coweight(start + pick) for pick in range(len(marks) - 1)]
+    det = coweights[0][1]
+    denominator = det * math.lcm(*marks)
+    vertices = tuple(tuple(c * (denominator // (det * m)) for c in x) for (x, _), m in zip(coweights, marks))
+    return vertices + ((0,) * rd.n,), denominator
 
 
 def facet_barycenter(rd: RootDatum, basis: AffineBasis, theta: FacetSpec) -> tuple[Fraction, ...]:
@@ -390,11 +351,9 @@ def facet_barycenter(rd: RootDatum, basis: AffineBasis, theta: FacetSpec) -> tup
     # integer numerators over one common denominator, and one Fraction per
     # coordinate at the end: each Fraction sum would reduce by a gcd
     num, den = [0] * rd.n, 1
-    for comp, part in enumerate(theta.theta):
-        chosen = [basis.vertices[comp][i] for i in part]
-        lcm = math.lcm(*(x.denominator for v in chosen for x in v))
-        sums = [sum(x.numerator * (lcm // x.denominator) for x in xs) for xs in zip(*chosen)]
-        comp_den = lcm * len(chosen)
+    for cb, part in zip(basis.components, theta.theta):
+        sums = map(sum, zip(*(cb.vertices[i] for i in part)))
+        comp_den = cb.denominator * len(part)
         common = math.lcm(den, comp_den)
         num = [a * (common // den) + b * (common // comp_den) for a, b in zip(num, sums)]
         den = common

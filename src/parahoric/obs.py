@@ -15,6 +15,11 @@ Counter names are ``<module>.<function>.<what>``:
   ambient root first met as a simple root of a facet quotient, so
   :func:`parahoric.affine.parahoric_model` builds them (through
   :func:`parahoric.rootdata.sub_root_datum`);
+* ``rootdata.sum_rows.built``: rows of
+  :meth:`parahoric.rootdata.RootDatum.sum_row` built, for the same roots,
+  by the closedness test of :func:`parahoric.rootdata.sub_root_datum`;
+* ``rootdata.sub_root_datum.builds``: quotient data built and checked, one
+  per :func:`parahoric.affine.parahoric_model` call;
 * ``charring.freudenthal.runs``: characters computed by Freudenthal's
   recursion, that is misses of ``chi_cache`` (a hit counts nothing); a
   minuscule or zero highest weight, whose character is stored as its orbit

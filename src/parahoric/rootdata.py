@@ -55,7 +55,8 @@ __all__ = [
     "parse_dynkin_spec",
     "build_root_datum",
     "sub_root_datum",
-    "classify_nodes",
+    "classify_cartan",
+    "classify_diagram",
     "classify_root_datum",
     "weight_key",
     "parse_weight_key",
@@ -279,11 +280,6 @@ class Root:
         return f"Root({weight_key(self.coords)})"
 
 
-def _cartan_matrix(coords, coroots) -> tuple[tuple[int, ...], ...]:
-    """``[<alpha_j, alpha_i^vee>]_ij`` over parallel lists of roots and coroots."""
-    return tuple(tuple(dot(b, f) for b in coords) for f in coroots)
-
-
 def _block_diagonal(blocks) -> tuple[tuple[int, ...], ...]:
     """The block-diagonal matrix with the given square blocks."""
     size, rows = sum(map(len, blocks)), []
@@ -309,7 +305,9 @@ def _integer_inverse(matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
     every division is exact and the k-th pivot is the k-th leading principal
     minor.  No rows are exchanged, because every principal minor of a
     finite-type Cartan matrix is positive; a pivot that is not raises, which
-    is how :func:`classify_cartan` rejects every other diagram.
+    is how :func:`_cartan_table` rejects every other symmetrizable diagram.
+    Messages show the matrix as a list of lists, whichever sequences it is
+    given as.
     """
     k = len(matrix)
     rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(matrix)]
@@ -317,7 +315,7 @@ def _integer_inverse(matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
     for p in range(k):
         pivot = rows[p][p]
         if pivot <= 0:
-            raise InvariantViolation(f"leading minor {p + 1} of {matrix} is not positive")
+            raise InvariantViolation(f"leading minor {p + 1} of {[list(row) for row in matrix]} is not positive")
         for i in range(k):
             if i != p:
                 f = rows[i][p]
@@ -327,7 +325,7 @@ def _integer_inverse(matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
     for i in range(k):
         for j in range(k):
             if sum(adj[i][t] * matrix[t][j] for t in range(k)) != det * (i == j):
-                raise InvariantViolation(f"adj * C != det * I for C = {matrix}")
+                raise InvariantViolation(f"adj * C != det * I for C = {[list(row) for row in matrix]}")
     return det, adj
 
 
@@ -427,15 +425,19 @@ class DatumTables:
     """The tables of a datum filled in on first use, each by one accessor:
     by J, the W_J-orbit tables of :meth:`RootDatum.stabilizer_orbits` and
     the orbit sizes of :meth:`RootDatum.orbit_size`; by root index, the
-    rows of :meth:`RootDatum.reflection_row`; the Dynkin-label tables of
+    rows of :meth:`RootDatum.reflection_row` and of
+    :meth:`RootDatum.sum_row`; the Dynkin-label tables of
     :meth:`RootDatum.label_tables`; and the extended affine basis of
-    :func:`parahoric.affine.extended_basis`.  They hold root data only, so
-    every datum that :func:`build_root_datum` returns for one spec shares
-    one such object, and each :func:`sub_root_datum` gets a new one."""
+    :func:`parahoric.affine.extended_basis`, which also holds the extended
+    Cartan matrices, the coefficient columns and the alcove vertices of a
+    spec's facet sweeps.  They hold root data only, so every datum that
+    :func:`build_root_datum` returns for one spec shares one such object,
+    and each :func:`sub_root_datum` gets a new one."""
 
     orbits: dict[tuple[int, ...], tuple[tuple[Weight, Weight, int, int], ...]] = field(default_factory=dict)
     orbit_sizes: dict[tuple[int, ...], int] = field(default_factory=dict)
     reflection_rows: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    sum_rows: dict[int, tuple[int | None, ...]] = field(default_factory=dict)
     labels: tuple | None = None
     extended_basis: AffineBasis | None = None
 
@@ -536,6 +538,18 @@ class RootDatum:
             alpha, index = self.roots[i], self.root_index
             row = rows[i] = tuple(index[self.reflect(alpha, b.coords)] for b in self.roots)
             obs.count("rootdata.reflection_rows.built")
+        return row
+
+    def sum_row(self, i: int) -> tuple[int | None, ...]:
+        """Entry j is the index of alpha + beta_j, or None when it is not a
+        root, where alpha is ``roots[i]`` and beta_j is ``roots[j]``, kept
+        in :attr:`tables`."""
+        rows = self.tables.sum_rows
+        row = rows.get(i)
+        if row is None:
+            alpha, index = self.roots[i].coords, self.root_index
+            row = rows[i] = tuple(index.get(wadd(alpha, b.coords)) for b in self.roots)
+            obs.count("rootdata.sum_rows.built")
         return row
 
     def check_weights(self, *weights: Weight) -> None:
@@ -751,16 +765,34 @@ def _component_roots(cartan) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...
 @functools.lru_cache(maxsize=256)
 def _cartan_table(cartan: tuple[tuple[int, ...], ...]):
     """``(det, adj, roots, simples)`` of one connected Cartan matrix, shared
-    by every component with that matrix, in Dynkin specs and facet
-    quotients alike: ``adj * cartan == det * I``; each root's ``(coeffs,
-    co)`` from :func:`_component_roots`, by height, then coefficients, each
-    checked to have coefficients of one sign; and the position in ``roots``
-    of each simple root.
+    by every component with that matrix, in Dynkin specs, facet quotients
+    and :func:`classify_cartan` alike: ``adj * cartan == det * I``; each
+    root's ``(coeffs, co)`` from :func:`_component_roots`, by height, then
+    coefficients, each checked to have coefficients of one sign; and the
+    position in ``roots`` of each simple root.
 
-    The matrix is inverted first: its positive leading minors certify
-    finite type, without which the closure would not end.  The memo is
-    bounded; 32 matrices occur over every facet of F4, E6, E7 and E8.
+    The matrix is checked before anything else.  It must have 2 on the
+    diagonal, entries <= 0 off it and a_ij = 0 exactly when a_ji = 0, and
+    its Dynkin graph must be a tree; such a matrix is symmetrizable.  Then
+    its positive leading minors, which the inverse checks, certify finite
+    type (Sylvester's criterion on the symmetrized matrix), without which
+    the closure would not end.  Each check raises
+    :class:`InvariantViolation`, and a matrix that fails one is not kept.
+    The memo is bounded; 58 matrices occur over the specs and every facet
+    of G2, F4 and E6 to E8, from the quotients and the deleted diagrams
+    together.
     """
+    k, shown = len(cartan), [list(row) for row in cartan]
+    for i, row in enumerate(cartan):
+        for j, c in enumerate(row):
+            if (c != 2) if i == j else (c > 0 or (c == 0) != (cartan[j][i] == 0)):
+                raise InvariantViolation(
+                    f"not a Cartan matrix: {shown} needs 2 on the diagonal, entries <= 0 off it "
+                    "and a_ij = 0 exactly when a_ji = 0"
+                )
+    edges = sum(1 for i, j in itertools.combinations(range(k), 2) if cartan[i][j])
+    if edges != k - 1 or len(_dynkin_components(cartan)) != 1:
+        raise InvariantViolation(f"Dynkin graph of {shown} is not a tree")
     det, adj = _integer_inverse(cartan)
     roots = sorted(
         ((coeffs, co) for coeffs, (_, co, _) in _component_roots(cartan).items()),
@@ -874,7 +906,8 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     of its base.  W_S keeps S stable, and so the roots outside S, so w(a) +
     w(b) is again a root outside S, with w(b) in S.  Only the b with <b,
     a^vee> >= 0 are tested: for the others a + b is 0 or, S being a root
-    system, a root of S.
+    system, a root of S.  Each test reads the index of a + b from the
+    ambient :meth:`RootDatum.sum_row` of a, built once per spec.
 
     Every call builds and checks the datum anew, with a new
     :class:`DatumTables`, and only the tables of :func:`_cartan_table` are
@@ -929,12 +962,13 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
         raise InvariantViolation(f"subset is not the root system of its base, which differs on {differ}")
     inside = set(members)
     for i in (i for group in groups for i in group):
-        a, row = roots[simples[i]], rows[i]
+        row, sums = rows[i], ambient.sum_row(simples[i])
         for b in members:
             if row[b] <= b:  # else <b, a^vee> < 0, and a + b is 0 or a root of S
-                total = index.get(wadd(a.coords, roots[b].coords))
+                total = sums[b]
                 if total is not None and total not in inside:
-                    raise InvariantViolation(f"subset is not closed: {a} + {roots[b]} lies outside it")
+                    raise InvariantViolation(f"subset is not closed: {roots[simples[i]]} + {roots[b]} lies outside it")
+    obs.count("rootdata.sub_root_datum.builds")
     return RootDatum(spec=None, n=ambient.n, roots=out, simple_indices=simple_indices, rho=None, blocks=blocks)
 
 
@@ -943,18 +977,15 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
 
 
 def classify_cartan(cartan) -> tuple[str, int]:
-    """Name one connected Cartan matrix of finite type.
+    """Name one connected Cartan matrix of finite type, given as rows.
 
-    The Dynkin graph must be a tree and every leading principal minor
-    positive, which is finite type (Sylvester's criterion; the Bareiss
-    inverse raises otherwise).  :func:`_dynkin_type` then names it.
+    :func:`_cartan_table` checks it, once per matrix, and holds its
+    determinant: 2 on the diagonal, entries <= 0 off it, a symmetric zero
+    pattern, a tree for a Dynkin graph and positive leading minors, or
+    :class:`InvariantViolation`.  :func:`_dynkin_type` then names it.
     """
-    k = len(cartan)
-    bonds = [cartan[i][j] * cartan[j][i] for i, j in itertools.combinations(range(k), 2) if cartan[i][j]]
-    if len(bonds) != k - 1:
-        raise InvariantViolation(f"Dynkin graph of {cartan} is not a tree")
-    det, _ = _integer_inverse(cartan)
-    return _dynkin_type(cartan, det)
+    cartan = tuple(map(tuple, cartan))
+    return _dynkin_type(cartan, _cartan_table(cartan)[0])
 
 
 def _dynkin_type(cartan, det: int) -> tuple[str, int]:
@@ -980,13 +1011,12 @@ def _dynkin_type(cartan, det: int) -> tuple[str, int]:
     return ("D", k) if det == 4 else ("E", k)
 
 
-def classify_nodes(nodes, n: int) -> DynkinSpec:
-    """The Dynkin type of a set of simple roots in Z^n: each connected
-    component of their Dynkin graph is classified, and the remaining rank is
-    a central torus."""
-    cartan = _cartan_matrix([a.coords for a in nodes], [a.coroot for a in nodes])
+def classify_diagram(cartan, n: int) -> DynkinSpec:
+    """The Dynkin type of a Cartan matrix over a lattice of rank n, its
+    Dynkin graph possibly disconnected: each connected component is named
+    by :func:`classify_cartan`, and the remaining rank is a central torus."""
     components = sorted(
-        classify_cartan([[cartan[i][j] for j in g] for i in g]) for g in _dynkin_components(cartan)
+        classify_cartan(tuple(tuple(cartan[i][j] for j in g) for i in g)) for g in _dynkin_components(cartan)
     )
     return DynkinSpec(tuple(components), n - sum(rank for _, rank in components))
 

@@ -11,6 +11,11 @@ The W_J-orbits on the roots are closed under W_J taken as a matrix group.
 The reference Freudenthal loop runs on weights, not on Dynkin labels as the
 library does, and finds the dominant weights below lam by subtracting
 positive roots from weights.
+The reference grading code that left the library lives here: the affine
+roots decomposed over the extended basis, each root's canonical
+representative and grading value, and affine roots evaluated at a point.
+The node classification runs a Bareiss inverse of each component's Cartan
+matrix on every call, where the library looks its determinant up per matrix.
 Six exceptions run on library code: the quotient datum solved root by root
 over its simple roots, with one exact inverse of their whole Cartan matrix,
 runs on the library's Bareiss inverse, lattice solve and Dynkin-graph
@@ -23,20 +28,14 @@ expansion of the summed layers on its chi-expansion; the Jantzen resolver
 that evaluates J(lam) to a weight multiset runs on the library's Jantzen
 sums and characters; and the facet model that
 grades each root by its canonical representative runs on the library's
-per-root ``canonical_rep`` and ``ell_theta``.
+extended basis and quotient datum.
 """
 
 import itertools
 from fractions import Fraction
 
 from parahoric import Character, chi_char, parse_dynkin_spec
-from parahoric.affine import (
-    AffineRoot,
-    ParahoricModel,
-    canonical_rep,
-    ell_theta,
-    facet_depths,
-)
+from parahoric.affine import AffineRoot, ParahoricModel
 from parahoric.charring import chi_expand_map, evaluate_chi_sum
 from parahoric.jantzen import (
     JANTZEN_RESOLVED,
@@ -49,12 +48,12 @@ from parahoric.levicert import SplittingSequence
 from parahoric.rootdata import (
     InvariantViolation,
     Root,
+    DynkinSpec,
     _cartan_and_symmetrizer,
-    _cartan_matrix,
     _cartan_solve,
     _dynkin_components,
+    _dynkin_type,
     _integer_inverse,
-    classify_nodes,
     dot,
     sub_root_datum,
     wneg,
@@ -428,6 +427,61 @@ def resolve_by_evaluation(rd, p, lam, ledger, j_sum):
     return ch
 
 
+def affine_decompose(rd, basis, alpha):
+    """Integer coefficients of an affine root over its component's extended
+    basis (simple nodes first, affine node last).  All coefficients share one
+    sign."""
+    comp = alpha.gradient.component
+    cb = basis.components[comp]
+    rank = cb.rank
+    gamma = alpha.level
+    marks_gradient = cb.marks[:rank]
+    coeffs = tuple(
+        c + gamma * m for c, m in zip(alpha.gradient.simple_coeffs, marks_gradient)
+    ) + (gamma,)
+    if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+        raise InvariantViolation(f"affine root {alpha} has coefficients {coeffs} of both signs")
+    return coeffs
+
+
+def facet_depths(basis, theta):
+    """Per-component depth d_i = sum of marks over Theta_i."""
+    return tuple(
+        sum(cb.marks[i] for i in part)
+        for cb, part in zip(basis.components, theta.theta)
+    )
+
+
+def ell_theta(rd, basis, theta, alpha):
+    """Grading value: the sum of the decomposition coefficients of ``alpha``
+    over the Theta-indices of its component.  Additive in the level: raising
+    the level by one adds the component depth."""
+    coeffs = affine_decompose(rd, basis, alpha)
+    part = theta.theta[alpha.gradient.component]
+    return sum(coeffs[i] for i in part)
+
+
+def canonical_rep(rd, basis, theta, a):
+    """The unique affine root with gradient ``a`` whose grading value lies in
+    the window [0, depth-1] of a's component."""
+    depth = facet_depths(basis, theta)[a.component]
+    base = ell_theta(rd, basis, theta, AffineRoot(a, 0))
+    gamma = -(base // depth)
+    rep = AffineRoot(a, gamma)
+    if not 0 <= base + gamma * depth < depth:
+        raise InvariantViolation(f"{rep} falls outside the window [0, {depth})")
+    return rep
+
+
+def affine_eval(alpha, point):
+    """The affine root ``alpha`` evaluated at an apartment point, exactly:
+    points are written over the basis dual to the fundamental-weight
+    coordinates, so the gradient pairs with them by a dot product."""
+    return sum(
+        Fraction(c) * x for c, x in zip(alpha.gradient.coords, point)
+    ) + alpha.level
+
+
 def _literal_psi(rd, basis, theta):
     """The set Psi_Theta: positive roots at level 0 together with negated
     positives at level e_a, where e_a = 0 exactly when a vanishes on the
@@ -474,11 +528,38 @@ def facet_barycenter_by_fractions(rd, basis, theta):
     coordinate: per component, the average of the alcove vertices opposite
     the Theta nodes."""
     point = [Fraction(0)] * rd.n
-    for comp, part in enumerate(theta.theta):
-        chosen = [basis.vertices[comp][i] for i in part]
+    for cb, part in zip(basis.components, theta.theta):
+        chosen = [[Fraction(x, cb.denominator) for x in cb.vertices[i]] for i in part]
         for i in range(rd.n):
             point[i] += sum(v[i] for v in chosen) / len(chosen)
     return tuple(point)
+
+
+def _cartan_matrix(coords, coroots):
+    """``[<alpha_j, alpha_i^vee>]_ij`` over parallel lists of roots and coroots."""
+    return tuple(tuple(dot(b, f) for b in coords) for f in coroots)
+
+
+def classify_cartan_by_inverse(cartan):
+    """Name one connected Cartan matrix with a Bareiss inverse of it, run on
+    every call: its Dynkin graph must be a tree and its leading minors
+    positive, and its type is read off its determinant."""
+    bonds = [cartan[i][j] for i, j in itertools.combinations(range(len(cartan)), 2) if cartan[i][j]]
+    if len(bonds) != len(cartan) - 1:
+        raise InvariantViolation(f"Dynkin graph of {cartan} is not a tree")
+    det, _ = _integer_inverse(cartan)
+    return _dynkin_type(cartan, det)
+
+
+def classify_nodes_by_inverse(nodes, n):
+    """The Dynkin type of a set of simple roots in Z^n: their Cartan matrix
+    from the roots and coroots, each connected component of its Dynkin graph
+    named by ``classify_cartan_by_inverse``, the remaining rank a torus."""
+    cartan = _cartan_matrix([a.coords for a in nodes], [a.coroot for a in nodes])
+    components = sorted(
+        classify_cartan_by_inverse([[cartan[i][j] for j in g] for i in g]) for g in _dynkin_components(cartan)
+    )
+    return DynkinSpec(tuple(components), n - sum(rank for _, rank in components))
 
 
 def _coroot_coeffs(coeffs, simple_norms, normsq):
@@ -552,7 +633,7 @@ def sub_root_datum_by_solves(ambient, coords_subset):
         "inverse": (det, adj),
         "two_rho_form": tuple(sum(dot(b.form, a.coords) for b in positive) for a in simples),
         "two_rho_coroot": tuple(map(sum, zip((0,) * ambient.n, *(b.coroot for b in positive)))),
-        "type": classify_nodes(simples, ambient.n),
+        "type": classify_nodes_by_inverse(simples, ambient.n),
     }
 
 

@@ -13,7 +13,6 @@ import time
 from parahoric import (
     SimpleLedger,
     build_root_datum,
-    canonical_rep,
     certify,
     chi_char,
     chi_expand,
@@ -34,6 +33,8 @@ from parahoric import (
 )
 from parahoric.charring import VirtualChiSum, chi_expand_map, evaluate_chi_sum
 from parahoric.rootdata import wneg
+
+from _oracles import canonical_rep
 
 PRIMES = (3, 5, 7, 11)
 

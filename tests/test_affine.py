@@ -4,26 +4,25 @@ import pytest
 
 from parahoric import (
     build_root_datum,
-    canonical_rep,
     classify_quotient,
-    ell_theta,
     enumerate_facets,
     extended_basis,
     parahoric_model,
     parse_facet_spec,
     quotient_by_deletion,
 )
-from parahoric.affine import (
-    AffineRoot,
-    FacetSpec,
-    affine_decompose,
-    affine_eval,
-    facet_barycenter,
-    facet_depths,
-)
+from parahoric.affine import AffineRoot, FacetSpec, facet_barycenter
 from parahoric.rootdata import InvariantViolation, RootDatum, sub_root_datum, wneg
 
-from _oracles import parahoric_model_by_canonical_rep, solve_marks
+from _oracles import (
+    affine_decompose,
+    affine_eval,
+    canonical_rep,
+    ell_theta,
+    facet_depths,
+    parahoric_model_by_canonical_rep,
+    solve_marks,
+)
 
 RANK_LE_3 = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "A1xA1"]
 
@@ -244,7 +243,7 @@ def test_psi_literal_iff_affine_nodes():
 
 @pytest.mark.parametrize(
     "name",
-    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4", "E6",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4", "E6", "E7",
      "A1xA1+T1", "B2xG2", "A2xA1+T2"],
 )
 def test_functional_matches_canonical_rep_oracle(name):

@@ -60,14 +60,19 @@ def test_reflection_rows_are_built_once_per_spec_over_two_facet_sweeps():
             for theta in facets:
                 from_parahoric(parahoric_model(rd, theta, basis))
         sweeps.append(counters)
-    # one row per ambient root that is a simple root of some facet's quotient
+    # one reflection row and one sum row per ambient root that is a simple
+    # root of some facet's quotient, and one quotient built per facet
     simples = {
         rd.root_index[a.coords]
         for theta in facets
         for a in parahoric_model(rd, theta, basis).quotient_datum.simple_roots
     }
-    assert sweeps == [{"rootdata.reflection_rows.built": len(simples)}, {}]
-    assert sorted(rd.tables.reflection_rows) == sorted(simples)
+    builds = {"rootdata.sub_root_datum.builds": len(facets)}
+    assert sweeps == [
+        {"rootdata.reflection_rows.built": len(simples), "rootdata.sum_rows.built": len(simples), **builds},
+        builds,
+    ]
+    assert sorted(rd.tables.reflection_rows) == sorted(rd.tables.sum_rows) == sorted(simples)
 
 
 def test_freudenthal_counts_a_run_once_and_nothing_on_a_hit():

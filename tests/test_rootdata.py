@@ -22,6 +22,7 @@ from parahoric import (
     parahoric_model,
     parse_dynkin_spec,
     parse_facet_spec,
+    quotient_by_deletion,
 )
 from parahoric import rootdata
 from parahoric.affine import facet_barycenter
@@ -37,6 +38,7 @@ from parahoric.rootdata import (
 )
 
 from _oracles import (
+    classify_nodes_by_inverse,
     dominant_conjugate_by_reflection,
     facet_barycenter_by_fractions,
     integer_coords,
@@ -326,7 +328,8 @@ def test_invariant_violation_survives_optimize_flag():
         "             lambda: classify_cartan(affine_d4),\n"
         "             dropped_orbit,\n"
         "             lambda: sub_root_datum(a2, [(2, -1), (-2, 1), (-1, 2), (1, -2)]),\n"
-        "             doubled_two_rho):\n"
+        "             doubled_two_rho,\n"
+        "             lambda: sub_root_datum(build_root_datum('C2'), [(2, -1), (-2, 1), (0, 1), (0, -1)])):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantViolation as exc:\n"
@@ -338,7 +341,7 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert lines[0].startswith("raised: subset contains non-roots")
     assert lines[1].startswith("raised: character keys must be dominant")
     assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
@@ -349,6 +352,7 @@ def test_invariant_violation_survives_optimize_flag():
         "raised: subset is not the root system of its base, which differs on [(-1, -1), (1, 1)]"
     )
     assert lines[7] == "raised: Freudenthal step at (0, 0): 12 / 10"
+    assert lines[8] == "raised: subset is not closed: Root(2,-1) + Root(0,-1) lies outside it"
 
 
 def test_torus_factors():
@@ -389,6 +393,9 @@ def _cartan(k, edges):
         (_cartan(4, [(0, 2), (1, 2), (2, 3, -1, -2)]), "leading minor"),  # affine B3
         (_cartan(5, [(0, 1), (1, 2), (2, 3, -1, -2), (3, 4)]), "leading minor"),  # affine F4
         (_cartan(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), "leading minor"),  # affine E6
+        ([[2, -1], [0, 2]], "not a Cartan matrix"),  # a_12 != 0 but a_21 = 0
+        ([[2, 1], [1, 2]], "not a Cartan matrix"),  # positive off the diagonal
+        ([[3, -1], [-1, 2]], "not a Cartan matrix"),  # 3 on the diagonal
     ],
 )
 def test_classify_cartan_rejects_affine_diagrams(cartan, message):
@@ -432,7 +439,7 @@ def test_classify_cartan_rejects_affine_diagrams_under_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == len(cases) == 8
+    assert len(lines) == len(cases) == 11
     assert all(line.startswith(f"raised: {message}") for line, (_, message) in zip(lines, cases))
 
 
@@ -703,6 +710,28 @@ def test_quotient_data_match_the_root_by_root_solve(name):
         for r in q.roots:
             b = rd.root_with_coords(r.coords)
             assert r.coords is b.coords and r.coroot is b.coroot and r.form is b.form, theta
+
+
+def test_deletion_types_match_the_per_call_inverse_and_the_quotient():
+    # quotient_by_deletion reads each determinant from the bounded
+    # _cartan_table; emptied first, it must hold every matrix of the sweep
+    # with room to spare
+    rootdata._cartan_table.cache_clear()
+    for name in SWEEP_TYPES:
+        rd = build_root_datum(name)
+        basis = extended_basis(rd)
+        for theta in enumerate_facets(rd, basis):
+            survivors = [
+                el.gradient
+                for cb, part in zip(basis.components, theta.theta)
+                for i, el in enumerate(cb.elements)
+                if i not in part
+            ]
+            deleted = quotient_by_deletion(rd, theta, basis)
+            assert deleted == classify_nodes_by_inverse(survivors, rd.n), (name, str(theta))
+            assert deleted == classify_root_datum(parahoric_model(rd, theta, basis).quotient_datum), (name, str(theta))
+    info = rootdata._cartan_table.cache_info()
+    assert info.currsize < info.maxsize
 
 
 @pytest.mark.parametrize("name", [name for name in SWEEP_TYPES if name != "E8"])
