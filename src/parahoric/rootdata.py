@@ -771,9 +771,9 @@ def _cartan_table(cartan: tuple[tuple[int, ...], ...]):
     coefficients, each checked to have coefficients of one sign; and the
     position in ``roots`` of each simple root.
 
-    The matrix is checked before anything else.  It must have 2 on the
-    diagonal, entries <= 0 off it and a_ij = 0 exactly when a_ji = 0, and
-    its Dynkin graph must be a tree; such a matrix is symmetrizable.  Then
+    The matrix is checked before anything else.  It must be square, with 2
+    on the diagonal, entries <= 0 off it and a_ij = 0 exactly when a_ji = 0,
+    and its Dynkin graph must be a tree; such a matrix is symmetrizable.  Then
     its positive leading minors, which the inverse checks, certify finite
     type (Sylvester's criterion on the symmetrized matrix), without which
     the closure would not end.  Each check raises
@@ -783,13 +783,13 @@ def _cartan_table(cartan: tuple[tuple[int, ...], ...]):
     together.
     """
     k, shown = len(cartan), [list(row) for row in cartan]
-    for i, row in enumerate(cartan):
-        for j, c in enumerate(row):
-            if (c != 2) if i == j else (c > 0 or (c == 0) != (cartan[j][i] == 0)):
-                raise InvariantViolation(
-                    f"not a Cartan matrix: {shown} needs 2 on the diagonal, entries <= 0 off it "
-                    "and a_ij = 0 exactly when a_ji = 0"
-                )
+    if any(len(row) != k or row[i] != 2 for i, row in enumerate(cartan)) or any(
+        cartan[i][j] > 0 or (cartan[i][j] == 0) != (cartan[j][i] == 0) for i, j in itertools.permutations(range(k), 2)
+    ):
+        raise InvariantViolation(
+            f"not a Cartan matrix: {shown} needs to be square, with 2 on the diagonal, entries <= 0 off it "
+            "and a_ij = 0 exactly when a_ji = 0"
+        )
     edges = sum(1 for i, j in itertools.combinations(range(k), 2) if cartan[i][j])
     if edges != k - 1 or len(_dynkin_components(cartan)) != 1:
         raise InvariantViolation(f"Dynkin graph of {shown} is not a tree")
@@ -980,9 +980,9 @@ def classify_cartan(cartan) -> tuple[str, int]:
     """Name one connected Cartan matrix of finite type, given as rows.
 
     :func:`_cartan_table` checks it, once per matrix, and holds its
-    determinant: 2 on the diagonal, entries <= 0 off it, a symmetric zero
-    pattern, a tree for a Dynkin graph and positive leading minors, or
-    :class:`InvariantViolation`.  :func:`_dynkin_type` then names it.
+    determinant: a square matrix with 2 on the diagonal, entries <= 0 off
+    it, a symmetric zero pattern, a tree for a Dynkin graph and positive
+    leading minors, or :class:`InvariantViolation`.  :func:`_dynkin_type` then names it.
     """
     cartan = tuple(map(tuple, cartan))
     return _dynkin_type(cartan, _cartan_table(cartan)[0])

@@ -396,6 +396,7 @@ def _cartan(k, edges):
         ([[2, -1], [0, 2]], "not a Cartan matrix"),  # a_12 != 0 but a_21 = 0
         ([[2, 1], [1, 2]], "not a Cartan matrix"),  # positive off the diagonal
         ([[3, -1], [-1, 2]], "not a Cartan matrix"),  # 3 on the diagonal
+        ([[2], [-1, 2]], "not a Cartan matrix"),  # not square
     ],
 )
 def test_classify_cartan_rejects_affine_diagrams(cartan, message):
@@ -439,7 +440,7 @@ def test_classify_cartan_rejects_affine_diagrams_under_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == len(cases) == 11
+    assert len(lines) == len(cases) == 12
     assert all(line.startswith(f"raised: {message}") for line, (_, message) in zip(lines, cases))
 
 
