@@ -262,7 +262,8 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     found: dict[tuple[int, ...], int] = {}  # mult by the labels of its weight
     conjugates: dict[tuple[int, ...], tuple[int, ...]] = {}  # labels -> dominant labels
     root_labels, _ = rd.label_tables()
-    columns, bound = rd.cartan_columns, len(rd.positive_roots)
+    linear = rd.linear_tables()
+    columns, two_rho_form, bound = linear.cartan_columns, linear.two_rho_form, len(rd.positive_roots)
     steps = 0
     for height, coeffs, mu, labels in candidates:
         if height == 0:
@@ -295,7 +296,7 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         lam_mu = wadd(lam, mu)
         denom = sum(
             c * (dot(simple.form, lam_mu) + two_rho)
-            for c, simple, two_rho in zip(coeffs, rd.simple_roots, rd.two_rho_form)
+            for c, simple, two_rho in zip(coeffs, rd.simple_roots, two_rho_form)
         )
         if denom <= 0 or (2 * total) % denom:
             raise InvariantViolation(f"Freudenthal step at {mu}: {2 * total} / {denom}")
@@ -413,7 +414,7 @@ def _chi_normalize(rd: RootDatum, mu: Weight):
     pairs = [dot(mu, f) + 1 for f in rd.simple_coroots]  # <mu + rho, a_i^vee>
     if pairs and min(pairs) > 0:  # regular dominant already, the common case
         return 1, mu
-    added, steps = chamber_walk(pairs, rd.cartan_columns, len(rd.positive_roots))
+    added, steps = chamber_walk(pairs, rd.linear_tables().cartan_columns, len(rd.positive_roots))
     return None if 0 in pairs else ((-1) ** steps, combine(added, rd.simple_coords, mu))
 
 
@@ -507,7 +508,7 @@ class DiskCharacters:
         self.rd = rd
         # CRC-32, not SHA-256: importing hashlib adds about 5 ms to every CLI
         # process, and the fingerprint only tells data apart, it guards nothing
-        fingerprint = f"{zlib.crc32(repr((rd.n, rd.cartan)).encode()):08x}"
+        fingerprint = f"{zlib.crc32(repr((rd.n, rd.linear_tables().cartan)).encode()):08x}"
         self.dir = os.path.join(root, __version__, f"{rd.spec_string}-{fingerprint}")
         self.memo: dict[Weight, dict[Weight, int]] = {}
 

@@ -117,7 +117,7 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
     """
     datum, ambient = model.quotient_datum, model.datum
     roots, index = ambient.roots, ambient.root_index
-    rows = [ambient.reflection_row(index[a.coords]) for a in datum.simple_roots]
+    rows = [ambient.reflection_row(index[coords]) for coords in datum.simple_coords]
     layers = []
     for weights in model.layers:
         try:

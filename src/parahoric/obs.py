@@ -20,6 +20,11 @@ Counter names are ``<module>.<function>.<what>``:
   by the closedness test of :func:`parahoric.rootdata.sub_root_datum`;
 * ``rootdata.sub_root_datum.builds``: quotient data built and checked, one
   per :func:`parahoric.affine.parahoric_model` call;
+* ``rootdata.quotient_linear_tables.built``: the
+  :meth:`parahoric.rootdata.RootDatum.linear_tables` of quotient data
+  built, each on first read, so a facet sweep that only models and
+  classifies builds none, and a certificate of a facet with a nonempty
+  layer builds its quotient's;
 * ``charring.freudenthal.runs``: characters computed by Freudenthal's
   recursion, that is misses of ``chi_cache`` (a hit counts nothing); a
   minuscule or zero highest weight, whose character is stored as its orbit

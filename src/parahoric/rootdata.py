@@ -9,14 +9,17 @@ throughout; no floats appear anywhere.
 A :class:`RootDatum` is either built from a :class:`DynkinSpec` (the ambient
 group) or carved out of an ambient datum with :func:`sub_root_datum` (the
 reductive quotient attached to a parahoric facet).  Both read each
-component from one table per Cartan matrix, which holds its exact inverse
-and its roots' coefficients, closed under reflection once.  A spec build
-reads the roots' coordinates off that table; a quotient walks the ambient
-datum's reflection rows from its simple roots, shares the ambient roots'
-tuples and is checked against the roots it was carved from.  A datum's
-type is read off its stored component matrices.  The tables a datum fills
-in on first use live in one :class:`DatumTables`, which every build of a
-spec shares.
+component from one table per Cartan matrix, which holds its exact inverse,
+its roots' coefficients, closed under reflection once, and a recipe that
+reaches each root by one simple reflection from a root listed before it.
+A spec build reads the roots' coordinates off that table; a quotient
+replays the recipe on the ambient datum's reflection rows, one lookup a
+root, shares the ambient roots' tuples and is checked against the roots it
+was carved from.  A datum's type is read off its stored component
+matrices; naming a matrix needs only its checked determinant, kept apart
+from the roots.  The tables a datum fills in on first use, its assembled
+Cartan matrix and inverse among them, live in one :class:`DatumTables`,
+which every build of a spec shares.
 
 Every walk of the Weyl group runs on two helpers.  :func:`closure` is a
 breadth-first closure of labelled points.  It gives the roots of a
@@ -36,7 +39,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import obs
 
@@ -49,6 +52,7 @@ __all__ = [
     "Root",
     "RootDatum",
     "DatumTables",
+    "LinearTables",
     "IllegalRank",
     "NotDominant",
     "InvariantViolation",
@@ -305,7 +309,7 @@ def _integer_inverse(matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
     every division is exact and the k-th pivot is the k-th leading principal
     minor.  No rows are exchanged, because every principal minor of a
     finite-type Cartan matrix is positive; a pivot that is not raises, which
-    is how :func:`_cartan_table` rejects every other symmetrizable diagram.
+    is how :func:`_cartan_inverse` rejects every other symmetrizable diagram.
     Messages show the matrix as a list of lists, whichever sequences it is
     given as.
     """
@@ -420,24 +424,46 @@ def _parabolic_orbits(datum: "RootDatum", zeros: tuple[int, ...]) -> list[list[R
     return orbits
 
 
+class LinearTables(NamedTuple):
+    """The linear algebra of a datum, assembled from its component blocks:
+    the block-diagonal Cartan matrix; ``det`` and ``adj`` with ``adj *
+    cartan == det * I``, the one exact inverse behind every lattice solve;
+    the nonzero entries ``(j, c)`` of each Cartan column, for
+    :func:`chamber_walk`; ``two_rho_form``, (2 rho, alpha_i) per simple
+    root, for the Freudenthal denominator, which is <2 rho, alpha_i^vee>
+    (alpha_i, alpha_i) / 2 = (alpha_i, alpha_i); and ``two_rho_coroot``,
+    2 rho^vee, the sum of the positive coroots, which is 2 on every simple
+    root."""
+
+    cartan: tuple[tuple[int, ...], ...]
+    det: int
+    adj: tuple[tuple[int, ...], ...]
+    cartan_columns: tuple[tuple[tuple[int, int], ...], ...]
+    two_rho_form: tuple[int, ...]
+    two_rho_coroot: Weight
+
+
 @dataclass(slots=True)
 class DatumTables:
     """The tables of a datum filled in on first use, each by one accessor:
     by J, the W_J-orbit tables of :meth:`RootDatum.stabilizer_orbits` and
     the orbit sizes of :meth:`RootDatum.orbit_size`; by root index, the
     rows of :meth:`RootDatum.reflection_row` and of
-    :meth:`RootDatum.sum_row`; the Dynkin-label tables of
+    :meth:`RootDatum.sum_row`; the :class:`LinearTables` of
+    :meth:`RootDatum.linear_tables`; the Dynkin-label tables of
     :meth:`RootDatum.label_tables`; and the extended affine basis of
     :func:`parahoric.affine.extended_basis`, which also holds the extended
     Cartan matrices, the coefficient columns and the alcove vertices of a
     spec's facet sweeps.  They hold root data only, so every datum that
     :func:`build_root_datum` returns for one spec shares one such object,
-    and each :func:`sub_root_datum` gets a new one."""
+    and each :func:`sub_root_datum` gets a new one, whose tables a facet
+    sweep that only models and classifies never builds."""
 
     orbits: dict[tuple[int, ...], tuple[tuple[Weight, Weight, int, int], ...]] = field(default_factory=dict)
     orbit_sizes: dict[tuple[int, ...], int] = field(default_factory=dict)
     reflection_rows: dict[int, tuple[int, ...]] = field(default_factory=dict)
     sum_rows: dict[int, tuple[int | None, ...]] = field(default_factory=dict)
+    linear: LinearTables | None = None
     labels: tuple | None = None
     extended_basis: AffineBasis | None = None
 
@@ -449,17 +475,20 @@ class RootDatum:
     Roots are listed by component, then height, then simple coefficients,
     so a reflection that lowers a root's height lowers its index.
     ``blocks`` holds each component's Cartan matrix, determinant and
-    adjugate, taken from the table of :func:`_cartan_table` that both
-    constructors share per Cartan matrix; the datum's Cartan matrix and
-    exact inverse are assembled from them, not inverted again.  A quotient's
-    roots share their ``coords``, ``coroot`` and ``form`` tuples with the
-    ambient datum's.  The structure is fixed once built, apart from
-    ``tables``, the :class:`DatumTables` filled in on first use.  The one
-    attribute that holds characters, ``chi_cache``, belongs to each datum
-    alone: it memoizes ``chi(lam)`` multiplicities by highest weight for
-    :func:`parahoric.charring.chi_char`, starts as a new empty dict, and may
-    be replaced by another store with ``get`` and item assignment, such as
-    the CLI's :class:`parahoric.charring.DiskCharacters`.
+    adjugate, taken from the memo of :func:`_cartan_table` that both
+    constructors share per Cartan matrix.  The datum's Cartan matrix, exact
+    inverse and 2 rho functionals are assembled from them only when first
+    read, by :meth:`linear_tables`: a facet quotient that is only modelled
+    and classified never builds them.  A quotient's roots share their
+    ``coords``, ``coroot`` and ``form`` tuples with the ambient datum's.  The
+    roots, simple roots and blocks are fixed once built; everything derived
+    from them later lives in ``tables``, the :class:`DatumTables` filled in
+    on first use.  The one attribute that holds characters, ``chi_cache``,
+    belongs to each datum alone: it memoizes ``chi(lam)`` multiplicities by
+    highest weight for :func:`parahoric.charring.chi_char`, starts as a new
+    empty dict, and may be replaced by another store with ``get`` and item
+    assignment, such as the CLI's
+    :class:`parahoric.charring.DiskCharacters`.
     """
 
     def __init__(self, *, spec, n, roots, simple_indices, rho, blocks):
@@ -473,23 +502,10 @@ class RootDatum:
         self.simple_roots: tuple[Root, ...] = tuple(self.roots[i] for comp in self.simple_indices for i in comp)
         # per component: (Cartan matrix, det, adj) with adj * C == det * I
         self._blocks = tuple(blocks)
-        self.cartan: tuple[tuple[int, ...], ...] = _block_diagonal([c for c, _, _ in self._blocks])
-        # det * C^-1 = adj, the one exact inverse behind every lattice solve
-        self._det = math.prod(det for _, det, _ in self._blocks)
-        self._adj = _block_diagonal(
-            [[[self._det // det * x for x in row] for row in adj] for _, det, adj in self._blocks]
-        )
         self.simple_coords: tuple[Weight, ...] = tuple(a.coords for a in self.simple_roots)
         self.simple_coroots: tuple[Weight, ...] = tuple(a.coroot for a in self.simple_roots)
-        # the nonzero entries (j, c) of each Cartan column, for chamber_walk
-        self.cartan_columns = tuple(tuple((j, c) for j, c in enumerate(col) if c) for col in zip(*self.cartan))
         self.chi_cache: dict[Weight, dict[Weight, int]] = {}
         self.tables = DatumTables()
-        # (2*rho, alpha_i) per simple root, for the Freudenthal denominator:
-        # <2*rho, alpha_i^vee> (alpha_i, alpha_i) / 2 = (alpha_i, alpha_i)
-        self.two_rho_form: tuple[int, ...] = tuple(dot(a.form, a.coords) for a in self.simple_roots)
-        # 2*rho^vee, the sum of the positive coroots: 2 on every simple root
-        self._two_rho_coroot = tuple(map(sum, zip((0,) * n, *(b.coroot for b in self.positive_roots))))
 
     # -- basic structure ---------------------------------------------------
 
@@ -503,7 +519,7 @@ class RootDatum:
 
     @property
     def semisimple_rank(self) -> int:
-        return len(self.simple_roots)
+        return sum(map(len, self.simple_indices))
 
     def component_simple_roots(self, component: int) -> tuple[Root, ...]:
         return tuple(self.roots[i] for i in self.simple_indices[component])
@@ -552,6 +568,27 @@ class RootDatum:
             obs.count("rootdata.sum_rows.built")
         return row
 
+    def linear_tables(self) -> LinearTables:
+        """The :class:`LinearTables` of the datum, assembled from its
+        blocks, not inverted again, and kept in :attr:`tables`.  A hot
+        reader calls this once per call, not once per loop step."""
+        linear = self.tables.linear
+        if linear is None:
+            cartan = _block_diagonal([c for c, _, _ in self._blocks])
+            det = math.prod(d for _, d, _ in self._blocks)
+            adj = _block_diagonal([[[det // d * x for x in row] for row in a] for _, d, a in self._blocks])
+            linear = self.tables.linear = LinearTables(
+                cartan,
+                det,
+                adj,
+                tuple(tuple((j, c) for j, c in enumerate(col) if c) for col in zip(*cartan)),
+                tuple(dot(a.form, a.coords) for a in self.simple_roots),
+                tuple(map(sum, zip((0,) * self.n, *(b.coroot for b in self.positive_roots)))),
+            )
+            if self.spec is None:  # a spec's are built once per process
+                obs.count("rootdata.quotient_linear_tables.built")
+        return linear
+
     def check_weights(self, *weights: Weight) -> None:
         """Raise ``ValueError`` unless each weight has one coordinate per
         lattice dimension: :func:`dot` and :func:`wadd` stop silently at the
@@ -583,7 +620,7 @@ class RootDatum:
         """:meth:`dominant_conjugate` without the length check, for weights
         checked already."""
         pairs = [dot(lam, f) for f in self.simple_coroots]
-        added, steps = chamber_walk(pairs, self.cartan_columns, len(self.positive_roots))
+        added, steps = chamber_walk(pairs, self.linear_tables().cartan_columns, len(self.positive_roots))
         return combine(added, self.simple_coords, lam) if steps else lam
 
     def orbit_size(self, lam: Weight) -> int:
@@ -597,7 +634,7 @@ class RootDatum:
         kept in :attr:`tables`."""
         self.check_weights(lam)
         pairs = [dot(lam, f) for f in self.simple_coroots]
-        added, steps = chamber_walk(pairs, self.cartan_columns, len(self.positive_roots))
+        added, steps = chamber_walk(pairs, self.linear_tables().cartan_columns, len(self.positive_roots))
         zeros = tuple(j for j, p in enumerate(pairs) if not p)
         size = self.tables.orbit_sizes.get(zeros)
         if size is None:
@@ -674,7 +711,8 @@ class RootDatum:
 
     def root_lattice_coords(self, v: Weight) -> tuple[int, ...] | None:
         """Integer coordinates of ``v`` over the simple roots, or None."""
-        return _cartan_solve(self._det, self._adj, self.simple_coords, self.simple_coroots, v)
+        linear = self.linear_tables()
+        return _cartan_solve(linear.det, linear.adj, self.simple_coords, self.simple_coroots, v)
 
     def dominance_leq(self, a: Weight, b: Weight) -> bool:
         """True iff b - a is a nonnegative integer sum of simple roots."""
@@ -686,14 +724,16 @@ class RootDatum:
         """The weight of ``weights`` with the largest pairing with 2*rho^vee,
         ties broken lexicographically.  That pairing grows strictly along
         the dominance order, so no other weight given lies above it."""
-        return max(weights, key=lambda w: (dot(w, self._two_rho_coroot), w))
+        two_rho_coroot = self.linear_tables().two_rho_coroot
+        return max(weights, key=lambda w: (dot(w, two_rho_coroot), w))
 
     def fundamental_coweight(self, i: int) -> tuple[Weight, int]:
         """The coweight dual to simple root ``i`` as ``(x, d)``: the point
         ``x / d`` in the coordinates dual to the weight coordinates, on which
         simple root ``j`` takes the value ``[i == j]``.  It is row ``i`` of the
         inverse Cartan matrix over the simple coroots."""
-        return combine(self._adj[i], self.simple_coroots, (0,) * self.n), self._det
+        linear = self.linear_tables()
+        return combine(linear.adj[i], self.simple_coroots, (0,) * self.n), linear.det
 
     # -- classical data ------------------------------------------------------
 
@@ -763,24 +803,19 @@ def _component_roots(cartan) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...
 
 
 @functools.lru_cache(maxsize=256)
-def _cartan_table(cartan: tuple[tuple[int, ...], ...]):
-    """``(det, adj, roots, simples)`` of one connected Cartan matrix, shared
-    by every component with that matrix, in Dynkin specs, facet quotients
-    and :func:`classify_cartan` alike: ``adj * cartan == det * I``; each
-    root's ``(coeffs, co)`` from :func:`_component_roots`, by height, then
-    coefficients, each checked to have coefficients of one sign; and the
-    position in ``roots`` of each simple root.
+def _cartan_inverse(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(det, adj)`` with ``adj * cartan == det * I`` for one connected
+    Cartan matrix of finite type, checked to be one.
 
-    The matrix is checked before anything else.  It must be square, with 2
-    on the diagonal, entries <= 0 off it and a_ij = 0 exactly when a_ji = 0,
-    and its Dynkin graph must be a tree; such a matrix is symmetrizable.  Then
-    its positive leading minors, which the inverse checks, certify finite
-    type (Sylvester's criterion on the symmetrized matrix), without which
-    the closure would not end.  Each check raises
-    :class:`InvariantViolation`, and a matrix that fails one is not kept.
-    The memo is bounded; 58 matrices occur over the specs and every facet
-    of G2, F4 and E6 to E8, from the quotients and the deleted diagrams
-    together.
+    It must be square, with 2 on the diagonal, entries <= 0 off it and a_ij
+    = 0 exactly when a_ji = 0, and its Dynkin graph must be a tree; such a
+    matrix is symmetrizable.  Then its positive leading minors, which the
+    inverse checks, certify finite type (Sylvester's criterion on the
+    symmetrized matrix).  Each check raises :class:`InvariantViolation`, and
+    a matrix that fails one is not kept.  :func:`classify_cartan` reads
+    only this memo, and :func:`_cartan_table` reads it first.  The memo is
+    bounded; 58 matrices occur over the specs and every facet of G2, F4 and
+    E6 to E8, from the quotients and the deleted diagrams together.
     """
     k, shown = len(cartan), [list(row) for row in cartan]
     if any(len(row) != k or row[i] != 2 for i, row in enumerate(cartan)) or any(
@@ -793,17 +828,46 @@ def _cartan_table(cartan: tuple[tuple[int, ...], ...]):
     edges = sum(1 for i, j in itertools.combinations(range(k), 2) if cartan[i][j])
     if edges != k - 1 or len(_dynkin_components(cartan)) != 1:
         raise InvariantViolation(f"Dynkin graph of {shown} is not a tree")
-    det, adj = _integer_inverse(cartan)
-    roots = sorted(
-        ((coeffs, co) for coeffs, (_, co, _) in _component_roots(cartan).items()),
-        key=lambda root: (sum(root[0]), root[0]),
-    )
+    return _integer_inverse(cartan)
+
+
+@functools.lru_cache(maxsize=256)
+def _cartan_table(cartan: tuple[tuple[int, ...], ...]):
+    """``(det, adj, roots, simples, recipe)`` of one connected Cartan matrix,
+    shared by every component with that matrix in Dynkin specs and facet
+    quotients: ``(det, adj)`` from :func:`_cartan_inverse`, whose checks run
+    first, without which the closure would not end; each root's ``(coeffs,
+    co)`` from :func:`_component_roots`, by height, then coefficients, each
+    checked to have coefficients of one sign; the position in ``roots`` of
+    each simple root; and a reflection recipe for the other roots.
+
+    The recipe lists each root that is not simple once, as ``(child, parent,
+    t, q)``: positions in ``roots`` with child = s_t(parent) and q =
+    <parent, alpha_t^vee>, the parent simple or listed before.  The roots
+    are taken by |height|.  A root b that is not simple pairs with some
+    alpha_t^vee with the sign of its height: a positive b because (b, b) >
+    0, a negative one as -b does.  The first such t gives the parent s_t(b),
+    of smaller |height|, or alpha_t for b = -alpha_t.  So, replayed from the
+    unit vectors, the child's coefficients are the parent's less q at t.
+    The memo is bounded; 38 matrices occur over the specs and every facet
+    of G2, F4 and E6 to E8.
+    """
+    det, adj = _cartan_inverse(cartan)
+    closed = _component_roots(cartan)
+    roots = sorted(((coeffs, co) for coeffs, (_, co, _) in closed.items()), key=lambda root: (sum(root[0]), root[0]))
     for coeffs, _ in roots:
         if min(coeffs) < 0 < max(coeffs):
             raise InvariantViolation(f"root {coeffs} has coefficients of both signs")
     position = {coeffs: k for k, (coeffs, _) in enumerate(roots)}
-    simples = tuple(position[tuple(int(i == j) for i in range(len(cartan)))] for j in range(len(cartan)))
-    return det, adj, tuple(roots), simples
+    units = [tuple(int(i == j) for i in range(len(cartan))) for j in range(len(cartan))]
+    recipe = []
+    for coeffs, _ in sorted(roots, key=lambda root: abs(sum(root[0]))):
+        if coeffs not in units:
+            local, sign = closed[coeffs][0], sum(coeffs)
+            t = next(t for t, pairing in enumerate(local) if pairing * sign > 0)
+            parent = coeffs[:t] + (coeffs[t] - local[t],) + coeffs[t + 1 :]
+            recipe.append((position[coeffs], position[parent], t, -local[t]))
+    return det, adj, tuple(roots), tuple(position[u] for u in units), tuple(recipe)
 
 
 def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
@@ -857,7 +921,7 @@ def _datum_structure(spec_string: str) -> RootDatum:
     for comp, (family, rank) in enumerate(spec.components):
         cartan, d = _cartan_and_symmetrizer(family, rank)
         cartan = tuple(map(tuple, cartan))
-        det, adj, table, simples = _cartan_table(cartan)
+        det, adj, table, simples, _ = _cartan_table(cartan)
         blocks.append((cartan, det, adj))
         simple_indices.append(tuple(len(roots) + k for k in simples))
         before, after = (0,) * off, (0,) * (n - off - rank)
@@ -879,8 +943,8 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
 
     Its roots are read off the ambient datum, not rebuilt: each shares the
     ``coords``, ``coroot`` and ``form`` tuples of its ambient root, so
-    characters over the sub-datum live in the ambient lattice, and each step
-    is a lookup by ambient index in the rows of
+    characters over the sub-datum live in the ambient lattice, and each
+    reflection is a lookup by ambient index in the rows of
     :meth:`RootDatum.reflection_row`.  Ambient roots are listed by
     component, then height, so s_a(b) = b - <b, a^vee> a comes before b
     exactly when the pairing is positive.
@@ -889,15 +953,19 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     positive root of the subset is simple unless it pairs positively with a
     simple root found before it: in a root system, simple roots pair
     non-positively, and a positive root that is not simple pairs positively
-    with a simple root of lower height.  The simple roots are grouped by the
-    components of their Dynkin graph, and each group is closed under its
-    rows.  Height is additive, so s_i(b) = b - p alpha_i has p = (ht b - ht
-    s_i b) / ht alpha_i: the walk carries each root's simple coefficients,
-    and the Cartan matrix is read off the same way.  :func:`_cartan_table`
-    gives that matrix's inverse, its coefficient closure in datum order, the
-    coroot coefficients and the sign check; the walk must give back exactly
-    that closure.  Then the roots walked must be exactly the subset, as for
-    every closed symmetric subset.
+    with a simple root of lower height.  Height is additive, so s_i(b) = b -
+    p alpha_i has p = (ht b - ht s_i b) / ht alpha_i, and the Cartan matrix
+    is read off the heights.  The simple roots are grouped by the components
+    of its Dynkin graph.  For each, :func:`_cartan_table` gives the matrix's
+    inverse, its roots' coefficients in datum order with the sign check,
+    their coroot coefficients and its reflection recipe, which is replayed
+    on ambient indices in one pass: each step child = s_t(parent) is one
+    lookup in the row of simple root t, checked by ht child = ht parent - q
+    ht alpha_t, which holds exactly when the ambient pairing is the table's
+    q.  So each root found is the ambient root with the table's
+    coefficients; no two are the same, as positive roots that pair
+    non-positively are linearly independent.  Then the roots found must be
+    exactly the subset, as for every closed symmetric subset.
 
     Last, the subset S must be closed: no a + b with a, b in S is a root
     outside S.  It suffices to test a simple root a of S, at rank_S * |S|
@@ -910,10 +978,11 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     ambient :meth:`RootDatum.sum_row` of a, built once per spec.
 
     Every call builds and checks the datum anew, with a new
-    :class:`DatumTables`, and only the tables of :func:`_cartan_table` are
-    shared: a memo of quotients
-    per ambient spec and subset saved time on facet sweeps but held every
-    quotient for the life of the process.
+    :class:`DatumTables` whose tables, the :class:`LinearTables` among them,
+    are built only when read; only the tables of :func:`_cartan_table` and
+    the ambient rows are shared.  A memo of quotients per ambient spec and
+    subset saved time on facet sweeps but held every quotient for the life
+    of the process.
     """
     roots, index = ambient.roots, ambient.root_index
     try:
@@ -922,9 +991,13 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
         raise InvariantViolation("subset contains non-roots") from None
     simples, rows = [], []
     for b in members:
-        if roots[b].height > 0 and all(row[b] >= b for row in rows):
-            simples.append(b)
-            rows.append(ambient.reflection_row(b))
+        if roots[b].height > 0:
+            for row in rows:
+                if row[b] < b:  # b pairs positively with an earlier simple root
+                    break
+            else:
+                simples.append(b)
+                rows.append(ambient.reflection_row(b))
     heights = [roots[a].height for a in simples]
     # <alpha_j, alpha_i^vee> = (ht alpha_j - ht s_i alpha_j) / ht alpha_i
     pairings = [
@@ -934,28 +1007,24 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     out, simple_indices, blocks, reached = [], [], [], set()
     for comp, group in enumerate(groups):
         cartan = tuple(tuple(pairings[i][j] for j in group) for i in group)
-        det, adj, table, positions = _cartan_table(cartan)
+        det, adj, table, positions, recipe = _cartan_table(cartan)
         gens = [(rows[i], heights[i]) for i in group]
-        walked = {simples[i]: tuple(int(t == u) for u in range(len(group))) for t, i in enumerate(group)}
-
-        def step(b, coeffs):
-            for t, (row, h) in enumerate(gens):
-                k = row[b]
-                if k not in walked:
-                    p = (roots[b].height - roots[k].height) // h
-                    yield k, coeffs[:t] + (coeffs[t] - p,) + coeffs[t + 1 :]
-        closure(walked, step)
-        by_coeffs = {coeffs: b for b, coeffs in walked.items()}
-        picked = [by_coeffs.get(coeffs) for coeffs, _ in table]
-        if len(walked) != len(table) or None in picked:
-            raise InvariantViolation(f"the reflection rows of component {comp} miss the roots of {cartan}")
+        picked = [0] * len(table)  # ambient index of each root of the table
+        for t, i in enumerate(group):
+            picked[positions[t]] = simples[i]
+        for child, parent, t, q in recipe:
+            row, h = gens[t]
+            b = picked[parent]
+            k = picked[child] = row[b]
+            if roots[k].height != roots[b].height - q * h:
+                raise InvariantViolation(f"the reflection rows of component {comp} miss the roots of {cartan}")
         start = len(out)
         for k, (coeffs, co) in zip(picked, table):
             b = roots[k]
             out.append(Root(b.coords, coeffs, comp, b.coroot, co, b.form))
         simple_indices.append(tuple(start + s for s in positions))
         blocks.append((cartan, det, adj))
-        reached.update(walked)
+        reached.update(picked)
     differ = reached.symmetric_difference(members)
     if differ:
         differ = sorted(roots[k].coords for k in differ)
@@ -979,13 +1048,13 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
 def classify_cartan(cartan) -> tuple[str, int]:
     """Name one connected Cartan matrix of finite type, given as rows.
 
-    :func:`_cartan_table` checks it, once per matrix, and holds its
+    :func:`_cartan_inverse` checks it, once per matrix, and holds its
     determinant: a square matrix with 2 on the diagonal, entries <= 0 off
     it, a symmetric zero pattern, a tree for a Dynkin graph and positive
     leading minors, or :class:`InvariantViolation`.  :func:`_dynkin_type` then names it.
     """
     cartan = tuple(map(tuple, cartan))
-    return _dynkin_type(cartan, _cartan_table(cartan)[0])
+    return _dynkin_type(cartan, _cartan_inverse(cartan)[0])
 
 
 def _dynkin_type(cartan, det: int) -> tuple[str, int]:

@@ -242,9 +242,10 @@ def _second_moment_sides(rd, ch, lam):
     over dominant keys, each counted |W mu| times; the form on weights is
     (w_i, w_l) = adj[l][i] d_l / det, with d_l = (alpha_l, alpha_l) / 2."""
     d = [Fraction(dot(a.form, a.coords), 2) for a in rd.simple_roots]
+    linear = rd.linear_tables()
 
     def form(mu, nu):
-        return sum(mu[i] * nu[l] * rd._adj[l][i] * d[l] for i in range(rd.n) for l in range(rd.n)) / rd._det
+        return sum(mu[i] * nu[l] * linear.adj[l][i] * d[l] for i in range(rd.n) for l in range(rd.n)) / linear.det
 
     dim_g = len(rd.roots) + rd.semisimple_rank
     lhs = dim_g * sum(m * rd.orbit_size(mu) * form(mu, mu) for mu, m in ch.mult.items())

@@ -18,6 +18,7 @@ from parahoric import (
 from parahoric import charring
 from parahoric.charring import DiskCharacters, character_to_json
 from parahoric.cli import COMMANDS, main
+from parahoric.rootdata import DatumTables
 
 
 def _type_dir(root, spec):
@@ -305,7 +306,8 @@ def test_disk_cache_entries_are_keyed_by_version_and_datum(tmp_path, monkeypatch
     assert DiskCharacters(build_root_datum("A2"), str(tmp_path)).get((1, 0)) == mult
     # the same type name over another Cartan matrix has another fingerprint
     other = build_root_datum("A2")
-    other.cartan = ((2, -1), (-2, 2))
+    linear = other.linear_tables()._replace(cartan=((2, -1), (-2, 2)))
+    other.tables = DatumTables(linear=linear)  # this build's own tables
     assert DiskCharacters(other, str(tmp_path)).dir != DiskCharacters(a2, str(tmp_path)).dir
     assert DiskCharacters(other, str(tmp_path)).get((1, 0)) is None
     # another release reads nothing this one wrote

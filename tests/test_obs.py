@@ -2,12 +2,15 @@ import itertools
 
 from parahoric import (
     build_root_datum,
+    certify,
     chi_char,
+    classify_quotient,
     enumerate_facets,
     extended_basis,
     from_parahoric,
     obs,
     parahoric_model,
+    quotient_by_deletion,
 )
 from parahoric.rootdata import _datum_structure
 
@@ -73,6 +76,24 @@ def test_reflection_rows_are_built_once_per_spec_over_two_facet_sweeps():
         builds,
     ]
     assert sorted(rd.tables.reflection_rows) == sorted(rd.tables.sum_rows) == sorted(simples)
+
+
+def test_facet_models_build_no_linear_tables_and_a_certificate_builds_one():
+    rd = build_root_datum("E6")
+    basis = extended_basis(rd)
+    facets = enumerate_facets(rd, basis)
+    with obs.recording() as sweep:
+        for theta in facets:
+            model = parahoric_model(rd, theta, basis)
+            classify_quotient(model)
+            quotient_by_deletion(rd, theta, basis)
+            from_parahoric(model)
+    assert "rootdata.quotient_linear_tables.built" not in sweep
+    assert sweep["rootdata.sub_root_datum.builds"] == len(facets)
+    model = next(m for m in map(lambda theta: parahoric_model(rd, theta, basis), facets) if m.layers)
+    with obs.recording() as certified:
+        certify(from_parahoric(model), 5)
+    assert certified["rootdata.quotient_linear_tables.built"] == 1
 
 
 def test_freudenthal_counts_a_run_once_and_nothing_on_a_hit():

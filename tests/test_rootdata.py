@@ -319,8 +319,21 @@ def test_invariant_violation_survives_optimize_flag():
         "        rootdata._parabolic_orbits = orbits\n"
         "def doubled_two_rho():  # a wrong Freudenthal denominator: (2 rho, alpha_i) doubled\n"
         "    rd = build_root_datum('A2')\n"
-        "    rd.two_rho_form = tuple(2 * x for x in rd.two_rho_form)\n"
+        "    linear = rd.linear_tables()\n"
+        "    doubled = linear._replace(two_rho_form=tuple(2 * x for x in linear.two_rho_form))\n"
+        "    rd.tables = rootdata.DatumTables(linear=doubled)  # this build's own tables\n"
         "    chi_char(rd, (1, 1))\n"
+        "def swapped_row():  # two entries of alpha_2's reflection row in A3 exchanged\n"
+        "    a3 = build_root_datum('A3')\n"
+        "    i, j, k = (a3.root_index[c] for c in [(-1, 2, -1), (-1, 0, -1), (-2, 1, 0)])\n"
+        "    row = a3.reflection_row(i)\n"
+        "    swapped = list(row)\n"
+        "    swapped[j], swapped[k] = row[k], row[j]\n"
+        "    a3.tables.reflection_rows[i] = tuple(swapped)\n"
+        "    try:\n"
+        "        sub_root_datum(a3, [b.coords for b in a3.roots])\n"
+        "    finally:\n"
+        "        a3.tables.reflection_rows[i] = row\n"
         "for make in (lambda: sub_root_datum(a2, [(1, 0), (-1, 0)]),\n"
         "             lambda: Character(a2, {(-1, 0): 1}),\n"
         "             lambda: SimpleLedger(a2, 3, {(0, 0): LedgerEntry(chi_char(a2, (0, 0)), LOWEST_ALCOVE, {})}).merge(conflicting),\n"
@@ -329,7 +342,8 @@ def test_invariant_violation_survives_optimize_flag():
         "             dropped_orbit,\n"
         "             lambda: sub_root_datum(a2, [(2, -1), (-2, 1), (-1, 2), (1, -2)]),\n"
         "             doubled_two_rho,\n"
-        "             lambda: sub_root_datum(build_root_datum('C2'), [(2, -1), (-2, 1), (0, 1), (0, -1)])):\n"
+        "             lambda: sub_root_datum(build_root_datum('C2'), [(2, -1), (-2, 1), (0, 1), (0, -1)]),\n"
+        "             swapped_row):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantViolation as exc:\n"
@@ -341,7 +355,7 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert lines[0].startswith("raised: subset contains non-roots")
     assert lines[1].startswith("raised: character keys must be dominant")
     assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
@@ -353,6 +367,9 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert lines[7] == "raised: Freudenthal step at (0, 0): 12 / 10"
     assert lines[8] == "raised: subset is not closed: Root(2,-1) + Root(0,-1) lies outside it"
+    assert lines[9] == (
+        "raised: the reflection rows of component 0 miss the roots of ((2, -1, 0), (-1, 2, -1), (0, -1, 2))"
+    )
 
 
 def test_torus_factors():
@@ -414,7 +431,7 @@ FINITE_TYPES = (
 
 @pytest.mark.parametrize("family, rank", FINITE_TYPES)
 def test_classify_cartan_names_every_finite_type_in_any_node_order(family, rank):
-    cartan = build_root_datum(f"{family}{rank}").cartan
+    cartan = build_root_datum(f"{family}{rank}").linear_tables().cartan
     # B2 is C2 with its two nodes swapped
     expected = ("C", 2) if (family, rank) == ("B", 2) else (family, rank)
     rng = random.Random(f"{family}{rank}")
@@ -603,10 +620,7 @@ def test_memoized_build_matches_fresh_construction(name):
         (r.height, r.coroot_height) for r in fresh.roots
     ]
     assert memoized.simple_indices == fresh.simple_indices
-    assert memoized.cartan == fresh.cartan
-    assert (memoized._det, memoized._adj) == (fresh._det, fresh._adj)
-    assert memoized.two_rho_form == fresh.two_rho_form
-    assert memoized._two_rho_coroot == fresh._two_rho_coroot
+    assert memoized.linear_tables() == fresh.linear_tables()
     assert (memoized.spec, memoized.n, memoized.rho) == (fresh.spec, fresh.n, fresh.rho)
     if name in ORBIT_TABLE_TYPES:
         for k in range(memoized.semisimple_rank + 1):
@@ -703,21 +717,45 @@ def test_quotient_data_match_the_root_by_root_solve(name):
         expected = sub_root_datum_by_solves(rd, [a.coords for a in model.quotient_roots])
         assert _root_fields(q.roots) == _root_fields(expected["roots"]), theta
         assert q.simple_indices == expected["simple_indices"], theta
-        assert q.cartan == expected["cartan"], theta
-        assert (q._det, q._adj) == expected["inverse"], theta
-        assert q.two_rho_form == expected["two_rho_form"], theta
-        assert q._two_rho_coroot == expected["two_rho_coroot"], theta
+        linear = q.linear_tables()
+        assert linear.cartan == expected["cartan"], theta
+        assert (linear.det, linear.adj) == expected["inverse"], theta
+        assert linear.two_rho_form == expected["two_rho_form"], theta
+        assert linear.two_rho_coroot == expected["two_rho_coroot"], theta
         assert classify_root_datum(q) == expected["type"], theta
         for r in q.roots:
             b = rd.root_with_coords(r.coords)
             assert r.coords is b.coords and r.coroot is b.coroot and r.form is b.form, theta
 
 
+def test_reflection_recipes_rebuild_every_root_of_their_matrix():
+    # every Cartan matrix that a spec or a facet quotient is built from
+    matrices = set()
+    for name in SWEEP_TYPES:
+        rd = build_root_datum(name)
+        basis = extended_basis(rd)
+        data = [rd] + [parahoric_model(rd, theta, basis).quotient_datum for theta in enumerate_facets(rd, basis)]
+        matrices.update(cartan for datum in data for cartan, _, _ in datum._blocks)
+    for cartan in matrices:
+        _, _, table, simples, recipe = rootdata._cartan_table(cartan)
+        children = [child for child, _, _, _ in recipe]
+        assert sorted(children) == sorted(set(range(len(table))) - set(simples)), cartan
+        units = [tuple(int(i == t) for i in range(len(cartan))) for t in range(len(cartan))]
+        replayed = dict(zip(simples, units))
+        for child, parent, t, q in recipe:
+            assert parent in replayed, cartan  # listed before its child
+            coeffs = replayed[parent]
+            assert q == sum(c * x for c, x in zip(cartan[t], coeffs)), cartan  # q = <parent, alpha_t^vee>
+            replayed[child] = coeffs[:t] + (coeffs[t] - q,) + coeffs[t + 1 :]
+        assert [replayed[position] for position in range(len(table))] == [coeffs for coeffs, _ in table], cartan
+    assert len(matrices) == 57
+
+
 def test_deletion_types_match_the_per_call_inverse_and_the_quotient():
     # quotient_by_deletion reads each determinant from the bounded
-    # _cartan_table; emptied first, it must hold every matrix of the sweep
+    # _cartan_inverse; emptied first, it must hold every matrix of the sweep
     # with room to spare
-    rootdata._cartan_table.cache_clear()
+    rootdata._cartan_inverse.cache_clear()
     for name in SWEEP_TYPES:
         rd = build_root_datum(name)
         basis = extended_basis(rd)
@@ -731,7 +769,7 @@ def test_deletion_types_match_the_per_call_inverse_and_the_quotient():
             deleted = quotient_by_deletion(rd, theta, basis)
             assert deleted == classify_nodes_by_inverse(survivors, rd.n), (name, str(theta))
             assert deleted == classify_root_datum(parahoric_model(rd, theta, basis).quotient_datum), (name, str(theta))
-    info = rootdata._cartan_table.cache_info()
+    info = rootdata._cartan_inverse.cache_info()
     assert info.currsize < info.maxsize
 
 
@@ -780,7 +818,7 @@ def test_chamber_walk_is_bounded_by_the_number_of_positive_roots():
     for name in ["A2", "B3", "G2", "E6"]:
         rd = build_root_datum(name)
         pairs = [-1] * rd.semisimple_rank
-        _, steps = rootdata.chamber_walk(pairs, rd.cartan_columns, len(rd.positive_roots))
+        _, steps = rootdata.chamber_walk(pairs, rd.linear_tables().cartan_columns, len(rd.positive_roots))
         assert steps == len(rd.positive_roots) and pairs == [1] * rd.semisimple_rank
 
 
@@ -823,9 +861,10 @@ SPEC_DIGESTS = {
 
 
 def _structure_digest(rd):
+    linear = rd.linear_tables()
     fields = [
-        str(rd.spec), rd.n, rd.rho, _root_fields(rd.roots), rd.simple_indices, rd.cartan,
-        rd._det, rd._adj, rd.two_rho_form, rd._two_rho_coroot,
+        str(rd.spec), rd.n, rd.rho, _root_fields(rd.roots), rd.simple_indices, linear.cartan,
+        linear.det, linear.adj, linear.two_rho_form, linear.two_rho_coroot,
     ]
     if rd.spec_string in ORBIT_TABLE_TYPES:
         rank = rd.semisimple_rank
