@@ -411,7 +411,7 @@ def chi_normalize(rd: RootDatum, mu: Weight):
 def _chi_normalize(rd: RootDatum, mu: Weight):
     """:func:`chi_normalize` without the length check, for weights checked
     already."""
-    pairs = [dot(mu, f) + 1 for f in rd.simple_coroots]  # <mu + rho, a_i^vee>
+    pairs = [sum(map(operator.mul, mu, f)) + 1 for f in rd.simple_coroots]  # <mu + rho, a_i^vee>, dot inlined
     if pairs and min(pairs) > 0:  # regular dominant already, the common case
         return 1, mu
     added, steps = chamber_walk(pairs, rd.linear_tables().cartan_columns, len(rd.positive_roots))

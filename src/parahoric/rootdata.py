@@ -963,9 +963,9 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     lookup in the row of simple root t, checked by ht child = ht parent - q
     ht alpha_t, which holds exactly when the ambient pairing is the table's
     q.  So each root found is the ambient root with the table's
-    coefficients; no two are the same, as positive roots that pair
-    non-positively are linearly independent.  Then the roots found must be
-    exactly the subset, as for every closed symmetric subset.
+    coefficients; no two are the same, as the simple roots, positive and
+    pairing non-positively, are linearly independent.  Then the roots found
+    must be exactly the subset, as for every closed symmetric subset.
 
     Last, the subset S must be closed: no a + b with a, b in S is a root
     outside S.  It suffices to test a simple root a of S, at rank_S * |S|
