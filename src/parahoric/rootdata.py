@@ -877,11 +877,12 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
     and listed in a deterministic order: by component, then height, then
     lexicographic simple coefficients.
 
-    The structure (roots, simple indices, Cartan matrix and its integer
-    inverse, the 2*rho functionals, the :class:`DatumTables`) is built and
-    checked once per spec, keyed on the canonical ``str(spec)``, so
-    ``"a1xa1+t1"`` and ``"A1xA1+T1"`` share it.  Every call returns a new
-    datum that shares that structure and has its own empty ``chi_cache``.
+    The structure (roots, simple indices, Cartan blocks and the
+    :class:`DatumTables`, which gets the Cartan matrix, its inverse and the
+    2*rho functionals when first read) is built and checked once per spec,
+    keyed on the canonical ``str(spec)``, so ``"a1xa1+t1"`` and
+    ``"A1xA1+T1"`` share it.  Every call returns a new datum that shares
+    that structure and has its own empty ``chi_cache``.
     """
     if isinstance(spec, str):
         spec = parse_dynkin_spec(spec)
