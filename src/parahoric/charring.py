@@ -63,8 +63,6 @@ __all__ = [
     "exterior_square",
     "chi_normalize",
     "chi_expand",
-    "chi_expand_map",
-    "evaluate_chi_sum",
     "character_to_json",
     "character_from_json",
     "DiskCharacters",
@@ -154,25 +152,26 @@ def _dominant_below(rd: RootDatum, lam: Weight) -> dict[tuple[int, ...], tuple[i
     subtracts positive roots and keeps the dominant results.  This reaches
     every dominant mu <= lam because covers in the dominance order on
     dominant weights differ by a positive root (Stembridge, "The partial
-    order of dominant weights", Adv. Math. 1998).  Only roots beta with
-    ``<mu, beta^vee> >= 2`` are tried: for the others ``<mu - beta,
-    beta^vee> < 0``.
+    order of dominant weights", Adv. Math. 1998).
 
-    The closure runs on labels alone (Moody and Patera 1982): ``<mu,
-    beta^vee>`` is the labels paired with the coroot coefficients of beta,
-    mu - beta has the labels of mu minus those of beta, and it is dominant
-    when none of them is negative.
+    The closure runs on labels alone (Moody and Patera 1982): mu - beta has
+    the labels of mu minus those of beta, and it is dominant when none of
+    them is negative.  From a mu whose labels vanish on J, only the rows of
+    :meth:`RootDatum.closure_rows` for J are tried, the roots beta with
+    labels at most 0 on J: any other beta leaves mu - beta a negative label
+    there.  No other test is needed first: if mu - beta is dominant, each
+    label L_i of mu is at least that of beta, so ``<mu, beta^vee> = sum L_i
+    c_i`` over the coroot coefficients c_i >= 0 of beta is at least
+    ``<beta, beta^vee> = 2``.
     """
     start = tuple(dot(lam, f) for f in rd.simple_coroots)
     reached = {start: (0,) * len(start)}
-    _, rows = rd.label_tables()
 
     def step(labels, coeffs):
-        for beta_labels, beta_coeffs, beta_coroot in rows:
-            if sum(map(operator.mul, labels, beta_coroot)) >= 2:  # dot, inlined
-                nu = tuple(map(operator.sub, labels, beta_labels))
-                if min(nu) >= 0 and nu not in reached:
-                    yield nu, wadd(coeffs, beta_coeffs)
+        for beta_labels, beta_coeffs in rd.closure_rows(tuple(j for j, x in enumerate(labels) if not x)):
+            nu = tuple(map(operator.sub, labels, beta_labels))
+            if min(nu) >= 0 and nu not in reached:
+                yield nu, wadd(coeffs, beta_coeffs)
     return closure(reached, step)
 
 
@@ -214,9 +213,19 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
     highest positive root alpha, which pairs nonnegatively with the simple
     coroots of J, so mu + k alpha does too and its chamber walk is short.
 
+    Every weight nu of V(lam) has (nu, nu) <= (lam, lam), with equality
+    exactly on the orbit W lam, so a string stops at its first weight longer
+    than lam without looking that weight up.  For mu = lam - sum c_i alpha_i,
+    (lam, lam) - (mu, mu) = (lam - mu, lam + mu) = sum c_i (alpha_i, lam +
+    mu), the sum the divisor is built from; along a string, (mu + k alpha,
+    mu + k alpha) grows by 2 (mu + k alpha, alpha) - (alpha, alpha) from k -
+    1 to k.
+
     A minuscule or zero lam, one that pairs at most 1 with every positive
     coroot, has no other dominant weight below it, and chi(lam) is its orbit
-    sum; it is stored as such, without the recursion.
+    sum; it is stored as such, without the recursion.  It is tested on the
+    highest coroot of each component alone (:meth:`RootDatum.highest_coroots`),
+    which pairs with lam at least as much as any other positive coroot.
 
     The result is built without the checks of the :class:`Character`
     constructor: its keys come from the dominance closure below the checked
@@ -233,20 +242,23 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     """The multiplicities of ``chi(lam)`` for a dominant ``lam``, as the map
     that ``rd.chi_cache`` holds: computed and stored on a miss, returned as
     stored on a hit.  Readers must not change it.  :func:`chi_char` copies
-    it into a :class:`Character`; :func:`chi_expand_map`, whose tops are
-    dominant by construction, and :func:`evaluate_chi_sum`, which checks its
-    weights, read it without that copy.
+    it into a :class:`Character`; :func:`chi_expand`, whose tops are
+    dominant by construction, reads it without that copy.
 
     The recursion runs on Dynkin labels: each weight of an alpha-string is
     its labels, a step adds the labels of alpha, and :func:`chamber_walk`
     on a copy of them ends on the labels of the dominant conjugate, which
     key the multiplicities found so far.  A weight is rebuilt only for the
-    map stored and the forms in the Freudenthal step.
+    map stored and the forms in the Freudenthal step.  Along a string, ``f``
+    is (nu, alpha) and ``g`` is (nu, nu) - (lam, lam), which starts at
+    ``-pair_sum`` (see :func:`chi_char`); the string ends when g > 0, before
+    the weight is built, looked up or walked.  A weight with g = 0 lies in
+    W lam and is looked up.
     """
     cached = rd.chi_cache.get(lam)
     if cached is not None:
         return cached
-    if all(dot(lam, b.coroot) <= 1 for b in rd.positive_roots):
+    if all(dot(lam, theta.coroot) <= 1 for theta in rd.highest_coroots()):
         # minuscule or zero: lam is the only dominant weight below it
         mult = rd.chi_cache[lam] = {lam: 1}
         obs.count("charring.freudenthal.runs")
@@ -264,11 +276,15 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     root_labels, _ = rd.label_tables()
     linear = rd.linear_tables()
     columns, two_rho_form, bound = linear.cartan_columns, linear.two_rho_form, len(rd.positive_roots)
-    steps = 0
+    simple_forms = [a.form for a in rd.simple_roots]
+    steps = cuts = 0
     for height, coeffs, mu, labels in candidates:
         if height == 0:
             mult[mu] = found[labels] = 1
             continue
+        # (lam, lam) - (mu, mu) = (lam - mu, lam + mu)
+        lam_mu = wadd(lam, mu)
+        pair_sum = sum(c * dot(form, lam_mu) for c, form in zip(coeffs, simple_forms))
         # one alpha-string per W_J-orbit, from its highest positive root and
         # weighted by its count of positive roots; the pairing (nu, alpha)
         # grows by (alpha, alpha) per step
@@ -278,10 +294,15 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
             shift = root_labels[rd.root_index[coords]]
             nu = labels
             f = dot(form, mu)
+            g = -pair_sum
             string = 0
             while True:
-                nu = tuple(map(operator.add, nu, shift))
                 f += norm
+                g += 2 * f - norm
+                if g > 0:  # longer than lam, so not a weight of V(lam)
+                    cuts += 1
+                    break
+                nu = tuple(map(operator.add, nu, shift))
                 steps += 1
                 dom = conjugates.get(nu)
                 if dom is None:
@@ -293,11 +314,7 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
                     break
                 string += m * f
             total += count * string
-        lam_mu = wadd(lam, mu)
-        denom = sum(
-            c * (dot(simple.form, lam_mu) + two_rho)
-            for c, simple, two_rho in zip(coeffs, rd.simple_roots, two_rho_form)
-        )
+        denom = pair_sum + sum(map(operator.mul, coeffs, two_rho_form))
         if denom <= 0 or (2 * total) % denom:
             raise InvariantViolation(f"Freudenthal step at {mu}: {2 * total} / {denom}")
         m_mu = (2 * total) // denom
@@ -309,6 +326,7 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     obs.count("charring.freudenthal.dominant_weights", len(candidates))
     obs.count("charring.freudenthal.string_steps", steps)
     obs.count("charring.freudenthal.chamber_walks", len(conjugates))
+    obs.count("charring.freudenthal.norm_cuts", cuts)
     return mult
 
 
@@ -418,28 +436,21 @@ def _chi_normalize(rd: RootDatum, mu: Weight):
     return None if 0 in pairs else ((-1) ** steps, combine(added, rd.simple_coords, mu))
 
 
-def chi_expand_map(rd: RootDatum, mult: dict[Weight, int]) -> VirtualChiSum:
-    """Expand a compressed W-invariant integer function in the chi basis.
+def chi_expand(ch: Character) -> VirtualChiSum:
+    """Expand a character in the chi basis.
 
     Greedy: repeatedly take the supported weight with the largest pairing
     with 2*rho^vee, which grows strictly along the dominance order (ties:
     lexicographically largest), record its coefficient, and subtract that
-    multiple of its chi character.  Unitriangularity makes this exact.
-    """
-    work = {w: m for w, m in mult.items() if m != 0}
-    if not all(rd.is_dominant(w) for w in work):
-        raise InvariantViolation(f"chi-expansion of non-dominant keys: {list(work)}")
-    return _chi_expand(rd, work)
-
-
-def chi_expand(ch: Character) -> VirtualChiSum:
-    """:func:`chi_expand_map` without its dominance test: a character's keys
-    were checked by its constructor or built dominant by a trusted producer."""
+    multiple of its chi character.  Unitriangularity makes this exact.  The
+    keys are not tested for dominance again: a character's keys were
+    checked by its constructor or built dominant by a trusted producer."""
     return _chi_expand(ch.datum, dict(ch.mult))
 
 
 def _chi_expand(rd: RootDatum, work: dict[Weight, int]) -> VirtualChiSum:
-    """The expansion of :func:`chi_expand_map`; it empties ``work``."""
+    """The expansion of :func:`chi_expand` on a map of dominant weights to
+    nonzero integers; it empties ``work``."""
     out: dict[Weight, int] = {}
     while work:
         top = rd.top_weight(work)
@@ -452,22 +463,6 @@ def _chi_expand(rd: RootDatum, work: dict[Weight, int]) -> VirtualChiSum:
             else:
                 work.pop(w, None)
     return VirtualChiSum(out)
-
-
-def evaluate_chi_sum(rd: RootDatum, vcs: VirtualChiSum) -> dict[Weight, int]:
-    """Evaluate an integer chi-combination to a compressed weight function
-    (entries may be negative; an actual module character is nonnegative)."""
-    if not all(rd.is_dominant(w) for w in vcs.coeffs):
-        raise NotDominant(f"chi-sum over non-dominant weights: {list(vcs.coeffs)}")
-    out: dict[Weight, int] = {}
-    for w, c in vcs.coeffs.items():
-        for v, m in _chi_mult(rd, w).items():
-            new = out.get(v, 0) + c * m
-            if new:
-                out[v] = new
-            else:
-                out.pop(v, None)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -114,13 +114,14 @@ def jantzen_sum(rd: RootDatum, p: int, lam: Weight) -> VirtualChiSum:
 
 def lowest_alcove_test(rd: RootDatum, p: int, lam: Weight) -> bool:
     """True iff lam lies in the closure of the lowest p-alcove:
-    <lam+rho, a^vee> <= p for every positive coroot."""
+    <lam+rho, a^vee> <= p for every positive coroot.  lam + rho is
+    dominant, so it is tested on the highest coroot of each component
+    alone (:meth:`RootDatum.highest_coroots`), which pairs with it at least
+    as much as any other positive coroot."""
     rd.check_weights(lam)
     if not rd.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
-    return all(
-        dot(lam, a.coroot) + a.coroot_height <= p for a in rd.positive_roots
-    )
+    return all(dot(lam, theta.coroot) + theta.coroot_height <= p for theta in rd.highest_coroots())
 
 
 @dataclass

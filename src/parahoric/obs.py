@@ -29,13 +29,16 @@ Counter names are ``<module>.<function>.<what>``:
   recursion, that is misses of ``chi_cache`` (a hit counts nothing); a
   minuscule or zero highest weight, whose character is stored as its orbit
   sum without the recursion, counts as a run with one dominant weight and
-  no string steps or chamber walks;
+  no string steps, chamber walks or norm cuts;
 * ``charring.freudenthal.dominant_weights``: dominant weights of those
   characters;
 * ``charring.freudenthal.string_steps``: weights visited on their
   alpha-strings;
 * ``charring.freudenthal.chamber_walks``: chamber walks run on them, one
-  per weight whose dominant conjugate was not yet known in its character.
+  per weight whose dominant conjugate was not yet known in its character;
+* ``charring.freudenthal.norm_cuts``: alpha-strings ended by the norm
+  bound, at a weight longer than the highest weight, which is neither
+  visited nor walked.
 """
 
 from __future__ import annotations

@@ -446,12 +446,19 @@ class LinearTables(NamedTuple):
 @dataclass(slots=True)
 class DatumTables:
     """The tables of a datum filled in on first use, each by one accessor:
-    by J, the W_J-orbit tables of :meth:`RootDatum.stabilizer_orbits` and
-    the orbit sizes of :meth:`RootDatum.orbit_size`; by root index, the
+    by J, the W_J-orbit tables of :meth:`RootDatum.stabilizer_orbits`, the
+    orbit sizes of :meth:`RootDatum.orbit_size` and the dominance-closure
+    rows of :meth:`RootDatum.closure_rows`, the positive roots beta with
+    <beta, alpha_j^vee> <= 0 for j in J, the only ones whose subtraction
+    can keep a dominant weight with zero set J dominant; by root index, the
     rows of :meth:`RootDatum.reflection_row` and of
     :meth:`RootDatum.sum_row`; the :class:`LinearTables` of
     :meth:`RootDatum.linear_tables`; the Dynkin-label tables of
-    :meth:`RootDatum.label_tables`; and the extended affine basis of
+    :meth:`RootDatum.label_tables`; per component, the root of
+    :meth:`RootDatum.highest_coroots` whose coroot is highest, which pairs
+    with a dominant weight at least as much as any positive coroot, since
+    its coroot minus any positive coroot is a nonnegative sum of simple
+    coroots; and the extended affine basis of
     :func:`parahoric.affine.extended_basis`, which also holds the extended
     Cartan matrices, the coefficient columns and the alcove vertices of a
     spec's facet sweeps.  They hold root data only, so every datum that
@@ -461,10 +468,14 @@ class DatumTables:
 
     orbits: dict[tuple[int, ...], tuple[tuple[Weight, Weight, int, int], ...]] = field(default_factory=dict)
     orbit_sizes: dict[tuple[int, ...], int] = field(default_factory=dict)
+    closure_rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = field(
+        default_factory=dict
+    )
     reflection_rows: dict[int, tuple[int, ...]] = field(default_factory=dict)
     sum_rows: dict[int, tuple[int | None, ...]] = field(default_factory=dict)
     linear: LinearTables | None = None
     labels: tuple | None = None
+    highest_coroots: tuple[Root, ...] | None = None
     extended_basis: AffineBasis | None = None
 
 
@@ -689,9 +700,8 @@ class RootDatum:
     def label_tables(self):
         """``(labels, rows)``: the Dynkin labels of each root, its pairings
         with the simple coroots, in root order; and per positive root, in
-        root order, its labels, its simple coefficients and its coroot's
-        coefficients over the simple coroots, both over the whole list
-        :attr:`simple_roots`.  Freudenthal's recursion in
+        root order, its labels and its simple coefficients over the whole
+        list :attr:`simple_roots`.  Freudenthal's recursion in
         :mod:`parahoric.charring` runs on them.  Kept in :attr:`tables`."""
         if self.tables.labels is None:
             labels = tuple(tuple(dot(r.coords, f) for f in self.simple_coroots) for r in self.roots)
@@ -700,12 +710,44 @@ class RootDatum:
             def padded(b, coeffs):  # coefficients over b's component, padded to the simple list
                 return (0,) * offsets[b.component] + coeffs + (0,) * (offsets[-1] - offsets[b.component + 1])
             rows = tuple(
-                (labels[i], padded(b, b.simple_coeffs), padded(b, b.coroot_coeffs))
-                for i, b in enumerate(self.roots)
-                if b.height > 0
+                (labels[i], padded(b, b.simple_coeffs)) for i, b in enumerate(self.roots) if b.height > 0
             )
             self.tables.labels = (labels, rows)
         return self.tables.labels
+
+    def closure_rows(self, zeros: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The rows of :meth:`label_tables` whose labels are at most 0 at
+        every index in ``zeros``, in root order.  A dominant weight mu whose
+        labels vanish exactly at ``zeros`` minus a positive root beta has
+        the labels ``-<beta, alpha_j^vee>`` at j in ``zeros``, so mu - beta
+        is dominant only for these beta.  Kept in :attr:`tables`."""
+        rows = self.tables.closure_rows.get(zeros)
+        if rows is None:
+            rows = self.tables.closure_rows[zeros] = tuple(
+                row for row in self.label_tables()[1] if all(row[0][j] <= 0 for j in zeros)
+            )
+        return rows
+
+    def highest_coroots(self) -> tuple[Root, ...]:
+        """Per component, the positive root whose coroot is the highest root
+        of the dual root system: the largest ``coroot_height``, the highest
+        short root outside the simply-laced types, not the highest root.
+        Its coroot minus any positive coroot of the component is a
+        nonnegative sum of simple coroots, checked here, so it pairs with a
+        dominant weight at least as much as any of them: a dominant lam is
+        minuscule or zero exactly when it pairs at most 1 with each.  Kept
+        in :attr:`tables`."""
+        top = self.tables.highest_coroots
+        if top is None:
+            top = []
+            for c in range(self.num_components):
+                roots = [b for b in self.positive_roots if b.component == c]
+                theta = max(roots, key=lambda b: b.coroot_height)
+                if any(x < y for b in roots for x, y in zip(theta.coroot_coeffs, b.coroot_coeffs)):
+                    raise InvariantViolation(f"component {c} has no coroot above every positive coroot")
+                top.append(theta)
+            top = self.tables.highest_coroots = tuple(top)
+        return top
 
     # -- dominance order ----------------------------------------------------
 

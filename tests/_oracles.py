@@ -28,7 +28,10 @@ expansion of the summed layers on its chi-expansion; the Jantzen resolver
 that evaluates J(lam) to a weight multiset runs on the library's Jantzen
 sums and characters; and the facet model that
 grades each root by its canonical representative runs on the library's
-extended basis and quotient datum.
+extended basis and quotient datum.  The chi-expansion of a raw weight map,
+with negative entries allowed, and the evaluation of a chi-sum test their
+weights for dominance and then run on the library's greedy expansion and
+its cached multiplicity maps; no library code reads them.
 """
 
 import itertools
@@ -36,7 +39,7 @@ from fractions import Fraction
 
 from parahoric import Character, chi_char, parse_dynkin_spec
 from parahoric.affine import AffineRoot, ParahoricModel
-from parahoric.charring import chi_expand_map, evaluate_chi_sum
+from parahoric.charring import _chi_expand, _chi_mult
 from parahoric.jantzen import (
     JANTZEN_RESOLVED,
     LOWEST_ALCOVE,
@@ -47,6 +50,7 @@ from parahoric.jantzen import (
 from parahoric.levicert import SplittingSequence
 from parahoric.rootdata import (
     InvariantViolation,
+    NotDominant,
     Root,
     DynkinSpec,
     _cartan_and_symmetrizer,
@@ -226,6 +230,38 @@ def chi_expand_pairwise(datum, mult):
                 work[w] = new
             else:
                 work.pop(w, None)
+    return out
+
+
+def lowest_alcove_by_scan(rd, p, lam):
+    """Whether <lam + rho, a^vee> <= p for every positive coroot, scanned."""
+    return all(dot(lam, a.coroot) + a.coroot_height <= p for a in rd.positive_roots)
+
+
+def chi_expand_map(rd, mult):
+    """Expand a compressed W-invariant integer function, whose entries may
+    be negative, in the chi basis by the library's greedy expansion, after
+    testing that every key is dominant."""
+    work = {w: m for w, m in mult.items() if m != 0}
+    if not all(rd.is_dominant(w) for w in work):
+        raise InvariantViolation(f"chi-expansion of non-dominant keys: {list(work)}")
+    return _chi_expand(rd, work)
+
+
+def evaluate_chi_sum(rd, vcs):
+    """Evaluate an integer chi-combination to a compressed weight function
+    (entries may be negative; an actual module character is nonnegative),
+    reading the library's cached multiplicity maps without copying them."""
+    if not all(rd.is_dominant(w) for w in vcs.coeffs):
+        raise NotDominant(f"chi-sum over non-dominant weights: {list(vcs.coeffs)}")
+    out = {}
+    for w, c in vcs.coeffs.items():
+        for v, m in _chi_mult(rd, w).items():
+            new = out.get(v, 0) + c * m
+            if new:
+                out[v] = new
+            else:
+                out.pop(v, None)
     return out
 
 

@@ -31,10 +31,10 @@ from parahoric import (
     tensor,
     unitary_report,
 )
-from parahoric.charring import VirtualChiSum, chi_expand_map, evaluate_chi_sum
+from parahoric.charring import VirtualChiSum
 from parahoric.rootdata import wneg
 
-from _oracles import canonical_rep
+from _oracles import canonical_rep, chi_expand_map, evaluate_chi_sum
 
 PRIMES = (3, 5, 7, 11)
 

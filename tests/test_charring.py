@@ -32,21 +32,17 @@ from parahoric import (
     tensor,
 )
 from parahoric import charring
-from parahoric.charring import (
-    _chi_mult,
-    _dominant_below,
-    chi_expand_map,
-    evaluate_chi_sum,
-    expand_full,
-)
+from parahoric.charring import _chi_mult, _dominant_below, expand_full
 from parahoric.rootdata import combine, dot, wsub
 
 from _oracles import (
     c2_w2_weights,
     chi_char_reference,
+    chi_expand_map,
     chi_expand_pairwise,
     dominant_below_box_scan,
     dominant_below_by_weights,
+    evaluate_chi_sum,
     sl3_adjoint_weights,
 )
 

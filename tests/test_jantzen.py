@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from parahoric import jantzen
 from parahoric.jantzen import JANTZEN_RESOLVED, LOWEST_ALCOVE, LedgerEntry
 from parahoric.rootdata import NotDominant, dot
 
-from _oracles import chi_normalize_by_rescans, resolve_by_evaluation
+from _oracles import chi_normalize_by_rescans, lowest_alcove_by_scan, resolve_by_evaluation
 
 # (type, p, side) of the box [0, side)^rank, as in the modular_ledger
 # benchmark workload, which also issues each box in this shuffled order
@@ -115,6 +116,19 @@ def test_lowest_alcove_examples(a2):
     assert lowest_alcove_test(a2, 2, (0, 0))
     assert lowest_alcove_test(a2, 5, (2, 0))
     assert not lowest_alcove_test(a2, 5, (3, 1))
+
+
+def test_lowest_alcove_matches_the_scan_over_every_positive_coroot():
+    verdicts = collections.Counter()
+    for name, side in [("A2", 8), ("A3", 6), ("B2", 8), ("B3", 5), ("C2", 8), ("C3", 5), ("D4", 4),
+                       ("G2", 8), ("F4", 3), ("E6", 2), ("B2xG2", 3), ("A1xA1+T1", 5)]:
+        rd = build_root_datum(name)
+        for lam in itertools.product(range(side), repeat=rd.n):
+            for p in (2, 3, 5, 7, 11):
+                verdict = lowest_alcove_test(rd, p, lam)
+                assert verdict == lowest_alcove_by_scan(rd, p, lam), (name, p, lam)
+                verdicts[verdict] += 1
+    assert verdicts == {True: 1042, False: 5603}
 
 
 def test_lowest_alcove_matches_rank2_inequality(a2):

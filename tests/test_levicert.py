@@ -25,12 +25,11 @@ from parahoric.charring import (
     add,
     character_to_json,
     chi_expand,
-    evaluate_chi_sum,
     exterior_square,
 )
 from parahoric.levicert import CERTIFIED, CONDITIONAL, INCONCLUSIVE, SplittingSequence
 
-from _oracles import aggregate_expansion, chi_expand_pairwise, from_parahoric_by_conjugates
+from _oracles import aggregate_expansion, chi_expand_pairwise, evaluate_chi_sum, from_parahoric_by_conjugates
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

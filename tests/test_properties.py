@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parahoric import VirtualChiSum, build_root_datum
-from parahoric.charring import chi_expand_map, evaluate_chi_sum
 
-from _oracles import chi_expand_pairwise, dominant_conjugate_by_reflection, weyl_group_matrices
+from _oracles import (
+    chi_expand_map,
+    chi_expand_pairwise,
+    dominant_conjugate_by_reflection,
+    evaluate_chi_sum,
+    weyl_group_matrices,
+)
 
 NAMES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "A1xA1+T1", "B2xG2"]
 

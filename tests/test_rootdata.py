@@ -334,6 +334,12 @@ def test_invariant_violation_survives_optimize_flag():
         "        sub_root_datum(a3, [b.coords for b in a3.roots])\n"
         "    finally:\n"
         "        a3.tables.reflection_rows[i] = row\n"
+        "def tampered_coroot():  # A2 with the coroot of alpha_1 + alpha_2 given as 2 alpha_1^vee\n"
+        "    fresh = rootdata._datum_structure.__wrapped__('A2')\n"
+        "    top = fresh.positive_roots[-1]\n"
+        "    tampered = rootdata.Root(top.coords, top.simple_coeffs, 0, top.coroot, (2, 0), top.form)\n"
+        "    fresh.positive_roots = fresh.positive_roots[:-1] + (tampered,)\n"
+        "    fresh.highest_coroots()\n"
         "for make in (lambda: sub_root_datum(a2, [(1, 0), (-1, 0)]),\n"
         "             lambda: Character(a2, {(-1, 0): 1}),\n"
         "             lambda: SimpleLedger(a2, 3, {(0, 0): LedgerEntry(chi_char(a2, (0, 0)), LOWEST_ALCOVE, {})}).merge(conflicting),\n"
@@ -343,7 +349,8 @@ def test_invariant_violation_survives_optimize_flag():
         "             lambda: sub_root_datum(a2, [(2, -1), (-2, 1), (-1, 2), (1, -2)]),\n"
         "             doubled_two_rho,\n"
         "             lambda: sub_root_datum(build_root_datum('C2'), [(2, -1), (-2, 1), (0, 1), (0, -1)]),\n"
-        "             swapped_row):\n"
+        "             swapped_row,\n"
+        "             tampered_coroot):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantViolation as exc:\n"
@@ -355,7 +362,7 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert lines[0].startswith("raised: subset contains non-roots")
     assert lines[1].startswith("raised: character keys must be dominant")
     assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
@@ -370,6 +377,7 @@ def test_invariant_violation_survives_optimize_flag():
     assert lines[9] == (
         "raised: the reflection rows of component 0 miss the roots of ((2, -1, 0), (-1, 2, -1), (0, -1, 2))"
     )
+    assert lines[10] == "raised: component 0 has no coroot above every positive coroot"
 
 
 def test_torus_factors():
@@ -708,6 +716,31 @@ SWEEP_TYPES = [
 
 
 @pytest.mark.parametrize("name", SWEEP_TYPES)
+def test_highest_coroots_pair_most_with_every_fundamental_weight(name):
+    # a dominant weight is a nonnegative sum of fundamental weights, so the
+    # coroot that pairs most with each of them pairs most with all
+    rd = build_root_datum(name)
+    highest = rd.highest_coroots()
+    assert [theta.component for theta in highest] == list(range(rd.num_components))
+    for theta in highest:
+        roots = [b for b in rd.positive_roots if b.component == theta.component]
+        for i in range(rd.semisimple_rank):
+            assert theta.coroot[i] == max(b.coroot[i] for b in roots), (name, theta, i)
+        # with two root lengths it is the highest short root, not the highest root
+        one_length = len({rootdata.dot(b.form, b.coords) for b in roots}) == 1
+        assert (theta is rd.highest_root(theta.component)) == one_length, (name, theta)
+    assert build_root_datum(name).highest_coroots() is highest is rd.tables.highest_coroots
+
+
+def test_first_fundamental_weight_of_b3_is_not_minuscule():
+    # it pairs 2 with the highest coroot and 1 with the highest root's coroot
+    rd = build_root_datum("B3")
+    (theta,) = rd.highest_coroots()
+    assert (rootdata.dot((1, 0, 0), theta.coroot), rootdata.dot((1, 0, 0), rd.highest_root(0).coroot)) == (2, 1)
+    assert chi_char(rd, (1, 0, 0)).mult == {(1, 0, 0): 1, (0, 0, 0): 1}
+
+
+@pytest.mark.parametrize("name", SWEEP_TYPES)
 def test_quotient_data_match_the_root_by_root_solve(name):
     rd = build_root_datum(name)
     basis = extended_basis(rd)
@@ -803,11 +836,28 @@ def test_label_tables_match_the_roots(name):
         zero = (0,) * datum.n
         assert labels == tuple(tuple(datum.pair(b.coords, a.coroot) for a in datum.simple_roots) for b in datum.roots)
         assert len(rows) == len(datum.positive_roots)
-        for (row_labels, coeffs, coroot), b in zip(rows, datum.positive_roots):
+        for (row_labels, coeffs), b in zip(rows, datum.positive_roots):
             assert row_labels == labels[datum.root_index[b.coords]]
             assert rootdata.combine(coeffs, datum.simple_coords, zero) == b.coords
-            assert rootdata.combine(coroot, datum.simple_coroots, zero) == b.coroot
     assert build_root_datum(name).label_tables() is rd.label_tables() is rd.tables.labels
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "B2xG2", "A2xA1+T2", "E6"])
+def test_closure_rows_are_the_roots_a_weight_with_that_zero_set_can_lose(name):
+    # mu has the labels 0 on J and 3 elsewhere, at least the label of any
+    # positive root there, so mu - beta is dominant exactly when the labels
+    # of beta are at most 0 on J
+    rd = build_root_datum(name)
+    quotient = sub_root_datum(rd, [b.coords for b in rd.roots if b.component == rd.num_components - 1])
+    for datum in (rd, quotient):
+        _, rows = datum.label_tables()
+        rank = datum.semisimple_rank
+        for zeros in itertools.chain.from_iterable(itertools.combinations(range(rank), k) for k in range(rank + 1)):
+            mu = tuple(0 if j in zeros else 3 for j in range(rank))
+            expected = tuple(row for row in rows if min(x - y for x, y in zip(mu, row[0])) >= 0)
+            assert datum.closure_rows(zeros) == expected, (name, zeros)
+            assert datum.tables.closure_rows[zeros] is datum.closure_rows(zeros)
+    assert build_root_datum(name).closure_rows(()) is rd.closure_rows(()) == rd.label_tables()[1]
 
 
 def test_chamber_walk_is_bounded_by_the_number_of_positive_roots():
