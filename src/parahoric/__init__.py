@@ -39,7 +39,6 @@ from .charring import (
     dim,
     dual,
     exterior_square,
-    scale,
     tensor,
 )
 from .jantzen import (

@@ -57,7 +57,6 @@ __all__ = [
     "chi_char",
     "dim",
     "add",
-    "scale",
     "tensor",
     "dual",
     "exterior_square",
@@ -246,7 +245,8 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     dominant by construction, reads it without that copy.
 
     The recursion runs on Dynkin labels: each weight of an alpha-string is
-    its labels, a step adds the labels of alpha, and :func:`chamber_walk`
+    its labels, a step adds the labels of alpha, which its row of
+    :meth:`RootDatum.stabilizer_orbits` holds, and :func:`chamber_walk`
     on a copy of them ends on the labels of the dominant conjugate, which
     key the multiplicities found so far.  A weight is rebuilt only for the
     map stored and the forms in the Freudenthal step.  Along a string, ``f``
@@ -273,7 +273,6 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     mult: dict[Weight, int] = {}
     found: dict[tuple[int, ...], int] = {}  # mult by the labels of its weight
     conjugates: dict[tuple[int, ...], tuple[int, ...]] = {}  # labels -> dominant labels
-    root_labels, _ = rd.label_tables()
     linear = rd.linear_tables()
     columns, two_rho_form, bound = linear.cartan_columns, linear.two_rho_form, len(rd.positive_roots)
     simple_forms = [a.form for a in rd.simple_roots]
@@ -290,8 +289,7 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         # grows by (alpha, alpha) per step
         zeros = tuple(j for j, x in enumerate(labels) if not x)
         total = 0
-        for form, coords, norm, count in rd.stabilizer_orbits(zeros):
-            shift = root_labels[rd.root_index[coords]]
+        for form, shift, norm, count in rd.stabilizer_orbits(zeros):
             nu = labels
             f = dot(form, mu)
             g = -pair_sum
@@ -362,14 +360,6 @@ def add(ch1: Character, ch2: Character) -> Character:
     for w, m in ch2.mult.items():
         out[w] = out.get(w, 0) + m
     return _trusted_character(ch1.datum, out)
-
-
-def scale(ch: Character, k: int) -> Character:
-    if k < 0:
-        raise ValueError("scale factor must be nonnegative")
-    if k == 0:
-        return Character(ch.datum, {})
-    return _trusted_character(ch.datum, {w: k * m for w, m in ch.mult.items()})
 
 
 def tensor(ch1: Character, ch2: Character) -> Character:

@@ -135,11 +135,11 @@ class LedgerEntry:
 class SimpleLedger:
     """Known simple characters at a fixed prime, with their provenance.
 
-    ``resolve`` memoizes both outcomes: derived simples go to ``entries``,
-    weights the shallow rules cannot resolve go to ``undetermined``.  That
-    verdict depends only on (datum, p, lam), so it never goes stale.
-    Concurrent ledgers can be combined with ``merge``, which takes the union
-    and insists on equality where entries overlap.
+    :func:`resolve_simple` memoizes both outcomes in it: derived simples go
+    to ``entries``, weights the shallow rules cannot resolve go to
+    ``undetermined``.  That verdict depends only on (datum, p, lam), so it
+    never goes stale.  Concurrent ledgers can be combined with ``merge``,
+    which takes the union and insists on equality where entries overlap.
     """
 
     datum: RootDatum
@@ -152,9 +152,6 @@ class SimpleLedger:
 
     def get(self, lam: Weight) -> LedgerEntry | None:
         return self.entries.get(lam)
-
-    def resolve(self, lam: Weight) -> Character | None:
-        return resolve_simple(self.datum, self.p, lam, self)
 
     def merge(self, other: "SimpleLedger") -> "SimpleLedger":
         _check_ledger(other, self.datum, self.p)

@@ -14,7 +14,10 @@ Counter names are ``<module>.<function>.<what>``:
   :meth:`parahoric.rootdata.RootDatum.reflection_row` built, one per
   ambient root first met as a simple root of a facet quotient, so
   :func:`parahoric.affine.parahoric_model` builds them (through
-  :func:`parahoric.rootdata.sub_root_datum`);
+  :func:`parahoric.rootdata.sub_root_datum`), and one per simple root in
+  J first met by :meth:`parahoric.rootdata.RootDatum.stabilizer_orbits`,
+  which Freudenthal's recursion calls, so a spec's first characters build
+  the rows of its simple roots;
 * ``rootdata.sum_rows.built``: rows of
   :meth:`parahoric.rootdata.RootDatum.sum_row` built, for the same roots,
   by the closedness test of :func:`parahoric.rootdata.sub_root_datum`;

@@ -6,30 +6,35 @@ Every root carries its coroot as an integer functional on that lattice, so
 pairings, reflections and dominance tests are exact integer arithmetic
 throughout; no floats appear anywhere.
 
-A :class:`RootDatum` is either built from a :class:`DynkinSpec` (the ambient
-group) or carved out of an ambient datum with :func:`sub_root_datum` (the
-reductive quotient attached to a parahoric facet).  Both read each
-component from one table per Cartan matrix, which holds its exact inverse,
-its roots' coefficients, closed under reflection once, and a recipe that
-reaches each root by one simple reflection from a root listed before it.
-A spec build reads the roots' coordinates off that table; a quotient
-replays the recipe on the ambient datum's reflection rows, one lookup a
-root, shares the ambient roots' tuples and is checked against the roots it
-was carved from.  A datum's type is read off its stored component
-matrices; naming a matrix needs only its checked determinant, kept apart
-from the roots.  The tables a datum fills in on first use, its assembled
-Cartan matrix and inverse among them, live in one :class:`DatumTables`,
-which every build of a spec shares.
+A :class:`RootDatum` is either built from a :class:`DynkinSpec` (the
+ambient group) or carved out of an ambient datum with
+:func:`sub_root_datum` (the reductive quotient attached to a parahoric
+facet).  Both read each component from one table per Cartan matrix, which
+holds its exact inverse, its roots' coefficients, closed under reflection
+once, and the recipe of that closure, which reaches each root by one
+simple reflection from a root reached before it.  A spec build reads the
+roots' coordinates off that table; a quotient replays the recipe on the
+ambient datum's reflection rows, one lookup a root, shares the ambient
+roots' tuples and is checked against the roots it was carved from.  A
+datum's type is read off its stored component matrices; naming a matrix
+needs only its checked determinant, kept apart from the roots.  The tables
+a datum fills in on first use, its assembled Cartan matrix and inverse
+among them, live in one :class:`DatumTables`, which every build of a spec
+shares.
 
 Every walk of the Weyl group runs on two helpers.  :func:`closure` is a
 breadth-first closure of labelled points.  It gives the roots of a
-component, Weyl orbits, the W_J-orbits on the roots, and, in
-:mod:`parahoric.charring`, the dominant weights below a weight.
-:func:`chamber_walk` walks simple pairings into the dominant chamber.  It
-gives :meth:`RootDatum.dominant_conjugate`, the dominant conjugates on the
-alpha-strings of Freudenthal's recursion in :mod:`parahoric.charring`, and,
-shifted by rho, the dot-action normalization
-:func:`parahoric.charring.chi_normalize`.
+component with their recipe, the Weyl orbits of weights, the W_J-orbits on
+the roots, and, in :mod:`parahoric.charring`, the dominant weights below a
+weight.  Once a component's roots are found, every walk on roots runs on
+root indices: a quotient replays the recipe and a W_J-orbit is a closure
+through the :meth:`RootDatum.reflection_row` of each simple root in J.
+Coordinates are reflected only to build those rows and the Weyl orbits of
+weights.  :func:`chamber_walk` walks simple pairings into the dominant
+chamber.  It gives :meth:`RootDatum.dominant_conjugate`, the dominant
+conjugates on the alpha-strings of Freudenthal's recursion in
+:mod:`parahoric.charring`, and, shifted by rho, the dot-action
+normalization :func:`parahoric.charring.chi_normalize`.
 """
 
 from __future__ import annotations
@@ -410,20 +415,6 @@ def chamber_walk(pairs: list[int], columns, bound: int) -> tuple[list[int], int]
             pairs[j] -= p_i * c
 
 
-def _parabolic_orbits(datum: "RootDatum", zeros: tuple[int, ...]) -> list[list[Root]]:
-    """The orbits on the roots of the group generated by the simple
-    reflections ``zeros`` that contain a positive root, in root order of
-    their first positive root, each listed from that root."""
-    gens = [datum.simple_roots[j] for j in zeros]
-    orbits, seen = [], set()
-    for alpha in datum.positive_roots:
-        if alpha.coords not in seen:
-            orbit = closure({alpha.coords: None}, lambda b, _: ((datum.reflect(s, b), None) for s in gens))
-            seen.update(orbit)
-            orbits.append([datum.root_with_coords(b) for b in orbit])
-    return orbits
-
-
 class LinearTables(NamedTuple):
     """The linear algebra of a datum, assembled from its component blocks:
     the block-diagonal Cartan matrix; ``det`` and ``adj`` with ``adj *
@@ -446,15 +437,16 @@ class LinearTables(NamedTuple):
 @dataclass(slots=True)
 class DatumTables:
     """The tables of a datum filled in on first use, each by one accessor:
-    by J, the W_J-orbit tables of :meth:`RootDatum.stabilizer_orbits`, the
-    orbit sizes of :meth:`RootDatum.orbit_size` and the dominance-closure
-    rows of :meth:`RootDatum.closure_rows`, the positive roots beta with
-    <beta, alpha_j^vee> <= 0 for j in J, the only ones whose subtraction
-    can keep a dominant weight with zero set J dominant; by root index, the
+    by J, the W_J-orbit tables of :meth:`RootDatum.stabilizer_orbits`,
+    found on the reflection rows of the simple roots in J, the orbit sizes
+    of :meth:`RootDatum.orbit_size` and the dominance-closure rows of
+    :meth:`RootDatum.closure_rows`, the Dynkin labels and simple
+    coefficients of the positive roots beta with <beta, alpha_j^vee> <= 0
+    for j in J, the only ones whose subtraction can keep a dominant weight
+    with zero set J dominant, all of them at J = (); by root index, the
     rows of :meth:`RootDatum.reflection_row` and of
     :meth:`RootDatum.sum_row`; the :class:`LinearTables` of
-    :meth:`RootDatum.linear_tables`; the Dynkin-label tables of
-    :meth:`RootDatum.label_tables`; per component, the root of
+    :meth:`RootDatum.linear_tables`; per component, the root of
     :meth:`RootDatum.highest_coroots` whose coroot is highest, which pairs
     with a dominant weight at least as much as any positive coroot, since
     its coroot minus any positive coroot is a nonnegative sum of simple
@@ -466,7 +458,7 @@ class DatumTables:
     and each :func:`sub_root_datum` gets a new one, whose tables a facet
     sweep that only models and classifies never builds."""
 
-    orbits: dict[tuple[int, ...], tuple[tuple[Weight, Weight, int, int], ...]] = field(default_factory=dict)
+    orbits: dict[tuple[int, ...], tuple[tuple[Weight, tuple[int, ...], int, int], ...]] = field(default_factory=dict)
     orbit_sizes: dict[tuple[int, ...], int] = field(default_factory=dict)
     closure_rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = field(
         default_factory=dict
@@ -474,7 +466,6 @@ class DatumTables:
     reflection_rows: dict[int, tuple[int, ...]] = field(default_factory=dict)
     sum_rows: dict[int, tuple[int | None, ...]] = field(default_factory=dict)
     linear: LinearTables | None = None
-    labels: tuple | None = None
     highest_coroots: tuple[Root, ...] | None = None
     extended_basis: AffineBasis | None = None
 
@@ -659,36 +650,47 @@ class RootDatum:
             size = self.tables.orbit_sizes[zeros] = num // den
         return size
 
-    def stabilizer_orbits(self, zeros: tuple[int, ...]) -> tuple[tuple[Weight, Weight, int, int], ...]:
+    def stabilizer_orbits(self, zeros: tuple[int, ...]) -> tuple[tuple[Weight, tuple[int, ...], int, int], ...]:
         """The orbits of W_J on the roots that meet the positive roots, where
         W_J is generated by the simple reflections ``zeros`` (indices into
         :attr:`simple_roots`): the stabilizer of a dominant weight that pairs
-        to zero with exactly those simple coroots.
+        to zero with exactly those simple coroots.  Each orbit is a
+        :func:`closure` of root indices through the :meth:`reflection_row`
+        of each simple root in J.
 
-        One ``(form, coords, (alpha, alpha), count)`` per orbit, in root order
-        of its first positive root; alpha is the orbit's highest positive
-        root, the last in root order, and ``count`` is the orbit's number of
-        positive roots.  Every other root of the orbit pairs negatively with
-        some alpha_j^vee, j in J, and s_j raises it, so alpha pairs
-        nonnegatively with each of them.  W_J permutes the positive roots
-        outside Phi_J, so such an orbit counts in full; an orbit inside Phi_J
-        is closed under negation and counts half.  The counts must add up to
-        the number of positive roots.  Kept in :attr:`tables`.
+        One ``(form, labels, (alpha, alpha), count)`` per orbit, in root
+        order of its first positive root; alpha is the orbit's highest
+        positive root, the last in root order, ``labels`` are its Dynkin
+        labels, its pairings with the simple coroots, and ``count`` is the
+        orbit's number of positive roots.  Every other root of the orbit
+        pairs negatively with some alpha_j^vee, j in J, and s_j raises it, so
+        alpha pairs nonnegatively with each of them.  W_J permutes the
+        positive roots outside Phi_J, so such an orbit counts in full; an
+        orbit inside Phi_J is closed under negation and counts half.  The
+        counts must add up to the number of positive roots.  Kept in
+        :attr:`tables`.
         """
         table = self.tables.orbits.get(zeros)
         if table is not None:
             return table
-        rows = []
-        for orbit in _parabolic_orbits(self, zeros):
-            count = len(orbit)
-            if any(b.height < 0 for b in orbit):
-                if count % 2:
-                    raise InvariantViolation(
-                        f"W_J-orbit {orbit} (J = {zeros}) meets the negative roots and has odd size"
-                    )
-                count //= 2
-            alpha = self.roots[max(self.root_index[b.coords] for b in orbit)]
-            rows.append((alpha.form, alpha.coords, dot(alpha.form, alpha.coords), count))
+        simple = tuple(itertools.chain.from_iterable(self.simple_indices))
+        gens = [self.reflection_row(simple[j]) for j in zeros]
+        rows, seen = [], set()
+        for k, alpha in enumerate(self.roots):
+            if alpha.height > 0 and k not in seen:
+                orbit = closure({k: None}, lambda b, _: ((row[b], None) for row in gens))
+                seen.update(orbit)
+                count = len(orbit)
+                if any(self.roots[b].height < 0 for b in orbit):
+                    if count % 2:
+                        raise InvariantViolation(
+                            f"W_J-orbit {[self.roots[b] for b in orbit]} (J = {zeros}) meets the negative roots "
+                            "and has odd size"
+                        )
+                    count //= 2
+                top = self.roots[max(orbit)]
+                labels = tuple(dot(top.coords, f) for f in self.simple_coroots)
+                rows.append((top.form, labels, dot(top.form, top.coords), count))
         counted = sum(row[3] for row in rows)
         if counted != len(self.positive_roots):
             raise InvariantViolation(
@@ -697,35 +699,31 @@ class RootDatum:
         table = self.tables.orbits[zeros] = tuple(rows)
         return table
 
-    def label_tables(self):
-        """``(labels, rows)``: the Dynkin labels of each root, its pairings
-        with the simple coroots, in root order; and per positive root, in
-        root order, its labels and its simple coefficients over the whole
-        list :attr:`simple_roots`.  Freudenthal's recursion in
-        :mod:`parahoric.charring` runs on them.  Kept in :attr:`tables`."""
-        if self.tables.labels is None:
-            labels = tuple(tuple(dot(r.coords, f) for f in self.simple_coroots) for r in self.roots)
-            offsets = tuple(itertools.accumulate(map(len, self.simple_indices), initial=0))
-
-            def padded(b, coeffs):  # coefficients over b's component, padded to the simple list
-                return (0,) * offsets[b.component] + coeffs + (0,) * (offsets[-1] - offsets[b.component + 1])
-            rows = tuple(
-                (labels[i], padded(b, b.simple_coeffs)) for i, b in enumerate(self.roots) if b.height > 0
-            )
-            self.tables.labels = (labels, rows)
-        return self.tables.labels
-
     def closure_rows(self, zeros: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """The rows of :meth:`label_tables` whose labels are at most 0 at
-        every index in ``zeros``, in root order.  A dominant weight mu whose
-        labels vanish exactly at ``zeros`` minus a positive root beta has
-        the labels ``-<beta, alpha_j^vee>`` at j in ``zeros``, so mu - beta
-        is dominant only for these beta.  Kept in :attr:`tables`."""
+        """Per positive root beta, in root order, its Dynkin labels, its
+        pairings with the simple coroots, and its simple coefficients over
+        the whole list :attr:`simple_roots`, kept when its labels are at
+        most 0 at every index in ``zeros``: ``closure_rows(())`` holds every
+        positive root, and any other J filters it.  A dominant weight mu
+        whose labels vanish exactly at ``zeros`` minus a positive root beta
+        has the labels ``-<beta, alpha_j^vee>`` at j in ``zeros``, so mu -
+        beta is dominant only for these beta.  Freudenthal's recursion in
+        :mod:`parahoric.charring` runs on them.  Kept in :attr:`tables`."""
         rows = self.tables.closure_rows.get(zeros)
         if rows is None:
-            rows = self.tables.closure_rows[zeros] = tuple(
-                row for row in self.label_tables()[1] if all(row[0][j] <= 0 for j in zeros)
-            )
+            if zeros:
+                rows = tuple(row for row in self.closure_rows(()) if all(row[0][j] <= 0 for j in zeros))
+            else:
+                offsets = tuple(itertools.accumulate(map(len, self.simple_indices), initial=0))
+                rows = tuple(
+                    (
+                        tuple(dot(b.coords, f) for f in self.simple_coroots),
+                        # coefficients over b's component, padded to the simple list
+                        (0,) * offsets[b.component] + b.simple_coeffs + (0,) * (offsets[-1] - offsets[b.component + 1]),
+                    )
+                    for b in self.positive_roots
+                )
+            self.tables.closure_rows[zeros] = rows
         return rows
 
     def highest_coroots(self) -> tuple[Root, ...]:
@@ -809,28 +807,32 @@ class RootDatum:
 # Construction from a Dynkin specification
 
 
-def _component_roots(cartan) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _component_roots(cartan) -> dict[tuple[int, ...], tuple]:
     """All roots of one irreducible component: simple-coefficient vector ->
-    ``(local, co, colocal)``: its local fundamental-weight coordinates (the
-    Cartan matrix times it), its coroot's coefficients over the simple
-    coroots, and the pairings of the simple roots with that coroot.
+    ``(local, co, colocal, made)``: its local fundamental-weight coordinates
+    (the Cartan matrix times it), its coroot's coefficients over the simple
+    coroots, the pairings of the simple roots with that coroot, and how the
+    closure reached it, ``(parent, t, q)`` with the root = s_t(parent) and
+    q = <parent, alpha_t^vee>, or None for a simple root.
 
-    Closure of the simple roots under all simple reflections; finite root
-    systems are exactly the Weyl orbits of their simple roots.  The local
-    coordinates are the simple pairings, so s_i subtracts ``local[i]`` from
-    coefficient i and ``local[i]`` times column i of the Cartan matrix from
-    the local coordinates.  It maps the coroot b^vee to s_i(b^vee) = b^vee -
-    <alpha_i, b^vee> alpha_i^vee, so it subtracts ``colocal[i]`` from
-    coroot coefficient i and ``colocal[i]`` times row i from ``colocal``:
-    the coroots come out of the same walk, with no norm and no division.
+    Closure of the simple roots under all simple reflections, in the order
+    reached, starting from the simple roots in order, so a root's parent
+    comes before it; finite root systems are exactly the Weyl orbits of
+    their simple roots.  The local coordinates are the simple pairings, so
+    s_i subtracts ``local[i]`` from coefficient i and ``local[i]`` times
+    column i of the Cartan matrix from the local coordinates.  It maps the
+    coroot b^vee to s_i(b^vee) = b^vee - <alpha_i, b^vee> alpha_i^vee, so it
+    subtracts ``colocal[i]`` from coroot coefficient i and ``colocal[i]``
+    times row i from ``colocal``: the coroots come out of the same walk,
+    with no norm and no division.
     """
     rank = len(cartan)
     columns = tuple(zip(*cartan))
     units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    roots = {units[i]: (columns[i], units[i], tuple(cartan[i])) for i in range(rank)}
+    roots = {units[i]: (columns[i], units[i], tuple(cartan[i]), None) for i in range(rank)}
 
     def step(coeffs, label):
-        local, co, colocal = label
+        local, co, colocal, _ = label
         for i, pairing in enumerate(local):
             if pairing:
                 img = coeffs[:i] + (coeffs[i] - pairing,) + coeffs[i + 1 :]
@@ -840,6 +842,7 @@ def _component_roots(cartan) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...
                         tuple(x - pairing * y for x, y in zip(local, columns[i])),
                         co[:i] + (co[i] - c,) + co[i + 1 :],
                         tuple(x - c * y for x, y in zip(colocal, cartan[i])),
+                        (coeffs, i, pairing),
                     )
     return closure(roots, step)
 
@@ -883,33 +886,30 @@ def _cartan_table(cartan: tuple[tuple[int, ...], ...]):
     checked to have coefficients of one sign; the position in ``roots`` of
     each simple root; and a reflection recipe for the other roots.
 
-    The recipe lists each root that is not simple once, as ``(child, parent,
-    t, q)``: positions in ``roots`` with child = s_t(parent) and q =
-    <parent, alpha_t^vee>, the parent simple or listed before.  The roots
-    are taken by |height|.  A root b that is not simple pairs with some
-    alpha_t^vee with the sign of its height: a positive b because (b, b) >
-    0, a negative one as -b does.  The first such t gives the parent s_t(b),
-    of smaller |height|, or alpha_t for b = -alpha_t.  So, replayed from the
-    unit vectors, the child's coefficients are the parent's less q at t.
-    The memo is bounded; 38 matrices occur over the specs and every facet
-    of G2, F4 and E6 to E8.
+    The recipe is the discovery tree of the closure in
+    :func:`_component_roots`: it lists each root that is not simple once,
+    in the order the closure reached it, as ``(child, parent, t, q)``,
+    positions in ``roots`` with child = s_t(parent) and q = <parent,
+    alpha_t^vee>.  The parent was reached first, so it is simple or listed
+    before, and, replayed from the unit vectors, the child's coefficients
+    are the parent's less q at t.  The memo is bounded; 38 matrices occur
+    over the specs and every facet of G2, F4 and E6 to E8.
     """
     det, adj = _cartan_inverse(cartan)
     closed = _component_roots(cartan)
-    roots = sorted(((coeffs, co) for coeffs, (_, co, _) in closed.items()), key=lambda root: (sum(root[0]), root[0]))
+    roots = sorted(((coeffs, co) for coeffs, (_, co, _, _) in closed.items()), key=lambda root: (sum(root[0]), root[0]))
     for coeffs, _ in roots:
         if min(coeffs) < 0 < max(coeffs):
             raise InvariantViolation(f"root {coeffs} has coefficients of both signs")
     position = {coeffs: k for k, (coeffs, _) in enumerate(roots)}
-    units = [tuple(int(i == j) for i in range(len(cartan))) for j in range(len(cartan))]
-    recipe = []
-    for coeffs, _ in sorted(roots, key=lambda root: abs(sum(root[0]))):
-        if coeffs not in units:
-            local, sign = closed[coeffs][0], sum(coeffs)
-            t = next(t for t, pairing in enumerate(local) if pairing * sign > 0)
-            parent = coeffs[:t] + (coeffs[t] - local[t],) + coeffs[t + 1 :]
-            recipe.append((position[coeffs], position[parent], t, -local[t]))
-    return det, adj, tuple(roots), tuple(position[u] for u in units), tuple(recipe)
+    simples, recipe = [], []
+    for coeffs, (_, _, _, made) in closed.items():
+        if made is None:  # the simple roots, reached first and in order
+            simples.append(position[coeffs])
+        else:
+            parent, t, q = made
+            recipe.append((position[coeffs], position[parent], t, q))
+    return det, adj, tuple(roots), tuple(simples), tuple(recipe)
 
 
 def build_root_datum(spec: DynkinSpec | str) -> RootDatum:

@@ -28,6 +28,7 @@ from parahoric import (
     parahoric_model,
     parse_facet_spec,
     quotient_by_deletion,
+    resolve_simple,
     tensor,
     unitary_report,
 )
@@ -78,8 +79,8 @@ def test_criterion_3_dim_w():
     dims = {}
     for p in PRIMES:
         ledger = SimpleLedger(a2, p)
-        ledger.resolve((p - 3, 0))
-        ledger.resolve((p, 0))
+        resolve_simple(a2, p, (p - 3, 0), ledger)
+        resolve_simple(a2, p, (p, 0), ledger)
         w = tensor(
             dual(ledger.entries[(p, 0)].char), ledger.entries[(p - 3, 0)].char
         )

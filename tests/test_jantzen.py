@@ -200,7 +200,7 @@ def test_ledger_remembers_undetermined_weights(a2, monkeypatch):
 
     monkeypatch.setattr(jantzen, "jantzen_sum", no_sums)
     assert resolve_simple(a2, 5, lam, ledger) is None
-    assert merged.resolve(lam) is None
+    assert resolve_simple(a2, 5, lam, merged) is None
 
 
 def test_report_computes_the_jantzen_sum_once(a2, monkeypatch):

@@ -97,12 +97,15 @@ def test_facet_models_build_no_linear_tables_and_a_certificate_builds_one():
 
 
 def test_freudenthal_counts_a_run_once_and_nothing_on_a_hit():
-    f4 = build_root_datum("F4")
+    # an F4 structure of its own, so the orbit tables build the reflection
+    # rows of its four simple roots here
+    f4 = _datum_structure.__wrapped__("F4")
     with obs.recording() as first:
         chi_char(f4, (1, 1, 1, 1))
     with obs.recording() as second:
         chi_char(f4, (1, 1, 1, 1))
     assert first == {
+        "rootdata.reflection_rows.built": 4,
         "charring.freudenthal.runs": 1,
         "charring.freudenthal.dominant_weights": 58,
         "charring.freudenthal.string_steps": 1061,

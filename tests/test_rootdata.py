@@ -310,13 +310,13 @@ def test_invariant_violation_survives_optimize_flag():
         "affine_d4 = [[2, 0, 0, 0, -1], [0, 2, 0, 0, -1], [0, 0, 2, 0, -1], [0, 0, 0, 2, -1],\n"
         "             [-1, -1, -1, -1, 2]]\n"
         "import parahoric.rootdata as rootdata\n"
-        "def dropped_orbit():  # the W_J-orbit tables of C3 without their last orbit\n"
-        "    orbits = rootdata._parabolic_orbits\n"
-        "    rootdata._parabolic_orbits = lambda rd, zeros: orbits(rd, zeros)[:-1]\n"
-        "    try:\n"
-        "        chi_char(build_root_datum('C3'), (0, 1, 0))\n"
-        "    finally:\n"
-        "        rootdata._parabolic_orbits = orbits\n"
+        "def joined_orbits():  # a C3 whose row of s_1 sends alpha_1 to alpha_3: long roots count twice\n"
+        "    c3 = rootdata._datum_structure.__wrapped__('C3')\n"
+        "    s1, _, s3 = c3.simple_indices[0]\n"
+        "    row = list(c3.reflection_row(s1))\n"
+        "    row[s1] = s3\n"
+        "    c3.tables.reflection_rows[s1] = tuple(row)\n"
+        "    chi_char(c3, (0, 1, 0))\n"
         "def doubled_two_rho():  # a wrong Freudenthal denominator: (2 rho, alpha_i) doubled\n"
         "    rd = build_root_datum('A2')\n"
         "    linear = rd.linear_tables()\n"
@@ -325,7 +325,7 @@ def test_invariant_violation_survives_optimize_flag():
         "    chi_char(rd, (1, 1))\n"
         "def swapped_row():  # two entries of alpha_2's reflection row in A3 exchanged\n"
         "    a3 = build_root_datum('A3')\n"
-        "    i, j, k = (a3.root_index[c] for c in [(-1, 2, -1), (-1, 0, -1), (-2, 1, 0)])\n"
+        "    i, j, k = (a3.root_index[c] for c in [(-1, 2, -1), (-1, 0, -1), (0, 1, -2)])\n"
         "    row = a3.reflection_row(i)\n"
         "    swapped = list(row)\n"
         "    swapped[j], swapped[k] = row[k], row[j]\n"
@@ -345,7 +345,7 @@ def test_invariant_violation_survives_optimize_flag():
         "             lambda: SimpleLedger(a2, 3, {(0, 0): LedgerEntry(chi_char(a2, (0, 0)), LOWEST_ALCOVE, {})}).merge(conflicting),\n"
         "             wrong_chi,\n"
         "             lambda: classify_cartan(affine_d4),\n"
-        "             dropped_orbit,\n"
+        "             joined_orbits,\n"
         "             lambda: sub_root_datum(a2, [(2, -1), (-2, 1), (-1, 2), (1, -2)]),\n"
         "             doubled_two_rho,\n"
         "             lambda: sub_root_datum(build_root_datum('C2'), [(2, -1), (-2, 1), (0, 1), (0, -1)]),\n"
@@ -368,7 +368,7 @@ def test_invariant_violation_survives_optimize_flag():
     assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
     assert lines[3].startswith("raised: chi((3, 0)) - ch L((1, 1)) is not a character")
     assert lines[4].startswith("raised: leading minor 5 of [[2, 0, 0, 0, -1]")
-    assert lines[5].startswith("raised: W_J-orbits (J = (0, 1, 2)) count 3 positive roots, not 9")
+    assert lines[5].startswith("raised: W_J-orbits (J = (0, 1, 2)) count 12 positive roots, not 9")
     assert lines[6].startswith(
         "raised: subset is not the root system of its base, which differs on [(-1, -1), (1, 1)]"
     )
@@ -527,26 +527,27 @@ def test_orbit_tables_are_shared_per_spec_and_hold_root_data_only():
     for tables in (first.tables.orbits, sub.tables.orbits):
         for zeros, table in tables.items():
             assert all(type(j) is int for j in zeros)
-            for form, coords, norm, count in table:
-                assert all(type(x) is int for x in form + coords)
+            for form, labels, norm, count in table:
+                assert all(type(x) is int for x in form + labels)
                 assert type(norm) is int and type(count) is int
     assert build_root_datum("B3").chi_cache == {}
 
 
 @pytest.mark.parametrize("drop", ["orbit", "root"])
-def test_corrupt_orbit_table_raises(monkeypatch, drop):
-    orbits = rootdata._parabolic_orbits
-
-    def corrupt(datum, zeros):
-        found = orbits(datum, zeros)
-        if drop == "orbit":
-            return found[1:]
-        # leave alpha_1 out of its orbit {alpha_1, -alpha_1}
-        return [orbit[1:] if any(b.height < 0 for b in orbit) else orbit for orbit in found]
-
-    monkeypatch.setattr(rootdata, "_parabolic_orbits", corrupt)
+def test_corrupt_orbit_table_raises(drop):
+    # one entry of the row of s_1 on an A2 of its own: alpha_1 + alpha_2
+    # sent to alpha_1 joins the orbit {alpha_1, -alpha_1} to that of
+    # alpha_2, which then counts half, and alpha_1 sent to -alpha_2 leaves
+    # it the orbit {alpha_1, -alpha_2, -alpha_1 - alpha_2}, of odd size
     fresh = _datum_structure.__wrapped__("A2")
-    message = "count 1 positive roots, not 3" if drop == "orbit" else "has odd size"
+    s1, index = fresh.simple_indices[0][0], fresh.root_index
+    row = list(fresh.reflection_row(s1))
+    if drop == "orbit":
+        row[index[(1, 1)]] = s1
+    else:
+        row[s1] = index[(1, -2)]
+    fresh.tables.reflection_rows[s1] = tuple(row)
+    message = "count 2 positive roots, not 3" if drop == "orbit" else "has odd size"
     with pytest.raises(InvariantViolation, match=message):
         fresh.stabilizer_orbits((0,))
     assert fresh.tables.orbits == {}
@@ -574,26 +575,29 @@ def test_spellings_of_one_spec_share_the_memo_entry():
 ORBIT_TABLE_TYPES = {"A1", "A2", "A3", "A4", "B3", "C3", "G2", "F4", "B2xG2"}
 
 
-@pytest.mark.parametrize("name", sorted(ORBIT_TABLE_TYPES))
+@pytest.mark.parametrize("name", sorted(ORBIT_TABLE_TYPES) + ["A2xA1+T2", "F4:0,1"])
 def test_stabilizer_orbits_match_the_matrix_closure(name):
     """Each row covers the orbit of W_J that its position names, with its
     count of positive roots, from the orbit's highest positive root: the
     last in root order, the one of largest height and pairing nonnegatively
-    with every alpha_j^vee, j in J."""
-    rd = build_root_datum(name)
+    with every alpha_j^vee, j in J, given by its Dynkin labels.  On the
+    torus type and the facet quotient of F4 at {0, 1}, the labels are not
+    the coordinates."""
+    rd = _facet_quotient(*name.split(":")) if ":" in name else build_root_datum(name)
     order = {r.coords: i for i, r in enumerate(rd.roots)}
     for k in range(rd.semisimple_rank + 1):
         for zeros in itertools.combinations(range(rd.semisimple_rank), k):
             rows = rd.stabilizer_orbits(zeros)
             expected = stabilizer_orbits_by_closure(rd, zeros)
             assert len(rows) == len(expected), zeros
-            for (form, coords, norm, count), (orbit, positives) in zip(rows, expected):
+            for (form, labels, norm, count), (orbit, positives) in zip(rows, expected):
+                coords = max(orbit, key=order.get)
                 alpha = rd.root_with_coords(coords)
-                assert coords in orbit and count == positives, (zeros, coords)
-                assert coords == max(orbit, key=order.get), (zeros, coords)
+                assert count == positives, (zeros, coords)
+                assert labels == tuple(rootdata.dot(coords, a.coroot) for a in rd.simple_roots), (zeros, coords)
                 heights = [rd.root_with_coords(b).height for b in orbit]
                 assert heights.count(alpha.height) == 1 and alpha.height == max(heights)
-                assert all(rd.pair(coords, rd.simple_roots[j].coroot) >= 0 for j in zeros)
+                assert all(labels[j] >= 0 for j in zeros)
                 assert (form, norm) == (alpha.form, rootdata.dot(alpha.form, coords))
 
 
@@ -827,19 +831,20 @@ def test_reflection_rows_match_reflect(name):
 
 @pytest.mark.parametrize("name", ["G2", "F4", "B2xG2", "A2xA1+T2", "E6"])
 def test_label_tables_match_the_roots(name):
+    # closure_rows(()) is the one label table: every positive root's labels
+    # and its simple coefficients
     rd = build_root_datum(name)
     quotient = sub_root_datum(rd, [b.coords for b in rd.roots if b.component == rd.num_components - 1])
-    assert quotient.tables.labels is None
+    assert quotient.tables.closure_rows == {}
     for datum in (rd, quotient):
-        labels, rows = datum.label_tables()
-        assert datum.tables.labels == (labels, rows)
+        rows = datum.closure_rows(())
+        assert datum.tables.closure_rows[()] is rows
         zero = (0,) * datum.n
-        assert labels == tuple(tuple(datum.pair(b.coords, a.coroot) for a in datum.simple_roots) for b in datum.roots)
         assert len(rows) == len(datum.positive_roots)
-        for (row_labels, coeffs), b in zip(rows, datum.positive_roots):
-            assert row_labels == labels[datum.root_index[b.coords]]
+        for (labels, coeffs), b in zip(rows, datum.positive_roots):
+            assert labels == tuple(datum.pair(b.coords, a.coroot) for a in datum.simple_roots)
             assert rootdata.combine(coeffs, datum.simple_coords, zero) == b.coords
-    assert build_root_datum(name).label_tables() is rd.label_tables() is rd.tables.labels
+    assert build_root_datum(name).closure_rows(()) is rd.closure_rows(())
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "B2xG2", "A2xA1+T2", "E6"])
@@ -850,14 +855,14 @@ def test_closure_rows_are_the_roots_a_weight_with_that_zero_set_can_lose(name):
     rd = build_root_datum(name)
     quotient = sub_root_datum(rd, [b.coords for b in rd.roots if b.component == rd.num_components - 1])
     for datum in (rd, quotient):
-        _, rows = datum.label_tables()
+        rows = datum.closure_rows(())
         rank = datum.semisimple_rank
         for zeros in itertools.chain.from_iterable(itertools.combinations(range(rank), k) for k in range(rank + 1)):
             mu = tuple(0 if j in zeros else 3 for j in range(rank))
             expected = tuple(row for row in rows if min(x - y for x, y in zip(mu, row[0])) >= 0)
             assert datum.closure_rows(zeros) == expected, (name, zeros)
             assert datum.tables.closure_rows[zeros] is datum.closure_rows(zeros)
-    assert build_root_datum(name).closure_rows(()) is rd.closure_rows(()) == rd.label_tables()[1]
+    assert build_root_datum(name).closure_rows(()) is rd.closure_rows(())
 
 
 def test_chamber_walk_is_bounded_by_the_number_of_positive_roots():

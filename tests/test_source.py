@@ -124,3 +124,23 @@ def test_no_private_access_across_modules():
             ):
                 offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert offenders == []
+
+
+def test_roots_are_reflected_only_to_build_rows():
+    # a walk of the Weyl group on roots runs on root indices, through the
+    # rows of RootDatum.reflection_row; coordinate reflections are left to
+    # building those rows and to Weyl orbits of weights
+    allowed = {"reflection_row", "weyl_orbit"}
+    offenders = []
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "reflect" and owner not in allowed:
+            offenders.append(f"{path.name}:{node.lineno} in {owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    assert offenders == []
