@@ -144,14 +144,14 @@ def _check_same(ch1: Character, ch2: Character):
 # Freudenthal recursion
 
 
-def _dominant_below(rd: RootDatum, lam: Weight) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """All dominant mu <= lam, each as its Dynkin labels (its pairings with
-    the simple coroots) mapped to the coefficients of lam - mu over the
-    simple roots, in the order reached by :func:`closure` from lam, which
-    subtracts positive roots and keeps the dominant results.  This reaches
-    every dominant mu <= lam because covers in the dominance order on
-    dominant weights differ by a positive root (Stembridge, "The partial
-    order of dominant weights", Adv. Math. 1998).
+def _dominant_below(rd: RootDatum, start: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """All dominant mu <= lam, given the Dynkin labels ``start`` of a dominant
+    lam, each as its labels (its pairings with the simple coroots) mapped to
+    the coefficients of lam - mu over the simple roots, in the order reached
+    by :func:`closure` from lam, which subtracts positive roots and keeps the
+    dominant results.  This reaches every dominant mu <= lam because covers
+    in the dominance order on dominant weights differ by a positive root
+    (Stembridge, "The partial order of dominant weights", Adv. Math. 1998).
 
     The closure runs on labels alone (Moody and Patera 1982): mu - beta has
     the labels of mu minus those of beta, and it is dominant when none of
@@ -163,7 +163,6 @@ def _dominant_below(rd: RootDatum, lam: Weight) -> dict[tuple[int, ...], tuple[i
     c_i`` over the coroot coefficients c_i >= 0 of beta is at least
     ``<beta, beta^vee> = 2``.
     """
-    start = tuple(dot(lam, f) for f in rd.simple_coroots)
     reached = {start: (0,) * len(start)}
 
     def step(labels, coeffs):
@@ -177,7 +176,19 @@ def _dominant_below(rd: RootDatum, lam: Weight) -> dict[tuple[int, ...], tuple[i
 def _plausible_character(rd: RootDatum, lam: Weight, mult) -> bool:
     """Whether a stored entry can be chi(lam): lam has multiplicity 1, every
     key is a dominant weight below lam with a positive integer multiplicity,
-    and the orbit-weighted sum is the Weyl dimension."""
+    the orbit-weighted sum is the Weyl dimension, and each simple component c
+    satisfies Dynkin's second-moment identity (Dynkin, "Semisimple
+    subalgebras of semisimple Lie algebras", 1952): dim g_c sum_nu (nu,
+    nu)_c = rank_c dim V (lam, lam + 2 rho)_c, the sum over the weights nu
+    of V with multiplicity, where ( , )_c is the form on component c.  An
+    entry of the right dimension whose weights sit in orbits of other
+    norms fails it.
+
+    Both sides are read off Dynkin labels L: with h_j = (alpha_j, alpha_j) /
+    2 and adj * cartan = det * I, det (omega_i, omega_j) = adj_ji h_j, so
+    det (x, y)_c = sum_{j in c} h_j L_j(y) (adj L(x))_j, and lam + 2 rho
+    has the labels L(lam) + 2.  Orbit sizes come from the zero sets of the
+    labels, as in :func:`dim`."""
     if mult.get(lam) != 1:
         return False
     for w, m in mult.items():
@@ -189,7 +200,42 @@ def _plausible_character(rd: RootDatum, lam: Weight, mult) -> bool:
             and rd.dominance_leq(w, lam)
         ):
             return False
-    return sum(m * rd.orbit_size(w) for w, m in mult.items()) == rd.weyl_dim(lam)
+    adj, half = rd.linear_tables().adj, _half_norms(rd)
+    component = [c for c, simples in enumerate(rd.simple_indices) for _ in simples]  # of each simple root
+
+    def forms(x, shift):
+        """The labels of x and det (x, x + 2 shift rho)_c per component c."""
+        labels = [dot(x, f) for f in rd.simple_coroots]
+        out = [0] * rd.num_components
+        for j, (h, row, label) in enumerate(zip(half, adj, labels)):
+            out[component[j]] += h * dot(row, labels) * (label + 2 * shift)
+        return labels, out
+
+    total, moments = 0, [0] * rd.num_components
+    for w, m in mult.items():
+        labels, norms = forms(w, 0)
+        weight = m * rd._orbit_size(tuple(j for j, x in enumerate(labels) if not x))
+        total += weight
+        moments = [s + weight * x for s, x in zip(moments, norms)]
+    if total != rd.weyl_dim(lam):
+        return False
+    for c, (moment, top) in enumerate(zip(moments, forms(lam, 1)[1])):
+        rank = len(rd.simple_indices[c])
+        dim_g = rank + 2 * sum(1 for b in rd.positive_roots if b.component == c)
+        if dim_g * moment != rank * total * top:
+            return False
+    return True
+
+
+def _half_norms(rd: RootDatum) -> tuple[int, ...]:
+    """(alpha_i, alpha_i) / 2 per simple root, from each root's own ``form``
+    and ``coords``, checked even: every root of a datum, a quotient's
+    included, is a root of a spec, whose form gives its simple roots the
+    norms 2 d_i, d the symmetrizer, and is W-invariant."""
+    norms = [dot(a.form, a.coords) for a in rd.simple_roots]
+    if any(x % 2 for x in norms):
+        raise InvariantViolation(f"simple roots of odd norm: {norms}")
+    return tuple(x // 2 for x in norms)
 
 
 def chi_char(rd: RootDatum, lam: Weight) -> Character:
@@ -198,8 +244,11 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
     Multiplicities come from Freudenthal's recursion run over the dominant
     cone only; a non-dominant weight contributes through its dominant
     conjugate.  The divisor ``(lam+mu+2rho, lam-mu)`` is assembled from the
-    per-root form functionals, so the whole computation is integer-exact.
-    Results are memoized in ``rd.chi_cache``.
+    simple roots' half-norms and the 2 rho functional, so the whole
+    computation is integer-exact.  Results are memoized in ``rd.chi_cache``.
+    The Dynkin labels of ``lam`` are computed once, here: they give the
+    dominance test, and on a miss the start of the dominance closure and the
+    norm differences below.
 
     The string sum ``T(alpha) = sum_{k>=1} m(mu+k alpha) (mu+k alpha, alpha)``
     is constant on the orbits of W_J, the stabilizer of mu, where J is the
@@ -216,9 +265,12 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
     exactly on the orbit W lam, so a string stops at its first weight longer
     than lam without looking that weight up.  For mu = lam - sum c_i alpha_i,
     (lam, lam) - (mu, mu) = (lam - mu, lam + mu) = sum c_i (alpha_i, lam +
-    mu), the sum the divisor is built from; along a string, (mu + k alpha,
-    mu + k alpha) grows by 2 (mu + k alpha, alpha) - (alpha, alpha) from k -
-    1 to k.
+    mu), and since (alpha_i, x) = h_i L_i(x), with h_i = (alpha_i, alpha_i)
+    / 2 and L_i(x) = <x, alpha_i^vee> the i-th label, that is ``sum c_i h_i
+    (L_i(lam) + L_i(mu))``, read off the labels of lam and mu.  The divisor
+    adds sum c_i (2 rho, alpha_i) to it.  Along a string, (mu + k alpha, mu +
+    k alpha) grows by 2 (mu + k alpha, alpha) - (alpha, alpha) from k - 1 to
+    k.
 
     A minuscule or zero lam, one that pairs at most 1 with every positive
     coroot, has no other dominant weight below it, and chi(lam) is its orbit
@@ -232,28 +284,33 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
     a disk entry passed :func:`_plausible_character`.
     """
     rd.check_weights(lam)
-    if not rd.is_dominant(lam):
+    labels = tuple(dot(lam, f) for f in rd.simple_coroots)
+    if labels and min(labels) < 0:
         raise NotDominant(f"{lam} is not dominant")
-    return _trusted_character(rd, dict(_chi_mult(rd, lam)))
+    return _trusted_character(rd, dict(_chi_mult(rd, lam, labels)))
 
 
-def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
+def _chi_mult(rd: RootDatum, lam: Weight, lam_labels: tuple[int, ...] | None = None) -> dict[Weight, int]:
     """The multiplicities of ``chi(lam)`` for a dominant ``lam``, as the map
     that ``rd.chi_cache`` holds: computed and stored on a miss, returned as
     stored on a hit.  Readers must not change it.  :func:`chi_char` copies
-    it into a :class:`Character`; :func:`chi_expand`, whose tops are
-    dominant by construction, reads it without that copy.
+    it into a :class:`Character` and passes the labels of ``lam`` it has;
+    :func:`chi_expand`, whose tops are dominant by construction, reads it
+    without that copy, and the labels are computed here on a miss.
 
     The recursion runs on Dynkin labels: each weight of an alpha-string is
     its labels, a step adds the labels of alpha, which its row of
     :meth:`RootDatum.stabilizer_orbits` holds, and :func:`chamber_walk`
     on a copy of them ends on the labels of the dominant conjugate, which
     key the multiplicities found so far.  A weight is rebuilt only for the
-    map stored and the forms in the Freudenthal step.  Along a string, ``f``
-    is (nu, alpha) and ``g`` is (nu, nu) - (lam, lam), which starts at
-    ``-pair_sum`` (see :func:`chi_char`); the string ends when g > 0, before
-    the weight is built, looked up or walked.  A weight with g = 0 lies in
-    W lam and is looked up.
+    map stored and the forms in the Freudenthal step.  Per dominant mu,
+    ``pair_sum`` = (lam, lam) - (mu, mu) = sum c_i h_i (L_i(lam) + L_i(mu))
+    (see :func:`chi_char`), with the half-norms h_i read once per run by
+    :func:`_half_norms`; the divisor adds the 2 rho functional of
+    :meth:`RootDatum.linear_tables` to it.  Along a string, ``f`` is (nu,
+    alpha) and ``g`` is (nu, nu) - (lam, lam), which starts at ``-pair_sum``;
+    the string ends when g > 0, before the weight is built, looked up or
+    walked.  A weight with g = 0 lies in W lam and is looked up.
     """
     cached = rd.chi_cache.get(lam)
     if cached is not None:
@@ -264,26 +321,28 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         obs.count("charring.freudenthal.runs")
         obs.count("charring.freudenthal.dominant_weights")
         return mult
+    if lam_labels is None:
+        lam_labels = tuple(dot(lam, f) for f in rd.simple_coroots)
     # by height; ties in lexicographic order of the coordinates of lam - mu,
     # which fixes the insertion order of mult
     candidates = sorted(
         (sum(coeffs), coeffs, combine(map(operator.neg, coeffs), rd.simple_coords, lam), labels)
-        for labels, coeffs in _dominant_below(rd, lam).items()
+        for labels, coeffs in _dominant_below(rd, lam_labels).items()
     )
     mult: dict[Weight, int] = {}
     found: dict[tuple[int, ...], int] = {}  # mult by the labels of its weight
     conjugates: dict[tuple[int, ...], tuple[int, ...]] = {}  # labels -> dominant labels
     linear = rd.linear_tables()
     columns, two_rho_form, bound = linear.cartan_columns, linear.two_rho_form, len(rd.positive_roots)
-    simple_forms = [a.form for a in rd.simple_roots]
+    half = _half_norms(rd)
+    lam_half = tuple(map(operator.mul, half, lam_labels))  # (alpha_i, lam)
     steps = cuts = 0
     for height, coeffs, mu, labels in candidates:
         if height == 0:
             mult[mu] = found[labels] = 1
             continue
-        # (lam, lam) - (mu, mu) = (lam - mu, lam + mu)
-        lam_mu = wadd(lam, mu)
-        pair_sum = sum(c * dot(form, lam_mu) for c, form in zip(coeffs, simple_forms))
+        # (lam, lam) - (mu, mu) = sum c_i (alpha_i, lam + mu), on labels
+        pair_sum = sum(map(operator.mul, coeffs, map(operator.add, lam_half, map(operator.mul, half, labels))))
         # one alpha-string per W_J-orbit, from its highest positive root and
         # weighted by its count of positive roots; the pairing (nu, alpha)
         # grows by (alpha, alpha) per step
@@ -333,8 +392,16 @@ def _chi_mult(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
 
 
 def dim(ch: Character) -> int:
-    """Total dimension: multiplicity times orbit size, summed."""
-    return sum(m * ch.datum.orbit_size(w) for w, m in ch.mult.items())
+    """Total dimension: multiplicity times orbit size, summed.  The keys are
+    dominant, an invariant of :class:`Character`, so the orbit of a key is
+    |W/W_J| for the zero set J of its Dynkin labels, looked up by J
+    (:meth:`RootDatum._orbit_size`) with no chamber walk."""
+    rd = ch.datum
+    coroots, size = rd.simple_coroots, rd._orbit_size
+    total = 0
+    for w, m in ch.mult.items():
+        total += m * size(tuple([j for j, f in enumerate(coroots) if not sum(map(operator.mul, w, f))]))  # dot inlined
+    return total
 
 
 def expand_full(ch: Character) -> dict[Weight, int]:

@@ -439,7 +439,8 @@ class DatumTables:
     """The tables of a datum filled in on first use, each by one accessor:
     by J, the W_J-orbit tables of :meth:`RootDatum.stabilizer_orbits`,
     found on the reflection rows of the simple roots in J, the orbit sizes
-    of :meth:`RootDatum.orbit_size` and the dominance-closure rows of
+    |W/W_J| that :meth:`RootDatum.orbit_size` and
+    :func:`parahoric.charring.dim` read and the dominance-closure rows of
     :meth:`RootDatum.closure_rows`, the Dynkin labels and simple
     coefficients of the positive roots beta with <beta, alpha_j^vee> <= 0
     for j in J, the only ones whose subtraction can keep a dominant weight
@@ -627,26 +628,38 @@ class RootDatum:
 
     def orbit_size(self, lam: Weight) -> int:
         """|W|/|W_lam| = |W/W_J|, where J is the set of simple roots that pair
-        to zero with the dominant conjugate: :func:`chamber_walk` gives its
-        labels, and the size is looked up by J.  On the first lookup of a J
-        it is the product of (ht b + 1)/ht b over the positive roots b that
-        pair nonzero with the dominant conjugate, the roots outside Phi_J:
-        |W| and W_J each are such a product over their positive roots (the
-        Poincare series at q = 1; Macdonald, Math. Ann. 1972).  The sizes are
-        kept in :attr:`tables`."""
+        to zero with the dominant conjugate of ``lam``: the size is looked up
+        by J (:meth:`_orbit_size`).  The labels of a dominant ``lam``, its
+        pairings with the simple coroots, are those of the conjugate, so it
+        needs neither :func:`chamber_walk` nor :meth:`linear_tables`; any
+        other ``lam`` is walked into the chamber on its labels first."""
         self.check_weights(lam)
         pairs = [dot(lam, f) for f in self.simple_coroots]
-        added, steps = chamber_walk(pairs, self.linear_tables().cartan_columns, len(self.positive_roots))
-        zeros = tuple(j for j, p in enumerate(pairs) if not p)
+        if pairs and min(pairs) < 0:
+            chamber_walk(pairs, self.linear_tables().cartan_columns, len(self.positive_roots))
+        return self._orbit_size(tuple(j for j, p in enumerate(pairs) if not p))
+
+    def _orbit_size(self, zeros: tuple[int, ...]) -> int:
+        """|W/W_J| for the simple roots J = ``zeros`` (indices into
+        :attr:`simple_roots`), the size of the orbit of every dominant weight
+        whose labels vanish exactly on J; :func:`parahoric.charring.dim`
+        reads it for the keys of a character, which are dominant.  On the
+        first lookup of a J it is the product of (ht b + 1)/ht b over the
+        positive roots b outside Phi_J, those with a nonzero simple
+        coefficient off J: |W| and W_J each are such a product over their
+        positive roots (the Poincare series at q = 1; Macdonald, Math. Ann.
+        1972).  The sizes are kept in :attr:`tables`."""
         size = self.tables.orbit_sizes.get(zeros)
         if size is None:
-            dom = combine(added, self.simple_coords, lam) if steps else lam
+            offsets = tuple(itertools.accumulate(map(len, self.simple_indices), initial=0))
+            # per component, the positions of its simple roots off J
+            outside = [[i for i in range(b - a) if a + i not in zeros] for a, b in itertools.pairwise(offsets)]
             num = den = 1
             for beta in self.positive_roots:
-                if dot(dom, beta.coroot):
+                if any(beta.simple_coeffs[i] for i in outside[beta.component]):
                     num, den = num * (beta.height + 1), den * beta.height
             if num % den:
-                raise InvariantViolation(f"height product {num}/{den} for {lam} is not an integer")
+                raise InvariantViolation(f"height product {num}/{den} for J = {zeros} is not an integer")
             size = self.tables.orbit_sizes[zeros] = num // den
         return size
 
@@ -664,11 +677,12 @@ class RootDatum:
         labels, its pairings with the simple coroots, and ``count`` is the
         orbit's number of positive roots.  Every other root of the orbit
         pairs negatively with some alpha_j^vee, j in J, and s_j raises it, so
-        alpha pairs nonnegatively with each of them.  W_J permutes the
+        alpha pairs nonnegatively with each of them; a top that does not
+        raises, as on a closure that missed a generator.  W_J permutes the
         positive roots outside Phi_J, so such an orbit counts in full; an
         orbit inside Phi_J is closed under negation and counts half.  The
-        counts must add up to the number of positive roots.  Kept in
-        :attr:`tables`.
+        counts must add up to the number of positive roots, which every
+        table of a smaller J satisfies too.  Kept in :attr:`tables`.
         """
         table = self.tables.orbits.get(zeros)
         if table is not None:
@@ -690,6 +704,10 @@ class RootDatum:
                     count //= 2
                 top = self.roots[max(orbit)]
                 labels = tuple(dot(top.coords, f) for f in self.simple_coroots)
+                if any(labels[j] < 0 for j in zeros):
+                    raise InvariantViolation(
+                        f"the top {top} of a W_J-orbit (J = {zeros}) pairs negatively with a simple coroot of J"
+                    )
                 rows.append((top.form, labels, dot(top.form, top.coords), count))
         counted = sum(row[3] for row in rows)
         if counted != len(self.positive_roots):
@@ -923,17 +941,19 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
     :class:`DatumTables`, which gets the Cartan matrix, its inverse and the
     2*rho functionals when first read) is built and checked once per spec,
     keyed on the canonical ``str(spec)``, so ``"a1xa1+t1"`` and
-    ``"A1xA1+T1"`` share it.  Every call returns a new datum that shares
-    that structure and has its own empty ``chi_cache``.
+    ``"A1xA1+T1"`` share it.  A string is mapped to that canonical string
+    through the bounded memo :func:`_canonical_spec`, so it is parsed once;
+    a bad one is not kept and raises on every call.  Every call returns a
+    new datum that shares that structure and has its own empty
+    ``chi_cache``.
     """
-    if isinstance(spec, str):
-        spec = parse_dynkin_spec(spec)
+    spec_string = _canonical_spec(spec) if isinstance(spec, str) else str(spec)
     hits = _datum_structure.cache_info().hits if obs.enabled() else 0
     # attribute by attribute rather than copy.copy: a copied __dict__ loses
     # CPython's shared-key instance layout, which makes every later attribute
     # read on the datum slower (about 3x, measured on Python 3.11)
     datum = object.__new__(RootDatum)
-    for name, value in vars(_datum_structure(str(spec))).items():
+    for name, value in vars(_datum_structure(spec_string)).items():
         setattr(datum, name, value)
     datum.chi_cache = {}
     if obs.enabled():
@@ -941,6 +961,13 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
         if hits:  # a miss records nothing, not a zero
             obs.count("rootdata.build_root_datum.hits", hits)
     return datum
+
+
+@functools.lru_cache(maxsize=256)
+def _canonical_spec(text: str) -> str:
+    """``str(parse_dynkin_spec(text))``; the memo keeps only texts that
+    parse, as an exception is never stored."""
+    return str(parse_dynkin_spec(text))
 
 
 @functools.lru_cache(maxsize=64)

@@ -12,9 +12,12 @@ Usage (from the repository root)::
     PYTHONPATH=src python3 tests/check_chi_digests.py E6 E7
 
 It checks every recorded case of the types named, each on a new datum with
-an empty ``chi_cache``, prints one line per case with its CPU and wall
-seconds, and exits 1 when a digest differs.  It only reads the recorded
-digests; it never writes them.
+an empty ``chi_cache``, and checks that ``dim`` of the character, which
+reads each key's orbit size by the zero set of its labels, is the Weyl
+dimension of k rho (the E8 rho case runs that lookup over 14 869 keys).  It
+prints one line per case with its CPU and wall seconds and its dimension,
+and exits 1 when a digest or a dimension differs.  It only reads the
+recorded digests; it never writes them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import os
 import sys
 import time
 
-from parahoric import chi_char
+from parahoric import chi_char, dim
 from parahoric.rootdata import _datum_structure
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "chi_digests.json")
@@ -37,12 +40,14 @@ def case_key(spec: str) -> str:
     return f"{spec}|{CASES[spec]}rho"
 
 
-def chi_digest(spec: str) -> str:
+def chi_case(spec: str) -> tuple[str, int, int]:
+    """The digest of chi(k rho), its ``dim`` and the Weyl dimension of k rho."""
     # a fresh structure, so no table or character of another case is reused
     rd = _datum_structure.__wrapped__(spec)
     lam = tuple(CASES[spec] * x for x in rd.rho)
-    text = json.dumps(list(chi_char(rd, lam).mult.items()), separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    ch = chi_char(rd, lam)
+    text = json.dumps(list(ch.mult.items()), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest(), dim(ch), rd.weyl_dim(lam)
 
 
 def recorded() -> dict[str, str]:
@@ -62,11 +67,13 @@ def main(argv=None) -> int:
     for spec in args.types:
         key = case_key(spec)
         cpu, wall = time.process_time(), time.perf_counter()
-        digest = chi_digest(spec)
+        digest, dimension, weyl_dimension = chi_case(spec)
         cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
         verdict = "ok" if expected[key] == digest else "MISMATCH"
+        if dimension != weyl_dimension:
+            verdict = f"DIM!={weyl_dimension}"
         bad += verdict != "ok"
-        print(f"{key:9} {verdict:8} cpu {cpu:6.2f} s  wall {wall:6.2f} s  {digest}")
+        print(f"{key:9} {verdict:8} cpu {cpu:6.2f} s  wall {wall:6.2f} s  {digest}  dim {dimension}")
     return 1 if bad else 0
 
 

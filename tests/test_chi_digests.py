@@ -2,18 +2,21 @@
 
 The digests were recorded from the recursion that walked every alpha-string
 to its first weight outside the character and tried every positive root in
-the dominance closure.  ``check_chi_digests.py`` also checks E6 2rho and
-E8 rho, which take longer than the rest together.
+the dominance closure.  Each case also checks ``dim`` against the Weyl
+dimension.  ``check_chi_digests.py`` also checks E6 2rho and E8 rho, which
+take longer than the rest together.
 """
 
 import pytest
 
-from check_chi_digests import CASES, case_key, chi_digest, recorded
+from check_chi_digests import CASES, case_key, chi_case, recorded
 
 
 @pytest.mark.parametrize("spec", [spec for spec in CASES if spec not in ("E6", "E8")])
 def test_chi_matches_its_recorded_digest(spec):
-    assert chi_digest(spec) == recorded()[case_key(spec)]
+    digest, dimension, weyl_dimension = chi_case(spec)
+    assert digest == recorded()[case_key(spec)]
+    assert dimension == weyl_dimension
 
 
 def test_every_recorded_case_is_known():

@@ -215,16 +215,24 @@ def test_d2_is_a_usage_error(capsys):
 
 
 def test_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
-    # a wrong chi(3,0) that passes the cache checks (dim 10, keys dominant
-    # below (3,0)) makes chi(3,0) - ch L(1,1) negative at p = 3
+    # a wrong chi(3,3) that passes the cache checks (keys dominant below
+    # (3,3), dim 64 and the second moment of the true one) makes chi(3,3) -
+    # ch L(2,2) negative at p = 7
     monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
-    target = _type_dir(tmp_path, "A2") / "3,0.json"
+    target = _type_dir(tmp_path, "A2") / "3,3.json"
     target.parent.mkdir(parents=True)
-    target.write_text('{"3,0": 1, "0,0": 7}')
-    assert main(["jantzen", "--type", "A2", "--weight", "3,0", "--p", "3"]) == 3
-    assert "internal error: chi((3, 0)) - ch L((1, 1)) is not a character" in capsys.readouterr().err
-    assert main(["jantzen", "--type", "A2", "--weight", "3,0", "--p", "3", "--no-cache"]) == 0
+    target.write_text('{"3,3": 1, "2,2": 4, "3,0": 5, "0,3": 5, "0,0": 4}')
+    assert main(["jantzen", "--type", "A2", "--weight", "3,3", "--p", "7"]) == 3
+    assert "internal error: chi((3, 3)) - ch L((2, 2)) is not a character" in capsys.readouterr().err
+    assert main(["jantzen", "--type", "A2", "--weight", "3,3", "--p", "7", "--no-cache"]) == 0
     capsys.readouterr()
+    # a wrong chi(3,0) of the right dimension, {(3,0): 1, (0,0): 7}, has
+    # the wrong second moment: it is a miss, and the true one replaces it
+    target = target.with_name("3,0.json")
+    target.write_text('{"3,0": 1, "0,0": 7}')
+    assert main(["jantzen", "--type", "A2", "--weight", "3,0", "--p", "3"]) == 0
+    capsys.readouterr()
+    assert json.loads(target.read_text()) == {"3,0": 1, "1,1": 1, "0,0": 1}
 
 
 def test_cache_entries_are_checked_on_read(tmp_path, monkeypatch, capsys):

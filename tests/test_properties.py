@@ -6,7 +6,19 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parahoric import VirtualChiSum, build_root_datum
+import pytest
+
+from parahoric import (
+    IllegalRank,
+    VirtualChiSum,
+    build_root_datum,
+    chi_char,
+    dim,
+    enumerate_facets,
+    extended_basis,
+    parahoric_model,
+)
+from parahoric.charring import _plausible_character
 
 from _oracles import (
     chi_expand_map,
@@ -40,15 +52,51 @@ def _weights(rd, low, high):
     )
 
 
+@functools.cache
+def _facet_quotients(name):
+    """The reductive quotients of every facet of a type."""
+    rd = _datum(name)
+    basis = extended_basis(rd)
+    return [parahoric_model(rd, theta, basis).quotient_datum for theta in enumerate_facets(rd, basis)]
+
+
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_orbit_size_counts_the_orbit_and_divides_the_group_order(data):
+    # dominant weights take the zero-set lookup without a chamber walk, the
+    # others are walked first
     name = data.draw(st.sampled_from(NAMES))
     rd = _datum(name)
-    lam = data.draw(_weights(rd, -3, 3))
+    lam = data.draw(_weights(rd, 0, 3) if data.draw(st.booleans()) else _weights(rd, -3, 3))
     size = rd.orbit_size(lam)
     assert size == len(rd.weyl_orbit(lam))
     assert _weyl_group_order(name) % size == 0
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_dim_reads_orbit_sizes_by_zero_set(data):
+    # on spec data the semisimple coordinates are the labels, so a box of
+    # nonnegative ones is dominant; on a facet quotient of B3 or G2, an
+    # ambient dominant weight is dominant for the quotient too
+    name = data.draw(st.sampled_from(NAMES))
+    lam = data.draw(_weights(_datum(name), 0, 2))
+    rd = _datum(name)
+    if data.draw(st.booleans()) and name in ("B3", "G2"):
+        rd = data.draw(st.sampled_from(_facet_quotients(name)))
+    ch = chi_char(rd, lam)
+    total = dim(ch)
+    assert total == sum(m * len(rd.weyl_orbit(w)) for w, m in ch.mult.items())
+    assert total == rd.weyl_dim(lam)
+    assert _plausible_character(rd, lam, ch.mult)
+
+
+def test_spec_strings_are_parsed_once_and_bad_ones_raise_every_time():
+    assert build_root_datum("b3").roots is build_root_datum("B3").roots
+    assert build_root_datum(" b3 ").tables is build_root_datum("B3").tables
+    for _ in range(2):
+        with pytest.raises(IllegalRank, match="illegal rank 9 for family E"):
+            build_root_datum("e9")
 
 
 @PROPERTY_SETTINGS

@@ -340,6 +340,11 @@ def test_invariant_violation_survives_optimize_flag():
         "    tampered = rootdata.Root(top.coords, top.simple_coeffs, 0, top.coroot, (2, 0), top.form)\n"
         "    fresh.positive_roots = fresh.positive_roots[:-1] + (tampered,)\n"
         "    fresh.highest_coroots()\n"
+        "def dropped_generator():  # W_{s_1}-orbits in A2 on an identity row of s_1, as if s_1 were dropped\n"
+        "    fresh = rootdata._datum_structure.__wrapped__('A2')\n"
+        "    s1 = fresh.simple_indices[0][0]\n"
+        "    fresh.tables.reflection_rows[s1] = tuple(range(len(fresh.roots)))\n"
+        "    fresh.stabilizer_orbits((0,))\n"
         "for make in (lambda: sub_root_datum(a2, [(1, 0), (-1, 0)]),\n"
         "             lambda: Character(a2, {(-1, 0): 1}),\n"
         "             lambda: SimpleLedger(a2, 3, {(0, 0): LedgerEntry(chi_char(a2, (0, 0)), LOWEST_ALCOVE, {})}).merge(conflicting),\n"
@@ -350,7 +355,8 @@ def test_invariant_violation_survives_optimize_flag():
         "             doubled_two_rho,\n"
         "             lambda: sub_root_datum(build_root_datum('C2'), [(2, -1), (-2, 1), (0, 1), (0, -1)]),\n"
         "             swapped_row,\n"
-        "             tampered_coroot):\n"
+        "             tampered_coroot,\n"
+        "             dropped_generator):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantViolation as exc:\n"
@@ -362,7 +368,7 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert lines[0].startswith("raised: subset contains non-roots")
     assert lines[1].startswith("raised: character keys must be dominant")
     assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
@@ -378,6 +384,9 @@ def test_invariant_violation_survives_optimize_flag():
         "raised: the reflection rows of component 0 miss the roots of ((2, -1, 0), (-1, 2, -1), (0, -1, 2))"
     )
     assert lines[10] == "raised: component 0 has no coroot above every positive coroot"
+    assert lines[11] == (
+        "raised: the top Root(-1,2) of a W_J-orbit (J = (0,)) pairs negatively with a simple coroot of J"
+    )
 
 
 def test_torus_factors():

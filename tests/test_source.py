@@ -76,7 +76,7 @@ def test_no_unreferenced_private_definitions():
 # The unchecked bodies of the validation boundary.  The library calls them
 # across modules on purpose, with data it built or checked already, to skip
 # the argument checks that their public entry points keep.
-TRUSTED_BODIES = {"_trusted_character", "_chi_normalize", "_dominant_conjugate"}
+TRUSTED_BODIES = {"_trusted_character", "_chi_normalize", "_dominant_conjugate", "_orbit_size"}
 
 
 def _private(name):
