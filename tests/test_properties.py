@@ -6,10 +6,7 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pytest
-
 from parahoric import (
-    IllegalRank,
     VirtualChiSum,
     build_root_datum,
     chi_char,
@@ -90,13 +87,6 @@ def test_dim_reads_orbit_sizes_by_zero_set(data):
     assert total == rd.weyl_dim(lam)
     assert _plausible_character(rd, lam, ch.mult)
 
-
-def test_spec_strings_are_parsed_once_and_bad_ones_raise_every_time():
-    assert build_root_datum("b3").roots is build_root_datum("B3").roots
-    assert build_root_datum(" b3 ").tables is build_root_datum("B3").tables
-    for _ in range(2):
-        with pytest.raises(IllegalRank, match="illegal rank 9 for family E"):
-            build_root_datum("e9")
 
 
 @PROPERTY_SETTINGS

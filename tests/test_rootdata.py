@@ -563,10 +563,13 @@ def test_corrupt_orbit_table_raises(drop):
 
 
 def test_illegal_specs_raise_on_every_call():
-    for bad in ["E9", "G3", "A0"]:
+    # the memo of canonical spec strings keeps no spelling that fails
+    kept = rootdata._canonical_spec.cache_info().currsize
+    for bad in ["E9", "G3", "A0", "e9"]:
         for _ in range(3):
             with pytest.raises(IllegalRank):
                 build_root_datum(bad)
+    assert rootdata._canonical_spec.cache_info().currsize == kept
 
 
 def test_spellings_of_one_spec_share_the_memo_entry():
@@ -577,6 +580,12 @@ def test_spellings_of_one_spec_share_the_memo_entry():
     after = _datum_structure.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (len(variants), 0)
     assert all(rd.roots is data[0].roots for rd in data)
+    # a spelling is parsed once: a second build reads its canonical string
+    # from the memo
+    build_root_datum("b3")
+    parsed = rootdata._canonical_spec.cache_info()
+    assert build_root_datum("b3").tables is build_root_datum("B3").tables
+    assert rootdata._canonical_spec.cache_info().hits - parsed.hits == 2
     assert all(rd.spec_string == "A1xA1+T1" for rd in data)
     assert len({id(rd.chi_cache) for rd in data}) == len(data)
 
