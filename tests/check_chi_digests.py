@@ -12,9 +12,9 @@ Usage (from the repository root)::
     PYTHONPATH=src python3 tests/check_chi_digests.py E6 E7
 
 It checks every recorded case of the types named, each on a new datum with
-an empty ``chi_cache``, and checks that ``dim`` of the character, which
-reads each key's orbit size by the zero set of its labels, is the Weyl
-dimension of k rho (the E8 rho case runs that lookup over 14 869 keys).  It
+an empty ``chi_cache``, and that ``dim`` of the character, which reads each
+key's orbit size by the zero set of its labels, is the Weyl dimension of k
+rho (the E8 rho case runs that lookup over 14 869 keys).  It
 prints one line per case with its CPU and wall seconds and its dimension,
 and exits 1 when a digest or a dimension differs.  It only reads the
 recorded digests; it never writes them.

@@ -88,7 +88,6 @@ def test_dim_reads_orbit_sizes_by_zero_set(data):
     assert _plausible_character(rd, lam, ch.mult)
 
 
-
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_dominant_conjugate_matches_reflection_loop(data):

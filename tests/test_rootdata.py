@@ -635,6 +635,10 @@ def test_orbit_sizes_are_one_table_per_spec_with_an_entry_per_zero_set():
     sub = sub_root_datum(first, [alpha, wneg(alpha)])
     assert sub.tables.orbit_sizes is not first.tables.orbit_sizes and sub.tables.orbit_sizes == {}
     assert sub.orbit_size((1, 0, 0)) == 2 and sub.tables.orbit_sizes == {(): 2}
+    # a dominant weight is looked up by its own labels, with no chamber walk
+    # and so no linear tables; a non-dominant one is walked first
+    assert sub.tables.linear is None
+    assert sub.orbit_size((-1, 0, 0)) == 2 and sub.tables.linear is not None
 
 
 @pytest.mark.parametrize(
