@@ -25,17 +25,24 @@ asserts non-existence or non-conjugacy.
 
 The layers of a parahoric model are unions of whole Weyl orbits of the
 quotient, each weight once (see :func:`from_parahoric`), so their characters
-and dimensions are read off the weights.  Rule E2 expands every layer in the
-chi basis.  The chi(lam) are linearly independent, so an expansion is unique
-and additive: rule E1's expansion of the aggregate character is the sum of
-the layer expansions, with zero coefficients dropped, and is not expanded
-again.
+and dimensions are read off the weights.  Rule E2 reads every layer's
+expansion in the chi basis off :attr:`SplittingSequence.expansions`.  For a
+layer of a model it is found without Freudenthal's recursion, by the
+Brauer-Klimyk rule (Klimyk 1968; Humphreys, *Introduction to Lie Algebras
+and Representation Theory*, section 24, exercise 9): a W-invariant character
+is chi(0) times itself, so it equals sum_nu m(nu) chi(nu) over all of its
+weights nu, with chi(nu) normalized by the dot action (see
+:func:`parahoric.charring.chi_normalize`).  The chi(lam) are linearly
+independent, so an expansion is unique and additive: rule E1's expansion of
+the aggregate character is the sum of the layer expansions, with zero
+coefficients dropped, and is not expanded again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import obs
 from .affine import ParahoricModel
 from .charring import (
     Character,
@@ -75,20 +82,25 @@ TORUS_RULE_NOTE = (
 class SplittingSequence:
     """Radical layer characters V_0, ..., V_{n-1} over the reductive quotient.
 
-    ``dims`` holds the layer dimensions.  It is not a constructor argument:
-    construction sums it from the characters once, so it always agrees with
-    ``layers``.  Only :func:`from_parahoric` fills it otherwise, with the
-    weight counts of layers it has checked to be whole orbits.
+    ``dims`` holds the layer dimensions and ``expansions`` their expansions
+    in the chi basis.  Neither is a constructor argument: construction, and
+    so :func:`dataclasses.replace`, sums the dims from the characters and
+    expands each layer by :func:`parahoric.charring.chi_expand` once, so
+    both always agree with ``layers``.  Only :func:`from_parahoric` fills
+    them otherwise, from the weights of layers it has checked to be whole
+    orbits: the weight counts and the Brauer-Klimyk sums.
     """
 
     quotient_datum: RootDatum
     layers: tuple[Character, ...]
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    expansions: tuple[VirtualChiSum, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not all(ch.datum.same_datum(self.quotient_datum) for ch in self.layers):
             raise InvariantViolation("a layer character lives over another root datum")
         object.__setattr__(self, "dims", tuple(dim(ch) for ch in self.layers))
+        object.__setattr__(self, "expansions", tuple(chi_expand(ch) for ch in self.layers))
 
     @property
     def total_dim(self) -> int:
@@ -108,17 +120,36 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
     closed under the quotient's simple reflections, which generate W.
 
     Both tests are lookups by ambient root index: each quotient simple root
-    a reads its row of :meth:`RootDatum.reflection_row` on the ambient datum,
-    and a weight w is dominant when no s_a raises its ambient height, since
-    s_a(w) - w = -<w, a^vee> a and a is a positive ambient root.  Each key
-    is then known to be dominant, of multiplicity 1 and of the lattice's
-    length, so the layer characters are built without the constructor's
-    checks.
+    a reads its row of :meth:`RootDatum.reflection_row` on the ambient datum.
+    Height is additive and a is a positive ambient root, so s_a(w) = w -
+    <w, a^vee> a gives q = <w, a^vee> = (ht w - ht s_a w) / ht a, and w is
+    dominant when no s_a raises its ambient height.  Each key is then known
+    to be dominant, of multiplicity 1 and of the lattice's length, so the
+    layer characters are built without the constructor's checks.
+
+    The same loop expands each layer in the chi basis by the Brauer-Klimyk
+    rule: the expansion is the sum of chi(w) over the layer's weights w,
+    each normalized by the dot action s_a . w = w - (q + 1) a.  A dominant
+    w adds +1 at w.  A w with some q = -1 adds nothing: w + rho is then
+    singular.  Otherwise some q <= -2, and s_a . w = w + (-q - 1) a, found
+    by -q - 1 <= 2 lookups in the ambient :meth:`RootDatum.sum_row` of a,
+    which :func:`parahoric.rootdata.sub_root_datum` has built.  That is a
+    root of the same layer: the a-string through w runs from w to s_a(w) =
+    w + (-q) a, and a has grading value 0.  The walk repeats with the sign
+    flipped until a dominant or singular weight is reached, within as many
+    steps as the quotient has positive roots.  In a simply-laced type no
+    weight walks, since two non-proportional roots pair in {-1, 0, 1}.  So
+    no quotient table is built, and a step that finds no root, leaves the
+    layer or overruns that bound raises :class:`InvariantViolation`.
     """
     datum, ambient = model.quotient_datum, model.datum
     roots, index = ambient.roots, ambient.root_index
-    rows = [ambient.reflection_row(index[coords]) for coords in datum.simple_coords]
-    layers = []
+    gens = []
+    for coords in datum.simple_coords:
+        a = index[coords]
+        gens.append((ambient.reflection_row(a), ambient.sum_row(a), roots[a].height))
+    bound = len(datum.positive_roots)
+    layers, expansions, walks = [], [], 0
     for weights in model.layers:
         try:
             positions = [index[w] for w in weights]
@@ -127,25 +158,73 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
         members = set(positions)
         if len(members) != len(weights):
             raise InvariantViolation(f"layer weights are not distinct: {len(members)} of {len(weights)}")
-        dominant = {}
+        dominant, walked = {}, {}
         for w, j in zip(weights, positions):
-            height, highest = roots[j].height, True
-            for row in rows:
-                k = row[j]
+            height, singular, step = roots[j].height, False, None
+            for gen in gens:
+                k = gen[0][j]
                 if k != j:  # <w, a^vee> != 0
                     if k not in members:
                         raise InvariantViolation(f"layer is not stable under the quotient's Weyl group at {w}")
-                    highest = highest and roots[k].height < height
-            if highest:
+                    rise = roots[k].height - height  # -q ht a
+                    if rise == gen[2]:
+                        singular = True
+                    elif rise > gen[2]:
+                        step = gen
+            if singular:
+                continue
+            if step is None:
                 dominant[w] = 1
+            else:
+                walks += 1
+                sign, top = _dot_walk(j, step, gens, roots, members, bound)
+                if sign:
+                    walked[top] = walked.get(top, 0) + sign
+        coeffs = dict(dominant)
+        for w, c in walked.items():
+            coeffs[w] = coeffs.get(w, 0) + c
         layers.append(_trusted_character(datum, dominant))
+        expansions.append(VirtualChiSum({w: c for w, c in coeffs.items() if c}))
+    if walks:
+        obs.count("levicert.from_parahoric.walks", walks)
     # built without __init__, which would sum the same dims again from orbit
-    # sizes: about a fifth of this function's time over the facets of B3 to E6
+    # sizes, about a fifth of this function's time over the facets of B3 to
+    # E6, and expand the layers again by Freudenthal's recursion
     seq = object.__new__(SplittingSequence)
     object.__setattr__(seq, "quotient_datum", datum)
     object.__setattr__(seq, "layers", tuple(layers))
     object.__setattr__(seq, "dims", tuple(map(len, model.layers)))
+    object.__setattr__(seq, "expansions", tuple(expansions))
     return seq
+
+
+def _dot_walk(j: int, step, gens, roots, members: set[int], bound: int) -> tuple[int, Weight]:
+    """The dot-action walk of :func:`from_parahoric` from the layer weight
+    of ambient index j, whose pairing with the simple root of ``step``, an
+    entry ``(reflection row, sum row, height)`` of ``gens``, is at most -2:
+    ``(sign, dominant weight)`` with chi(w) = sign * chi(dominant), or
+    ``(0, weight)`` at a weight w with w + rho singular."""
+    sign, steps = 1, 0
+    while step is not None:
+        row, sums, h = step
+        for _ in range((roots[row[j]].height - roots[j].height) // h - 1):  # -q - 1
+            k = sums[j]
+            if k is None:
+                raise InvariantViolation(f"dot walk finds no root above {roots[j].coords}")
+            j = k
+        if j not in members:
+            raise InvariantViolation(f"dot walk leaves its layer at {roots[j].coords}")
+        sign, steps = -sign, steps + 1
+        if steps > bound:
+            raise InvariantViolation(f"dot walk takes more than {bound} steps")
+        height, step = roots[j].height, None
+        for gen in gens:
+            rise = roots[gen[0][j]].height - height
+            if rise == gen[2]:
+                return 0, roots[j].coords
+            if rise > gen[2]:
+                step = gen
+    return sign, roots[j].coords
 
 
 @dataclass
@@ -156,7 +235,10 @@ class LeviCertificate:
     notes: list[str] = field(default_factory=list)
 
     def rule(self, rule_id: str) -> dict:
-        return next(r for r in self.rules if r["id"] == rule_id)
+        for r in self.rules:
+            if r["id"] == rule_id:
+                return r
+        raise KeyError(f"no rule {rule_id!r} in this certificate")
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,7 +254,12 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
 
     The refinement flag raises the (C1)/(E1) dimension bounds from p to r*p,
     but only when the quotient's derived group is a single quasi-simple
-    component; otherwise it is ignored with a note.
+    component; otherwise it is ignored with a note.  The layer expansions
+    are read off ``seq.expansions``, not computed here, so certifying one
+    sequence at several primes and flags expands its layers once: for a
+    sequence of :func:`from_parahoric`, as sums of chi over the layer's
+    roots, each moved to the dominant chamber along root strings that stay
+    in the layer.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -215,7 +302,7 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
     )
 
     # E1 by linearity: the aggregate's expansion is the sum of E2's
-    expansions = [chi_expand(ch) for ch in seq.layers]
+    expansions = seq.expansions
     aggregate: dict[Weight, int] = {}
     for expansion in expansions:
         for w, c in expansion.coeffs.items():

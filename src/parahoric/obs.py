@@ -25,9 +25,9 @@ Counter names are ``<module>.<function>.<what>``:
   per :func:`parahoric.affine.parahoric_model` call;
 * ``rootdata.quotient_linear_tables.built``: the
   :meth:`parahoric.rootdata.RootDatum.linear_tables` of quotient data
-  built, each on first read, so a facet sweep that only models and
-  classifies builds none, and a certificate of a facet with a nonempty
-  layer builds its quotient's;
+  built, each on first read, so a facet sweep that models, classifies and
+  certifies builds none, and a character computed or expanded over a
+  quotient builds its quotient's;
 * ``charring.freudenthal.runs``: characters computed by Freudenthal's
   recursion, that is misses of ``chi_cache`` (a hit counts nothing); a
   minuscule or zero highest weight, whose character is stored as its orbit
@@ -41,7 +41,11 @@ Counter names are ``<module>.<function>.<what>``:
   per weight whose dominant conjugate was not yet known in its character;
 * ``charring.freudenthal.norm_cuts``: alpha-strings ended by the norm
   bound, at a weight longer than the highest weight, which is neither
-  visited nor walked.
+  visited nor walked;
+* ``levicert.from_parahoric.walks``: layer weights that
+  :func:`parahoric.levicert.from_parahoric` walks by the dot action to
+  expand their layer, those neither dominant nor with a pairing -1 with a
+  simple coroot of the quotient; never one in a simply-laced type.
 """
 
 from __future__ import annotations

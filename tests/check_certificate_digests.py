@@ -1,11 +1,13 @@
 """Levi certificates of whole facet sweeps against their recorded digests.
 
 A sweep certifies every facet of one Dynkin type at one prime, with or
-without the rank refinement: ``parahoric_model``, ``from_parahoric`` and
-``certify`` per facet, on one extended basis.  Its digest is the SHA-256 of
-the JSON list of ``{"theta", "certificate"}`` in ``enumerate_facets`` order.
-``certificate_digests.json`` holds the digests of F4, E6, E7 and E8 at
-p = 2, 3, 5, 7, with and without the refinement.
+without the rank refinement.  Each type's facets are modelled once, by
+``parahoric_model`` and ``from_parahoric`` on one extended basis, and each
+facet's splitting sequence is then certified at every (p, refinement) pair:
+only the bounds of a certificate depend on them.  A sweep's digest is the
+SHA-256 of the JSON list of ``{"theta", "certificate"}`` in
+``enumerate_facets`` order.  ``certificate_digests.json`` holds the digests
+of F4, E6, E7 and E8 at p = 2, 3, 5, 7, with and without the refinement.
 
 Usage (from the repository root)::
 
@@ -13,8 +15,9 @@ Usage (from the repository root)::
     PYTHONPATH=src python3 tests/check_certificate_digests.py F4 E6
 
 It checks every recorded sweep of the types named, prints one line per sweep
-with its CPU and wall seconds, and exits 1 when a digest differs.  It only
-reads the recorded digests; it never writes them.
+with its digest and one line per type with its CPU and wall seconds, models
+included, and exits 1 when a digest differs.  It only reads the recorded
+digests; it never writes them.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from parahoric import (
     from_parahoric,
     parahoric_model,
 )
+from parahoric.levicert import SplittingSequence
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "certificate_digests.json")
 PRIMES = (2, 3, 5, 7)
@@ -43,13 +47,18 @@ def sweep_key(spec: str, p: int, refine: bool) -> str:
     return f"{spec}|{p}|{int(refine)}"
 
 
-def sweep_digest(spec: str, p: int, refine: bool) -> str:
+def facet_sequences(spec: str) -> list[tuple[str, SplittingSequence]]:
+    """Each facet of the type, in ``enumerate_facets`` order, with the
+    splitting sequence of its model."""
     rd = build_root_datum(spec)
     basis = extended_basis(rd)
-    certificates = []
-    for theta in enumerate_facets(rd, basis):
-        seq = from_parahoric(parahoric_model(rd, theta, basis))
-        certificates.append({"theta": str(theta), "certificate": certify(seq, p, refine).to_json_dict()})
+    return [(str(theta), from_parahoric(parahoric_model(rd, theta, basis))) for theta in enumerate_facets(rd, basis)]
+
+
+def sweep_digest(sequences: list[tuple[str, SplittingSequence]], p: int, refine: bool) -> str:
+    certificates = [
+        {"theta": theta, "certificate": certify(seq, p, refine).to_json_dict()} for theta, seq in sequences
+    ]
     text = json.dumps(certificates, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -69,15 +78,17 @@ def main(argv=None) -> int:
     expected = recorded()
     bad = 0
     for spec in args.types:
+        cpu, wall = time.process_time(), time.perf_counter()
+        sequences = facet_sequences(spec)
         for p in PRIMES:
             for refine in (False, True):
                 key = sweep_key(spec, p, refine)
-                cpu, wall = time.process_time(), time.perf_counter()
-                digest = sweep_digest(spec, p, refine)
-                cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+                digest = sweep_digest(sequences, p, refine)
                 verdict = "ok" if expected[key] == digest else "MISMATCH"
                 bad += verdict != "ok"
-                print(f"{key:10} {verdict:8} cpu {cpu:6.2f} s  wall {wall:6.2f} s  {digest}")
+                print(f"{key:10} {verdict:8} {digest}")
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        print(f"{spec:10} {len(sequences)} facets, {2 * len(PRIMES)} sweeps: cpu {cpu:6.2f} s  wall {wall:6.2f} s")
     return 1 if bad else 0
 
 

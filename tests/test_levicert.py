@@ -28,6 +28,7 @@ from parahoric.charring import (
     exterior_square,
 )
 from parahoric.levicert import CERTIFIED, CONDITIONAL, INCONCLUSIVE, SplittingSequence
+from parahoric.rootdata import InvariantViolation, _datum_structure
 
 from _oracles import aggregate_expansion, chi_expand_pairwise, evaluate_chi_sum, from_parahoric_by_conjugates
 
@@ -223,14 +224,67 @@ def test_dims_follow_the_layers():
     a2 = build_root_datum("A2")
     seq = SplittingSequence(a2, (Character(a2, {(1, 1): 1}),))
     assert seq.dims == (6,)
+    assert seq.expansions == (VirtualChiSum({(1, 1): 1, (0, 0): -2}),)
     with pytest.raises(TypeError):
         SplittingSequence(a2, seq.layers, (1,))
     replaced = dataclasses.replace(seq, layers=seq.layers + (Character(a2, {(0, 0): 2}),))
     assert replaced.dims == (6, 2)
-    # from_parahoric counts weights; a replaced sequence sums its characters
+    assert replaced.expansions == seq.expansions + (VirtualChiSum({(0, 0): 2}),)
+    # from_parahoric counts weights and sums chi over them; a replaced
+    # sequence sums its characters and expands them again
     counted = from_parahoric(_model("A2", "0,2"))
     assert counted.dims == (4,)
-    assert dataclasses.replace(counted, layers=counted.layers * 2).dims == (4, 4)
+    assert counted.expansions == (VirtualChiSum({(1, 1): 1, (-2, 1): 1}),)
+    twice = dataclasses.replace(counted, layers=counted.layers * 2)
+    assert twice.dims == (4, 4)
+    assert twice.expansions == counted.expansions * 2
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "C3", "C4", "G2", "D4", "A1xA1+T1", "B2xG2", "F4", "E6"])
+def test_brauer_klimyk_expansions_match_freudenthal(name):
+    # from_parahoric sums chi over each layer's weights on root indices;
+    # chi_expand peels the layer character by Freudenthal's recursion
+    rd = build_root_datum(name)
+    basis = extended_basis(rd)
+    for theta in enumerate_facets(rd, basis):
+        seq = from_parahoric(parahoric_model(rd, theta, basis))
+        assert seq.expansions == tuple(map(chi_expand, seq.layers)), theta
+        assert seq.expansions == SplittingSequence(seq.quotient_datum, seq.layers).expansions, theta
+        total = {}
+        for expansion in seq.expansions:
+            for w, c in expansion.coeffs.items():
+                total[w] = total.get(w, 0) + c
+        assert {w: c for w, c in total.items() if c} == aggregate_expansion(seq).coeffs, theta
+
+
+def _stray_b3_walk(target):
+    """B3 at the facet {1}, where (1, 1, -2) is the one layer weight that
+    walks: s_3 . (1, 1, -2) = (1, 1, -2) + alpha_3.  The sum row of alpha_3 on
+    a B3 structure of its own is made to send it to ``target``: None, or
+    "self" for (1, 1, -2) itself."""
+    rd = _datum_structure.__wrapped__("B3")
+    basis = extended_basis(rd)
+    model = parahoric_model(rd, parse_facet_spec("1", basis), basis)
+    a, w = (rd.root_index[c] for c in [(0, -1, 2), (1, 1, -2)])
+    sums = list(rd.sum_row(a))
+    sums[w] = w if target == "self" else target
+    rd.tables.sum_rows[a] = tuple(sums)
+    return model
+
+
+def test_a_dot_walk_that_finds_no_root_or_never_ends_raises():
+    with pytest.raises(InvariantViolation, match=r"dot walk finds no root above \(1, 1, -2\)"):
+        from_parahoric(_stray_b3_walk(None))
+    # a row that keeps the weight where it is walks it forever
+    with pytest.raises(InvariantViolation, match="dot walk takes more than 3 steps"):
+        from_parahoric(_stray_b3_walk("self"))
+
+
+def test_rule_lookup_names_a_missing_rule():
+    cert = certify(from_parahoric(_model("A2", "0,2")), 5)
+    assert cert.rule("E2")["id"] == "E2"
+    with pytest.raises(KeyError, match="'X'"):
+        cert.rule("X")
 
 
 def test_e1_sums_the_layer_expansions_dropping_cancelled_terms():

@@ -298,7 +298,8 @@ def test_root_lattice_coords_constructive():
 def test_invariant_violation_survives_optimize_flag():
     code = (
         "from parahoric import (Character, InvariantViolation, SimpleLedger, build_root_datum,\n"
-        "                       chi_char, resolve_simple, sub_root_datum)\n"
+        "                       chi_char, extended_basis, from_parahoric, parahoric_model,\n"
+        "                       parse_facet_spec, resolve_simple, sub_root_datum)\n"
         "from parahoric.jantzen import LOWEST_ALCOVE, LedgerEntry\n"
         "from parahoric.rootdata import classify_cartan\n"
         "a2 = build_root_datum('A2')\n"
@@ -345,6 +346,15 @@ def test_invariant_violation_survives_optimize_flag():
         "    s1 = fresh.simple_indices[0][0]\n"
         "    fresh.tables.reflection_rows[s1] = tuple(range(len(fresh.roots)))\n"
         "    fresh.stabilizer_orbits((0,))\n"
+        "def stray_walk():  # B3 at {1}: alpha_3's sum row sends (1, 1, -2) to alpha_3, out of the layer\n"
+        "    b3 = rootdata._datum_structure.__wrapped__('B3')\n"
+        "    basis = extended_basis(b3)\n"
+        "    model = parahoric_model(b3, parse_facet_spec('1', basis), basis)\n"
+        "    a, w = (b3.root_index[c] for c in [(0, -1, 2), (1, 1, -2)])\n"
+        "    sums = list(b3.sum_row(a))\n"
+        "    sums[w] = a\n"
+        "    b3.tables.sum_rows[a] = tuple(sums)\n"
+        "    from_parahoric(model)\n"
         "for make in (lambda: sub_root_datum(a2, [(1, 0), (-1, 0)]),\n"
         "             lambda: Character(a2, {(-1, 0): 1}),\n"
         "             lambda: SimpleLedger(a2, 3, {(0, 0): LedgerEntry(chi_char(a2, (0, 0)), LOWEST_ALCOVE, {})}).merge(conflicting),\n"
@@ -356,7 +366,8 @@ def test_invariant_violation_survives_optimize_flag():
         "             lambda: sub_root_datum(build_root_datum('C2'), [(2, -1), (-2, 1), (0, 1), (0, -1)]),\n"
         "             swapped_row,\n"
         "             tampered_coroot,\n"
-        "             dropped_generator):\n"
+        "             dropped_generator,\n"
+        "             stray_walk):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantViolation as exc:\n"
@@ -368,7 +379,7 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 13
     assert lines[0].startswith("raised: subset contains non-roots")
     assert lines[1].startswith("raised: character keys must be dominant")
     assert lines[2].startswith("raised: merged ledgers disagree on ch L((0, 0))")
@@ -387,6 +398,7 @@ def test_invariant_violation_survives_optimize_flag():
     assert lines[11] == (
         "raised: the top Root(-1,2) of a W_J-orbit (J = (0,)) pairs negatively with a simple coroot of J"
     )
+    assert lines[12] == "raised: dot walk leaves its layer at (0, -1, 2)"
 
 
 def test_torus_factors():
