@@ -4,6 +4,8 @@ One binary with subcommands; every numeric field in a report is an exact
 integer rendered in decimal.  ``--json`` wraps the command output in a
 report envelope ``{command, inputs, outputs, tool_version, elapsed_ms}``.
 Exit codes: 0 ok, 1 usage error, 2 verification mismatch, 3 internal error.
+Each subcommand imports only the library layers it reads, inside its
+``cmd_*`` function, so a process pays to load nothing else.
 """
 
 from __future__ import annotations
@@ -16,16 +18,6 @@ import time
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .affine import (
-    classify_quotient,
-    enumerate_facets,
-    extended_basis,
-    parahoric_model,
-    parse_facet_spec,
-)
-from .charring import DiskCharacters, character_to_json, chi_char, dim, dual, tensor
-from .jantzen import SimpleLedger, ext2_chain, jantzen_report, jantzen_sum
-from .levicert import certify, from_parahoric, unitary_report
 from .rootdata import InvariantViolation, Weight, build_root_datum, parse_weight_key, weight_key
 
 USAGE_ERROR = 1
@@ -42,7 +34,10 @@ def default_cache_dir() -> str:
 
 
 def _datum(args, spec: str):
-    """The datum of ``spec``, its characters kept on disk unless --no-cache."""
+    """The datum of ``spec``, its characters kept on disk unless --no-cache.
+    Only the commands that compute characters of it call this."""
+    from .charring import DiskCharacters
+
     rd = build_root_datum(spec)
     if not args.no_cache:
         rd.chi_cache = DiskCharacters(rd, default_cache_dir())
@@ -70,7 +65,9 @@ class Report(NamedTuple):
 
 
 def cmd_rootsys(args) -> Report:
-    rd = _datum(args, args.type)
+    from .affine import extended_basis
+
+    rd = build_root_datum(args.type)
     lines = [f"type {rd.spec_string}: rank {rd.n}, {len(rd.roots)} roots"]
     components = []
     if rd.num_components:
@@ -103,7 +100,9 @@ def cmd_rootsys(args) -> Report:
 
 
 def cmd_facets(args) -> Report:
-    rd = _datum(args, args.type)
+    from .affine import classify_quotient, enumerate_facets, extended_basis, parahoric_model
+
+    rd = build_root_datum(args.type)
     basis = extended_basis(rd)
     thetas = enumerate_facets(rd, basis)
     rows = []
@@ -127,7 +126,9 @@ def cmd_facets(args) -> Report:
 
 def _facet_model(args):
     """The parahoric model of the datum --type at the facet --theta."""
-    rd = _datum(args, args.type)
+    from .affine import extended_basis, parahoric_model, parse_facet_spec
+
+    rd = build_root_datum(args.type)
     basis = extended_basis(rd)
     return parahoric_model(rd, parse_facet_spec(args.theta, basis), basis)
 
@@ -147,6 +148,8 @@ def cmd_parahoric(args) -> Report:
 
 
 def cmd_levi(args) -> Report:
+    from .levicert import certify, from_parahoric
+
     model = _facet_model(args)
     rd, theta = model.datum, model.theta
     cert = certify(from_parahoric(model), args.p, args.rank_refinement)
@@ -169,6 +172,8 @@ def cmd_levi(args) -> Report:
 
 
 def cmd_character(args) -> Report:
+    from .charring import character_to_json, chi_char, dim
+
     rd = _datum(args, args.type)
     lam = _weight(args, rd)
     ch = chi_char(rd, lam)
@@ -187,6 +192,8 @@ def cmd_character(args) -> Report:
 
 
 def cmd_jantzen(args) -> Report:
+    from .jantzen import jantzen_report
+
     rd = _datum(args, args.type)
     lam = _weight(args, rd)
     report = jantzen_report(rd, args.p, lam)
@@ -209,6 +216,9 @@ def _verdict(outputs: dict, checks: dict, lines: list[str]) -> Report:
 
 
 def cmd_verify_sl3(args) -> Report:
+    from .charring import character_to_json, dim, dual, tensor
+    from .jantzen import SimpleLedger, ext2_chain, jantzen_sum
+
     p = args.p
     if p < 3:
         raise ValueError("p must be an odd prime at least 3")
@@ -249,6 +259,8 @@ def cmd_verify_sl3(args) -> Report:
 
 
 def cmd_verify_unitary(args) -> Report:
+    from .levicert import unitary_report
+
     report = unitary_report(args.n, args.p)
     n = args.n
     w2_key = weight_key(tuple(1 if i == 1 else 0 for i in range(n)))

@@ -27,7 +27,18 @@ from .charring import (
     chi_char,
     dim,
 )
-from .rootdata import InvariantViolation, NotDominant, Root, RootDatum, Weight, dot, weight_key, wsub
+from .rootdata import (
+    InvariantViolation,
+    NotDominant,
+    NotPrime,
+    Root,
+    RootDatum,
+    Weight,
+    dot,
+    is_prime,
+    weight_key,
+    wsub,
+)
 
 __all__ = [
     "NotPrime",
@@ -47,27 +58,12 @@ __all__ = [
 ]
 
 
-class NotPrime(ValueError):
-    """Raised when a characteristic argument is not a prime."""
-
-
 class HypothesisUnmet(ValueError):
     """Raised when a derivation's hypotheses are not certified."""
 
 
 LOWEST_ALCOVE = "lowest_alcove"
 JANTZEN_RESOLVED = "jantzen_resolved"
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def _require_prime(p: int):
@@ -138,8 +134,7 @@ class SimpleLedger:
     :func:`resolve_simple` memoizes both outcomes in it: derived simples go
     to ``entries``, weights the shallow rules cannot resolve go to
     ``undetermined``.  That verdict depends only on (datum, p, lam), so it
-    never goes stale.  Concurrent ledgers can be combined with ``merge``,
-    which takes the union and insists on equality where entries overlap.
+    never goes stale.
     """
 
     datum: RootDatum
@@ -152,17 +147,6 @@ class SimpleLedger:
 
     def get(self, lam: Weight) -> LedgerEntry | None:
         return self.entries.get(lam)
-
-    def merge(self, other: "SimpleLedger") -> "SimpleLedger":
-        _check_ledger(other, self.datum, self.p)
-        merged = dict(self.entries)
-        for lam, entry in other.entries.items():
-            if lam not in merged:
-                merged[lam] = entry
-            elif merged[lam].char != entry.char:
-                raise InvariantViolation(f"merged ledgers disagree on ch L({lam})")
-        undetermined = (self.undetermined | other.undetermined) - merged.keys()
-        return SimpleLedger(self.datum, self.p, merged, undetermined)
 
 
 def _check_ledger(ledger: SimpleLedger, rd: RootDatum, p: int):

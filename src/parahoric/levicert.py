@@ -41,9 +41,9 @@ coefficients dropped, and is not expanded again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import obs
-from .affine import ParahoricModel
 from .charring import (
     Character,
     VirtualChiSum,
@@ -54,8 +54,10 @@ from .charring import (
     dim,
     exterior_square,
 )
-from .jantzen import NotPrime, is_prime
-from .rootdata import InvariantViolation, RootDatum, Weight, build_root_datum
+from .rootdata import InvariantViolation, NotPrime, RootDatum, Weight, build_root_datum, is_prime
+
+if TYPE_CHECKING:
+    from .affine import ParahoricModel
 
 __all__ = [
     "SplittingSequence",
@@ -101,10 +103,6 @@ class SplittingSequence:
             raise InvariantViolation("a layer character lives over another root datum")
         object.__setattr__(self, "dims", tuple(dim(ch) for ch in self.layers))
         object.__setattr__(self, "expansions", tuple(chi_expand(ch) for ch in self.layers))
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
 
 
 def from_parahoric(model: ParahoricModel) -> SplittingSequence:
@@ -308,7 +306,8 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
         for w, c in expansion.coeffs.items():
             aggregate[w] = aggregate.get(w, 0) + c
     aggregate_expansion = VirtualChiSum({w: c for w, c in aggregate.items() if c})
-    e1_ok = total_dim <= bound and aggregate_expansion.is_nonnegative()
+    nonnegative = aggregate_expansion.is_nonnegative()
+    e1_ok = total_dim <= bound and nonnegative
     rules.append(
         {
             "id": "E1",
@@ -320,7 +319,7 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
                 "total_dim": total_dim,
                 "bound": bound,
                 "expansion": character_to_json(aggregate_expansion.coeffs),
-                "nonnegative": aggregate_expansion.is_nonnegative(),
+                "nonnegative": nonnegative,
             },
             "satisfied": e1_ok,
         }
@@ -329,15 +328,15 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
     layer_values = []
     e2_ok = True
     for expansion, d in zip(expansions, dims):
-        good = d <= p and expansion.is_nonnegative()
+        nonnegative = expansion.is_nonnegative()
         layer_values.append(
             {
                 "dim": d,
                 "expansion": character_to_json(expansion.coeffs),
-                "nonnegative": expansion.is_nonnegative(),
+                "nonnegative": nonnegative,
             }
         )
-        e2_ok = e2_ok and good
+        e2_ok = e2_ok and d <= p and nonnegative
     rules.append(
         {
             "id": "E2",

@@ -31,7 +31,7 @@ root indices: a quotient replays the recipe and a W_J-orbit is a closure
 through the :meth:`RootDatum.reflection_row` of each simple root in J.
 Coordinates are reflected only to build those rows and the Weyl orbits of
 weights.  :func:`chamber_walk` walks simple pairings into the dominant
-chamber.  It gives :meth:`RootDatum.dominant_conjugate`, the dominant
+chamber.  It gives the dominant conjugate of a weight, the dominant
 conjugates on the alpha-strings of Freudenthal's recursion in
 :mod:`parahoric.charring`, and, shifted by rho, the dot-action
 normalization :func:`parahoric.charring.chi_normalize`.
@@ -61,6 +61,7 @@ __all__ = [
     "IllegalRank",
     "NotDominant",
     "InvariantViolation",
+    "NotPrime",
     "parse_dynkin_spec",
     "build_root_datum",
     "sub_root_datum",
@@ -89,6 +90,21 @@ class InvariantViolation(ArithmeticError):
     These checks are explicit raises, not ``assert``, so they also run under
     ``python -O``.
     """
+
+
+class NotPrime(ValueError):
+    """Raised when a characteristic argument is not a prime."""
+
+
+def is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    f = 2
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 1
+    return True
 
 
 def wadd(a: Weight, b: Weight) -> Weight:
@@ -612,16 +628,11 @@ class RootDatum:
         orbit = closure({lam: None}, lambda w, _: ((self.reflect(a, w), None) for a in self.simple_roots))
         return tuple(sorted(orbit))
 
-    def dominant_conjugate(self, lam: Weight) -> Weight:
-        """The unique dominant member of the Weyl orbit of ``lam``:
-        :func:`chamber_walk` on the pairings ``<lam, alpha_i^vee>``, and
-        ``lam`` rebuilt once from the simple-root coefficients it adds."""
-        self.check_weights(lam)
-        return self._dominant_conjugate(lam)
-
     def _dominant_conjugate(self, lam: Weight) -> Weight:
-        """:meth:`dominant_conjugate` without the length check, for weights
-        checked already."""
+        """The unique dominant member of the Weyl orbit of ``lam``, a weight
+        checked already: :func:`chamber_walk` on the pairings ``<lam,
+        alpha_i^vee>``, and ``lam`` rebuilt once from the simple-root
+        coefficients it adds."""
         pairs = [dot(lam, f) for f in self.simple_coroots]
         added, steps = chamber_walk(pairs, self.linear_tables().cartan_columns, len(self.positive_roots))
         return combine(added, self.simple_coords, lam) if steps else lam

@@ -32,6 +32,9 @@ extended basis and quotient datum.  The chi-expansion of a raw weight map,
 with negative entries allowed, and the evaluation of a chi-sum test their
 weights for dominance and then run on the library's greedy expansion and
 its cached multiplicity maps; no library code reads them.
+Two operations that only tests read live here too, on library code: the
+dominant conjugate of a length-checked weight, on the library's chamber
+walk, and the merge of two ledgers, on the library's ledger check.
 """
 
 import itertools
@@ -44,6 +47,8 @@ from parahoric.jantzen import (
     JANTZEN_RESOLVED,
     LOWEST_ALCOVE,
     LedgerEntry,
+    SimpleLedger,
+    _check_ledger,
     jantzen_sum,
     lowest_alcove_test,
 )
@@ -290,6 +295,27 @@ def c2_w2_weights():
             )
     sums.remove((0, 0))
     return sorted(sums)
+
+
+def dominant_conjugate(datum, lam):
+    """The unique dominant member of the Weyl orbit of ``lam``, after the
+    length check of the library's public weight entry points."""
+    datum.check_weights(lam)
+    return datum._dominant_conjugate(lam)
+
+
+def merge_ledgers(left, right):
+    """The union of two ledgers at one (datum, p); where their entries
+    overlap they must agree."""
+    _check_ledger(right, left.datum, left.p)
+    merged = dict(left.entries)
+    for lam, entry in right.entries.items():
+        if lam not in merged:
+            merged[lam] = entry
+        elif merged[lam].char != entry.char:
+            raise InvariantViolation(f"merged ledgers disagree on ch L({lam})")
+    undetermined = (left.undetermined | right.undetermined) - merged.keys()
+    return SimpleLedger(left.datum, left.p, merged, undetermined)
 
 
 def dominant_conjugate_by_reflection(datum, lam):
@@ -683,7 +709,7 @@ def from_parahoric_by_conjugates(model):
     for weights in model.layers:
         mult = {}
         for w in weights:
-            key = datum.dominant_conjugate(w)
+            key = datum._dominant_conjugate(w)
             mult[key] = mult.get(key, 0) + 1
         compressed = {}
         for w, m in mult.items():

@@ -41,6 +41,7 @@ from _oracles import (
     chi_expand_pairwise,
     dominant_below_box_scan,
     dominant_below_by_weights,
+    dominant_conjugate,
     evaluate_chi_sum,
     sl3_adjoint_weights,
 )
@@ -272,7 +273,7 @@ def test_second_moment_identity_on_classical_and_g2_characters(name, lam):
         lambda a2: resolve_simple(a2, 5, (1,), SimpleLedger(a2, 5)),
         lambda a2: Character(a2, {(1,): 1}),
         lambda a2: a2.weyl_orbit((1,)),
-        lambda a2: a2.dominant_conjugate((1,)),
+        lambda a2: dominant_conjugate(a2, (1,)),
         lambda a2: a2.dominance_leq((1,), (1, 0)),
         lambda a2: chi_normalize(a2, (1,)),
         lambda a2: lowest_alcove_test(a2, 5, (1,)),

@@ -163,16 +163,16 @@ def test_json_roundtrip(capsys):
 
 def test_verify_mismatch_exits_2(capsys, monkeypatch):
     # force a wrong report so the self-judging exit code can be observed
-    import parahoric.cli as cli_mod
+    import parahoric.levicert as levicert
 
-    real = cli_mod.unitary_report
+    real = levicert.unitary_report
 
     def broken(n, p):
         report = dict(real(n, p))
         report["dim_lambda2"] += 1
         return report
 
-    monkeypatch.setattr(cli_mod, "unitary_report", broken)
+    monkeypatch.setattr(levicert, "unitary_report", broken)
     assert main(["verify-unitary", "--n", "2", "--p", "3"]) == 2
     capsys.readouterr()
 
@@ -373,12 +373,10 @@ def test_unwritable_cache_is_a_miss(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_unexpected_exceptions_exit_3(monkeypatch, capsys):
-    import parahoric.cli as cli_mod
-
     def broken(rd, lam):
         raise KeyError("boom")
 
-    monkeypatch.setattr(cli_mod, "chi_char", broken)
+    monkeypatch.setattr(charring, "chi_char", broken)
     assert main(["character", "--type", "A2", "--weight", "1,1", "--no-cache"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err

@@ -44,7 +44,7 @@ def _model(name, theta_text):
 def test_from_parahoric_hyperspecial():
     seq = from_parahoric(_model("A1", "1"))
     assert seq.layers == ()
-    assert seq.total_dim == 0
+    assert sum(seq.dims) == 0
 
 
 def test_from_parahoric_a1_iwahori():
@@ -161,7 +161,7 @@ def test_traces_reevaluate():
                 e1["values"]["total_dim"] <= e1["values"]["bound"]
                 and e1["values"]["nonnegative"]
             )
-            assert e1["values"]["total_dim"] == seq.total_dim
+            assert e1["values"]["total_dim"] == sum(seq.dims)
             e2 = cert.rule("E2")
             assert e2["satisfied"] == all(
                 layer["dim"] <= e2["values"]["p"] and layer["nonnegative"]
