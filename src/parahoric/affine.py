@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .rootdata import (
     DynkinSpec,
@@ -64,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(NamedTuple):
     """An affine root (gradient, level)."""
 
     gradient: Root
@@ -75,8 +73,7 @@ class AffineRoot:
         return f"AffineRoot({weight_key(self.gradient.coords)}; {self.level})"
 
 
-@dataclass(frozen=True)
-class ComponentBasis:
+class ComponentBasis(NamedTuple):
     """Extended basis of one component: simple roots at level 0, then the
     affine node.  ``marks`` solves delta = sum marks[i] * elements[i].
 
@@ -104,8 +101,7 @@ class ComponentBasis:
         return len(self.elements) - 1
 
 
-@dataclass(frozen=True)
-class AffineBasis:
+class AffineBasis(NamedTuple):
     """The extended bases of a datum's components, each with the tables
     that a sweep over the facets reads: the extended Cartan matrix that
     :func:`quotient_by_deletion` deletes nodes from, the coefficient
@@ -163,8 +159,7 @@ def extended_basis(rd: RootDatum) -> AffineBasis:
     return rd.tables.extended_basis
 
 
-@dataclass(frozen=True)
-class FacetSpec:
+class FacetSpec(NamedTuple):
     """Per-component index subsets of the extended basis, each nonempty and
     strictly increasing; every function that takes one checks it against its
     basis."""
@@ -227,8 +222,7 @@ def enumerate_facets(rd: RootDatum, basis: AffineBasis | None = None) -> list[Fa
     return [FacetSpec(combo) for combo in itertools.product(*per_component)]
 
 
-@dataclass(frozen=True)
-class ParahoricModel:
+class ParahoricModel(NamedTuple):
     """Weight-level model of a parahoric special fiber at one facet.
 
     ``quotient_roots`` (ambient order) span the reductive quotient;

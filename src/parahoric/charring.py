@@ -32,12 +32,12 @@ import operator
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, field
 
 from . import __version__, obs
 from .rootdata import (
     InvariantViolation,
     NotDominant,
+    ReadOnly,
     RootDatum,
     Weight,
     chamber_walk,
@@ -72,19 +72,20 @@ class DatumMismatch(ValueError):
     """Raised when combining characters over different root data."""
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(ReadOnly):
     """Orbit-compressed W-invariant character: dominant weight -> mult > 0."""
 
-    datum: RootDatum
-    mult: dict[Weight, int] = field(default_factory=dict)
+    __slots__ = ("datum", "mult")
 
-    def __post_init__(self):
-        self.datum.check_weights(*self.mult)
-        if not all(m > 0 for m in self.mult.values()):
-            raise InvariantViolation(f"character multiplicities must be positive: {self.mult}")
-        if not all(self.datum.is_dominant(w) for w in self.mult):
-            raise InvariantViolation(f"character keys must be dominant: {list(self.mult)}")
+    def __init__(self, datum: RootDatum, mult: dict[Weight, int] | None = None):
+        mult = {} if mult is None else mult
+        datum.check_weights(*mult)
+        if not all(m > 0 for m in mult.values()):
+            raise InvariantViolation(f"character multiplicities must be positive: {mult}")
+        if not all(datum.is_dominant(w) for w in mult):
+            raise InvariantViolation(f"character keys must be dominant: {list(mult)}")
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "mult", mult)
 
     def __eq__(self, other):
         return (
@@ -112,15 +113,16 @@ def _trusted_character(datum: RootDatum, mult: dict[Weight, int]) -> Character:
     return ch
 
 
-@dataclass(frozen=True)
-class VirtualChiSum:
+class VirtualChiSum(ReadOnly):
     """Finitely supported integer combination of chi-basis elements."""
 
-    coeffs: dict[Weight, int] = field(default_factory=dict)
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not all(c != 0 for c in self.coeffs.values()):
-            raise InvariantViolation(f"chi-sum coefficients must be nonzero: {self.coeffs}")
+    def __init__(self, coeffs: dict[Weight, int] | None = None):
+        coeffs = {} if coeffs is None else coeffs
+        if not all(c != 0 for c in coeffs.values()):
+            raise InvariantViolation(f"chi-sum coefficients must be nonzero: {coeffs}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __eq__(self, other):
         return isinstance(other, VirtualChiSum) and self.coeffs == other.coeffs

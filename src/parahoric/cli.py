@@ -29,7 +29,9 @@ def default_cache_dir() -> str:
     env = os.environ.get("PARAHORIC_CACHE_DIR")
     if env:
         return env
-    base = os.environ.get("XDG_CACHE_HOME", os.path.join(os.path.expanduser("~"), ".cache"))
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # the XDG spec ignores an empty or relative value
+        base = os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "parahoric")
 
 

@@ -16,7 +16,7 @@ Anything deeper is reported as undetermined rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .charring import (
     Character,
@@ -120,14 +120,12 @@ def lowest_alcove_test(rd: RootDatum, p: int, lam: Weight) -> bool:
     return all(dot(lam, theta.coroot) + theta.coroot_height <= p for theta in rd.highest_coroots())
 
 
-@dataclass
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     char: Character
     provenance: str
     radical: dict[Weight, int]  # simple factors of rad V, completely reducible
 
 
-@dataclass
 class SimpleLedger:
     """Known simple characters at a fixed prime, with their provenance.
 
@@ -137,13 +135,20 @@ class SimpleLedger:
     never goes stale.
     """
 
-    datum: RootDatum
-    p: int
-    entries: dict[Weight, LedgerEntry] = field(default_factory=dict)
-    undetermined: set[Weight] = field(default_factory=set)
+    __slots__ = ("datum", "p", "entries", "undetermined")
 
-    def __post_init__(self):
-        _require_prime(self.p)
+    def __init__(
+        self,
+        datum: RootDatum,
+        p: int,
+        entries: dict[Weight, LedgerEntry] | None = None,
+        undetermined: set[Weight] | None = None,
+    ):
+        _require_prime(p)
+        self.datum = datum
+        self.p = p
+        self.entries = {} if entries is None else entries
+        self.undetermined = set() if undetermined is None else undetermined
 
     def get(self, lam: Weight) -> LedgerEntry | None:
         return self.entries.get(lam)
@@ -261,8 +266,7 @@ def ext2_chain(rd: RootDatum, p: int, lam: Weight, mu: Weight, gamma: Weight, le
     return ext1_dim(rd, p, mu, gamma, ledger)
 
 
-@dataclass(frozen=True)
-class JantzenReport:
+class JantzenReport(NamedTuple):
     lam: Weight
     p: int
     J: VirtualChiSum

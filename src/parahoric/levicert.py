@@ -40,7 +40,6 @@ coefficients dropped, and is not expanded again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import obs
@@ -54,7 +53,7 @@ from .charring import (
     dim,
     exterior_square,
 )
-from .rootdata import InvariantViolation, NotPrime, RootDatum, Weight, build_root_datum, is_prime
+from .rootdata import InvariantViolation, NotPrime, ReadOnly, RootDatum, Weight, build_root_datum, is_prime
 
 if TYPE_CHECKING:
     from .affine import ParahoricModel
@@ -80,29 +79,27 @@ TORUS_RULE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class SplittingSequence:
+class SplittingSequence(ReadOnly):
     """Radical layer characters V_0, ..., V_{n-1} over the reductive quotient.
 
     ``dims`` holds the layer dimensions and ``expansions`` their expansions
-    in the chi basis.  Neither is a constructor argument: construction, and
-    so :func:`dataclasses.replace`, sums the dims from the characters and
-    expands each layer by :func:`parahoric.charring.chi_expand` once, so
-    both always agree with ``layers``.  Only :func:`from_parahoric` fills
-    them otherwise, from the weights of layers it has checked to be whole
-    orbits: the weight counts and the Brauer-Klimyk sums.
+    in the chi basis.  Neither is a constructor argument: construction sums
+    the dims from the characters and expands each layer by
+    :func:`parahoric.charring.chi_expand` once, so both always agree with
+    ``layers``.  Only :func:`from_parahoric` fills them otherwise, from the
+    weights of layers it has checked to be whole orbits: the weight counts
+    and the Brauer-Klimyk sums.
     """
 
-    quotient_datum: RootDatum
-    layers: tuple[Character, ...]
-    dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    expansions: tuple[VirtualChiSum, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("quotient_datum", "layers", "dims", "expansions")
 
-    def __post_init__(self):
-        if not all(ch.datum.same_datum(self.quotient_datum) for ch in self.layers):
+    def __init__(self, quotient_datum: RootDatum, layers: tuple[Character, ...]):
+        if not all(ch.datum.same_datum(quotient_datum) for ch in layers):
             raise InvariantViolation("a layer character lives over another root datum")
-        object.__setattr__(self, "dims", tuple(dim(ch) for ch in self.layers))
-        object.__setattr__(self, "expansions", tuple(chi_expand(ch) for ch in self.layers))
+        object.__setattr__(self, "quotient_datum", quotient_datum)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "dims", tuple(dim(ch) for ch in layers))
+        object.__setattr__(self, "expansions", tuple(chi_expand(ch) for ch in layers))
 
 
 def from_parahoric(model: ParahoricModel) -> SplittingSequence:
@@ -225,12 +222,16 @@ def _dot_walk(j: int, step, gens, roots, members: set[int], bound: int) -> tuple
     return sign, roots[j].coords
 
 
-@dataclass
 class LeviCertificate:
-    existence: str
-    conjugacy: str
-    rules: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("existence", "conjugacy", "rules", "notes")
+
+    def __init__(
+        self, existence: str, conjugacy: str, rules: list[dict] | None = None, notes: list[str] | None = None
+    ):
+        self.existence = existence
+        self.conjugacy = conjugacy
+        self.rules = [] if rules is None else rules
+        self.notes = [] if notes is None else notes
 
     def rule(self, rule_id: str) -> dict:
         for r in self.rules:

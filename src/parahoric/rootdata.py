@@ -43,7 +43,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import obs
@@ -151,21 +150,51 @@ _LEGAL_RANKS = {
 }
 
 
-@dataclass(frozen=True)
-class DynkinSpec:
+class ReadOnly:
+    """Base of the records whose fields are set once: ``__init__`` sets each
+    slot by ``object.__setattr__``, and assigning or deleting a field later
+    raises ``AttributeError``.  ``__setstate__`` refills the slots the same
+    way, for ``copy`` and ``pickle``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class DynkinSpec(ReadOnly):
     """A product of irreducible Dynkin types plus an optional central torus."""
 
-    components: tuple[tuple[str, int], ...]
-    extra_torus_rank: int = 0
+    __slots__ = ("components", "extra_torus_rank")
 
-    def __post_init__(self):
-        for family, rank in self.components:
+    def __init__(self, components: tuple[tuple[str, int], ...], extra_torus_rank: int = 0):
+        for family, rank in components:
             if family not in _LEGAL_RANKS:
                 raise IllegalRank(f"unknown family {family!r}")
             if not _LEGAL_RANKS[family](rank):
                 raise IllegalRank(f"illegal rank {rank} for family {family}")
-        if self.extra_torus_rank < 0:
+        if extra_torus_rank < 0:
             raise IllegalRank("torus rank must be nonnegative")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "extra_torus_rank", extra_torus_rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components and self.extra_torus_rank == other.extra_torus_rank
+
+    def __hash__(self):
+        return hash((self.components, self.extra_torus_rank))
+
+    def __repr__(self) -> str:
+        return f"DynkinSpec(components={self.components!r}, extra_torus_rank={self.extra_torus_rank!r})"
 
     @property
     def semisimple_rank(self) -> int:
@@ -273,8 +302,7 @@ def _cartan_and_symmetrizer(family: str, rank: int) -> tuple[list[list[int]], li
 # Roots and data
 
 
-@dataclass(frozen=True, slots=True)
-class Root:
+class Root(ReadOnly):
     """A root of a datum, with all derived integer data precomputed.
 
     ``coords`` are ambient fundamental-weight coordinates.  ``simple_coeffs``
@@ -288,18 +316,33 @@ class Root:
     ``coroot_coeffs``, are stored at construction.
     """
 
-    coords: Weight
-    simple_coeffs: tuple[int, ...]
-    component: int
-    coroot: Weight
-    coroot_coeffs: tuple[int, ...]
-    form: Weight
-    height: int = field(init=False, compare=False)
-    coroot_height: int = field(init=False, compare=False)
+    __slots__ = ("coords", "simple_coeffs", "component", "coroot", "coroot_coeffs", "form", "height", "coroot_height")
 
-    def __post_init__(self):
-        object.__setattr__(self, "height", sum(self.simple_coeffs))
-        object.__setattr__(self, "coroot_height", sum(self.coroot_coeffs))
+    def __init__(
+        self, coords: Weight, simple_coeffs: tuple[int, ...], component: int, coroot: Weight,
+        coroot_coeffs: tuple[int, ...], form: Weight,
+    ):
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "simple_coeffs", simple_coeffs)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "coroot", coroot)
+        object.__setattr__(self, "coroot_coeffs", coroot_coeffs)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "height", sum(simple_coeffs))
+        object.__setattr__(self, "coroot_height", sum(coroot_coeffs))
+
+    def _compared(self) -> tuple:
+        """The fields that equality and the hash read: all but the heights,
+        which follow from the coefficients."""
+        return self.coords, self.simple_coeffs, self.component, self.coroot, self.coroot_coeffs, self.form
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
 
     def __repr__(self) -> str:
         return f"Root({weight_key(self.coords)})"
@@ -450,7 +493,6 @@ class LinearTables(NamedTuple):
     two_rho_coroot: Weight
 
 
-@dataclass(slots=True)
 class DatumTables:
     """The tables of a datum filled in on first use, each by one accessor:
     by J, the W_J-orbit tables of :meth:`RootDatum.stabilizer_orbits`,
@@ -475,16 +517,30 @@ class DatumTables:
     and each :func:`sub_root_datum` gets a new one, whose tables a facet
     sweep that only models and classifies never builds."""
 
-    orbits: dict[tuple[int, ...], tuple[tuple[Weight, tuple[int, ...], int, int], ...]] = field(default_factory=dict)
-    orbit_sizes: dict[tuple[int, ...], int] = field(default_factory=dict)
-    closure_rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = field(
-        default_factory=dict
+    __slots__ = (
+        "orbits", "orbit_sizes", "closure_rows", "reflection_rows", "sum_rows", "linear", "highest_coroots",
+        "extended_basis",
     )
-    reflection_rows: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    sum_rows: dict[int, tuple[int | None, ...]] = field(default_factory=dict)
-    linear: LinearTables | None = None
-    highest_coroots: tuple[Root, ...] | None = None
-    extended_basis: AffineBasis | None = None
+
+    def __init__(
+        self,
+        orbits: dict[tuple[int, ...], tuple[tuple[Weight, tuple[int, ...], int, int], ...]] | None = None,
+        orbit_sizes: dict[tuple[int, ...], int] | None = None,
+        closure_rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] | None = None,
+        reflection_rows: dict[int, tuple[int, ...]] | None = None,
+        sum_rows: dict[int, tuple[int | None, ...]] | None = None,
+        linear: LinearTables | None = None,
+        highest_coroots: tuple[Root, ...] | None = None,
+        extended_basis: AffineBasis | None = None,
+    ):
+        self.orbits = {} if orbits is None else orbits
+        self.orbit_sizes = {} if orbit_sizes is None else orbit_sizes
+        self.closure_rows = {} if closure_rows is None else closure_rows
+        self.reflection_rows = {} if reflection_rows is None else reflection_rows
+        self.sum_rows = {} if sum_rows is None else sum_rows
+        self.linear = linear
+        self.highest_coroots = highest_coroots
+        self.extended_basis = extended_basis
 
 
 class RootDatum:

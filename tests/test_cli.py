@@ -17,7 +17,7 @@ from parahoric import (
 )
 from parahoric import charring
 from parahoric.charring import DiskCharacters, character_to_json
-from parahoric.cli import COMMANDS, main
+from parahoric.cli import COMMANDS, default_cache_dir, main
 from parahoric.rootdata import DatumTables
 
 
@@ -429,3 +429,27 @@ def test_library_calls_write_no_files(tmp_path, monkeypatch):
     certify(from_parahoric(parahoric_model(b3, parse_facet_spec("0,1", basis), basis)), 5, True)
     unitary_report(3, 3)
     assert _files_under(tmp_path) == []
+
+
+@pytest.mark.parametrize("xdg", ["", "relative/cache"])
+def test_empty_or_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch, capsys, xdg):
+    # the XDG Base Directory spec treats both as unset: the cache goes under
+    # ~/.cache, never under the working directory
+    monkeypatch.delenv("PARAHORIC_CACHE_DIR")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert default_cache_dir() == str(tmp_path / "home" / ".cache" / "parahoric")
+    assert main(["character", "--type", "A2", "--weight", "1,0"]) == 0
+    capsys.readouterr()
+    assert _files_under(work) == []
+    assert _files_under(tmp_path / "home" / ".cache" / "parahoric")
+
+
+def test_cache_dir_precedence(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert default_cache_dir() == str(tmp_path / "cache")  # PARAHORIC_CACHE_DIR, set for every test
+    monkeypatch.delenv("PARAHORIC_CACHE_DIR")
+    assert default_cache_dir() == str(tmp_path / "xdg" / "parahoric")

@@ -99,3 +99,40 @@ def test_each_subcommand_loads_only_its_layers(argv, absent):
     loaded = _loaded(code)
     assert "parahoric.rootdata" in loaded
     assert not loaded & {f"parahoric.{name}" for name in absent}, loaded
+
+
+#: The standard-library modules that ``dataclasses`` brought into every
+#: process: the library's records are written without them.
+RECORD_MACHINERY = ("dataclasses", "inspect")
+
+SUBCOMMANDS = [
+    ["rootsys", "--type", "B2"],
+    ["facets", "--type", "G2"],
+    ["parahoric", "--type", "B3", "--theta", "0,1"],
+    ["levi", "--type", "B3", "--theta", "0,1", "--p", "5"],
+    ["character", "--type", "A2", "--weight", "1,1"],
+    ["jantzen", "--type", "A2", "--weight", "5,0", "--p", "5"],
+    ["verify-sl3", "--p", "3"],
+    ["verify-unitary", "--n", "2", "--p", "3"],
+]
+
+
+def _machinery_loaded(code):
+    """Which of :data:`RECORD_MACHINERY` are loaded once ``code`` has run."""
+    return _run(f"{code}\nimport sys\nprint(*[m for m in {RECORD_MACHINERY!r} if m in sys.modules])")
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[argv[0] for argv in SUBCOMMANDS])
+def test_no_subcommand_loads_dataclasses_or_inspect(argv):
+    code = (
+        "import contextlib, io\n"
+        "from parahoric.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    assert _machinery_loaded(code) == [""]
+
+
+@pytest.mark.parametrize("module", ["affine", "charring", "jantzen", "levicert", "obs", "rootdata"])
+def test_no_module_loads_dataclasses_or_inspect(module):
+    assert _machinery_loaded(f"import parahoric.{module}") == [""]

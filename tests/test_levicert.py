@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import subprocess
@@ -227,15 +226,15 @@ def test_dims_follow_the_layers():
     assert seq.expansions == (VirtualChiSum({(1, 1): 1, (0, 0): -2}),)
     with pytest.raises(TypeError):
         SplittingSequence(a2, seq.layers, (1,))
-    replaced = dataclasses.replace(seq, layers=seq.layers + (Character(a2, {(0, 0): 2}),))
+    replaced = SplittingSequence(seq.quotient_datum, seq.layers + (Character(a2, {(0, 0): 2}),))
     assert replaced.dims == (6, 2)
     assert replaced.expansions == seq.expansions + (VirtualChiSum({(0, 0): 2}),)
-    # from_parahoric counts weights and sums chi over them; a replaced
+    # from_parahoric counts weights and sums chi over them; a constructed
     # sequence sums its characters and expands them again
     counted = from_parahoric(_model("A2", "0,2"))
     assert counted.dims == (4,)
     assert counted.expansions == (VirtualChiSum({(1, 1): 1, (-2, 1): 1}),)
-    twice = dataclasses.replace(counted, layers=counted.layers * 2)
+    twice = SplittingSequence(counted.quotient_datum, counted.layers * 2)
     assert twice.dims == (4, 4)
     assert twice.expansions == counted.expansions * 2
 
@@ -312,7 +311,6 @@ def test_e1_sums_the_layer_expansions_dropping_cancelled_terms():
 # that is no union of whole orbits of multiplicity one; a weight that is no
 # ambient root has no place in the reflection rows.
 BROKEN_LAYERS = (
-    "import dataclasses\n"
     "from parahoric import (InvariantViolation, build_root_datum, extended_basis, from_parahoric,\n"
     "                       parahoric_model, parse_facet_spec)\n"
     "rd = build_root_datum('B3')\n"
@@ -321,7 +319,7 @@ BROKEN_LAYERS = (
     "(layer,) = model.layers\n"
     "for broken in (layer[1:], layer + layer[:1], layer[1:] + ((9, 9, 9),)):\n"
     "    try:\n"
-    "        from_parahoric(dataclasses.replace(model, layers=(broken,)))\n"
+    "        from_parahoric(model._replace(layers=(broken,)))\n"
     "    except InvariantViolation as exc:\n"
     "        print('raised:', exc)\n"
 )

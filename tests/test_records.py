@@ -15,7 +15,6 @@ from parahoric import (
     Character,
     DynkinSpec,
     IllegalRank,
-    InvariantViolation,
     NotPrime,
     Root,
     SimpleLedger,

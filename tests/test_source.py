@@ -20,6 +20,19 @@ def test_no_assert_statements():
     assert offenders == []
 
 
+def test_no_module_imports_dataclasses():
+    # dataclasses brings inspect into every process; the records are
+    # NamedTuples and slotted classes instead
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert offenders == []
+
+
 def _unused_imports(path):
     """Imported names of one module that are never referenced and not in __all__."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
