@@ -38,7 +38,7 @@ print("Iwahori of A2 in detail (all nodes in Theta):")
 rd = build_root_datum("A2")
 basis = extended_basis(rd)
 model = parahoric_model(rd, enumerate_facets(rd, basis)[-1], basis)
-for j, layer in enumerate(model.layers, start=1):
-    print(f"  layer {j}: weights {list(layer)}")
+for j in range(1, len(model.layers) + 1):
+    print(f"  layer {j}: weights {list(model.layer(j))}")
 print("  canonical representatives match the classical description:",
       model.psi_literal_agrees)

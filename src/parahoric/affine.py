@@ -225,19 +225,19 @@ def enumerate_facets(rd: RootDatum, basis: AffineBasis | None = None) -> list[Fa
 class ParahoricModel(NamedTuple):
     """Weight-level model of a parahoric special fiber at one facet.
 
-    ``quotient_roots`` (ambient order) span the reductive quotient;
-    ``layers[j-1]`` is the gradient multiset at grading value j, the weights
-    of the j-th radical layer.  The counts satisfy
-    ``len(quotient_roots) + dim_R == len(datum.roots)``.
+    Roots are ambient root indices, positions in ``datum.roots``, each tuple
+    ascending.  ``quotient_roots`` span the reductive quotient;
+    ``layers[j-1]`` are the roots at grading value j, whose gradients are
+    the weights of the j-th radical layer, as :meth:`layer` gives them.  The
+    counts satisfy ``len(quotient_roots) + dim_R == len(datum.roots)``.
     """
 
     datum: RootDatum
-    basis: AffineBasis
     theta: FacetSpec
     depth: tuple[int, ...]
-    quotient_roots: tuple[Root, ...]
+    quotient_roots: tuple[int, ...]
     quotient_datum: RootDatum
-    layers: tuple[tuple[Weight, ...], ...]
+    layers: tuple[tuple[int, ...], ...]
     dim_R: int
     psi_literal_agrees: bool
 
@@ -245,7 +245,7 @@ class ParahoricModel(NamedTuple):
         """Weights at grading value j >= 1 (empty beyond the last layer)."""
         if j < 1:
             raise ValueError("layers are indexed from 1")
-        return self.layers[j - 1] if j - 1 < len(self.layers) else ()
+        return tuple(self.datum.roots[k].coords for k in self.layers[j - 1]) if j - 1 < len(self.layers) else ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -253,10 +253,10 @@ class ParahoricModel(NamedTuple):
             "theta": str(self.theta),
             "depth": list(self.depth),
             "quotient_type": str(classify_quotient(self)),
-            "quotient_roots": [list(r.coords) for r in self.quotient_roots],
+            "quotient_roots": [list(self.datum.roots[k].coords) for k in self.quotient_roots],
             "layers": [
-                {"j": j + 1, "weights": [list(w) for w in layer], "dim": len(layer)}
-                for j, layer in enumerate(self.layers)
+                {"j": j, "weights": [list(w) for w in self.layer(j)], "dim": len(layer)}
+                for j, layer in enumerate(self.layers, start=1)
             ],
             "dim_R": self.dim_R,
             "psi_literal_agrees": self.psi_literal_agrees,
@@ -271,8 +271,8 @@ def parahoric_model(rd: RootDatum, theta: FacetSpec, basis: AffineBasis | None =
     """Compute the reductive quotient and graded radical layers at a facet.
 
     Each root ``a`` takes the value ``base(a) mod d`` of its canonical
-    representative: value 0 puts the root into the quotient, value j >= 1
-    puts its gradient into layer j.  Layers of product types are merged by
+    representative: value 0 puts its ambient index into the quotient, value
+    j >= 1 puts it into layer j.  Layers of product types are merged by
     grading value across components.  Psi places a root with ``base(a) = d``
     at level 0 instead of -1, so it agrees exactly when there is none.
     """
@@ -283,20 +283,19 @@ def parahoric_model(rd: RootDatum, theta: FacetSpec, basis: AffineBasis | None =
     # base(a) of every root at once, from the columns of the simple Theta-nodes
     columns = [cb.columns[i] for cb, part in parts for i in part if i < cb.rank]
     bases = list(zip(rd.roots, map(sum, zip(*columns)) if columns else itertools.repeat(0)))
-    by_value: list[list[Root]] = [[] for _ in range(max(depth))]
-    for a, base in bases:
-        by_value[base % depth[a.component]].append(a)
+    by_value: list[list[int]] = [[] for _ in range(max(depth))]
+    for k, (a, base) in enumerate(bases):
+        by_value[base % depth[a.component]].append(k)
     quotient_roots, *layers = by_value
     while layers and not layers[-1]:
         layers.pop()
     return ParahoricModel(
         datum=rd,
-        basis=basis,
         theta=theta,
         depth=depth,
         quotient_roots=tuple(quotient_roots),
-        quotient_datum=sub_root_datum(rd, [a.coords for a in quotient_roots]),
-        layers=tuple(tuple(a.coords for a in layer) for layer in layers),
+        quotient_datum=sub_root_datum(rd, quotient_roots),
+        layers=tuple(map(tuple, layers)),
         dim_R=sum(len(layer) for layer in layers),
         psi_literal_agrees=all(base != depth[a.component] for a, base in bases),
     )

@@ -4,6 +4,8 @@ One binary with subcommands; every numeric field in a report is an exact
 integer rendered in decimal.  ``--json`` wraps the command output in a
 report envelope ``{command, inputs, outputs, tool_version, elapsed_ms}``.
 Exit codes: 0 ok, 1 usage error, 2 verification mismatch, 3 internal error.
+A reader that closes the output early, as ``parahoric facets --type E7 |
+head -1`` does, ends the run quietly with the command's own exit code.
 Each subcommand imports only the library layers it reads, inside its
 ``cmd_*`` function, so a process pays to load nothing else.
 """
@@ -48,7 +50,10 @@ def _datum(args, spec: str):
 
 def _weight(args, rd) -> Weight:
     """The --weight argument, checked to be a weight of ``rd``."""
-    lam = parse_weight_key(args.weight)
+    try:
+        lam = parse_weight_key(args.weight)
+    except ValueError:
+        raise ValueError(f"bad --weight {args.weight!r}: expected comma-separated integers") from None
     rd.check_weights(lam)
     return lam
 
@@ -368,20 +373,27 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    if args.json:
-        # the command's valued options; its flags stay out
-        valued = [o[2:].replace("-", "_") for o in command.options if "action" not in OPTIONS[o]]
-        envelope = {
-            "command": args.command,
-            "inputs": {dest: getattr(args, dest) for dest in valued},
-            "outputs": report.outputs,
-            "tool_version": __version__,
-            "elapsed_ms": int((time.monotonic() - started) * 1000),
-        }
-        print(json.dumps(envelope, sort_keys=True))
-    else:
-        for line in report.lines:
-            print(line)
+    try:
+        if args.json:
+            # the command's valued options; its flags stay out
+            valued = [o[2:].replace("-", "_") for o in command.options if "action" not in OPTIONS[o]]
+            envelope = {
+                "command": args.command,
+                "inputs": {dest: getattr(args, dest) for dest in valued},
+                "outputs": report.outputs,
+                "tool_version": __version__,
+                "elapsed_ms": int((time.monotonic() - started) * 1000),
+            }
+            print(json.dumps(envelope, sort_keys=True))
+        else:
+            for line in report.lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device, or the flush at exit raises again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report.code
 
 

@@ -111,8 +111,9 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
     in a quotient root keeps the grading value.  So it is a union of whole
     W-orbits, each weight of multiplicity one: its compressed character is 1
     on each dominant member and its dimension is its number of weights.
-    W-stability is checked, not assumed: the weights must be distinct and
-    closed under the quotient's simple reflections, which generate W.
+    W-stability is checked, not assumed: the layers' ambient root indices
+    must lie in ``range(len(model.datum.roots))``, be distinct and be closed
+    under the quotient's simple reflections, which generate W.
 
     Both tests are lookups by ambient root index: each quotient simple root
     a reads its row of :meth:`RootDatum.reflection_row` on the ambient datum.
@@ -138,24 +139,21 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
     layer or overruns that bound raises :class:`InvariantViolation`.
     """
     datum, ambient = model.quotient_datum, model.datum
-    roots, index = ambient.roots, ambient.root_index
-    gens = []
-    for coords in datum.simple_coords:
-        a = index[coords]
-        gens.append((ambient.reflection_row(a), ambient.sum_row(a), roots[a].height))
+    roots, size = ambient.roots, len(ambient.roots)
+    simples = [ambient.root_index[coords] for coords in datum.simple_coords]
+    gens = [(ambient.reflection_row(a), ambient.sum_row(a), roots[a].height) for a in simples]
     bound = len(datum.positive_roots)
     layers, expansions, walks = [], [], 0
-    for weights in model.layers:
-        try:
-            positions = [index[w] for w in weights]
-        except KeyError as exc:
-            raise InvariantViolation(f"layer weight {exc.args[0]} is not an ambient root") from None
-        members = set(positions)
-        if len(members) != len(weights):
-            raise InvariantViolation(f"layer weights are not distinct: {len(members)} of {len(weights)}")
+    for layer in model.layers:
+        for j in layer:
+            if not 0 <= j < size:
+                raise InvariantViolation(f"layer weight {j} is not an ambient root")
+        members = set(layer)
+        if len(members) != len(layer):
+            raise InvariantViolation(f"layer weights are not distinct: {len(members)} of {len(layer)}")
         dominant, walked = {}, {}
-        for w, j in zip(weights, positions):
-            height, singular, step = roots[j].height, False, None
+        for j in layer:
+            w, height, singular, step = roots[j].coords, roots[j].height, False, None
             for gen in gens:
                 k = gen[0][j]
                 if k != j:  # <w, a^vee> != 0

@@ -373,7 +373,7 @@ def _integer_inverse(matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
     every division is exact and the k-th pivot is the k-th leading principal
     minor.  No rows are exchanged, because every principal minor of a
     finite-type Cartan matrix is positive; a pivot that is not raises, which
-    is how :func:`_cartan_inverse` rejects every other symmetrizable diagram.
+    is how :func:`_cartan_table` rejects every other symmetrizable diagram.
     Messages show the matrix as a list of lists, whichever sequences it is
     given as.
     """
@@ -610,11 +610,6 @@ class RootDatum:
         )
 
     # -- pairing, reflection, orbits ---------------------------------------
-
-    @staticmethod
-    def pair(lam: Weight, coroot: Weight) -> int:
-        """Exact pairing <lam, alpha^vee>."""
-        return dot(lam, coroot)
 
     def reflect(self, root: Root, lam: Weight) -> Weight:
         """s_alpha(lam) = lam - <lam, alpha^vee> alpha."""
@@ -933,19 +928,32 @@ def _component_roots(cartan) -> dict[tuple[int, ...], tuple]:
 
 
 @functools.lru_cache(maxsize=256)
-def _cartan_inverse(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(det, adj)`` with ``adj * cartan == det * I`` for one connected
-    Cartan matrix of finite type, checked to be one.
+def _cartan_table(cartan: tuple[tuple[int, ...], ...]):
+    """``(det, adj, roots, simples, recipe)`` of one connected Cartan matrix
+    of finite type, checked to be one, shared by every component with that
+    matrix in Dynkin specs and facet quotients and by :func:`classify_cartan`.
 
-    It must be square, with 2 on the diagonal, entries <= 0 off it and a_ij
-    = 0 exactly when a_ji = 0, and its Dynkin graph must be a tree; such a
-    matrix is symmetrizable.  Then its positive leading minors, which the
-    inverse checks, certify finite type (Sylvester's criterion on the
+    The checks run before the closure, which would not end without them.
+    The matrix must be square, with 2 on the diagonal, entries <= 0 off it
+    and a_ij = 0 exactly when a_ji = 0, and its Dynkin graph must be a tree;
+    such a matrix is symmetrizable.  Then its positive leading minors, which
+    :func:`_integer_inverse` checks as it finds ``(det, adj)`` with ``adj *
+    cartan == det * I``, certify finite type (Sylvester's criterion on the
     symmetrized matrix).  Each check raises :class:`InvariantViolation`, and
-    a matrix that fails one is not kept.  :func:`classify_cartan` reads
-    only this memo, and :func:`_cartan_table` reads it first.  The memo is
-    bounded; 58 matrices occur over the specs and every facet of G2, F4 and
-    E6 to E8, from the quotients and the deleted diagrams together.
+    a matrix that fails one is not kept.  Then come each root's ``(coeffs,
+    co)`` from :func:`_component_roots`, by height, then coefficients, each
+    checked to have coefficients of one sign; the position in ``roots`` of
+    each simple root; and a reflection recipe for the other roots.
+
+    The recipe is the discovery tree of the closure in
+    :func:`_component_roots`: it lists each root that is not simple once,
+    in the order the closure reached it, as ``(child, parent, t, q)``,
+    positions in ``roots`` with child = s_t(parent) and q = <parent,
+    alpha_t^vee>.  The parent was reached first, so it is simple or listed
+    before, and, replayed from the unit vectors, the child's coefficients
+    are the parent's less q at t.  The memo is bounded; 61 matrices occur
+    over the specs and every facet of B3, C3, D4, G2, F4 and E6 to E8, from
+    the quotients and the deleted diagrams together.
     """
     k, shown = len(cartan), [list(row) for row in cartan]
     if any(len(row) != k or row[i] != 2 for i, row in enumerate(cartan)) or any(
@@ -958,29 +966,7 @@ def _cartan_inverse(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tup
     edges = sum(1 for i, j in itertools.combinations(range(k), 2) if cartan[i][j])
     if edges != k - 1 or len(_dynkin_components(cartan)) != 1:
         raise InvariantViolation(f"Dynkin graph of {shown} is not a tree")
-    return _integer_inverse(cartan)
-
-
-@functools.lru_cache(maxsize=256)
-def _cartan_table(cartan: tuple[tuple[int, ...], ...]):
-    """``(det, adj, roots, simples, recipe)`` of one connected Cartan matrix,
-    shared by every component with that matrix in Dynkin specs and facet
-    quotients: ``(det, adj)`` from :func:`_cartan_inverse`, whose checks run
-    first, without which the closure would not end; each root's ``(coeffs,
-    co)`` from :func:`_component_roots`, by height, then coefficients, each
-    checked to have coefficients of one sign; the position in ``roots`` of
-    each simple root; and a reflection recipe for the other roots.
-
-    The recipe is the discovery tree of the closure in
-    :func:`_component_roots`: it lists each root that is not simple once,
-    in the order the closure reached it, as ``(child, parent, t, q)``,
-    positions in ``roots`` with child = s_t(parent) and q = <parent,
-    alpha_t^vee>.  The parent was reached first, so it is simple or listed
-    before, and, replayed from the unit vectors, the child's coefficients
-    are the parent's less q at t.  The memo is bounded; 38 matrices occur
-    over the specs and every facet of G2, F4 and E6 to E8.
-    """
-    det, adj = _cartan_inverse(cartan)
+    det, adj = _integer_inverse(cartan)
     closed = _component_roots(cartan)
     roots = sorted(((coeffs, co) for coeffs, (_, co, _, _) in closed.items()), key=lambda root: (sum(root[0]), root[0]))
     for coeffs, _ in roots:
@@ -1075,8 +1061,10 @@ def _datum_structure(spec_string: str) -> RootDatum:
 # Sub-data (reductive quotients inside the ambient lattice)
 
 
-def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
-    """The root datum spanned by a closed symmetric subset of ambient roots.
+def sub_root_datum(ambient: RootDatum, subset) -> RootDatum:
+    """The root datum spanned by a closed symmetric subset of ambient roots,
+    given as their indices in ``ambient.roots``; an index outside
+    ``range(len(ambient.roots))``, negative or not, raises.
 
     Its roots are read off the ambient datum, not rebuilt: each shares the
     ``coords``, ``coroot`` and ``form`` tuples of its ambient root, so
@@ -1121,11 +1109,10 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
     subset saved time on facet sweeps but held every quotient for the life
     of the process.
     """
-    roots, index = ambient.roots, ambient.root_index
-    try:
-        members = sorted({index[tuple(c)] for c in coords_subset})
-    except KeyError:
-        raise InvariantViolation("subset contains non-roots") from None
+    roots = ambient.roots
+    members = sorted(set(subset))
+    if members and (members[0] < 0 or members[-1] >= len(roots)):
+        raise InvariantViolation("subset contains non-roots")
     simples, rows = [], []
     for b in members:
         if roots[b].height > 0:
@@ -1185,13 +1172,14 @@ def sub_root_datum(ambient: RootDatum, coords_subset) -> RootDatum:
 def classify_cartan(cartan) -> tuple[str, int]:
     """Name one connected Cartan matrix of finite type, given as rows.
 
-    :func:`_cartan_inverse` checks it, once per matrix, and holds its
+    :func:`_cartan_table` checks it, once per matrix, and holds its
     determinant: a square matrix with 2 on the diagonal, entries <= 0 off
     it, a symmetric zero pattern, a tree for a Dynkin graph and positive
-    leading minors, or :class:`InvariantViolation`.  :func:`_dynkin_type` then names it.
+    leading minors, or :class:`InvariantViolation`.  :func:`_dynkin_type`
+    then names it.
     """
     cartan = tuple(map(tuple, cartan))
-    return _dynkin_type(cartan, _cartan_inverse(cartan)[0])
+    return _dynkin_type(cartan, _cartan_table(cartan)[0])
 
 
 def _dynkin_type(cartan, det: int) -> tuple[str, int]:

@@ -199,7 +199,7 @@ def dominant_below_box_scan(datum, lam):
     the orbit of lam."""
     low = lam
     while True:
-        raising = [a for a in datum.simple_roots if datum.pair(low, a.coroot) > 0]
+        raising = [a for a in datum.simple_roots if dot(low, a.coroot) > 0]
         if not raising:
             break
         low = datum.reflect(raising[0], low)
@@ -323,7 +323,7 @@ def dominant_conjugate_by_reflection(datum, lam):
     w = lam
     while True:
         for a in datum.simple_roots:
-            if datum.pair(w, a.coroot) < 0:
+            if dot(w, a.coroot) < 0:
                 w = datum.reflect(a, w)
                 break
         else:
@@ -567,18 +567,17 @@ def parahoric_model_by_canonical_rep(rd, theta, basis):
     for a in rd.roots:
         rep = canonical_rep(rd, basis, theta, a)
         reps.add((a.coords, rep.level))
-        values.append((a, ell_theta(rd, basis, theta, rep)))
-    quotient_roots = tuple(a for a, v in values if v == 0)
-    layers = [tuple(a.coords for a, v in values if v == j) for j in range(1, max(depth))]
+        values.append(ell_theta(rd, basis, theta, rep))
+    quotient_roots = tuple(k for k, v in enumerate(values) if v == 0)
+    layers = [tuple(k for k, v in enumerate(values) if v == j) for j in range(1, max(depth))]
     while layers and not layers[-1]:
         layers.pop()
     return ParahoricModel(
         datum=rd,
-        basis=basis,
         theta=theta,
         depth=depth,
         quotient_roots=quotient_roots,
-        quotient_datum=sub_root_datum(rd, [a.coords for a in quotient_roots]),
+        quotient_datum=sub_root_datum(rd, quotient_roots),
         layers=tuple(layers),
         dim_R=sum(len(layer) for layer in layers),
         psi_literal_agrees=reps == _literal_psi(rd, basis, theta),
@@ -706,10 +705,10 @@ def from_parahoric_by_conjugates(model):
     summed from the characters."""
     datum = model.quotient_datum
     layers = []
-    for weights in model.layers:
+    for layer in model.layers:
         mult = {}
-        for w in weights:
-            key = datum._dominant_conjugate(w)
+        for k in layer:
+            key = datum._dominant_conjugate(model.datum.roots[k].coords)
             mult[key] = mult.get(key, 0) + 1
         compressed = {}
         for w, m in mult.items():

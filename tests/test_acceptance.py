@@ -121,7 +121,7 @@ def test_criterion_5_parahoric_bookkeeping():
         for theta in enumerate_facets(rd, basis):
             model = parahoric_model(rd, theta, basis)
             assert len(model.quotient_roots) + model.dim_R == len(rd.roots)
-            quotient = {r.coords for r in model.quotient_roots}
+            quotient = {rd.roots[k].coords for k in model.quotient_roots}
             for c in quotient:
                 assert wneg(c) in quotient
             for x, y in itertools.combinations(quotient, 2):

@@ -137,16 +137,16 @@ def test_parahoric_model_a1():
     iwahori = parahoric_model(rd, FacetSpec(((0, 1),)), b)
     assert iwahori.quotient_roots == ()
     assert iwahori.dim_R == 2
-    assert sorted(iwahori.layers[0]) == [(-2,), (2,)]
+    assert sorted(iwahori.layer(1)) == [(-2,), (2,)]
     assert len(iwahori.layers) == 1  # depth 2, so layer 1 is the last
 
 
 def test_parahoric_model_a2_example(a2, a2_basis):
     model = parahoric_model(a2, parse_facet_spec("0,2", a2_basis), a2_basis)
-    assert sorted(r.coords for r in model.quotient_roots) == [(-1, 2), (1, -2)]
+    assert sorted(a2.roots[k].coords for k in model.quotient_roots) == [(-1, 2), (1, -2)]
     assert model.dim_R == 4
     assert len(model.layers) == 1
-    assert sorted(model.layers[0]) == sorted(
+    assert sorted(model.layer(1)) == sorted(
         [(2, -1), (1, 1), (-2, 1), (-1, -1)]
     )
     assert str(classify_quotient(model)) == "A1+T1"
@@ -178,7 +178,7 @@ def test_bookkeeping_sweep_rank_le_3():
         for theta in enumerate_facets(rd, b):
             model = parahoric_model(rd, theta, b)
             assert len(model.quotient_roots) + model.dim_R == len(rd.roots)
-            quotient = {r.coords for r in model.quotient_roots}
+            quotient = {rd.roots[k].coords for k in model.quotient_roots}
             for c in quotient:
                 assert wneg(c) in quotient
             for x, y in itertools.combinations(quotient, 2):
@@ -253,6 +253,7 @@ def test_functional_matches_canonical_rep_oracle(name):
         oracle = parahoric_model_by_canonical_rep(rd, theta, b)
         assert model.to_json_dict() == oracle.to_json_dict(), (name, str(theta))
         assert model.quotient_roots == oracle.quotient_roots, (name, str(theta))
+        assert model.layers == oracle.layers, (name, str(theta))
         assert model.psi_literal_agrees == oracle.psi_literal_agrees, (name, str(theta))
 
 
@@ -263,7 +264,7 @@ def test_extended_basis_rejects_roots_beyond_the_marks(monkeypatch):
     # shared, so the check runs on a structure of its own: A2 rebuilt from
     # all its roots.
     a2 = build_root_datum("A2")
-    rd = sub_root_datum(a2, [r.coords for r in a2.roots])
+    rd = sub_root_datum(a2, range(len(a2.roots)))
     monkeypatch.setattr(RootDatum, "highest_root", lambda self, comp: self.simple_roots[0])
     with pytest.raises(InvariantViolation, match="exceeds the marks"):
         extended_basis(rd)
@@ -274,7 +275,7 @@ def test_extended_basis_is_built_once_per_spec():
     basis = extended_basis(first)
     assert extended_basis(second) is basis is second.tables.extended_basis
     assert first.chi_cache is not second.chi_cache
-    rebuilt = sub_root_datum(first, [r.coords for r in first.roots])
+    rebuilt = sub_root_datum(first, range(len(first.roots)))
     assert rebuilt.tables.extended_basis is None
     assert extended_basis(rebuilt) is not basis
     assert extended_basis(rebuilt) is extended_basis(rebuilt) is rebuilt.tables.extended_basis
@@ -284,12 +285,12 @@ def test_product_layers_merge_by_grading_value():
     rd, b = _basis("A1xA1")
     mixed = parahoric_model(rd, parse_facet_spec("0,1/1", b), b)
     assert mixed.depth == (2, 1)
-    assert sorted(mixed.layers[0]) == [(-2, 0), (2, 0)]
-    assert sorted(r.coords for r in mixed.quotient_roots) == [(0, -2), (0, 2)]
+    assert sorted(mixed.layer(1)) == [(-2, 0), (2, 0)]
+    assert sorted(rd.roots[k].coords for k in mixed.quotient_roots) == [(0, -2), (0, 2)]
     both = parahoric_model(rd, parse_facet_spec("0,1/0,1", b), b)
     assert both.depth == (2, 2)
     assert len(both.layers) == 1
-    assert sorted(both.layers[0]) == [(-2, 0), (0, -2), (0, 2), (2, 0)]
+    assert sorted(both.layer(1)) == [(-2, 0), (0, -2), (0, 2), (2, 0)]
 
 
 def test_model_json_shape(a2, a2_basis):

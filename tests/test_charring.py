@@ -140,7 +140,7 @@ def test_chi_char_matches_reference_freudenthal():
     for theta in enumerate_facets(f4, basis):
         model = parahoric_model(f4, theta, basis)
         sub = model.quotient_datum
-        layer_weights = {w for layer in model.layers for w in layer}
+        layer_weights = {f4.roots[k].coords for layer in model.layers for k in layer}
         cases.append((sub, [(0,) * sub.n] + sorted(w for w in layer_weights if sub.is_dominant(w))))
     checked = 0
     for rd, weights in cases:
@@ -163,7 +163,8 @@ def test_label_path_matches_reference_across_components_and_quotients():
     for theta in enumerate_facets(e6, basis):
         model = parahoric_model(e6, theta, basis)
         sub = model.quotient_datum
-        layer_weights = sorted({w for layer in model.layers for w in layer if sub.is_dominant(w)})
+        weights = {e6.roots[k].coords for layer in model.layers for k in layer}
+        layer_weights = sorted(w for w in weights if sub.is_dominant(w))
         cases.append((sub, [(0,) * sub.n] + layer_weights))
         if sub.num_components > 1:
             cases.append((sub, [tuple(2 * x for x in w) for w in layer_weights]))
@@ -190,7 +191,8 @@ def test_minuscule_shortcut_fires_exactly_on_single_weight_closures(monkeypatch)
     for theta in enumerate_facets(f4, basis):
         model = parahoric_model(f4, theta, basis)
         sub = model.quotient_datum
-        cases.append((sub, sorted({w for layer in model.layers for w in layer if sub.is_dominant(w)})))
+        weights = {f4.roots[k].coords for layer in model.layers for k in layer}
+        cases.append((sub, sorted(w for w in weights if sub.is_dominant(w))))
 
     class Closure(Exception):
         pass

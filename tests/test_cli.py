@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +22,8 @@ from parahoric import charring
 from parahoric.charring import DiskCharacters, character_to_json
 from parahoric.cli import COMMANDS, default_cache_dir, main
 from parahoric.rootdata import DatumTables
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _type_dir(root, spec):
@@ -202,6 +207,29 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["character", "--type", "A2", "--weight", "1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("weight", ["", "1,,2", "a,b"])
+def test_malformed_weight_names_the_option(capsys, weight):
+    assert main(["character", "--type", "A2", "--weight", weight]) == 1
+    assert capsys.readouterr().err == f"error: bad --weight {weight!r}: expected comma-separated integers\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_closed_stdout_ends_quietly_with_the_command_code(tmp_path, flags):
+    # the reader is gone before the run starts, as for `parahoric ... | head -1`
+    # once head has exited; each write then fails with EPIPE
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=SRC, PARAHORIC_CACHE_DIR=str(tmp_path))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from parahoric.cli import run; run()", "facets", "--type", "E7", *flags],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_d2_is_a_usage_error(capsys):

@@ -12,7 +12,6 @@ from parahoric import (
     DynkinSpec,
     IllegalRank,
     NotDominant,
-    RootDatum,
     build_root_datum,
     chi_char,
     classify_root_datum,
@@ -31,6 +30,7 @@ from parahoric.rootdata import (
     InvariantViolation,
     _datum_structure,
     classify_cartan,
+    dot,
     parse_weight_key,
     sub_root_datum,
     weight_key,
@@ -51,6 +51,12 @@ from _oracles import (
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _indices(rd, coords):
+    """The ambient root indices of the roots of ``rd`` with these coordinates."""
+    return [rd.root_index[c] for c in coords]
+
 
 CLASSICAL_COUNTS = {
     "A1": 2,
@@ -112,7 +118,7 @@ def test_root_set_closed_under_negation_and_reflection(a2, g2):
 def test_pairing_normalization(a2, c2, g2):
     for rd in (a2, c2, g2):
         for r in rd.roots:
-            assert RootDatum.pair(r.coords, r.coroot) == 2
+            assert dot(r.coords, r.coroot) == 2
 
 
 def test_sign_coherence_of_simple_coeffs(c2, g2):
@@ -142,9 +148,9 @@ def test_highest_root(a1, a2, c2):
 def test_pair_examples(a2):
     a1v = a2.simple_roots[0].coroot
     theta_v = a2.highest_root(0).coroot
-    assert RootDatum.pair((1, 0), a1v) == 1
-    assert RootDatum.pair((3, 1), theta_v) == 4
-    assert RootDatum.pair(a2.rho, theta_v) == 2
+    assert dot((1, 0), a1v) == 1
+    assert dot((3, 1), theta_v) == 4
+    assert dot(a2.rho, theta_v) == 2
 
 
 def test_reflect_examples(a2):
@@ -302,7 +308,7 @@ def test_invariant_violation_survives_optimize_flag():
         "                       chi_char, extended_basis, from_parahoric, parahoric_model,\n"
         "                       parse_facet_spec, resolve_simple, sub_root_datum)\n"
         "from parahoric.rootdata import classify_cartan\n"
-        "a2 = build_root_datum('A2')\n"
+        "a2, c2 = build_root_datum('A2'), build_root_datum('C2')\n"
         "def wrong_chi():  # a plausible but wrong chi(3,0): dim 10, keys below (3,0)\n"
         "    a2.chi_cache[(3, 0)] = {(3, 0): 1, (0, 0): 7}\n"
         "    resolve_simple(a2, 3, (3, 0), SimpleLedger(a2, 3))\n"
@@ -330,7 +336,7 @@ def test_invariant_violation_survives_optimize_flag():
         "    swapped[j], swapped[k] = row[k], row[j]\n"
         "    a3.tables.reflection_rows[i] = tuple(swapped)\n"
         "    try:\n"
-        "        sub_root_datum(a3, [b.coords for b in a3.roots])\n"
+        "        sub_root_datum(a3, range(len(a3.roots)))\n"
         "    finally:\n"
         "        a3.tables.reflection_rows[i] = row\n"
         "def tampered_coroot():  # A2 with the coroot of alpha_1 + alpha_2 given as 2 alpha_1^vee\n"
@@ -353,14 +359,17 @@ def test_invariant_violation_survives_optimize_flag():
         "    sums[w] = a\n"
         "    b3.tables.sum_rows[a] = tuple(sums)\n"
         "    from_parahoric(model)\n"
-        "for make in (lambda: sub_root_datum(a2, [(1, 0), (-1, 0)]),\n"
+        "def at(rd, *coords):  # ambient root indices\n"
+        "    return [rd.root_index[c] for c in coords]\n"
+        "for make in (lambda: sub_root_datum(a2, [0, len(a2.roots)]),\n"
+        "             lambda: sub_root_datum(a2, [-1]),\n"
         "             lambda: Character(a2, {(-1, 0): 1}),\n"
         "             wrong_chi,\n"
         "             lambda: classify_cartan(affine_d4),\n"
         "             joined_orbits,\n"
-        "             lambda: sub_root_datum(a2, [(2, -1), (-2, 1), (-1, 2), (1, -2)]),\n"
+        "             lambda: sub_root_datum(a2, at(a2, (2, -1), (-2, 1), (-1, 2), (1, -2))),\n"
         "             doubled_two_rho,\n"
-        "             lambda: sub_root_datum(build_root_datum('C2'), [(2, -1), (-2, 1), (0, 1), (0, -1)]),\n"
+        "             lambda: sub_root_datum(c2, at(c2, (2, -1), (-2, 1), (0, 1), (0, -1))),\n"
         "             swapped_row,\n"
         "             tampered_coroot,\n"
         "             dropped_generator,\n"
@@ -376,25 +385,25 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 12
-    assert lines[0].startswith("raised: subset contains non-roots")
-    assert lines[1].startswith("raised: character keys must be dominant")
-    assert lines[2].startswith("raised: chi((3, 0)) - ch L((1, 1)) is not a character")
-    assert lines[3].startswith("raised: leading minor 5 of [[2, 0, 0, 0, -1]")
-    assert lines[4].startswith("raised: W_J-orbits (J = (0, 1, 2)) count 12 positive roots, not 9")
-    assert lines[5].startswith(
+    assert len(lines) == 13
+    assert lines[0] == lines[1] == "raised: subset contains non-roots"
+    assert lines[2].startswith("raised: character keys must be dominant")
+    assert lines[3].startswith("raised: chi((3, 0)) - ch L((1, 1)) is not a character")
+    assert lines[4].startswith("raised: leading minor 5 of [[2, 0, 0, 0, -1]")
+    assert lines[5].startswith("raised: W_J-orbits (J = (0, 1, 2)) count 12 positive roots, not 9")
+    assert lines[6].startswith(
         "raised: subset is not the root system of its base, which differs on [(-1, -1), (1, 1)]"
     )
-    assert lines[6] == "raised: Freudenthal step at (0, 0): 12 / 10"
-    assert lines[7] == "raised: subset is not closed: Root(2,-1) + Root(0,-1) lies outside it"
-    assert lines[8] == (
+    assert lines[7] == "raised: Freudenthal step at (0, 0): 12 / 10"
+    assert lines[8] == "raised: subset is not closed: Root(2,-1) + Root(0,-1) lies outside it"
+    assert lines[9] == (
         "raised: the reflection rows of component 0 miss the roots of ((2, -1, 0), (-1, 2, -1), (0, -1, 2))"
     )
-    assert lines[9] == "raised: component 0 has no coroot above every positive coroot"
-    assert lines[10] == (
+    assert lines[10] == "raised: component 0 has no coroot above every positive coroot"
+    assert lines[11] == (
         "raised: the top Root(-1,2) of a W_J-orbit (J = (0,)) pairs negatively with a simple coroot of J"
     )
-    assert lines[11] == "raised: dot walk leaves its layer at (0, -1, 2)"
+    assert lines[12] == "raised: dot walk leaves its layer at (0, -1, 2)"
 
 
 def test_torus_factors():
@@ -533,9 +542,9 @@ def test_orbit_tables_are_shared_per_spec_and_hold_root_data_only():
     assert first.tables is second.tables
     assert first.tables.orbits is second.tables.orbits
     alpha = first.simple_roots[0].coords
-    sub = sub_root_datum(first, [alpha, wneg(alpha)])
+    sub = sub_root_datum(first, _indices(first, [alpha, wneg(alpha)]))
     assert sub.tables is not first.tables
-    assert sub_root_datum(first, [alpha, wneg(alpha)]).tables is not sub.tables
+    assert sub_root_datum(first, _indices(first, [alpha, wneg(alpha)])).tables is not sub.tables
     assert sub.tables.orbits is not first.tables.orbits
 
     chi_char(first, (1, 1, 1))
@@ -633,14 +642,14 @@ def test_orbit_sizes_are_one_table_per_spec_with_an_entry_per_zero_set():
     met = {}
     for lam in itertools.product(range(-1, 2), repeat=3):
         dom = dominant_conjugate_by_reflection(fresh, lam)
-        zeros = tuple(j for j, a in enumerate(fresh.simple_roots) if not fresh.pair(dom, a.coroot))
+        zeros = tuple(j for j, a in enumerate(fresh.simple_roots) if not dot(dom, a.coroot))
         met[zeros] = len(fresh.weyl_orbit(lam))
         assert fresh.orbit_size(lam) == met[zeros], lam
         assert fresh.tables.orbit_sizes == met
     first, second = build_root_datum("B3"), build_root_datum("B3")
     assert first.tables.orbit_sizes is second.tables.orbit_sizes
     alpha = first.simple_roots[0].coords
-    sub = sub_root_datum(first, [alpha, wneg(alpha)])
+    sub = sub_root_datum(first, _indices(first, [alpha, wneg(alpha)]))
     assert sub.tables.orbit_sizes is not first.tables.orbit_sizes and sub.tables.orbit_sizes == {}
     assert sub.orbit_size((1, 0, 0)) == 2 and sub.tables.orbit_sizes == {(): 2}
     # a dominant weight is looked up by its own labels, with no chamber walk
@@ -697,8 +706,9 @@ def _root_fields(roots):
 )
 def test_sub_root_datum_rejects_subsets_that_are_not_the_root_system_of_their_base(name, subset, differ):
     message = f"subset is not the root system of its base, which differs on {differ}"
+    rd = build_root_datum(name)
     with pytest.raises(InvariantViolation, match=re.escape(message)):
-        sub_root_datum(build_root_datum(name), subset)
+        sub_root_datum(rd, _indices(rd, subset))
 
 
 def test_sub_root_datum_rejects_subsets_that_are_not_closed():
@@ -707,7 +717,7 @@ def test_sub_root_datum_rejects_subsets_that_are_not_closed():
     # -alpha_2 is a root outside it
     c2 = build_root_datum("C2")
     with pytest.raises(InvariantViolation, match=re.escape("subset is not closed: Root(2,-1) + Root(0,-1)")):
-        sub_root_datum(c2, [(2, -1), (-2, 1), (0, 1), (0, -1)])
+        sub_root_datum(c2, _indices(c2, [(2, -1), (-2, 1), (0, 1), (0, -1)]))
 
 
 CLOSURE_SWEEP_TYPES = [
@@ -731,7 +741,7 @@ def test_closure_check_matches_the_all_pairs_check():
                 sums = {tuple(x + y for x, y in zip(a, b)) for a in subset for b in subset}
                 closed = not (sums & roots) - subset
                 try:
-                    sub_root_datum(rd, subset)
+                    sub_root_datum(rd, _indices(rd, subset))
                 except InvariantViolation as exc:
                     if not str(exc).startswith("subset is not closed"):
                         continue
@@ -781,7 +791,7 @@ def test_quotient_data_match_the_root_by_root_solve(name):
     for theta in enumerate_facets(rd, basis):
         model = parahoric_model(rd, theta, basis)
         q = model.quotient_datum
-        expected = sub_root_datum_by_solves(rd, [a.coords for a in model.quotient_roots])
+        expected = sub_root_datum_by_solves(rd, [rd.roots[k].coords for k in model.quotient_roots])
         assert _root_fields(q.roots) == _root_fields(expected["roots"]), theta
         assert q.simple_indices == expected["simple_indices"], theta
         linear = q.linear_tables()
@@ -820,9 +830,9 @@ def test_reflection_recipes_rebuild_every_root_of_their_matrix():
 
 def test_deletion_types_match_the_per_call_inverse_and_the_quotient():
     # quotient_by_deletion reads each determinant from the bounded
-    # _cartan_inverse; emptied first, it must hold every matrix of the sweep
+    # _cartan_table; emptied first, it must hold every matrix of the sweep
     # with room to spare
-    rootdata._cartan_inverse.cache_clear()
+    rootdata._cartan_table.cache_clear()
     for name in SWEEP_TYPES:
         rd = build_root_datum(name)
         basis = extended_basis(rd)
@@ -836,7 +846,7 @@ def test_deletion_types_match_the_per_call_inverse_and_the_quotient():
             deleted = quotient_by_deletion(rd, theta, basis)
             assert deleted == classify_nodes_by_inverse(survivors, rd.n), (name, str(theta))
             assert deleted == classify_root_datum(parahoric_model(rd, theta, basis).quotient_datum), (name, str(theta))
-    info = rootdata._cartan_inverse.cache_info()
+    info = rootdata._cartan_table.cache_info()
     assert info.currsize < info.maxsize
 
 
@@ -864,7 +874,7 @@ def test_label_tables_match_the_roots(name):
     # closure_rows(()) is the one label table: every positive root's labels
     # and its simple coefficients
     rd = build_root_datum(name)
-    quotient = sub_root_datum(rd, [b.coords for b in rd.roots if b.component == rd.num_components - 1])
+    quotient = sub_root_datum(rd, [k for k, b in enumerate(rd.roots) if b.component == rd.num_components - 1])
     assert quotient.tables.closure_rows == {}
     for datum in (rd, quotient):
         rows = datum.closure_rows(())
@@ -872,7 +882,7 @@ def test_label_tables_match_the_roots(name):
         zero = (0,) * datum.n
         assert len(rows) == len(datum.positive_roots)
         for (labels, coeffs), b in zip(rows, datum.positive_roots):
-            assert labels == tuple(datum.pair(b.coords, a.coroot) for a in datum.simple_roots)
+            assert labels == tuple(dot(b.coords, a.coroot) for a in datum.simple_roots)
             assert rootdata.combine(coeffs, datum.simple_coords, zero) == b.coords
     assert build_root_datum(name).closure_rows(()) is rd.closure_rows(())
 
@@ -883,7 +893,7 @@ def test_closure_rows_are_the_roots_a_weight_with_that_zero_set_can_lose(name):
     # positive root there, so mu - beta is dominant exactly when the labels
     # of beta are at most 0 on J
     rd = build_root_datum(name)
-    quotient = sub_root_datum(rd, [b.coords for b in rd.roots if b.component == rd.num_components - 1])
+    quotient = sub_root_datum(rd, [k for k, b in enumerate(rd.roots) if b.component == rd.num_components - 1])
     for datum in (rd, quotient):
         rows = datum.closure_rows(())
         rank = datum.semisimple_rank
