@@ -300,14 +300,19 @@ def _chi_mult(rd: RootDatum, lam: Weight, lam_labels: tuple[int, ...] | None = N
     :func:`chi_expand`, whose tops are dominant by construction, reads it
     without that copy, and the labels are computed here on a miss.
 
-    The recursion runs on Dynkin labels: each weight of an alpha-string is
-    its labels, a step adds the labels of alpha, which its row of
-    :meth:`RootDatum.stabilizer_orbits` holds, and :func:`chamber_walk`
-    on a copy of them ends on the labels of the dominant conjugate, which
-    key the multiplicities found so far.  A weight is rebuilt only for the
-    map stored and the forms in the Freudenthal step.  Per dominant mu,
-    ``pair_sum`` = (lam, lam) - (mu, mu) = sum c_i h_i (L_i(lam) + L_i(mu))
-    (see :func:`chi_char`), with the half-norms h_i read once per run by
+    The recursion runs on Dynkin labels, and the multiplicities found so
+    far are keyed by the labels of their weights.  An alpha-string mu + k
+    alpha carries the labels of d_k, the dominant conjugate w_k(mu + k
+    alpha), and of w_k(alpha), starting from mu and the labels of alpha in
+    its row of :meth:`RootDatum.stabilizer_orbits`.  A step adds them, which
+    gives w_k(mu + (k + 1) alpha), and :func:`chamber_walk` walks that sum,
+    carrying w_k(alpha) along, only when it is not a key found and has a
+    negative label: no walk is repeated and no conjugate is kept.
+    w_k(alpha) is a root, so a string that walked and ends carrying the
+    labels of no root raises.  A weight is rebuilt only for the map stored
+    and the forms in the Freudenthal step.  Per dominant mu, ``pair_sum`` =
+    (lam, lam) - (mu, mu) = sum c_i h_i (L_i(lam) + L_i(mu)) (see
+    :func:`chi_char`), with the half-norms h_i read once per run by
     :func:`_half_norms`; the divisor adds the 2 rho functional of
     :meth:`RootDatum.linear_tables` to it.  Along a string, ``f`` is (nu,
     alpha) and ``g`` is (nu, nu) - (lam, lam), which starts at ``-pair_sum``;
@@ -333,12 +338,12 @@ def _chi_mult(rd: RootDatum, lam: Weight, lam_labels: tuple[int, ...] | None = N
     )
     mult: dict[Weight, int] = {}
     found: dict[tuple[int, ...], int] = {}  # mult by the labels of its weight
-    conjugates: dict[tuple[int, ...], tuple[int, ...]] = {}  # labels -> dominant labels
     linear = rd.linear_tables()
     columns, two_rho_form, bound = linear.cartan_columns, linear.two_rho_form, len(rd.positive_roots)
     half = _half_norms(rd)
     lam_half = tuple(map(operator.mul, half, lam_labels))  # (alpha_i, lam)
-    steps = cuts = 0
+    roots = None  # the labels of every root, collected at the first string that walks
+    steps = walks = walk_steps = cuts = 0
     for height, coeffs, mu, labels in candidates:
         if height == 0:
             mult[mu] = found[labels] = 1
@@ -351,7 +356,7 @@ def _chi_mult(rd: RootDatum, lam: Weight, lam_labels: tuple[int, ...] | None = N
         zeros = tuple(j for j, x in enumerate(labels) if not x)
         total = 0
         for form, shift, norm, count in rd.stabilizer_orbits(zeros):
-            nu = labels
+            dom, root = labels, shift  # w(mu + k alpha) and w(alpha) for the walk w so far
             f = dot(form, mu)
             g = -pair_sum
             string = 0
@@ -361,17 +366,26 @@ def _chi_mult(rd: RootDatum, lam: Weight, lam_labels: tuple[int, ...] | None = N
                 if g > 0:  # longer than lam, so not a weight of V(lam)
                     cuts += 1
                     break
-                nu = tuple(map(operator.add, nu, shift))
+                dom = tuple(map(operator.add, dom, root))
                 steps += 1
-                dom = conjugates.get(nu)
-                if dom is None:
-                    pairs = list(nu)
-                    chamber_walk(pairs, columns, bound)
-                    dom = conjugates[nu] = tuple(pairs)
-                m = found.get(dom)
+                m = found.get(dom)  # a key is dominant, so a hit needs no walk
+                if m is None and min(dom) < 0:
+                    pairs, carried = list(dom), list(root)
+                    walk_steps += chamber_walk(pairs, columns, bound, carried)[1]
+                    walks += 1
+                    dom, root = tuple(pairs), tuple(carried)
+                    m = found.get(dom)
                 if m is None:
                     break
                 string += m * f
+            if root is not shift:  # an unwalked string carries its row's checked labels
+                if roots is None:
+                    roots = {row[0] for row in rd.closure_rows(())}
+                    roots.update([tuple(map(operator.neg, x)) for x in roots])
+                if root not in roots:
+                    raise InvariantViolation(
+                        f"the alpha-string at {mu} from {shift} carries {root}, not a root's labels"
+                    )
             total += count * string
         denom = pair_sum + sum(map(operator.mul, coeffs, two_rho_form))
         if denom <= 0 or (2 * total) % denom:
@@ -384,7 +398,8 @@ def _chi_mult(rd: RootDatum, lam: Weight, lam_labels: tuple[int, ...] | None = N
     obs.count("charring.freudenthal.runs")
     obs.count("charring.freudenthal.dominant_weights", len(candidates))
     obs.count("charring.freudenthal.string_steps", steps)
-    obs.count("charring.freudenthal.chamber_walks", len(conjugates))
+    obs.count("charring.freudenthal.chamber_walks", walks)
+    obs.count("charring.freudenthal.walk_steps", walk_steps)
     obs.count("charring.freudenthal.norm_cuts", cuts)
     return mult
 
@@ -575,7 +590,7 @@ class DiskCharacters:
             try:
                 with open(self._path(lam), "r", encoding="utf-8") as fh:
                     mult = character_from_json(json.load(fh))
-            except (OSError, ValueError, AttributeError):
+            except (OSError, ValueError, AttributeError, RecursionError):
                 return None
             if not _plausible_character(self.rd, lam, mult):
                 return None

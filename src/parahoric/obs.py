@@ -32,13 +32,15 @@ Counter names are ``<module>.<function>.<what>``:
   recursion, that is misses of ``chi_cache`` (a hit counts nothing); a
   minuscule or zero highest weight, whose character is stored as its orbit
   sum without the recursion, counts as a run with one dominant weight and
-  no string steps, chamber walks or norm cuts;
+  no string steps, chamber walks, walk steps or norm cuts;
 * ``charring.freudenthal.dominant_weights``: dominant weights of those
   characters;
 * ``charring.freudenthal.string_steps``: weights visited on their
   alpha-strings;
 * ``charring.freudenthal.chamber_walks``: chamber walks run on them, one
-  per weight whose dominant conjugate was not yet known in its character;
+  per string step whose weight, walked on from the string's last dominant
+  conjugate, is not dominant;
+* ``charring.freudenthal.walk_steps``: simple reflections those walks take;
 * ``charring.freudenthal.norm_cuts``: alpha-strings ended by the norm
   bound, at a weight longer than the highest weight, which is neither
   visited nor walked;

@@ -31,9 +31,9 @@ root indices: a quotient replays the recipe and a W_J-orbit is a closure
 through the :meth:`RootDatum.reflection_row` of each simple root in J.
 Coordinates are reflected only to build those rows and the Weyl orbits of
 weights.  :func:`chamber_walk` walks simple pairings into the dominant
-chamber.  It gives the dominant conjugate of a weight, the dominant
-conjugates on the alpha-strings of Freudenthal's recursion in
-:mod:`parahoric.charring`, and, shifted by rho, the dot-action
+chamber.  It gives the dominant conjugate of a weight, walks each
+alpha-string of Freudenthal's recursion in :mod:`parahoric.charring` on
+from its last dominant conjugate, and, shifted by rho, the dot-action
 normalization :func:`parahoric.charring.chi_normalize`.
 """
 
@@ -450,13 +450,14 @@ def closure(reached: dict, step) -> dict:
     return reached
 
 
-def chamber_walk(pairs: list[int], columns, bound: int) -> tuple[list[int], int]:
+def chamber_walk(pairs: list[int], columns, bound: int, *carried: list[int]) -> tuple[list[int], int]:
     """Walk a point's simple pairings ``pairs`` into the dominant chamber in
     place: s_i for the first p_i < 0 adds ``-p_i`` alpha_i to the point and
     ``-p_i`` times Cartan column i (its nonzero ``(j, c)`` in ``columns[i]``)
-    to the pairings.  Returns the simple-root coefficients added and the
-    number of steps: l(w) if the point is off the walls and w moves it in.
-    Each step lowers by one the number of positive roots that pair
+    to the pairings, and s_i to each pairing list in ``carried``, which so
+    ends as w(x) for the walk w.  Returns the simple-root coefficients added
+    and the number of steps: l(w) if the point is off the walls and w moves
+    it in.  Each step lowers by one the number of positive roots that pair
     negatively, so a walk of more than ``bound`` steps (callers pass the
     number of positive roots) raises instead of running on."""
     added, steps = [0] * len(pairs), 0
@@ -472,6 +473,10 @@ def chamber_walk(pairs: list[int], columns, bound: int) -> tuple[list[int], int]
         steps += 1
         for j, c in columns[i]:
             pairs[j] -= p_i * c
+        for x in carried:
+            x_i = x[i]
+            for j, c in columns[i]:
+                x[j] -= x_i * c
 
 
 class LinearTables(NamedTuple):

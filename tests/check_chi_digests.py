@@ -15,9 +15,10 @@ It checks every recorded case of the types named, each on a new datum with
 an empty ``chi_cache``, and that ``dim`` of the character, which reads each
 key's orbit size by the zero set of its labels, is the Weyl dimension of k
 rho (the E8 rho case runs that lookup over 14 869 keys).  It
-prints one line per case with its CPU and wall seconds and its dimension,
-and exits 1 when a digest or a dimension differs.  It only reads the
-recorded digests; it never writes them.
+prints one line per case with its CPU and wall seconds, the process's peak
+RSS so far (``ru_maxrss``, in MB; name one type to read that case's own
+peak) and its dimension, and exits 1 when a digest or a dimension differs.
+It only reads the recorded digests; it never writes them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 
@@ -73,7 +75,8 @@ def main(argv=None) -> int:
         if dimension != weyl_dimension:
             verdict = f"DIM!={weyl_dimension}"
         bad += verdict != "ok"
-        print(f"{key:9} {verdict:8} cpu {cpu:6.2f} s  wall {wall:6.2f} s  {digest}  dim {dimension}")
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+        print(f"{key:9} {verdict:8} cpu {cpu:6.2f} s  wall {wall:6.2f} s  rss {rss:6.1f} MB  {digest}  dim {dimension}")
     return 1 if bad else 0
 
 

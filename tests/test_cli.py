@@ -265,14 +265,15 @@ def test_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_cache_entries_are_checked_on_read(tmp_path, monkeypatch, capsys):
     # a wrong top multiplicity, non-dominant keys, non-integer
-    # multiplicities, a non-object, a wrong dimension and a key not below lam
-    # all count as misses, and the recomputed character replaces the file
+    # multiplicities, a non-object, nesting too deep for json.load, a wrong
+    # dimension and a key not below lam all count as misses, and the
+    # recomputed character replaces the file
     monkeypatch.setenv("PARAHORIC_CACHE_DIR", str(tmp_path))
     _type_dir(tmp_path, "A2").mkdir(parents=True)
     cases = [("1,0", bad, 3, {"1,0": 1})
              for bad in ['{"1,0": 2}', '{"-1,0": 1}', '{"1,0": "1"}', '{"1,0": true}', "[1]"]]
     cases += [("1,1", bad, 8, {"1,1": 1, "0,0": 2})
-              for bad in ['{"1,1": 1, "0,0": 1}', '{"1,1": 1, "0,0": 2.0}']]
+              for bad in ['{"1,1": 1, "0,0": 1}', '{"1,1": 1, "0,0": 2.0}', "[" * 100000]]
     cases.append(("2,0", '{"2,0": 1, "1,0": 1}', 6, {"2,0": 1, "0,1": 1}))
     cases.append(("2,2", '{"2,2": 1, "-3,3": 1, "0,3": 1, "1,1": 2, "0,0": 3}', 27,
                   {"2,2": 1, "3,0": 1, "0,3": 1, "1,1": 2, "0,0": 3}))
@@ -282,6 +283,7 @@ def test_cache_entries_are_checked_on_read(tmp_path, monkeypatch, capsys):
         code, envelope = run_json(capsys, ["character", "--type", "A2", "--weight", weight])
         assert code == 0, bad
         assert envelope["outputs"]["dim"] == dimension, bad
+        assert envelope["outputs"]["support"] == good, bad
         assert json.loads(target.read_text()) == good, bad
 
 

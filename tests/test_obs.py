@@ -112,7 +112,8 @@ def test_freudenthal_counts_a_run_once_and_nothing_on_a_hit():
         "charring.freudenthal.runs": 1,
         "charring.freudenthal.dominant_weights": 58,
         "charring.freudenthal.string_steps": 1061,
-        "charring.freudenthal.chamber_walks": 422,
+        "charring.freudenthal.chamber_walks": 386,
+        "charring.freudenthal.walk_steps": 712,
         "charring.freudenthal.norm_cuts": 533,
     }
     assert second == {}

@@ -33,6 +33,7 @@ from parahoric.rootdata import (
     dot,
     parse_weight_key,
     sub_root_datum,
+    wadd,
     weight_key,
     wneg,
 )
@@ -915,6 +916,65 @@ def test_chamber_walk_is_bounded_by_the_number_of_positive_roots():
         pairs = [-1] * rd.semisimple_rank
         _, steps = rootdata.chamber_walk(pairs, rd.linear_tables().cartan_columns, len(rd.positive_roots))
         assert steps == len(rd.positive_roots) and pairs == [1] * rd.semisimple_rank
+
+
+@pytest.mark.parametrize("name, theta", [("B3", None), ("C3", None), ("G2", None), ("F4", None), ("F4", "0")])
+def test_carried_walk_ends_on_the_image_of_the_root(name, theta):
+    # the walk w of nu carries the labels of alpha to those of w(alpha), a
+    # root, and d + w(alpha) = w(nu + alpha) has the dominant conjugate of
+    # nu + alpha
+    rd = build_root_datum(name)
+    if theta is not None:  # F4 at 0: the quotient A1xC3
+        basis = extended_basis(rd)
+        rd = parahoric_model(rd, parse_facet_spec(theta, basis), basis).quotient_datum
+    columns, bound = rd.linear_tables().cartan_columns, len(rd.positive_roots)
+
+    def labels(w):
+        return [dot(w, f) for f in rd.simple_coroots]
+
+    def dominant(pairs):
+        rootdata.chamber_walk(pairs, columns, bound)
+        return pairs
+
+    root_labels = {tuple(labels(b.coords)) for b in rd.roots}
+    for nu in itertools.product(range(-2, 3), repeat=rd.n):
+        alone = labels(nu)
+        walked = rootdata.chamber_walk(alone, columns, bound)
+        for b in rd.roots:
+            d, c = labels(nu), labels(b.coords)
+            assert rootdata.chamber_walk(d, columns, bound, c) == walked and d == alone, (name, nu)
+            assert tuple(c) in root_labels, (name, nu, b)
+            assert dominant([x + y for x, y in zip(d, c)]) == dominant(labels(wadd(nu, b.coords))), (name, nu, b)
+
+
+def test_a_wrong_carried_reflection_is_caught_by_the_root_check_under_optimize_flag():
+    # chamber_walk with the carried update's sign flipped, x + x_i column i
+    # for s_i(x) = x - x_i column i: a string ends on labels of no root
+    code = (
+        "import inspect\n"
+        "from parahoric import charring, rootdata\n"
+        "from parahoric.rootdata import InvariantViolation\n"
+        "source = inspect.getsource(rootdata.chamber_walk)\n"
+        "right, wrong = 'x[j] -= x_i * c', 'x[j] += x_i * c'\n"
+        "print(source.count(right))\n"
+        "namespace = dict(vars(rootdata))\n"
+        "exec(source.replace(right, wrong), namespace)\n"
+        "charring.chamber_walk = namespace['chamber_walk']\n"
+        "b3 = rootdata._datum_structure.__wrapped__('B3')\n"
+        "try:\n"
+        "    charring.chi_char(b3, b3.rho)\n"
+        "except InvariantViolation as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "1",
+        "raised: the alpha-string at (2, 0, 1) from (-1, 2, -2) carries (-1, 4, -6), not a root's labels",
+    ]
 
 
 # SHA-256 of each spec's structure (the fields of _structure_digest),
