@@ -450,7 +450,7 @@ def tensor(ch1: Character, ch2: Character) -> Character:
     """Tensor product: full-orbit convolution, then orbit re-compression."""
     _check_same(ch1, ch2)
     full1 = expand_full(ch1)
-    full2 = expand_full(ch2)
+    full2 = full1 if ch2 is ch1 else expand_full(ch2)  # a square, as in exterior_square, expands once
     out: dict[Weight, int] = {}
     for w1, m1 in full1.items():
         for w2, m2 in full2.items():
@@ -469,17 +469,20 @@ def dual(ch: Character) -> Character:
 
 
 def exterior_square(ch: Character) -> Character:
-    """Lambda^2 of the underlying weight multiset; dim d -> d(d-1)/2."""
-    full = sorted(expand_full(ch).items())
-    out: dict[Weight, int] = {}
-    for i, (w1, m1) in enumerate(full):
-        pairs_same = m1 * (m1 - 1) // 2
-        if pairs_same:
-            key = wadd(w1, w1)
-            out[key] = out.get(key, 0) + pairs_same
-        for w2, m2 in full[i + 1 :]:
-            key = wadd(w1, w2)
-            out[key] = out.get(key, 0) + m1 * m2
+    """Lambda^2 of the underlying weight multiset; dim d -> d(d-1)/2.
+
+    Lambda^2 V = (V (x) V - psi^2 V) / 2, where the Adams operation psi^2
+    doubles every weight: on dominant keys psi^2 V is m(w) at 2w for each
+    key w of V.  A difference that is odd or negative raises
+    :class:`InvariantViolation`."""
+    out = dict(tensor(ch, ch).mult)
+    for w, m in ch.mult.items():
+        key = wadd(w, w)
+        out[key] = out.get(key, 0) - m
+    for w, m in out.items():
+        if m < 0 or m % 2:
+            raise InvariantViolation(f"V (x) V - psi^2 V is {m} at {w}, not twice a multiplicity")
+        out[w] = m // 2
     return _compress(ch.datum, out)
 
 

@@ -27,15 +27,16 @@ The layers of a parahoric model are unions of whole Weyl orbits of the
 quotient, each weight once (see :func:`from_parahoric`), so their characters
 and dimensions are read off the weights.  Rule E2 reads every layer's
 expansion in the chi basis off :attr:`SplittingSequence.expansions`.  For a
-layer of a model it is found without Freudenthal's recursion, by the
-Brauer-Klimyk rule (Klimyk 1968; Humphreys, *Introduction to Lie Algebras
-and Representation Theory*, section 24, exercise 9): a W-invariant character
-is chi(0) times itself, so it equals sum_nu m(nu) chi(nu) over all of its
-weights nu, with chi(nu) normalized by the dot action (see
-:func:`parahoric.charring.chi_normalize`).  The chi(lam) are linearly
-independent, so an expansion is unique and additive: rule E1's expansion of
-the aggregate character is the sum of the layer expansions, with zero
-coefficients dropped, and is not expanded again.
+layer of a model it is found without Freudenthal's recursion, in the loop
+that checks each weight's W-stability, by the Brauer-Klimyk rule (Klimyk
+1968; Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+section 24, exercise 9): a W-invariant character is chi(0) times itself, so
+it equals sum_nu m(nu) chi(nu) over all of its weights nu, with chi(nu)
+normalized by the dot action (see :func:`parahoric.charring.chi_normalize`).
+The chi(lam) are linearly independent, so an expansion is unique and
+additive: rule E1's expansion of the aggregate character is the sum of the
+layer expansions, with zero coefficients dropped, summed in the pass that
+reads them for rule E2 and not expanded again.
 """
 
 from __future__ import annotations
@@ -123,20 +124,21 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
     to be dominant, of multiplicity 1 and of the lattice's length, so the
     layer characters are built without the constructor's checks.
 
-    The same loop expands each layer in the chi basis by the Brauer-Klimyk
-    rule: the expansion is the sum of chi(w) over the layer's weights w,
-    each normalized by the dot action s_a . w = w - (q + 1) a.  A dominant
-    w adds +1 at w.  A w with some q = -1 adds nothing: w + rho is then
-    singular.  Otherwise some q <= -2, and s_a . w = w + (-q - 1) a, found
-    by -q - 1 <= 2 lookups in the ambient :meth:`RootDatum.sum_row` of a,
-    which :func:`parahoric.rootdata.sub_root_datum` has built.  That is a
-    root of the same layer: the a-string through w runs from w to s_a(w) =
-    w + (-q) a, and a has grading value 0.  The walk repeats with the sign
-    flipped until a dominant or singular weight is reached, within as many
-    steps as the quotient has positive roots.  In a simply-laced type no
-    weight walks, since two non-proportional roots pair in {-1, 0, 1}.  So
-    no quotient table is built, and a step that finds no root, leaves the
-    layer or overruns that bound raises :class:`InvariantViolation`.
+    The same loop, one per layer weight, expands each layer in the chi basis
+    by the Brauer-Klimyk rule: the expansion is the sum of chi(w) over the
+    layer's weights w, each normalized by the dot action
+    s_a . w = w - (q + 1) a.  A dominant w adds +1 at w.  A w with some
+    q = -1 adds nothing: w + rho is then singular.  Otherwise some q <= -2,
+    and the loop steps w to s_a . w = w + (-q - 1) a, found by -q - 1 <= 2
+    lookups in the ambient :meth:`RootDatum.sum_row` of a, which
+    :func:`parahoric.rootdata.sub_root_datum` has built, and classifies it
+    again with the sign flipped.  That is a root of the same layer: the
+    a-string through w runs from w to s_a(w) = w + (-q) a, and a has grading
+    value 0.  A dominant or singular weight is reached within as many steps
+    as the quotient has positive roots.  In a simply-laced type no weight
+    steps, since two non-proportional roots pair in {-1, 0, 1}.  So no
+    quotient table is built, and a step that finds no root, leaves the layer
+    or overruns that bound raises :class:`InvariantViolation`.
     """
     datum, ambient = model.quotient_datum, model.datum
     roots, size = ambient.roots, len(ambient.roots)
@@ -153,26 +155,40 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
             raise InvariantViolation(f"layer weights are not distinct: {len(members)} of {len(layer)}")
         dominant, walked = {}, {}
         for j in layer:
-            w, height, singular, step = roots[j].coords, roots[j].height, False, None
-            for gen in gens:
-                k = gen[0][j]
-                if k != j:  # <w, a^vee> != 0
-                    if k not in members:
-                        raise InvariantViolation(f"layer is not stable under the quotient's Weyl group at {w}")
-                    rise = roots[k].height - height  # -q ht a
-                    if rise == gen[2]:
-                        singular = True
-                    elif rise > gen[2]:
-                        step = gen
+            steps = 0
+            while True:
+                w, height, singular, step = roots[j].coords, roots[j].height, False, None
+                for gen in gens:
+                    k = gen[0][j]
+                    if k != j:  # <w, a^vee> != 0
+                        if k not in members:
+                            raise InvariantViolation(f"layer is not stable under the quotient's Weyl group at {w}")
+                        rise = roots[k].height - height  # -q ht a
+                        if rise == gen[2]:
+                            singular = True
+                        elif rise > gen[2]:
+                            step = gen
+                if singular or step is None:
+                    break
+                if not steps:
+                    walks += 1
+                row, sums, h = step
+                for _ in range((roots[row[j]].height - height) // h - 1):  # -q - 1
+                    k = sums[j]
+                    if k is None:
+                        raise InvariantViolation(f"dot walk finds no root above {roots[j].coords}")
+                    j = k
+                if j not in members:
+                    raise InvariantViolation(f"dot walk leaves its layer at {roots[j].coords}")
+                steps += 1
+                if steps > bound:
+                    raise InvariantViolation(f"dot walk takes more than {bound} steps")
             if singular:
                 continue
-            if step is None:
-                dominant[w] = 1
+            if steps:
+                walked[w] = walked.get(w, 0) + (-1 if steps & 1 else 1)
             else:
-                walks += 1
-                sign, top = _dot_walk(j, step, gens, roots, members, bound)
-                if sign:
-                    walked[top] = walked.get(top, 0) + sign
+                dominant[w] = 1
         coeffs = dict(dominant)
         for w, c in walked.items():
             coeffs[w] = coeffs.get(w, 0) + c
@@ -189,35 +205,6 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
     object.__setattr__(seq, "dims", tuple(map(len, model.layers)))
     object.__setattr__(seq, "expansions", tuple(expansions))
     return seq
-
-
-def _dot_walk(j: int, step, gens, roots, members: set[int], bound: int) -> tuple[int, Weight]:
-    """The dot-action walk of :func:`from_parahoric` from the layer weight
-    of ambient index j, whose pairing with the simple root of ``step``, an
-    entry ``(reflection row, sum row, height)`` of ``gens``, is at most -2:
-    ``(sign, dominant weight)`` with chi(w) = sign * chi(dominant), or
-    ``(0, weight)`` at a weight w with w + rho singular."""
-    sign, steps = 1, 0
-    while step is not None:
-        row, sums, h = step
-        for _ in range((roots[row[j]].height - roots[j].height) // h - 1):  # -q - 1
-            k = sums[j]
-            if k is None:
-                raise InvariantViolation(f"dot walk finds no root above {roots[j].coords}")
-            j = k
-        if j not in members:
-            raise InvariantViolation(f"dot walk leaves its layer at {roots[j].coords}")
-        sign, steps = -sign, steps + 1
-        if steps > bound:
-            raise InvariantViolation(f"dot walk takes more than {bound} steps")
-        height, step = roots[j].height, None
-        for gen in gens:
-            rise = roots[gen[0][j]].height - height
-            if rise == gen[2]:
-                return 0, roots[j].coords
-            if rise > gen[2]:
-                step = gen
-    return sign, roots[j].coords
 
 
 class LeviCertificate:
@@ -299,11 +286,21 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
     )
 
     # E1 by linearity: the aggregate's expansion is the sum of E2's
-    expansions = seq.expansions
     aggregate: dict[Weight, int] = {}
-    for expansion in expansions:
+    layer_values = []
+    e2_ok = True
+    for expansion, d in zip(seq.expansions, dims):
         for w, c in expansion.coeffs.items():
             aggregate[w] = aggregate.get(w, 0) + c
+        nonnegative = expansion.is_nonnegative()
+        layer_values.append(
+            {
+                "dim": d,
+                "expansion": character_to_json(expansion.coeffs),
+                "nonnegative": nonnegative,
+            }
+        )
+        e2_ok = e2_ok and d <= p and nonnegative
     aggregate_expansion = VirtualChiSum({w: c for w, c in aggregate.items() if c})
     nonnegative = aggregate_expansion.is_nonnegative()
     e1_ok = total_dim <= bound and nonnegative
@@ -323,19 +320,6 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
             "satisfied": e1_ok,
         }
     )
-
-    layer_values = []
-    e2_ok = True
-    for expansion, d in zip(expansions, dims):
-        nonnegative = expansion.is_nonnegative()
-        layer_values.append(
-            {
-                "dim": d,
-                "expansion": character_to_json(expansion.coeffs),
-                "nonnegative": nonnegative,
-            }
-        )
-        e2_ok = e2_ok and d <= p and nonnegative
     rules.append(
         {
             "id": "E2",
@@ -355,9 +339,8 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
         conjugacy = CERTIFIED if existence == CERTIFIED else CONDITIONAL
     else:
         conjugacy = INCONCLUSIVE
-    if existence == INCONCLUSIVE:
-        first = next(rule for rule in rules if rule["id"] in ("T", "E1", "E2"))
-        notes.append(f"existence blocked first at rule {first['id']}: {first['hypothesis']}")
+    if existence == INCONCLUSIVE:  # T, E1 and E2 all failed, and T comes first
+        notes.append(f"existence blocked first at rule T: {rules[0]['hypothesis']}")
     if conjugacy == INCONCLUSIVE:
         notes.append("conjugacy blocked at rule C1: some layer dimension reaches the bound")
     return LeviCertificate(existence, conjugacy, rules, notes)

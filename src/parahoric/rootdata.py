@@ -96,13 +96,31 @@ class NotPrime(ValueError):
 
 
 def is_prime(p: int) -> bool:
+    """Miller-Rabin on the prime bases 2 ... 41, deterministic below the
+    bound of Sorenson and Webster (2017); a p at or above it raises
+    ValueError."""
+    bound = 3317044064679887385961981
+    if p >= bound:
+        raise ValueError(f"primality is decided only below {bound}, got {p}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if p < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    for a in bases:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in bases:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 

@@ -5,8 +5,8 @@ library: explicit matrix closure for Weyl groups, exact Fraction solves for
 marks and lattice coordinates, a box scan for the dominant weights below a
 weight, the reflection loop for dominant conjugates, the coordinate rescan
 for the dot action, the coefficient-vector closure for root systems,
-``Fraction`` sums for facet barycenters, and hand-built weight multisets
-for small modules.
+``Fraction`` sums for facet barycenters, hand-built weight multisets for
+small modules, and trial division up to sqrt(p) for primality.
 The W_J-orbits on the roots are closed under W_J taken as a matrix group.
 The reference Freudenthal loop runs on weights, not on Dynkin labels as the
 library does, and finds the dominant weights below lam by subtracting
@@ -31,18 +31,21 @@ grades each root by its canonical representative runs on the library's
 extended basis and quotient datum.  The chi-expansion of a raw weight map,
 with negative entries allowed, and the evaluation of a chi-sum test their
 weights for dominance and then run on the library's greedy expansion and
-its cached multiplicity maps; no library code reads them.
+its cached multiplicity maps; no library code reads them.  The exterior
+square by the pair loop that left the library runs on its full weight
+multiset.
 Two operations that only tests read live here too, on library code: the
 dominant conjugate of a length-checked weight, on the library's chamber
 walk, and the merge of two ledgers, on the library's ledger check.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
 from parahoric import Character, chi_char, parse_dynkin_spec
 from parahoric.affine import AffineRoot, ParahoricModel
-from parahoric.charring import _chi_expand, _chi_mult
+from parahoric.charring import _chi_expand, _chi_mult, expand_full
 from parahoric.jantzen import (
     JANTZEN_RESOLVED,
     LOWEST_ALCOVE,
@@ -727,3 +730,31 @@ def aggregate_expansion(seq):
         for w, m in ch.mult.items():
             aggregate[w] = aggregate.get(w, 0) + m
     return chi_expand_map(seq.quotient_datum, aggregate)
+
+
+def exterior_square_by_pairs(ch):
+    """The dominant part of Lambda^2 of a character, summed over unordered
+    pairs of its weights, a weight with itself m(m-1)/2 times."""
+    full = sorted(expand_full(ch).items())
+    out = {}
+    for i, (w1, m1) in enumerate(full):
+        if m1 > 1:
+            key = tuple(2 * x for x in w1)
+            out[key] = out.get(key, 0) + m1 * (m1 - 1) // 2
+        for w2, m2 in full[i + 1:]:
+            key = tuple(map(operator.add, w1, w2))
+            out[key] = out.get(key, 0) + m1 * m2
+    return {w: m for w, m in out.items() if ch.datum.is_dominant(w)}
+
+
+def is_prime_by_trial_division(p):
+    """Primality by trial division up to sqrt(p), the library's rule before
+    Miller-Rabin."""
+    if p < 2:
+        return False
+    f = 2
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 1
+    return True

@@ -15,8 +15,11 @@ Usage (from the repository root)::
     PYTHONPATH=src python3 tests/check_certificate_digests.py F4 E6
 
 It checks every recorded sweep of the types named, prints one line per sweep
-with its digest and one line per type with its CPU and wall seconds, models
-included, and exits 1 when a digest differs.  It only reads the recorded
+with its digest and exits 1 when a digest differs.  After each type's sweeps
+it prints one line with two CPU times, the model phase (``parahoric_model``
+and ``from_parahoric`` over all facets) and the certify sweeps, the wall
+seconds of both, and the process's peak RSS so far (``ru_maxrss``, in MB;
+name one type to read that type's own peak).  It only reads the recorded
 digests; it never writes them.
 """
 
@@ -26,6 +29,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 
@@ -80,6 +84,7 @@ def main(argv=None) -> int:
     for spec in args.types:
         cpu, wall = time.process_time(), time.perf_counter()
         sequences = facet_sequences(spec)
+        model_cpu = time.process_time() - cpu
         for p in PRIMES:
             for refine in (False, True):
                 key = sweep_key(spec, p, refine)
@@ -87,8 +92,12 @@ def main(argv=None) -> int:
                 verdict = "ok" if expected[key] == digest else "MISMATCH"
                 bad += verdict != "ok"
                 print(f"{key:10} {verdict:8} {digest}")
-        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
-        print(f"{spec:10} {len(sequences)} facets, {2 * len(PRIMES)} sweeps: cpu {cpu:6.2f} s  wall {wall:6.2f} s")
+        sweep_cpu, wall = time.process_time() - cpu - model_cpu, time.perf_counter() - wall
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+        print(
+            f"{spec:10} {len(sequences)} facets, {2 * len(PRIMES)} sweeps: models cpu {model_cpu:6.2f} s  "
+            f"sweeps cpu {sweep_cpu:6.2f} s  wall {wall:6.2f} s  rss {rss:6.1f} MB"
+        )
     return 1 if bad else 0
 
 

@@ -318,3 +318,20 @@ def test_malformed_facet_specs_are_rejected(a2, a2_basis, theta):
         quotient_by_deletion(a2, spec, a2_basis)
     with pytest.raises(ValueError):
         facet_barycenter(a2, a2_basis, spec)
+
+
+def test_layer_zero_is_not_a_layer(a2, a2_basis):
+    model = parahoric_model(a2, parse_facet_spec("0", a2_basis), a2_basis)
+    assert model.layer(len(model.layers) + 1) == ()
+    with pytest.raises(ValueError, match="layers are indexed from 1"):
+        model.layer(0)
+
+
+def test_a_theta_index_that_is_no_integer_is_named(a2_basis):
+    with pytest.raises(ValueError, match="bad theta indices '0,x'"):
+        parse_facet_spec("0,x", a2_basis)
+
+
+def test_a_torus_has_no_extended_basis():
+    with pytest.raises(ValueError, match="datum has no semisimple component"):
+        extended_basis(build_root_datum("T2"))

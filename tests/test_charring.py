@@ -43,6 +43,7 @@ from _oracles import (
     dominant_below_by_weights,
     dominant_conjugate,
     evaluate_chi_sum,
+    exterior_square_by_pairs,
     sl3_adjoint_weights,
 )
 
@@ -476,3 +477,29 @@ def test_chi_readers_share_the_cached_map_without_changing_it(monkeypatch):
     assert chi_expand(ch).coeffs == {lam: 1}
     with pytest.raises(InvariantViolation, match="non-dominant keys"):
         chi_expand_map(rd, ch.mult)
+
+
+def test_exterior_square_matches_the_pair_loop():
+    # Lambda^2 V = (V (x) V - psi^2 V) / 2 against the sum over weight pairs
+    checked = 0
+    for name, weights in _rank4_boxes():
+        rd = build_root_datum(name)
+        for lam in weights:
+            ch = chi_char(rd, lam)
+            if dim(ch) <= 40:
+                assert exterior_square(ch).mult == exterior_square_by_pairs(ch), (name, lam)
+                checked += 1
+    assert checked > 100
+
+
+def test_exterior_square_checks_the_halved_difference(a2, monkeypatch):
+    natural = chi_char(a2, (1, 0))
+    # V (x) V replaced by V + V: psi^2 V leaves -1 at (2, 0)
+    monkeypatch.setattr(charring, "tensor", add)
+    with pytest.raises(InvariantViolation, match=r"V \(x\) V - psi\^2 V is -1 at \(2, 0\)"):
+        exterior_square(natural)
+    # V (x) V replaced by V + chi(2, 0): psi^2 V cancels (2, 0), and 1 is
+    # left at (1, 0), which is no multiplicity doubled
+    monkeypatch.setattr(charring, "tensor", lambda ch1, ch2: add(ch1, chi_char(a2, (2, 0))))
+    with pytest.raises(InvariantViolation, match=r"V \(x\) V - psi\^2 V is 1 at \(1, 0\)"):
+        exterior_square(natural)

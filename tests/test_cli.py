@@ -483,3 +483,30 @@ def test_cache_dir_precedence(tmp_path, monkeypatch):
     assert default_cache_dir() == str(tmp_path / "cache")  # PARAHORIC_CACHE_DIR, set for every test
     monkeypatch.delenv("PARAHORIC_CACHE_DIR")
     assert default_cache_dir() == str(tmp_path / "xdg" / "parahoric")
+
+
+def test_verify_sl3_refuses_p_2(capsys):
+    assert main(["verify-sl3", "--p", "2"]) == 1
+    assert capsys.readouterr().err == "error: p must be an odd prime at least 3\n"
+
+
+def test_a_negative_first_coordinate_needs_the_equals_form(capsys):
+    # argparse takes "-1,2" after a space for an option, so --weight has no value
+    assert main(["character", "--type", "T2", "--weight", "-1,2"]) == 1
+    assert "argument --weight: expected one argument" in capsys.readouterr().err
+    code, envelope = run_json(capsys, ["character", "--type", "T2", "--weight=-1,2"])
+    assert code == 0 and envelope["outputs"]["support"] == {"-1,2": 1}
+
+
+def test_a_61_bit_prime_is_decided_at_once(tmp_path, capsys):
+    env = dict(os.environ, PYTHONPATH=SRC, PARAHORIC_CACHE_DIR=str(tmp_path))
+    argv = ["levi", "--type", "A2", "--theta", "0", "--p", str(2**61 - 1)]
+    proc = subprocess.run(
+        [sys.executable, "-c", "from parahoric.cli import run; run()", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"A2 facet 0 at p={2**61 - 1}: existence certified")
+    # Miller-Rabin on the bases 2 ... 41 is exact only below this bound
+    assert main(["levi", "--type", "A2", "--theta", "0", "--p", "3317044064679887385961981"]) == 1
+    assert "primality is decided only below 3317044064679887385961981" in capsys.readouterr().err

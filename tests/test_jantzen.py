@@ -319,3 +319,21 @@ def test_report_json(a2):
         "chL_dim": 3,
         "provenance": "jantzen_resolved",
     }
+
+
+def test_non_dominant_weights_are_refused(a2):
+    with pytest.raises(NotDominant, match=r"\(-1, 2\) is not dominant"):
+        lowest_alcove_test(a2, 5, (-1, 2))
+    with pytest.raises(NotDominant, match=r"\(-1, 2\) is not dominant"):
+        resolve_simple(a2, 5, (-1, 2), SimpleLedger(a2, 5))
+
+
+def test_ext_hypotheses_that_the_ledger_cannot_certify(a2):
+    # J(0, 4) at p = 5 matches no single ledger entry, so rad V(0, 4) stays
+    # undetermined; L(3, 1) is simple but not lowest-alcove
+    ledger = SimpleLedger(a2, 5)
+    with pytest.raises(HypothesisUnmet, match=r"radical of V\(\(0, 4\)\) is not certified by the ledger"):
+        ext1_dim(a2, 5, (0, 4), (0, 0), ledger)
+    assert (0, 4) in ledger.undetermined
+    with pytest.raises(HypothesisUnmet, match=r"L\(\(3, 1\)\) is not certified simple standard"):
+        ext2_chain(a2, 5, (5, 0), (3, 1), (3, 1), ledger)

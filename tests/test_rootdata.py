@@ -31,6 +31,7 @@ from parahoric.rootdata import (
     _datum_structure,
     classify_cartan,
     dot,
+    is_prime,
     parse_weight_key,
     sub_root_datum,
     wadd,
@@ -44,6 +45,7 @@ from _oracles import (
     dominant_conjugate_by_reflection,
     facet_barycenter_by_fractions,
     integer_coords,
+    is_prime_by_trial_division,
     roots_by_closure,
     roots_by_weyl_images,
     stabilizer_orbits_by_closure,
@@ -1031,3 +1033,26 @@ def _structure_digest(rd):
 @pytest.mark.parametrize("name", sorted(SPEC_DIGESTS))
 def test_spec_structure_matches_its_recorded_digest(name):
     assert _structure_digest(build_root_datum(name)) == SPEC_DIGESTS[name]
+
+
+def test_is_prime_agrees_with_trial_division_below_ten_to_the_five():
+    assert [p for p in range(-5, 10**5) if is_prime(p) != is_prime_by_trial_division(p)] == []
+
+
+def test_is_prime_rejects_pseudoprimes_and_decides_large_primes():
+    # 561 is a Carmichael number; 3 825 123 056 546 413 051 is a strong
+    # pseudoprime to each of the bases 2 ... 23, so bases up to 41 are needed
+    assert not is_prime(561)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    assert is_prime(2**31 - 1) and is_prime_by_trial_division(2**31 - 1)
+    with pytest.raises(ValueError, match="decided only below 3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
+
+
+def test_highest_root_names_a_missing_component():
+    a1xa1 = build_root_datum("A1xA1")
+    assert a1xa1.highest_root(1).coords != a1xa1.highest_root(0).coords
+    for component in (2, -1):
+        with pytest.raises(ValueError, match=f"no component {component}"):
+            a1xa1.highest_root(component)
