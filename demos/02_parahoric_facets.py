@@ -19,14 +19,13 @@ from parahoric import (
 
 for name in ["A2", "C2", "G2"]:
     rd = build_root_datum(name)
-    basis = extended_basis(rd)
-    cb = basis.components[0]
+    cb = extended_basis(rd).components[0]
     print(f"{name}: marks {list(cb.marks)}, ell = {cb.ell}")
     print(f"  {'theta':10s} {'deleted-node type':18s} {'window type':12s} "
           f"{'dim R':5s} layers")
-    for theta in enumerate_facets(rd, basis):
-        model = parahoric_model(rd, theta, basis)
-        deleted = quotient_by_deletion(rd, theta, basis)
+    for theta in enumerate_facets(rd):
+        model = parahoric_model(rd, theta)
+        deleted = quotient_by_deletion(rd, theta)
         window = classify_quotient(model)
         assert deleted == window
         layer_dims = [len(layer) for layer in model.layers]
@@ -36,8 +35,7 @@ for name in ["A2", "C2", "G2"]:
 
 print("Iwahori of A2 in detail (all nodes in Theta):")
 rd = build_root_datum("A2")
-basis = extended_basis(rd)
-model = parahoric_model(rd, enumerate_facets(rd, basis)[-1], basis)
+model = parahoric_model(rd, enumerate_facets(rd)[-1])
 for j in range(1, len(model.layers) + 1):
     print(f"  layer {j}: weights {list(model.layer(j))}")
 print("  canonical representatives match the classical description:",

@@ -11,7 +11,6 @@ from parahoric import (
     certify,
     classify_quotient,
     enumerate_facets,
-    extended_basis,
     from_parahoric,
     parahoric_model,
     unitary_report,
@@ -19,10 +18,9 @@ from parahoric import (
 
 for name, p in [("A2", 5), ("C2", 3), ("G2", 2)]:
     rd = build_root_datum(name)
-    basis = extended_basis(rd)
     print(f"{name} at p = {p}:")
-    for theta in enumerate_facets(rd, basis):
-        model = parahoric_model(rd, theta, basis)
+    for theta in enumerate_facets(rd):
+        model = parahoric_model(rd, theta)
         cert = certify(from_parahoric(model), p)
         fired = [r["id"] for r in cert.rules if r["satisfied"]]
         print(f"  theta {str(theta):8s} quotient {str(classify_quotient(model)):8s} "

@@ -205,15 +205,24 @@ def _check_facet(theta: FacetSpec, basis: AffineBasis) -> None:
             raise ValueError(f"theta index out of range in {part}")
 
 
+def _own_basis(rd: RootDatum, basis: AffineBasis | None) -> AffineBasis:
+    """``extended_basis(rd)``, which a ``basis`` given beside ``rd`` must
+    equal (a pickle round trip keeps it equal); any other raises ValueError."""
+    own = extended_basis(rd)
+    if basis is not None and basis != own:
+        raise ValueError(f"the basis given is not the extended basis of {rd.spec_string or 'the datum'}")
+    return own
+
+
 def enumerate_facets(rd: RootDatum, basis: AffineBasis | None = None) -> list[FacetSpec]:
     """All facets of the fundamental alcove closure, in a fixed order.
 
     There are prod_i (2^(rank_i + 1) - 1) of them: one per choice of a
-    nonempty subset of each component's extended basis.
+    nonempty subset of each component of ``extended_basis(rd)``, which
+    ``basis``, if given, must equal.
     """
-    basis = basis or extended_basis(rd)
     per_component = []
-    for cb in basis.components:
+    for cb in _own_basis(rd, basis).components:
         k = len(cb.elements)
         subsets = []
         for mask in range(1, 1 << k):
@@ -274,9 +283,10 @@ def parahoric_model(rd: RootDatum, theta: FacetSpec, basis: AffineBasis | None =
     representative: value 0 puts its ambient index into the quotient, value
     j >= 1 puts it into layer j.  Layers of product types are merged by
     grading value across components.  Psi places a root with ``base(a) = d``
-    at level 0 instead of -1, so it agrees exactly when there is none.
+    at level 0 instead of -1, so it agrees exactly when there is none.  The
+    basis is ``extended_basis(rd)``, which ``basis``, if given, must equal.
     """
-    basis = basis or extended_basis(rd)
+    basis = _own_basis(rd, basis)
     _check_facet(theta, basis)
     parts = list(zip(basis.components, theta.theta))
     depth = tuple(sum(cb.marks[i] for i in part) for cb, part in parts)
@@ -306,8 +316,9 @@ def quotient_by_deletion(rd: RootDatum, theta: FacetSpec, basis: AffineBasis | N
     delete the Theta nodes and every edge adjacent to them, then classify the
     surviving subdiagram.  Must agree with the type computed from the window
     model.  The surviving nodes' Cartan matrix is read off the extended
-    Cartan matrices of the basis."""
-    basis = basis or extended_basis(rd)
+    Cartan matrices of ``extended_basis(rd)``, which ``basis``, if given,
+    must equal."""
+    basis = _own_basis(rd, basis)
     _check_facet(theta, basis)
     cbs = basis.components
     survivors = [(c, i) for c, part in enumerate(theta.theta) for i in range(len(cbs[c].elements)) if i not in part]
@@ -339,8 +350,9 @@ def _alcove_vertices(rd: RootDatum, start: int, marks: tuple[int, ...]) -> tuple
     return vertices + ((0,) * rd.n,), denominator
 
 
-def facet_barycenter(rd: RootDatum, basis: AffineBasis, theta: FacetSpec) -> tuple[fractions.Fraction, ...]:
-    """Barycenter of the facet: the average of the alcove vertices opposite
+def facet_barycenter(rd: RootDatum, basis: AffineBasis | None, theta: FacetSpec) -> tuple[fractions.Fraction, ...]:
+    """Barycenter of the facet: the average of the alcove vertices of
+    ``extended_basis(rd)`` (which ``basis``, if not None, must equal) opposite
     the Theta nodes, component by component.  Lies in the open facet, so an
     affine root vanishes at it iff it vanishes identically on the facet."""
     # imported only here, so that importing this module does not pay for it;
@@ -348,6 +360,7 @@ def facet_barycenter(rd: RootDatum, basis: AffineBasis, theta: FacetSpec) -> tup
     # every call, about 1.5 us more per call on Python 3.11
     import fractions
 
+    basis = _own_basis(rd, basis)
     _check_facet(theta, basis)
     # integer numerators over one common denominator, and one Fraction per
     # coordinate at the end: each Fraction sum would reduce by a gcd

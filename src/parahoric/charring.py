@@ -80,6 +80,8 @@ class Character(ReadOnly):
     def __init__(self, datum: RootDatum, mult: dict[Weight, int] | None = None):
         mult = {} if mult is None else mult
         datum.check_weights(*mult)
+        if not all(type(m) is int for m in mult.values()):
+            raise ValueError(f"character multiplicities must be integers: {mult}")
         if not all(m > 0 for m in mult.values()):
             raise InvariantViolation(f"character multiplicities must be positive: {mult}")
         if not all(datum.is_dominant(w) for w in mult):
@@ -120,6 +122,8 @@ class VirtualChiSum(ReadOnly):
 
     def __init__(self, coeffs: dict[Weight, int] | None = None):
         coeffs = {} if coeffs is None else coeffs
+        if not all(type(c) is int for c in coeffs.values()):
+            raise ValueError(f"chi-sum coefficients must be integers: {coeffs}")
         if not all(c != 0 for c in coeffs.values()):
             raise InvariantViolation(f"chi-sum coefficients must be nonzero: {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)

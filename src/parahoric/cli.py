@@ -107,15 +107,14 @@ def cmd_rootsys(args) -> Report:
 
 
 def cmd_facets(args) -> Report:
-    from .affine import classify_quotient, enumerate_facets, extended_basis, parahoric_model
+    from .affine import classify_quotient, enumerate_facets, parahoric_model
 
     rd = build_root_datum(args.type)
-    basis = extended_basis(rd)
-    thetas = enumerate_facets(rd, basis)
+    thetas = enumerate_facets(rd)
     rows = []
     lines = [f"{len(thetas)} facets of {rd.spec_string}"]
     for theta in thetas:
-        model = parahoric_model(rd, theta, basis)
+        model = parahoric_model(rd, theta)
         rows.append(
             {
                 "theta": str(theta),
@@ -136,8 +135,7 @@ def _facet_model(args):
     from .affine import extended_basis, parahoric_model, parse_facet_spec
 
     rd = build_root_datum(args.type)
-    basis = extended_basis(rd)
-    return parahoric_model(rd, parse_facet_spec(args.theta, basis), basis)
+    return parahoric_model(rd, parse_facet_spec(args.theta, extended_basis(rd)))
 
 
 def cmd_parahoric(args) -> Report:

@@ -29,7 +29,6 @@ from .charring import (
 )
 from .rootdata import (
     InvariantViolation,
-    NotDominant,
     NotPrime,
     Root,
     RootDatum,
@@ -88,9 +87,7 @@ def dot_reflect(rd: RootDatum, alpha: Root, n: int, lam: Weight) -> Weight:
 def jantzen_sum(rd: RootDatum, p: int, lam: Weight) -> VirtualChiSum:
     """The Jantzen sum J(lam) as an integer chi-combination."""
     _require_prime(p)
-    rd.check_weights(lam)
-    if not rd.is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
+    rd.check_dominant(lam)
     coeffs: dict[Weight, int] = {}
     for alpha in rd.positive_roots:
         pairing = dot(lam, alpha.coroot) + alpha.coroot_height
@@ -114,9 +111,7 @@ def lowest_alcove_test(rd: RootDatum, p: int, lam: Weight) -> bool:
     dominant, so it is tested on the highest coroot of each component
     alone (:meth:`RootDatum.highest_coroots`), which pairs with it at least
     as much as any other positive coroot."""
-    rd.check_weights(lam)
-    if not rd.is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
+    rd.check_dominant(lam)
     return all(dot(lam, theta.coroot) + theta.coroot_height <= p for theta in rd.highest_coroots())
 
 
@@ -174,9 +169,7 @@ def resolve_simple(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger) -> 
     those are resolved first; recursion is well-founded on dominance.
     """
     _require_prime(p)
-    rd.check_weights(lam)
-    if not rd.is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
+    rd.check_dominant(lam)
     _check_ledger(ledger, rd, p)
     return _resolve(rd, p, lam, ledger, None)
 

@@ -16,11 +16,12 @@ simple reflection from a root reached before it.  A spec build reads the
 roots' coordinates off that table; a quotient replays the recipe on the
 ambient datum's reflection rows, one lookup a root, shares the ambient
 roots' tuples and is checked against the roots it was carved from.  A
-datum's type is read off its stored component matrices; naming a matrix
-needs only its checked determinant, kept apart from the roots.  The tables
-a datum fills in on first use, its assembled Cartan matrix and inverse
-among them, live in one :class:`DatumTables`, which every build of a spec
-shares.
+datum's type is read off its stored component matrices.  Naming a matrix
+alone, as :func:`classify_cartan` does for a deleted diagram, reads its
+checked determinant from the same table, which builds the matrix's roots
+too.  The tables a datum fills in on first use, its assembled Cartan
+matrix and inverse among them, live in one :class:`DatumTables`, which
+every build of a spec shares.
 
 Every walk of the Weyl group runs on two helpers.  :func:`closure` is a
 breadth-first closure of labelled points.  It gives the roots of a
@@ -98,13 +99,13 @@ class NotPrime(ValueError):
 def is_prime(p: int) -> bool:
     """Miller-Rabin on the prime bases 2 ... 41, deterministic below the
     bound of Sorenson and Webster (2017); a p at or above it raises
-    ValueError."""
+    ValueError.  Anything but an ``int`` is not prime."""
     bound = 3317044064679887385961981
+    if type(p) is not int or p < 2:
+        return False
     if p >= bound:
         raise ValueError(f"primality is decided only below {bound}, got {p}")
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if p < 2:
-        return False
     for a in bases:
         if p % a == 0:
             return p == a
@@ -435,8 +436,8 @@ def _cartan_solve(det, adj, basis, duals, v: Weight) -> tuple[int, ...] | None:
 
 def _dynkin_components(cartan) -> list[list[int]]:
     """Connected components of the Dynkin graph of a Cartan matrix (two
-    nodes are joined when they pair nonzero), as ascending index lists
-    ordered by their first index."""
+    nodes are joined when either pairs nonzero with the other), as ascending
+    index lists ordered by their first index."""
     parent = list(range(len(cartan)))
 
     def find(i):
@@ -446,7 +447,7 @@ def _dynkin_components(cartan) -> list[list[int]]:
         return i
 
     for i, j in itertools.combinations(range(len(cartan)), 2):
-        if cartan[i][j]:
+        if cartan[i][j] or cartan[j][i]:
             parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(len(cartan)):
@@ -545,25 +546,15 @@ class DatumTables:
         "extended_basis",
     )
 
-    def __init__(
-        self,
-        orbits: dict[tuple[int, ...], tuple[tuple[Weight, tuple[int, ...], int, int], ...]] | None = None,
-        orbit_sizes: dict[tuple[int, ...], int] | None = None,
-        closure_rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] | None = None,
-        reflection_rows: dict[int, tuple[int, ...]] | None = None,
-        sum_rows: dict[int, tuple[int | None, ...]] | None = None,
-        linear: LinearTables | None = None,
-        highest_coroots: tuple[Root, ...] | None = None,
-        extended_basis: AffineBasis | None = None,
-    ):
-        self.orbits = {} if orbits is None else orbits
-        self.orbit_sizes = {} if orbit_sizes is None else orbit_sizes
-        self.closure_rows = {} if closure_rows is None else closure_rows
-        self.reflection_rows = {} if reflection_rows is None else reflection_rows
-        self.sum_rows = {} if sum_rows is None else sum_rows
+    def __init__(self, linear: LinearTables | None = None):
+        self.orbits: dict[tuple[int, ...], tuple[tuple[Weight, tuple[int, ...], int, int], ...]] = {}
+        self.orbit_sizes: dict[tuple[int, ...], int] = {}
+        self.closure_rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = {}
+        self.reflection_rows: dict[int, tuple[int, ...]] = {}
+        self.sum_rows: dict[int, tuple[int | None, ...]] = {}
         self.linear = linear
-        self.highest_coroots = highest_coroots
-        self.extended_basis = extended_basis
+        self.highest_coroots: tuple[Root, ...] | None = None
+        self.extended_basis: AffineBasis | None = None
 
 
 class RootDatum:
@@ -684,14 +675,23 @@ class RootDatum:
 
     def check_weights(self, *weights: Weight) -> None:
         """Raise ``ValueError`` unless each weight has one coordinate per
-        lattice dimension: :func:`dot` and :func:`wadd` stop silently at the
-        shorter argument.  The public entry points that take weights call
-        it; the hot :meth:`is_dominant` and the private bodies that callers
-        with checked weights use, such as :meth:`_dominant_conjugate`, do
-        not."""
+        lattice dimension, each an ``int``: :func:`dot` and :func:`wadd` stop
+        silently at the shorter argument, and a float would be computed on.
+        The public entry points that take weights call it; the hot
+        :meth:`is_dominant` and the private bodies that callers with checked
+        weights use, such as :meth:`_dominant_conjugate`, do not."""
         for lam in weights:
             if len(lam) != self.n:
                 raise ValueError(f"weight {lam} has length {len(lam)}, not the lattice rank {self.n}")
+            if not all(type(x) is int for x in lam):
+                raise ValueError(f"weight {lam} has a coordinate that is not an int")
+
+    def check_dominant(self, lam: Weight) -> None:
+        """:meth:`check_weights` on ``lam``, then :class:`NotDominant` unless
+        it is dominant."""
+        self.check_weights(lam)
+        if not self.is_dominant(lam):
+            raise NotDominant(f"{lam} is not dominant")
 
     def is_dominant(self, lam: Weight) -> bool:
         return all(dot(lam, f) >= 0 for f in self.simple_coroots)
@@ -892,9 +892,7 @@ class RootDatum:
 
     def weyl_dim(self, lam: Weight) -> int:
         """Weyl degree formula: prod <lam+rho, a^vee> / <rho, a^vee>, exactly."""
-        self.check_weights(lam)
-        if not self.is_dominant(lam):
-            raise NotDominant(f"{lam} is not dominant")
+        self.check_dominant(lam)
         num = 1
         den = 1
         for a in self.positive_roots:

@@ -2,9 +2,9 @@
 
 A sweep certifies every facet of one Dynkin type at one prime, with or
 without the rank refinement.  Each type's facets are modelled once, by
-``parahoric_model`` and ``from_parahoric`` on one extended basis, and each
-facet's splitting sequence is then certified at every (p, refinement) pair:
-only the bounds of a certificate depend on them.  A sweep's digest is the
+``parahoric_model`` and ``from_parahoric``, and each facet's splitting
+sequence is then certified at every (p, refinement) pair: only the bounds
+of a certificate depend on them.  A sweep's digest is the
 SHA-256 of the JSON list of ``{"theta", "certificate"}`` in
 ``enumerate_facets`` order.  ``certificate_digests.json`` holds the digests
 of F4, E6, E7 and E8 at p = 2, 3, 5, 7, with and without the refinement.
@@ -37,7 +37,6 @@ from parahoric import (
     build_root_datum,
     certify,
     enumerate_facets,
-    extended_basis,
     from_parahoric,
     parahoric_model,
 )
@@ -55,8 +54,7 @@ def facet_sequences(spec: str) -> list[tuple[str, SplittingSequence]]:
     """Each facet of the type, in ``enumerate_facets`` order, with the
     splitting sequence of its model."""
     rd = build_root_datum(spec)
-    basis = extended_basis(rd)
-    return [(str(theta), from_parahoric(parahoric_model(rd, theta, basis))) for theta in enumerate_facets(rd, basis)]
+    return [(str(theta), from_parahoric(parahoric_model(rd, theta))) for theta in enumerate_facets(rd)]
 
 
 def sweep_digest(sequences: list[tuple[str, SplittingSequence]], p: int, refine: bool) -> str:

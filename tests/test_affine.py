@@ -335,3 +335,42 @@ def test_a_theta_index_that_is_no_integer_is_named(a2_basis):
 def test_a_torus_has_no_extended_basis():
     with pytest.raises(ValueError, match="datum has no semisimple component"):
         extended_basis(build_root_datum("T2"))
+
+
+# the four facet functions, each called with the datum, a facet and a basis
+FACET_CALLS = {
+    "enumerate_facets": lambda rd, theta, basis: enumerate_facets(rd, basis),
+    "parahoric_model": lambda rd, theta, basis: parahoric_model(rd, theta, basis).to_json_dict(),
+    "quotient_by_deletion": lambda rd, theta, basis: quotient_by_deletion(rd, theta, basis),
+    "facet_barycenter": lambda rd, theta, basis: facet_barycenter(rd, basis, theta),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACET_CALLS))
+def test_a_basis_of_another_datum_is_rejected(name, a2_basis):
+    # with A2's basis, B3 read as A2+T1, listed 7 facets instead of 15 and
+    # had a barycenter of 2 coordinates in a lattice of rank 3
+    b3 = build_root_datum("B3")
+    with pytest.raises(ValueError, match="not the extended basis of B3"):
+        FACET_CALLS[name](b3, FacetSpec(((0,),)), a2_basis)
+
+
+@pytest.mark.parametrize("name", sorted(FACET_CALLS))
+def test_the_datums_own_basis_is_accepted_as_object_or_in_value(name):
+    import copy
+    import pickle
+
+    b3 = build_root_datum("B3")
+    theta = FacetSpec(((0, 2),))
+    expected = FACET_CALLS[name](b3, theta, None)
+    own = extended_basis(b3)
+    for basis in (own, extended_basis(build_root_datum("B3")), copy.deepcopy(own), pickle.loads(pickle.dumps(own))):
+        assert FACET_CALLS[name](b3, theta, basis) == expected
+    assert copy.deepcopy(own) is not own
+
+
+def test_a_quotient_datum_takes_only_its_own_basis(a2, a2_basis):
+    quotient = parahoric_model(a2, FacetSpec(((0, 1),))).quotient_datum
+    assert str(quotient_by_deletion(quotient, FacetSpec(((0,),)))) == "A1+T1"
+    with pytest.raises(ValueError, match="not the extended basis of the datum"):
+        enumerate_facets(quotient, a2_basis)

@@ -503,3 +503,21 @@ def test_exterior_square_checks_the_halved_difference(a2, monkeypatch):
     monkeypatch.setattr(charring, "tensor", lambda ch1, ch2: add(ch1, chi_char(a2, (2, 0))))
     with pytest.raises(InvariantViolation, match=r"V \(x\) V - psi\^2 V is 1 at \(1, 0\)"):
         exterior_square(natural)
+
+
+def test_characters_and_chi_sums_take_only_int_values(a2):
+    with pytest.raises(ValueError, match="character multiplicities must be integers"):
+        Character(a2, {(1, 0): 1.5})
+    with pytest.raises(ValueError, match="character multiplicities must be integers"):
+        Character(a2, {(1, 0): True})
+    with pytest.raises(ValueError, match="chi-sum coefficients must be integers"):
+        VirtualChiSum({(1, 0): 0.5})
+    with pytest.raises(ValueError, match="not an int"):
+        Character(a2, {(1.0, 0): 1})
+
+
+def test_chi_char_takes_only_int_coordinates(a2):
+    # it returned Character(1*[0.5,0.5])
+    with pytest.raises(ValueError, match=r"weight \(0\.5, 0\.5\) has a coordinate that is not an int"):
+        chi_char(a2, (0.5, 0.5))
+    assert chi_char(a2, (1, 1)).mult[(0, 0)] == 2

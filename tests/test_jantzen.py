@@ -337,3 +337,27 @@ def test_ext_hypotheses_that_the_ledger_cannot_certify(a2):
     assert (0, 4) in ledger.undetermined
     with pytest.raises(HypothesisUnmet, match=r"L\(\(3, 1\)\) is not certified simple standard"):
         ext2_chain(a2, 5, (5, 0), (3, 1), (3, 1), ledger)
+
+
+def test_jantzen_sum_takes_only_an_int_prime(a2):
+    # at 5.0 it keyed chi at (2.0, 0.0)
+    with pytest.raises(NotPrime):
+        jantzen_sum(a2, 5.0, (5, 0))
+    assert all(type(x) is int for w in jantzen_sum(a2, 5, (5, 0)).coeffs for x in w)
+
+
+def test_the_four_dominance_checks_raise_as_before(a2):
+    ledger = SimpleLedger(a2, 5)
+    calls = {
+        "weyl_dim": lambda lam: a2.weyl_dim(lam),
+        "jantzen_sum": lambda lam: jantzen_sum(a2, 5, lam),
+        "lowest_alcove_test": lambda lam: lowest_alcove_test(a2, 5, lam),
+        "resolve_simple": lambda lam: resolve_simple(a2, 5, lam, ledger),
+    }
+    for name, call in calls.items():
+        with pytest.raises(NotDominant, match=r"^\(-1, 2\) is not dominant$"):
+            call((-1, 2))
+        with pytest.raises(ValueError, match="has length 3"):
+            call((1, 1, 0))
+        with pytest.raises(ValueError, match="not an int"):
+            call((1.0, 1))

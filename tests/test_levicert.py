@@ -397,3 +397,18 @@ def test_user_supplied_sequence():
     assert refined.rule("C1")["satisfied"]
     assert refined.rule("E1")["satisfied"]
     assert refined.existence == CERTIFIED and refined.conjugacy == CERTIFIED
+
+
+def test_certify_takes_only_an_int_prime():
+    # is_prime(5.0) held, so the certificate carried "bound": 5.0, "p": 5.0
+    seq = from_parahoric(_model("A2", "0,2"))
+    for p in (5.0, True, "5"):
+        with pytest.raises(NotPrime):
+            certify(seq, p)
+    assert certify(seq, 5).existence == CERTIFIED
+
+
+def test_a_layer_with_a_fractional_multiplicity_is_rejected(a2):
+    # it was accepted, and its sequence certified with "dims": [4.5]
+    with pytest.raises(ValueError, match="character multiplicities must be integers"):
+        SplittingSequence(a2, (Character(a2, {(1, 0): 1.5}),))

@@ -1056,3 +1056,52 @@ def test_highest_root_names_a_missing_component():
     for component in (2, -1):
         with pytest.raises(ValueError, match=f"no component {component}"):
             a1xa1.highest_root(component)
+
+
+def test_weights_take_only_int_coordinates(a2):
+    # orbit_size((0.5, 0)) returned 3
+    with pytest.raises(ValueError, match="not an int"):
+        a2.orbit_size((0.5, 0))
+    for lam in ((1.0, 0), (True, 0), (1, None)):
+        with pytest.raises(ValueError, match="not an int"):
+            a2.check_weights((0, 0), lam)
+    a2.check_weights((0, 0), (-1, 2))
+    assert a2.orbit_size((1, 0)) == 3
+
+
+def test_is_prime_is_false_for_anything_but_an_int():
+    assert is_prime(5) and not is_prime(5.0) and not is_prime(True) and not is_prime("5")
+
+
+def test_check_dominant(a2):
+    assert a2.check_dominant((0, 3)) is None
+    with pytest.raises(NotDominant, match=r"^\(1, -1\) is not dominant$"):
+        a2.check_dominant((1, -1))
+    with pytest.raises(ValueError, match="has length 1"):
+        a2.check_dominant((1,))
+
+
+@pytest.mark.parametrize("spec", ["A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "A1xA1+T1", "B2xG2", "A2+T2"])
+def test_fundamental_coweights_are_dual_to_the_simple_roots(spec):
+    rd = build_root_datum(spec)
+    for i in range(rd.semisimple_rank):
+        x, d = rd.fundamental_coweight(i)
+        assert d > 0 and len(x) == rd.n and not any(x[rd.semisimple_rank:]), (spec, i)
+        assert [dot(a, x) for a in rd.simple_coords] == [d * (i == j) for j in range(rd.semisimple_rank)], (spec, i)
+
+
+def test_classify_diagram_names_a_product_and_its_torus():
+    a2, g2 = [[2, -1], [-1, 2]], [[2, -1], [-3, 2]]
+    blocks = [row + [0, 0] for row in a2] + [[0, 0] + row for row in g2]
+    assert str(rootdata.classify_diagram(blocks, 5)) == "A2xG2+T1"
+    order = (2, 0, 3, 1)  # the same diagram with its nodes interleaved
+    assert str(rootdata.classify_diagram([[blocks[i][j] for j in order] for i in order], 4)) == "A2xG2"
+
+
+def test_classify_diagram_rejects_an_asymmetric_zero_pattern():
+    # [[2, 0], [-1, 2]] read as A1xA1, while classify_cartan raised on it
+    for cartan in ([[2, 0], [-1, 2]], [[2, -1], [0, 2]]):
+        with pytest.raises(InvariantViolation, match="not a Cartan matrix"):
+            rootdata.classify_diagram(cartan, 2)
+        with pytest.raises(InvariantViolation, match="not a Cartan matrix"):
+            classify_cartan(cartan)
