@@ -48,6 +48,7 @@ from .rootdata import (
     wadd,
     weight_key,
     wneg,
+    wsub,
 )
 
 __all__ = [
@@ -101,18 +102,6 @@ class Character(ReadOnly):
             f"{m}*[{weight_key(w)}]" for w, m in sorted(self.mult.items())
         )
         return f"Character({body or '0'})"
-
-
-def _trusted_character(datum: RootDatum, mult: dict[Weight, int]) -> Character:
-    """A :class:`Character` built without its checks, for a producer whose
-    every key of ``mult`` is a dominant weight of ``datum`` with a positive
-    multiplicity by construction: :func:`chi_char`, the ring operations
-    and :func:`parahoric.levicert.from_parahoric`.  The public constructor
-    keeps every check."""
-    ch = object.__new__(Character)
-    object.__setattr__(ch, "datum", datum)
-    object.__setattr__(ch, "mult", mult)
-    return ch
 
 
 class VirtualChiSum(ReadOnly):
@@ -203,7 +192,8 @@ def _plausible_character(rd: RootDatum, lam: Weight, mult) -> bool:
             and m > 0
             and len(w) == rd.n
             and rd.is_dominant(w)
-            and rd.dominance_leq(w, lam)
+            and (below := rd.root_lattice_coords(wsub(lam, w))) is not None  # lam - w over the simple roots
+            and all(c >= 0 for c in below)
         ):
             return False
     adj, half = rd.linear_tables().adj, _half_norms(rd)
@@ -284,25 +274,24 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
     highest coroot of each component alone (:meth:`RootDatum.highest_coroots`),
     which pairs with lam at least as much as any other positive coroot.
 
-    The result is built without the checks of the :class:`Character`
-    constructor: its keys come from the dominance closure below the checked
-    ``lam`` and its multiplicities are checked positive as they are found, or
-    a disk entry passed :func:`_plausible_character`.
+    The result skips the :class:`Character` checks: its keys are the dominant
+    weights below the checked ``lam``, with multiplicities checked positive as
+    found or read from a disk entry that passed :func:`_plausible_character`.
     """
     rd.check_weights(lam)
     labels = tuple(dot(lam, f) for f in rd.simple_coroots)
     if labels and min(labels) < 0:
         raise NotDominant(f"{lam} is not dominant")
-    return _trusted_character(rd, dict(_chi_mult(rd, lam, labels)))
+    return Character._trusted(rd, dict(_chi_mult(rd, lam, labels)))
 
 
 def _chi_mult(rd: RootDatum, lam: Weight, lam_labels: tuple[int, ...] | None = None) -> dict[Weight, int]:
     """The multiplicities of ``chi(lam)`` for a dominant ``lam``, as the map
     that ``rd.chi_cache`` holds: computed and stored on a miss, returned as
-    stored on a hit.  Readers must not change it.  :func:`chi_char` copies
-    it into a :class:`Character` and passes the labels of ``lam`` it has;
-    :func:`chi_expand`, whose tops are dominant by construction, reads it
-    without that copy, and the labels are computed here on a miss.
+    stored on a hit.  Readers must not change it: :func:`chi_char`, which
+    passes the labels of ``lam`` it has, and the ledger of
+    :mod:`parahoric.jantzen` copy it, and :func:`chi_expand`, whose tops are
+    dominant by construction, reads it as it is.
 
     The recursion runs on Dynkin labels, and the multiplicities found so
     far are keyed by the labels of their weights.  An alpha-string mu + k
@@ -439,7 +428,7 @@ def _compress(rd: RootDatum, full: dict[Weight, int]) -> Character:
     are sums of products of positive multiplicities, over weights of the
     lattice rank, so each kept entry is positive."""
     mult = {w: m for w, m in full.items() if m and rd.is_dominant(w)}
-    return _trusted_character(rd, mult)
+    return Character._trusted(rd, mult)
 
 
 def add(ch1: Character, ch2: Character) -> Character:
@@ -447,7 +436,7 @@ def add(ch1: Character, ch2: Character) -> Character:
     out = dict(ch1.mult)
     for w, m in ch2.mult.items():
         out[w] = out.get(w, 0) + m
-    return _trusted_character(ch1.datum, out)
+    return Character._trusted(ch1.datum, out)
 
 
 def tensor(ch1: Character, ch2: Character) -> Character:
@@ -469,7 +458,7 @@ def dual(ch: Character) -> Character:
     for w, m in ch.mult.items():
         key = ch.datum._dominant_conjugate(wneg(w))
         out[key] = out.get(key, 0) + m
-    return _trusted_character(ch.datum, out)
+    return Character._trusted(ch.datum, out)
 
 
 def exterior_square(ch: Character) -> Character:
@@ -543,7 +532,7 @@ def _chi_expand(rd: RootDatum, work: dict[Weight, int]) -> VirtualChiSum:
                 work[w] = new
             else:
                 work.pop(w, None)
-    return VirtualChiSum(out)
+    return VirtualChiSum._trusted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -22,22 +22,12 @@ from .charring import (
     Character,
     DatumMismatch,
     VirtualChiSum,
+    _chi_mult,
     _chi_normalize,
     character_to_json,
-    chi_char,
     dim,
 )
-from .rootdata import (
-    InvariantViolation,
-    NotPrime,
-    Root,
-    RootDatum,
-    Weight,
-    dot,
-    is_prime,
-    weight_key,
-    wsub,
-)
+from .rootdata import InvariantViolation, NotPrime, Root, RootDatum, Weight, check_prime, dot, weight_key, wsub
 
 __all__ = [
     "NotPrime",
@@ -65,11 +55,6 @@ LOWEST_ALCOVE = "lowest_alcove"
 JANTZEN_RESOLVED = "jantzen_resolved"
 
 
-def _require_prime(p: int):
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-
-
 def _nu_p(p: int, n: int) -> int:
     v = 0
     while n % p == 0:
@@ -86,8 +71,13 @@ def dot_reflect(rd: RootDatum, alpha: Root, n: int, lam: Weight) -> Weight:
 
 def jantzen_sum(rd: RootDatum, p: int, lam: Weight) -> VirtualChiSum:
     """The Jantzen sum J(lam) as an integer chi-combination."""
-    _require_prime(p)
+    check_prime(p)
     rd.check_dominant(lam)
+    return _jantzen_sum(rd, p, lam)
+
+
+def _jantzen_sum(rd: RootDatum, p: int, lam: Weight) -> VirtualChiSum:
+    """:func:`jantzen_sum` on checked arguments; it drops each coefficient that cancels."""
     coeffs: dict[Weight, int] = {}
     for alpha in rd.positive_roots:
         pairing = dot(lam, alpha.coroot) + alpha.coroot_height
@@ -102,7 +92,7 @@ def jantzen_sum(rd: RootDatum, p: int, lam: Weight) -> VirtualChiSum:
                 else:
                     coeffs.pop(w, None)
             mp += p
-    return VirtualChiSum(coeffs)
+    return VirtualChiSum._trusted(coeffs)
 
 
 def lowest_alcove_test(rd: RootDatum, p: int, lam: Weight) -> bool:
@@ -111,7 +101,13 @@ def lowest_alcove_test(rd: RootDatum, p: int, lam: Weight) -> bool:
     dominant, so it is tested on the highest coroot of each component
     alone (:meth:`RootDatum.highest_coroots`), which pairs with it at least
     as much as any other positive coroot."""
+    check_prime(p)
     rd.check_dominant(lam)
+    return _in_lowest_alcove(rd, p, lam)
+
+
+def _in_lowest_alcove(rd: RootDatum, p: int, lam: Weight) -> bool:
+    """:func:`lowest_alcove_test` on checked arguments."""
     return all(dot(lam, theta.coroot) + theta.coroot_height <= p for theta in rd.highest_coroots())
 
 
@@ -139,7 +135,7 @@ class SimpleLedger:
         entries: dict[Weight, LedgerEntry] | None = None,
         undetermined: set[Weight] | None = None,
     ):
-        _require_prime(p)
+        check_prime(p)
         self.datum = datum
         self.p = p
         self.entries = {} if entries is None else entries
@@ -149,7 +145,11 @@ class SimpleLedger:
         return self.entries.get(lam)
 
 
-def _check_ledger(ledger: SimpleLedger, rd: RootDatum, p: int):
+def _check_ledger(ledger: SimpleLedger, rd: RootDatum, p: int, *weights: Weight):
+    """The checks of the ledger's entry points: p prime, weights dominant, the ledger over rd at p."""
+    check_prime(p)
+    for lam in weights:
+        rd.check_dominant(lam)
     if not ledger.datum.same_datum(rd):
         raise DatumMismatch("the ledger is over a different root datum")
     if ledger.p != p:
@@ -168,26 +168,25 @@ def resolve_simple(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger) -> 
     The chi-support of J(lam) consists of weights strictly below lam, so
     those are resolved first; recursion is well-founded on dominance.
     """
-    _require_prime(p)
-    rd.check_dominant(lam)
-    _check_ledger(ledger, rd, p)
+    _check_ledger(ledger, rd, p, lam)
     return _resolve(rd, p, lam, ledger, None)
 
 
 def _resolve(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger, j_sum) -> Character | None:
     """:func:`resolve_simple` on checked arguments; ``j_sum`` is J(lam) when
-    the caller has it already, else ``None``."""
+    the caller has it already, else ``None``.  It builds ch L unchecked,
+    after its own positivity check."""
     known = ledger.entries.get(lam)
     if known is not None:
         return known.char
     if lam in ledger.undetermined:
         return None
-    if lowest_alcove_test(rd, p, lam):
-        ch = chi_char(rd, lam)
+    if _in_lowest_alcove(rd, p, lam):
+        ch = Character._trusted(rd, dict(_chi_mult(rd, lam)))
         ledger.entries[lam] = LedgerEntry(ch, LOWEST_ALCOVE, {})
         return ch
     if j_sum is None:
-        j_sum = jantzen_sum(rd, p, lam)
+        j_sum = _jantzen_sum(rd, p, lam)
     for w in sorted(j_sum.coeffs):
         _resolve(rd, p, w, ledger, None)
     # the chi(nu) are linearly independent, so J(lam) = ch L(mu) exactly when
@@ -198,14 +197,14 @@ def _resolve(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger, j_sum) ->
     if entry is None or j_sum.coeffs != _chi_coefficients(ledger, mu):
         ledger.undetermined.add(lam)
         return None
-    mult = dict(chi_char(rd, lam).mult)
+    mult = dict(_chi_mult(rd, lam))
     for w, m in entry.char.mult.items():
         mult[w] = mult.get(w, 0) - m
         if not mult[w]:
             del mult[w]
     if not all(m > 0 for m in mult.values()):
         raise InvariantViolation(f"chi({lam}) - ch L({mu}) is not a character: {mult}")
-    ch = Character(rd, mult)
+    ch = Character._trusted(rd, mult)
     ledger.entries[lam] = LedgerEntry(ch, JANTZEN_RESOLVED, {mu: 1})
     return ch
 
@@ -234,9 +233,16 @@ def ext1_dim(rd: RootDatum, p: int, tau: Weight, gamma: Weight, ledger: SimpleLe
     ledger certifies rad V(tau) as an explicit completely reducible multiset
     of simples (empty, or a single simple).
     """
-    if rd.dominance_leq(tau, gamma) and tau != gamma:
+    _check_ledger(ledger, rd, p, tau, gamma)
+    return _ext1_dim(rd, p, tau, gamma, ledger)
+
+
+def _ext1_dim(rd: RootDatum, p: int, tau: Weight, gamma: Weight, ledger: SimpleLedger) -> int:
+    """:func:`ext1_dim` on checked arguments."""
+    above = rd.root_lattice_coords(wsub(gamma, tau))  # gamma - tau over the simple roots
+    if tau != gamma and above is not None and all(c >= 0 for c in above):
         raise HypothesisUnmet(f"{gamma} > {tau}: identification not applicable")
-    resolve_simple(rd, p, tau, ledger)
+    _resolve(rd, p, tau, ledger, None)
     entry = ledger.entries.get(tau)
     if entry is None:
         raise HypothesisUnmet(f"radical of V({tau}) is not certified by the ledger")
@@ -247,16 +253,16 @@ def ext2_chain(rd: RootDatum, p: int, lam: Weight, mu: Weight, gamma: Weight, le
     """dim Ext^2(L(lam), L(gamma)) via the connecting isomorphism with
     Ext^1(L(mu), L(gamma)), valid when rad V(lam) = L(mu) and L(gamma) is a
     simple standard module (lowest alcove)."""
-    resolve_simple(rd, p, gamma, ledger)
-    resolve_simple(rd, p, mu, ledger)
-    resolve_simple(rd, p, lam, ledger)
+    _check_ledger(ledger, rd, p, lam, mu, gamma)
+    for w in (gamma, mu, lam):
+        _resolve(rd, p, w, ledger, None)
     lam_entry = ledger.entries.get(lam)
     gamma_entry = ledger.entries.get(gamma)
     if lam_entry is None or lam_entry.radical != {mu: 1}:
         raise HypothesisUnmet(f"rad V({lam}) = L({mu}) is not certified")
     if gamma_entry is None or gamma_entry.provenance != LOWEST_ALCOVE:
         raise HypothesisUnmet(f"L({gamma}) is not certified simple standard")
-    return ext1_dim(rd, p, mu, gamma, ledger)
+    return _ext1_dim(rd, p, mu, gamma, ledger)
 
 
 class JantzenReport(NamedTuple):
@@ -280,8 +286,8 @@ class JantzenReport(NamedTuple):
 
 def jantzen_report(rd: RootDatum, p: int, lam: Weight, ledger: SimpleLedger | None = None) -> JantzenReport:
     ledger = ledger if ledger is not None else SimpleLedger(rd, p)
-    _check_ledger(ledger, rd, p)
-    j = jantzen_sum(rd, p, lam)
+    _check_ledger(ledger, rd, p, lam)
+    j = _jantzen_sum(rd, p, lam)
     ch = _resolve(rd, p, lam, ledger, j)
     entry = ledger.entries.get(lam)
     radical_id = None

@@ -47,14 +47,13 @@ from . import obs
 from .charring import (
     Character,
     VirtualChiSum,
-    _trusted_character,
     character_to_json,
     chi_char,
     chi_expand,
     dim,
     exterior_square,
 )
-from .rootdata import InvariantViolation, NotPrime, ReadOnly, RootDatum, Weight, build_root_datum, is_prime
+from .rootdata import InvariantViolation, NotPrime, ReadOnly, RootDatum, Weight, build_root_datum, check_prime, is_prime
 
 if TYPE_CHECKING:
     from .affine import ParahoricModel
@@ -192,19 +191,13 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
         coeffs = dict(dominant)
         for w, c in walked.items():
             coeffs[w] = coeffs.get(w, 0) + c
-        layers.append(_trusted_character(datum, dominant))
-        expansions.append(VirtualChiSum({w: c for w, c in coeffs.items() if c}))
+        layers.append(Character._trusted(datum, dominant))
+        expansions.append(VirtualChiSum._trusted({w: c for w, c in coeffs.items() if c}))
     if walks:
         obs.count("levicert.from_parahoric.walks", walks)
-    # built without __init__, which would sum the same dims again from orbit
-    # sizes, about a fifth of this function's time over the facets of B3 to
-    # E6, and expand the layers again by Freudenthal's recursion
-    seq = object.__new__(SplittingSequence)
-    object.__setattr__(seq, "quotient_datum", datum)
-    object.__setattr__(seq, "layers", tuple(layers))
-    object.__setattr__(seq, "dims", tuple(map(len, model.layers)))
-    object.__setattr__(seq, "expansions", tuple(expansions))
-    return seq
+    # __init__ would sum the dims again from orbit sizes, a fifth of this
+    # function's time from B3 to E6, and expand the layers by Freudenthal
+    return SplittingSequence._trusted(datum, tuple(layers), tuple(map(len, model.layers)), tuple(expansions))
 
 
 class LeviCertificate:
@@ -245,8 +238,7 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
     roots, each moved to the dominant chamber along root strings that stay
     in the layer.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    check_prime(p)
     datum = seq.quotient_datum
     notes: list[str] = []
     r = datum.semisimple_rank
@@ -301,7 +293,7 @@ def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -
             }
         )
         e2_ok = e2_ok and d <= p and nonnegative
-    aggregate_expansion = VirtualChiSum({w: c for w, c in aggregate.items() if c})
+    aggregate_expansion = VirtualChiSum._trusted({w: c for w, c in aggregate.items() if c})
     nonnegative = aggregate_expansion.is_nonnegative()
     e1_ok = total_dim <= bound and nonnegative
     rules.append(

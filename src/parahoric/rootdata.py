@@ -125,6 +125,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_prime(p: int) -> None:
+    """Raise :class:`NotPrime` unless :func:`is_prime` holds for ``p``."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+
+
 def wadd(a: Weight, b: Weight) -> Weight:
     return tuple(map(operator.add, a, b))
 
@@ -170,12 +176,19 @@ _LEGAL_RANKS = {
 
 
 class ReadOnly:
-    """Base of the records whose fields are set once: ``__init__`` sets each
-    slot by ``object.__setattr__``, and assigning or deleting a field later
-    raises ``AttributeError``.  ``__setstate__`` refills the slots the same
-    way, for ``copy`` and ``pickle``."""
+    """Base of the records whose fields are set once, by ``object.__setattr__``
+    in ``__init__``, :meth:`_trusted` or ``__setstate__`` (for ``copy`` and
+    ``pickle``); assigning or deleting a field later raises ``AttributeError``."""
 
     __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of ``values`` in slot order, skipping the ``__init__`` checks the library built them to pass."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -674,13 +687,13 @@ class RootDatum:
         return linear
 
     def check_weights(self, *weights: Weight) -> None:
-        """Raise ``ValueError`` unless each weight has one coordinate per
-        lattice dimension, each an ``int``: :func:`dot` and :func:`wadd` stop
-        silently at the shorter argument, and a float would be computed on.
-        The public entry points that take weights call it; the hot
-        :meth:`is_dominant` and the private bodies that callers with checked
-        weights use, such as :meth:`_dominant_conjugate`, do not."""
+        """Raise ``ValueError`` unless each weight is a ``tuple`` of one ``int``
+        per lattice dimension: a list is no character key, :func:`dot` stops
+        at the shorter argument, and a float would be computed on.  Each entry
+        point that takes weights calls it once; private bodies do not."""
         for lam in weights:
+            if type(lam) is not tuple:
+                raise ValueError(f"weight {lam!r} is not a tuple")
             if len(lam) != self.n:
                 raise ValueError(f"weight {lam} has length {len(lam)}, not the lattice rank {self.n}")
             if not all(type(x) is int for x in lam):

@@ -13,9 +13,11 @@ from parahoric import (
     NotDominant,
     RootDatum,
     SimpleLedger,
+    SplittingSequence,
     VirtualChiSum,
     add,
     build_root_datum,
+    certify,
     chi_char,
     chi_expand,
     chi_normalize,
@@ -24,6 +26,8 @@ from parahoric import (
     enumerate_facets,
     exterior_square,
     extended_basis,
+    from_parahoric,
+    jantzen_report,
     jantzen_sum,
     lowest_alcove_test,
     parahoric_model,
@@ -32,7 +36,7 @@ from parahoric import (
 )
 from parahoric import charring
 from parahoric.charring import _chi_mult, _dominant_below, expand_full
-from parahoric.rootdata import combine, dot, wsub
+from parahoric.rootdata import ReadOnly, combine, dot, wsub
 
 from _oracles import (
     c2_w2_weights,
@@ -294,6 +298,30 @@ def test_weights_of_the_wrong_length_are_rejected(a2, call):
         call(a2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a2, w: chi_char(a2, w),
+        lambda a2, w: a2.weyl_dim(w),
+        lambda a2, w: a2.orbit_size(w),
+        lambda a2, w: a2.weyl_orbit(w),
+        lambda a2, w: a2.dominance_leq(w, (1, 1)),
+        lambda a2, w: chi_normalize(a2, w),
+        lambda a2, w: jantzen_sum(a2, 5, w),
+        lambda a2, w: resolve_simple(a2, 5, w, SimpleLedger(a2, 5)),
+    ],
+    ids=["chi_char", "weyl_dim", "orbit_size", "weyl_orbit", "dominance_leq", "chi_normalize", "jantzen_sum",
+         "resolve_simple"],
+)
+@pytest.mark.parametrize("weight", [[5, 0], [1, 1]])
+def test_weights_that_are_not_tuples_are_rejected(a2, call, weight):
+    # a list got past the length check: chi_normalize(a2, [1, 0]) was
+    # (1, [1, 0]), weyl_dim([1, 1]) was 8 and J([5, 0]) was computed, while
+    # chi_char and weyl_orbit raised TypeError: unhashable type
+    with pytest.raises(ValueError, match=r"^weight \[\d, \d\] is not a tuple$"):
+        call(a2, weight)
+
+
 def test_add_with_zero_and_itself(a2):
     ch = chi_char(a2, (1, 0))
     zero = Character(a2, {})
@@ -303,16 +331,23 @@ def test_add_with_zero_and_itself(a2):
     assert dim(two) == 2 * dim(ch)
 
 
-def test_ring_producers_pass_the_checked_constructor(monkeypatch):
-    # chi_char, add, dual and _compress (under tensor and
-    # exterior_square) build their results without the constructor's checks
+def test_trusted_records_pass_the_checked_constructor(monkeypatch):
+    # each record the library builds by ReadOnly._trusted, skipping its
+    # constructor's checks, is rebuilt here through that constructor: a
+    # splitting sequence from its datum and layers alone, which must give
+    # the dims and expansions that from_parahoric read off the weights
     producers = collections.Counter()
+    trusted = ReadOnly._trusted.__func__
 
-    def checked(datum, mult):
+    def checked(cls, *values):
         producers[sys._getframe(1).f_code.co_name] += 1
-        return Character(datum, mult)
+        if cls is not SplittingSequence:
+            return cls(*values)
+        record, rebuilt = trusted(cls, *values), cls(*values[:2])
+        assert (rebuilt.dims, rebuilt.expansions) == (record.dims, record.expansions), record.layers
+        return rebuilt
 
-    monkeypatch.setattr(charring, "_trusted_character", checked)
+    monkeypatch.setattr(ReadOnly, "_trusted", classmethod(checked))
     for name, weights in _rank4_boxes():
         rd = build_root_datum(name)
         chars = [chi_char(rd, lam) for lam in weights]
@@ -323,7 +358,19 @@ def test_ring_producers_pass_the_checked_constructor(monkeypatch):
         for ch1, ch2 in itertools.combinations_with_replacement(small, 2):
             assert dim(tensor(ch1, ch2)) == dim(ch1) * dim(ch2), (name, ch1, ch2)
             assert dim(exterior_square(ch1)) == dim(ch1) * (dim(ch1) - 1) // 2, (name, ch1)
-    assert set(producers) == {"chi_char", "add", "dual", "_compress"}
+    for name in ("B3", "C3", "G2", "B2xG2", "F4"):
+        rd = build_root_datum(name)
+        for theta in enumerate_facets(rd):
+            seq = from_parahoric(parahoric_model(rd, theta))
+            for refine in (False, True):
+                certify(seq, 5, refine)
+    for name, p, side in (("A2", 5, 12), ("G2", 7, 7)):
+        rd = build_root_datum(name)
+        ledger = SimpleLedger(rd, p)
+        for lam in itertools.product(range(side), repeat=rd.n):
+            jantzen_report(rd, p, lam, ledger)
+    assert set(producers) == {"chi_char", "add", "dual", "_compress", "_chi_expand", "_jantzen_sum", "_resolve",
+                              "from_parahoric", "certify"}
 
 
 def test_datum_mismatch(a2, c2):

@@ -1,6 +1,9 @@
 import collections
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -29,6 +32,8 @@ from parahoric.jantzen import JANTZEN_RESOLVED, LOWEST_ALCOVE, LedgerEntry
 from parahoric.rootdata import NotDominant, dot
 
 from _oracles import chi_normalize_by_rescans, lowest_alcove_by_scan, merge_ledgers, resolve_by_evaluation
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # (type, p, side) of the box [0, side)^rank, as in the modular_ledger
 # benchmark workload, which also issues each box in this shuffled order
@@ -205,13 +210,13 @@ def test_ledger_remembers_undetermined_weights(a2, monkeypatch):
 
 def test_report_computes_the_jantzen_sum_once(a2, monkeypatch):
     calls = []
-    real = jantzen.jantzen_sum
+    real = jantzen._jantzen_sum
 
     def counted(rd, p, lam):
         calls.append(lam)
         return real(rd, p, lam)
 
-    monkeypatch.setattr(jantzen, "jantzen_sum", counted)
+    monkeypatch.setattr(jantzen, "_jantzen_sum", counted)
     for lam in [(5, 0), (6, 3)]:
         jantzen_report(a2, 5, lam)
         assert calls.count(lam) == 1
@@ -361,3 +366,59 @@ def test_the_four_dominance_checks_raise_as_before(a2):
             call((1, 1, 0))
         with pytest.raises(ValueError, match="not an int"):
             call((1.0, 1))
+
+
+# The entry points that check their arguments once and then run unchecked
+# bodies, each called with a composite p, a non-dominant weight and a weight
+# of the wrong length in every weight position; certify takes no weight.
+ENTRY_POINT_CHECKS = (
+    "from parahoric import (SimpleLedger, build_root_datum, certify, enumerate_facets, ext1_dim, ext2_chain,\n"
+    "                       from_parahoric, jantzen_report, jantzen_sum, lowest_alcove_test, parahoric_model,\n"
+    "                       resolve_simple)\n"
+    "a2 = build_root_datum('A2')\n"
+    "seq = from_parahoric(parahoric_model(a2, enumerate_facets(a2)[0]))\n"
+    "ledger = lambda: SimpleLedger(a2, 5)\n"
+    "calls = {\n"
+    "    'jantzen_report': lambda p, w: jantzen_report(a2, p, w, ledger()),\n"
+    "    'jantzen_report, no ledger': lambda p, w: jantzen_report(a2, p, w),\n"
+    "    'resolve_simple': lambda p, w: resolve_simple(a2, p, w, ledger()),\n"
+    "    'ext1_dim tau': lambda p, w: ext1_dim(a2, p, w, (0, 0), ledger()),\n"
+    "    'ext1_dim gamma': lambda p, w: ext1_dim(a2, p, (3, 1), w, ledger()),\n"
+    "    'ext2_chain lam': lambda p, w: ext2_chain(a2, p, w, (3, 1), (2, 0), ledger()),\n"
+    "    'ext2_chain mu': lambda p, w: ext2_chain(a2, p, (5, 0), w, (2, 0), ledger()),\n"
+    "    'ext2_chain gamma': lambda p, w: ext2_chain(a2, p, (5, 0), (3, 1), w, ledger()),\n"
+    "    'jantzen_sum': lambda p, w: jantzen_sum(a2, p, w),\n"
+    "    'lowest_alcove_test': lambda p, w: lowest_alcove_test(a2, p, w),\n"
+    "}\n"
+    "for name, call in calls.items():\n"
+    "    for p, w in [(4, (1, 1)), (5, (-1, 2)), (5, (1, 1, 0))]:\n"
+    "        try:\n"
+    "            call(p, w)\n"
+    "            print(name, '|', 'returned')\n"
+    "        except ValueError as exc:\n"
+    "            print(name, '|', type(exc).__name__, exc)\n"
+    "try:\n"
+    "    certify(seq, 4)\n"
+    "except ValueError as exc:\n"
+    "    print('certify |', type(exc).__name__, exc)\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_entry_points_reject_bad_arguments_before_their_unchecked_bodies(flags):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", ENTRY_POINT_CHECKS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    rejections = [
+        "NotPrime 4 is not prime",
+        "NotDominant (-1, 2) is not dominant",
+        "ValueError weight (1, 1, 0) has length 3, not the lattice rank 2",
+    ]
+    names = ["jantzen_report", "jantzen_report, no ledger", "resolve_simple", "ext1_dim tau", "ext1_dim gamma",
+             "ext2_chain lam", "ext2_chain mu", "ext2_chain gamma", "jantzen_sum", "lowest_alcove_test"]
+    assert proc.stdout.splitlines() == [
+        *(f"{name} | {rejection}" for name in names for rejection in rejections),
+        "certify | NotPrime 4 is not prime",
+    ]

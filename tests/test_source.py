@@ -89,7 +89,7 @@ def test_no_unreferenced_private_definitions():
 # The unchecked bodies of the validation boundary.  The library calls them
 # across modules on purpose, with data it built or checked already, to skip
 # the argument checks that their public entry points keep.
-TRUSTED_BODIES = {"_trusted_character", "_chi_normalize", "_dominant_conjugate", "_orbit_size"}
+TRUSTED_BODIES = {"_trusted", "_chi_mult", "_chi_normalize", "_dominant_conjugate", "_orbit_size"}
 
 
 def _private(name):
@@ -139,21 +139,46 @@ def test_no_private_access_across_modules():
     assert offenders == []
 
 
-def test_roots_are_reflected_only_to_build_rows():
-    # a walk of the Weyl group on roots runs on root indices, through the
-    # rows of RootDatum.reflection_row; coordinate reflections are left to
-    # building those rows and to Weyl orbits of weights
-    allowed = {"reflection_row", "weyl_orbit"}
-    offenders = []
+def _owners(match):
+    """``(module, function, line)`` for each node of the package that
+    ``match`` accepts, the function being the innermost one around it."""
+    found = []
 
     def visit(node, path, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "reflect" and owner not in allowed:
-            offenders.append(f"{path.name}:{node.lineno} in {owner}")
+        if match(node):
+            found.append((path.name, owner, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, path, owner)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    return found
+
+
+def test_roots_are_reflected_only_to_build_rows():
+    # a walk of the Weyl group on roots runs on root indices, through the
+    # rows of RootDatum.reflection_row; coordinate reflections are left to
+    # building those rows and to Weyl orbits of weights
+    allowed = {"reflection_row", "weyl_orbit"}
+    offenders = [
+        f"{module}:{line} in {owner}"
+        for module, owner, line in _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "reflect")
+        if owner not in allowed
+    ]
     assert offenders == []
+
+
+def test_records_skip_their_constructor_only_through_trusted():
+    # ReadOnly._trusted is the one way to build a record without its
+    # __init__ checks; build_root_datum copies a memoized datum's structure
+    # onto a new datum the same way
+    bypasses = _owners(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    )
+    assert [(module, owner) for module, owner, _ in bypasses] == [
+        ("rootdata.py", "_trusted"),
+        ("rootdata.py", "build_root_datum"),
+    ]
