@@ -180,7 +180,8 @@ def _plausible_character(rd: RootDatum, lam: Weight, mult) -> bool:
     norms fails it.
 
     Both sides are read off Dynkin labels L: with h_j = (alpha_j, alpha_j) /
-    2 and adj * cartan = det * I, det (omega_i, omega_j) = adj_ji h_j, so
+    2 and adj * cartan = det * I, both fields of
+    :meth:`RootDatum.linear_tables`, det (omega_i, omega_j) = adj_ji h_j, so
     det (x, y)_c = sum_{j in c} h_j L_j(y) (adj L(x))_j, and lam + 2 rho
     has the labels L(lam) + 2.  Orbit sizes come from the zero sets of the
     labels, as in :func:`dim`."""
@@ -196,7 +197,8 @@ def _plausible_character(rd: RootDatum, lam: Weight, mult) -> bool:
             and all(c >= 0 for c in below)
         ):
             return False
-    adj, half = rd.linear_tables().adj, _half_norms(rd)
+    linear = rd.linear_tables()
+    adj, half = linear.adj, linear.half_norms
     component = [c for c, simples in enumerate(rd.simple_indices) for _ in simples]  # of each simple root
 
     def forms(x, shift):
@@ -223,25 +225,15 @@ def _plausible_character(rd: RootDatum, lam: Weight, mult) -> bool:
     return True
 
 
-def _half_norms(rd: RootDatum) -> tuple[int, ...]:
-    """(alpha_i, alpha_i) / 2 per simple root, from each root's own ``form``
-    and ``coords``, checked even: every root of a datum, a quotient's
-    included, is a root of a spec, whose form gives its simple roots the
-    norms 2 d_i, d the symmetrizer, and is W-invariant."""
-    norms = [dot(a.form, a.coords) for a in rd.simple_roots]
-    if any(x % 2 for x in norms):
-        raise InvariantViolation(f"simple roots of odd norm: {norms}")
-    return tuple(x // 2 for x in norms)
-
-
 def chi_char(rd: RootDatum, lam: Weight) -> Character:
     """Character of the standard module with highest weight ``lam``.
 
     Multiplicities come from Freudenthal's recursion run over the dominant
     cone only; a non-dominant weight contributes through its dominant
     conjugate.  The divisor ``(lam+mu+2rho, lam-mu)`` is assembled from the
-    simple roots' half-norms and the 2 rho functional, so the whole
-    computation is integer-exact.  Results are memoized in ``rd.chi_cache``.
+    simple roots' half-norms h_i, ``half_norms`` of
+    :meth:`RootDatum.linear_tables`, so the whole computation is
+    integer-exact.  Results are memoized in ``rd.chi_cache``.
     The Dynkin labels of ``lam`` are computed once, here: they give the
     dominance test, and on a miss the start of the dominance closure and the
     norm differences below.
@@ -264,15 +256,16 @@ def chi_char(rd: RootDatum, lam: Weight) -> Character:
     mu), and since (alpha_i, x) = h_i L_i(x), with h_i = (alpha_i, alpha_i)
     / 2 and L_i(x) = <x, alpha_i^vee> the i-th label, that is ``sum c_i h_i
     (L_i(lam) + L_i(mu))``, read off the labels of lam and mu.  The divisor
-    adds sum c_i (2 rho, alpha_i) to it.  Along a string, (mu + k alpha, mu +
-    k alpha) grows by 2 (mu + k alpha, alpha) - (alpha, alpha) from k - 1 to
-    k.
+    adds sum c_i (2 rho, alpha_i) = 2 sum c_i h_i to it, as <2 rho,
+    alpha_i^vee> = 2.  Along a string, (mu + k alpha, mu + k alpha) grows
+    by 2 (mu + k alpha, alpha) - (alpha, alpha) from k - 1 to k.
 
     A minuscule or zero lam, one that pairs at most 1 with every positive
     coroot, has no other dominant weight below it, and chi(lam) is its orbit
     sum; it is stored as such, without the recursion.  It is tested on the
-    highest coroot of each component alone (:meth:`RootDatum.highest_coroots`),
-    which pairs with lam at least as much as any other positive coroot.
+    highest coroot of each component alone (``highest_coroots`` of
+    :meth:`RootDatum.linear_tables`), which pairs with lam at least as much
+    as any other positive coroot.
 
     The result skips the :class:`Character` checks: its keys are the dominant
     weights below the checked ``lam``, with multiplicities checked positive as
@@ -305,17 +298,19 @@ def _chi_mult(rd: RootDatum, lam: Weight, lam_labels: tuple[int, ...] | None = N
     labels of no root raises.  A weight is rebuilt only for the map stored
     and the forms in the Freudenthal step.  Per dominant mu, ``pair_sum`` =
     (lam, lam) - (mu, mu) = sum c_i h_i (L_i(lam) + L_i(mu)) (see
-    :func:`chi_char`), with the half-norms h_i read once per run by
-    :func:`_half_norms`; the divisor adds the 2 rho functional of
-    :meth:`RootDatum.linear_tables` to it.  Along a string, ``f`` is (nu,
-    alpha) and ``g`` is (nu, nu) - (lam, lam), which starts at ``-pair_sum``;
-    the string ends when g > 0, before the weight is built, looked up or
-    walked.  A weight with g = 0 lies in W lam and is looked up.
+    :func:`chi_char`), with the half-norms h_i and the highest coroots of
+    the minuscule test read from :meth:`RootDatum.linear_tables` once per
+    call, after the cache check; the divisor adds 2 sum c_i h_i to it.
+    Along a string, ``f`` is (nu, alpha) and ``g`` is (nu, nu) - (lam,
+    lam), which starts at ``-pair_sum``; the string ends when g > 0, before
+    the weight is built, looked up or walked.  A weight with g = 0 lies in
+    W lam and is looked up.
     """
     cached = rd.chi_cache.get(lam)
     if cached is not None:
         return cached
-    if all(dot(lam, theta.coroot) <= 1 for theta in rd.highest_coroots()):
+    linear = rd.linear_tables()
+    if all(dot(lam, theta.coroot) <= 1 for theta in linear.highest_coroots):
         # minuscule or zero: lam is the only dominant weight below it
         mult = rd.chi_cache[lam] = {lam: 1}
         obs.count("charring.freudenthal.runs")
@@ -331,9 +326,7 @@ def _chi_mult(rd: RootDatum, lam: Weight, lam_labels: tuple[int, ...] | None = N
     )
     mult: dict[Weight, int] = {}
     found: dict[tuple[int, ...], int] = {}  # mult by the labels of its weight
-    linear = rd.linear_tables()
-    columns, two_rho_form, bound = linear.cartan_columns, linear.two_rho_form, len(rd.positive_roots)
-    half = _half_norms(rd)
+    columns, half, bound = linear.cartan_columns, linear.half_norms, len(rd.positive_roots)
     lam_half = tuple(map(operator.mul, half, lam_labels))  # (alpha_i, lam)
     roots = None  # the labels of every root, collected at the first string that walks
     steps = walks = walk_steps = cuts = 0
@@ -380,7 +373,8 @@ def _chi_mult(rd: RootDatum, lam: Weight, lam_labels: tuple[int, ...] | None = N
                         f"the alpha-string at {mu} from {shift} carries {root}, not a root's labels"
                     )
             total += count * string
-        denom = pair_sum + sum(map(operator.mul, coeffs, two_rho_form))
+        # (2 rho, alpha_i) = 2 h_i
+        denom = pair_sum + 2 * sum(map(operator.mul, coeffs, half))
         if denom <= 0 or (2 * total) % denom:
             raise InvariantViolation(f"Freudenthal step at {mu}: {2 * total} / {denom}")
         m_mu = (2 * total) // denom

@@ -99,8 +99,8 @@ def lowest_alcove_test(rd: RootDatum, p: int, lam: Weight) -> bool:
     """True iff lam lies in the closure of the lowest p-alcove:
     <lam+rho, a^vee> <= p for every positive coroot.  lam + rho is
     dominant, so it is tested on the highest coroot of each component
-    alone (:meth:`RootDatum.highest_coroots`), which pairs with it at least
-    as much as any other positive coroot."""
+    alone (``highest_coroots`` of :meth:`RootDatum.linear_tables`), which
+    pairs with it at least as much as any other positive coroot."""
     check_prime(p)
     rd.check_dominant(lam)
     return _in_lowest_alcove(rd, p, lam)
@@ -108,7 +108,7 @@ def lowest_alcove_test(rd: RootDatum, p: int, lam: Weight) -> bool:
 
 def _in_lowest_alcove(rd: RootDatum, p: int, lam: Weight) -> bool:
     """:func:`lowest_alcove_test` on checked arguments."""
-    return all(dot(lam, theta.coroot) + theta.coroot_height <= p for theta in rd.highest_coroots())
+    return all(dot(lam, theta.coroot) + theta.coroot_height <= p for theta in rd.linear_tables().highest_coroots)
 
 
 class LedgerEntry(NamedTuple):

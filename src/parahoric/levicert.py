@@ -86,14 +86,16 @@ class SplittingSequence(ReadOnly):
     in the chi basis.  Neither is a constructor argument: construction sums
     the dims from the characters and expands each layer by
     :func:`parahoric.charring.chi_expand` once, so both always agree with
-    ``layers``.  Only :func:`from_parahoric` fills them otherwise, from the
-    weights of layers it has checked to be whole orbits: the weight counts
-    and the Brauer-Klimyk sums.
+    ``layers``, which may be any iterable and is kept as a tuple.  Only
+    :func:`from_parahoric` fills them otherwise, from the weights of layers
+    it has checked to be whole orbits: the weight counts and the
+    Brauer-Klimyk sums.
     """
 
     __slots__ = ("quotient_datum", "layers", "dims", "expansions")
 
     def __init__(self, quotient_datum: RootDatum, layers: tuple[Character, ...]):
+        layers = tuple(layers)  # read once: a generator checked here would be spent below
         if not all(ch.datum.same_datum(quotient_datum) for ch in layers):
             raise InvariantViolation("a layer character lives over another root datum")
         object.__setattr__(self, "quotient_datum", quotient_datum)

@@ -27,7 +27,8 @@ Counter names are ``<module>.<function>.<what>``:
   :meth:`parahoric.rootdata.RootDatum.linear_tables` of quotient data
   built, each on first read, so a facet sweep that models, classifies and
   certifies builds none, and a character computed or expanded over a
-  quotient builds its quotient's;
+  quotient builds its quotient's, a minuscule character or a lowest-alcove
+  test included, since the record holds the highest coroots;
 * ``charring.freudenthal.runs``: characters computed by Freudenthal's
   recursion, that is misses of ``chi_cache`` (a hit counts nothing); a
   minuscule or zero highest weight, whose character is stored as its orbit

@@ -21,7 +21,8 @@ alone, as :func:`classify_cartan` does for a deleted diagram, reads its
 checked determinant from the same table, which builds the matrix's roots
 too.  The tables a datum fills in on first use, its assembled Cartan
 matrix and inverse among them, live in one :class:`DatumTables`, which
-every build of a spec shares.
+every build of a spec shares; the constants that the Weyl layer reads are
+one record of it, :class:`LinearTables`.
 
 Every walk of the Weyl group runs on two helpers.  :func:`closure` is a
 breadth-first closure of labelled points.  It gives the roots of a
@@ -202,18 +203,24 @@ class ReadOnly:
 
 
 class DynkinSpec(ReadOnly):
-    """A product of irreducible Dynkin types plus an optional central torus."""
+    """A product of irreducible Dynkin types plus an optional central torus.
+
+    ``components`` may be any iterable of ``(family, rank)`` pairs: it is
+    read once, before any check, and kept as a tuple of tuples.  Every rank
+    and the torus rank must be an ``int``, not a ``bool``, or
+    :class:`IllegalRank` is raised."""
 
     __slots__ = ("components", "extra_torus_rank")
 
     def __init__(self, components: tuple[tuple[str, int], ...], extra_torus_rank: int = 0):
+        components = tuple((family, rank) for family, rank in components)  # read once, kept hashable
         for family, rank in components:
             if family not in _LEGAL_RANKS:
                 raise IllegalRank(f"unknown family {family!r}")
-            if not _LEGAL_RANKS[family](rank):
-                raise IllegalRank(f"illegal rank {rank} for family {family}")
-        if extra_torus_rank < 0:
-            raise IllegalRank("torus rank must be nonnegative")
+            if type(rank) is not int or not _LEGAL_RANKS[family](rank):
+                raise IllegalRank(f"illegal rank {rank!r} for family {family}")
+        if type(extra_torus_rank) is not int or extra_torus_rank < 0:
+            raise IllegalRank(f"torus rank {extra_torus_rank!r} is not a nonnegative int")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "extra_torus_rank", extra_torus_rank)
 
@@ -512,22 +519,30 @@ def chamber_walk(pairs: list[int], columns, bound: int, *carried: list[int]) -> 
 
 
 class LinearTables(NamedTuple):
-    """The linear algebra of a datum, assembled from its component blocks:
-    the block-diagonal Cartan matrix; ``det`` and ``adj`` with ``adj *
-    cartan == det * I``, the one exact inverse behind every lattice solve;
-    the nonzero entries ``(j, c)`` of each Cartan column, for
-    :func:`chamber_walk`; ``two_rho_form``, (2 rho, alpha_i) per simple
-    root, for the Freudenthal denominator, which is <2 rho, alpha_i^vee>
-    (alpha_i, alpha_i) / 2 = (alpha_i, alpha_i); and ``two_rho_coroot``,
-    2 rho^vee, the sum of the positive coroots, which is 2 on every simple
-    root."""
+    """The constants of a datum that the Weyl layer reads, assembled once
+    from its component blocks and its roots: the block-diagonal Cartan
+    matrix; ``det`` and ``adj`` with ``adj * cartan == det * I``, the one
+    exact inverse behind every lattice solve; the nonzero entries ``(j, c)``
+    of each Cartan column, for :func:`chamber_walk`; ``half_norms``, h_i =
+    (alpha_i, alpha_i) / 2 per simple root, which give the Freudenthal norm
+    differences and, since (2 rho, alpha_i) = <2 rho, alpha_i^vee> h_i =
+    2 h_i, the 2 rho part of its denominator; ``two_rho_coroot``, 2
+    rho^vee, the sum of the positive coroots, which is 2 on every simple
+    root; and ``highest_coroots``, per component, the positive root whose
+    coroot is the highest root of the dual root system: the largest
+    ``coroot_height``, the highest short root outside the simply-laced
+    types, not the highest root.  Its coroot minus any positive coroot of
+    the component is a nonnegative sum of simple coroots, so it pairs with
+    a dominant weight at least as much as any of them: a dominant lam is
+    minuscule or zero exactly when it pairs at most 1 with each."""
 
     cartan: tuple[tuple[int, ...], ...]
     det: int
     adj: tuple[tuple[int, ...], ...]
     cartan_columns: tuple[tuple[tuple[int, int], ...], ...]
-    two_rho_form: tuple[int, ...]
+    half_norms: tuple[int, ...]
     two_rho_coroot: Weight
+    highest_coroots: tuple[Root, ...]
 
 
 class DatumTables:
@@ -542,11 +557,8 @@ class DatumTables:
     with zero set J dominant, all of them at J = (); by root index, the
     rows of :meth:`RootDatum.reflection_row` and of
     :meth:`RootDatum.sum_row`; the :class:`LinearTables` of
-    :meth:`RootDatum.linear_tables`; per component, the root of
-    :meth:`RootDatum.highest_coroots` whose coroot is highest, which pairs
-    with a dominant weight at least as much as any positive coroot, since
-    its coroot minus any positive coroot is a nonnegative sum of simple
-    coroots; and the extended affine basis of
+    :meth:`RootDatum.linear_tables`, among them the half-norms of the
+    simple roots and the highest coroots; and the extended affine basis of
     :func:`parahoric.affine.extended_basis`, which also holds the extended
     Cartan matrices, the coefficient columns and the alcove vertices of a
     spec's facet sweeps.  They hold root data only, so every datum that
@@ -555,8 +567,7 @@ class DatumTables:
     sweep that only models and classifies never builds."""
 
     __slots__ = (
-        "orbits", "orbit_sizes", "closure_rows", "reflection_rows", "sum_rows", "linear", "highest_coroots",
-        "extended_basis",
+        "orbits", "orbit_sizes", "closure_rows", "reflection_rows", "sum_rows", "linear", "extended_basis",
     )
 
     def __init__(self, linear: LinearTables | None = None):
@@ -566,7 +577,6 @@ class DatumTables:
         self.reflection_rows: dict[int, tuple[int, ...]] = {}
         self.sum_rows: dict[int, tuple[int | None, ...]] = {}
         self.linear = linear
-        self.highest_coroots: tuple[Root, ...] | None = None
         self.extended_basis: AffineBasis | None = None
 
 
@@ -579,13 +589,13 @@ class RootDatum:
     ``blocks`` holds each component's Cartan matrix, determinant and
     adjugate, taken from the memo of :func:`_cartan_table` that both
     constructors share per Cartan matrix.  The datum's Cartan matrix, exact
-    inverse and 2 rho functionals are assembled from them only when first
-    read, by :meth:`linear_tables`: a facet quotient that is only modelled
-    and classified never builds them.  A quotient's roots share their
-    ``coords``, ``coroot`` and ``form`` tuples with the ambient datum's.  The
-    roots, simple roots and blocks are fixed once built; everything derived
-    from them later lives in ``tables``, the :class:`DatumTables` filled in
-    on first use.  The one attribute that holds characters, ``chi_cache``,
+    inverse and the other constants of :class:`LinearTables` are assembled
+    only when first read, by :meth:`linear_tables`: a facet quotient that
+    is only modelled, classified and certified never builds them.  A
+    quotient's roots share their ``coords``, ``coroot`` and ``form`` tuples
+    with the ambient datum's.  The roots, simple roots and blocks are fixed
+    once built; everything derived from them later lives in ``tables``, the
+    :class:`DatumTables` filled in on first use.  The one attribute that holds characters, ``chi_cache``,
     belongs to each datum alone: it memoizes ``chi(lam)`` multiplicities by
     highest weight for :func:`parahoric.charring.chi_char`, starts as a new
     empty dict, and may be replaced by another store with ``get`` and item
@@ -667,20 +677,35 @@ class RootDatum:
 
     def linear_tables(self) -> LinearTables:
         """The :class:`LinearTables` of the datum, assembled from its
-        blocks, not inverted again, and kept in :attr:`tables`.  A hot
-        reader calls this once per call, not once per loop step."""
+        blocks, not inverted again, and kept in :attr:`tables`.  The build
+        checks each simple norm even: every root of a datum, a quotient's
+        included, is a root of a spec, whose form gives its simple roots the
+        norms 2 d_i, d the symmetrizer.  It checks each highest coroot above
+        every positive coroot of its component.  A hot reader calls this
+        once per call, not once per loop step."""
         linear = self.tables.linear
         if linear is None:
             cartan = _block_diagonal([c for c, _, _ in self._blocks])
             det = math.prod(d for _, d, _ in self._blocks)
             adj = _block_diagonal([[[det // d * x for x in row] for row in a] for _, d, a in self._blocks])
+            norms = [dot(a.form, a.coords) for a in self.simple_roots]
+            if any(x % 2 for x in norms):
+                raise InvariantViolation(f"simple roots of odd norm: {norms}")
+            top = []
+            for c in range(self.num_components):
+                roots = [b for b in self.positive_roots if b.component == c]
+                theta = max(roots, key=lambda b: b.coroot_height)
+                if any(x < y for b in roots for x, y in zip(theta.coroot_coeffs, b.coroot_coeffs)):
+                    raise InvariantViolation(f"component {c} has no coroot above every positive coroot")
+                top.append(theta)
             linear = self.tables.linear = LinearTables(
                 cartan,
                 det,
                 adj,
                 tuple(tuple((j, c) for j, c in enumerate(col) if c) for col in zip(*cartan)),
-                tuple(dot(a.form, a.coords) for a in self.simple_roots),
+                tuple(x // 2 for x in norms),
                 tuple(map(sum, zip((0,) * self.n, *(b.coroot for b in self.positive_roots)))),
+                tuple(top),
             )
             if self.spec is None:  # a spec's are built once per process
                 obs.count("rootdata.quotient_linear_tables.built")
@@ -841,27 +866,6 @@ class RootDatum:
                 )
             self.tables.closure_rows[zeros] = rows
         return rows
-
-    def highest_coroots(self) -> tuple[Root, ...]:
-        """Per component, the positive root whose coroot is the highest root
-        of the dual root system: the largest ``coroot_height``, the highest
-        short root outside the simply-laced types, not the highest root.
-        Its coroot minus any positive coroot of the component is a
-        nonnegative sum of simple coroots, checked here, so it pairs with a
-        dominant weight at least as much as any of them: a dominant lam is
-        minuscule or zero exactly when it pairs at most 1 with each.  Kept
-        in :attr:`tables`."""
-        top = self.tables.highest_coroots
-        if top is None:
-            top = []
-            for c in range(self.num_components):
-                roots = [b for b in self.positive_roots if b.component == c]
-                theta = max(roots, key=lambda b: b.coroot_height)
-                if any(x < y for b in roots for x, y in zip(theta.coroot_coeffs, b.coroot_coeffs)):
-                    raise InvariantViolation(f"component {c} has no coroot above every positive coroot")
-                top.append(theta)
-            top = self.tables.highest_coroots = tuple(top)
-        return top
 
     # -- dominance order ----------------------------------------------------
 
@@ -1025,22 +1029,19 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
     lexicographic simple coefficients.
 
     The structure (roots, simple indices, Cartan blocks and the
-    :class:`DatumTables`, which gets the Cartan matrix, its inverse and the
-    2*rho functionals when first read) is built and checked once per spec,
-    keyed on the canonical ``str(spec)``, so ``"a1xa1+t1"`` and
-    ``"A1xA1+T1"`` share it.  A string is mapped to that canonical string
-    through the bounded memo :func:`_canonical_spec`, so it is parsed once;
-    a bad one is not kept and raises on every call.  Every call returns a
-    new datum that shares that structure and has its own empty
-    ``chi_cache``.
+    :class:`DatumTables`, which gets the :class:`LinearTables` when first
+    read) is built and checked once per spec by the bounded memo
+    :func:`_datum_structure`, keyed on the spec's text, so ``"a1xa1+t1"``
+    and ``"A1xA1+T1"`` share it; a bad text is not kept and raises on every
+    call.  Every call returns a new datum that shares that structure and
+    has its own empty ``chi_cache``.
     """
-    spec_string = _canonical_spec(spec) if isinstance(spec, str) else str(spec)
     hits = _datum_structure.cache_info().hits if obs.enabled() else 0
     # attribute by attribute rather than copy.copy: a copied __dict__ loses
     # CPython's shared-key instance layout, which makes every later attribute
     # read on the datum slower (about 3x, measured on Python 3.11)
     datum = object.__new__(RootDatum)
-    for name, value in vars(_datum_structure(spec_string)).items():
+    for name, value in vars(_datum_structure(spec if isinstance(spec, str) else str(spec))).items():
         setattr(datum, name, value)
     datum.chi_cache = {}
     if obs.enabled():
@@ -1050,19 +1051,15 @@ def build_root_datum(spec: DynkinSpec | str) -> RootDatum:
     return datum
 
 
-@functools.lru_cache(maxsize=256)
-def _canonical_spec(text: str) -> str:
-    """``str(parse_dynkin_spec(text))``; the memo keeps only texts that
-    parse, as an exception is never stored."""
-    return str(parse_dynkin_spec(text))
-
-
 @functools.lru_cache(maxsize=64)
-def _datum_structure(spec_string: str) -> RootDatum:
-    """The datum of one canonical spec string, built from scratch.  Only
-    copies of it leave :func:`build_root_datum`, so its ``chi_cache`` is
-    never used.  The memo is bounded so that a sweep over many types does not
-    keep every datum alive.
+def _datum_structure(text: str) -> RootDatum:
+    """The datum of one spec text, built from scratch for the canonical
+    text ``str(parse_dynkin_spec(text))``; any other text is parsed once and
+    stored with the canonical text's datum, and one that fails to parse is
+    not stored, as an exception never is.  Only copies of it leave
+    :func:`build_root_datum`, so its ``chi_cache`` is never used.  The memo
+    is bounded so that a sweep over many types does not keep every datum
+    alive.
 
     A component's simple roots are the columns of its Cartan matrix in its
     own coordinates, with the unit vectors there as coroots and the
@@ -1071,7 +1068,9 @@ def _datum_structure(spec_string: str) -> RootDatum:
     coefficients as coroot and its coefficients times the symmetrizer as
     form, each padded with zeros.
     """
-    spec = parse_dynkin_spec(spec_string)
+    spec = parse_dynkin_spec(text)
+    if str(spec) != text:
+        return _datum_structure(str(spec))
     n = spec.rank
     roots, simple_indices, blocks = [], [], []
     off = 0  # where the component's coordinates start

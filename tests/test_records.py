@@ -21,6 +21,8 @@ from parahoric import (
     SplittingSequence,
     VirtualChiSum,
     build_root_datum,
+    certify,
+    chi_char,
     extended_basis,
     from_parahoric,
     jantzen_report,
@@ -111,7 +113,7 @@ def test_datum_tables_take_keywords(a2):
     linear = a2.linear_tables()
     tables = DatumTables(linear=linear)
     assert tables.linear is linear
-    assert tables.highest_coroots is None and tables.extended_basis is None
+    assert tables.extended_basis is None
     assert tables.orbits == tables.orbit_sizes == tables.closure_rows == {}
     assert tables.reflection_rows == tables.sum_rows == {}
     tables.linear = None  # mutable
@@ -170,11 +172,31 @@ def test_read_only_records_copy_and_pickle(a2):
 
 @pytest.mark.parametrize(
     "components, torus",
-    [((("D", 2),), 0), ((("H", 3),), 0), ((("E", 5),), 0), ((("A", 0),), 0), ((("A", 1),), -1)],
+    [
+        ((("D", 2),), 0), ((("H", 3),), 0), ((("E", 5),), 0), ((("A", 0),), 0), ((("A", 1),), -1),
+        # a rank or torus rank that is a float, a bool or a str, not an int
+        ((("A", 2.0),), 0), ((("A", True),), 0), ((("A", "2"),), 0),
+        ((("A", 2),), 1.0), ((("A", 2),), True), ((("A", 2),), "1"),
+    ],
 )
 def test_dynkin_spec_rejects_illegal_ranks(components, torus):
     with pytest.raises(IllegalRank):
         DynkinSpec(components, torus)
+
+
+@pytest.mark.parametrize("wrap", [lambda items: (x for x in items), list], ids=["generator", "list"])
+def test_constructors_read_an_iterable_once(wrap, a2):
+    # a generator checked and then stored would be spent: the sequence read
+    # no layers, and certified what the tuple of the same layers does not
+    spec = DynkinSpec(wrap([("A", 1), ("A", 1)]), 1)
+    assert spec == parse_dynkin_spec("A1xA1+T1") and hash(spec) == hash(parse_dynkin_spec("A1xA1+T1"))
+    assert build_root_datum(spec).spec.components == (("A", 1), ("A", 1))
+    layers = (chi_char(a2, (3, 0)), chi_char(a2, (2, 2)))
+    seq, expected = SplittingSequence(a2, wrap(layers)), SplittingSequence(a2, layers)
+    assert type(seq.layers) is tuple and seq.layers == expected.layers
+    assert seq.dims == expected.dims == (10, 27) and seq.expansions == expected.expansions
+    assert certify(seq, 2).to_json_dict() == certify(expected, 2).to_json_dict()
+    assert certify(seq, 2).existence == "inconclusive"
 
 
 def test_ledger_rejects_a_composite_p(a2):

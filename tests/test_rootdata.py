@@ -325,11 +325,11 @@ def test_invariant_violation_survives_optimize_flag():
         "    row[s1] = s3\n"
         "    c3.tables.reflection_rows[s1] = tuple(row)\n"
         "    chi_char(c3, (0, 1, 0))\n"
-        "def doubled_two_rho():  # a wrong Freudenthal denominator: (2 rho, alpha_i) doubled\n"
+        "def raised_half_norm():  # a wrong Freudenthal step: h_1 = (alpha_1, alpha_1) / 2 one too large\n"
         "    rd = build_root_datum('A2')\n"
         "    linear = rd.linear_tables()\n"
-        "    doubled = linear._replace(two_rho_form=tuple(2 * x for x in linear.two_rho_form))\n"
-        "    rd.tables = rootdata.DatumTables(linear=doubled)  # this build's own tables\n"
+        "    raised = linear._replace(half_norms=(linear.half_norms[0] + 1,) + linear.half_norms[1:])\n"
+        "    rd.tables = rootdata.DatumTables(linear=raised)  # this build's own tables\n"
         "    chi_char(rd, (1, 1))\n"
         "def swapped_row():  # two entries of alpha_2's reflection row in A3 exchanged\n"
         "    a3 = build_root_datum('A3')\n"
@@ -347,7 +347,7 @@ def test_invariant_violation_survives_optimize_flag():
         "    top = fresh.positive_roots[-1]\n"
         "    tampered = rootdata.Root(top.coords, top.simple_coeffs, 0, top.coroot, (2, 0), top.form)\n"
         "    fresh.positive_roots = fresh.positive_roots[:-1] + (tampered,)\n"
-        "    fresh.highest_coroots()\n"
+        "    fresh.linear_tables()\n"
         "def dropped_generator():  # W_{s_1}-orbits in A2 on an identity row of s_1, as if s_1 were dropped\n"
         "    fresh = rootdata._datum_structure.__wrapped__('A2')\n"
         "    s1 = fresh.simple_indices[0][0]\n"
@@ -362,6 +362,12 @@ def test_invariant_violation_survives_optimize_flag():
         "    sums[w] = a\n"
         "    b3.tables.sum_rows[a] = tuple(sums)\n"
         "    from_parahoric(model)\n"
+        "def odd_norm():  # A2 with the form of alpha_1 given as (1, 1), so (alpha_1, alpha_1) = 1\n"
+        "    fresh = rootdata._datum_structure.__wrapped__('A2')\n"
+        "    a1 = fresh.simple_roots[0]\n"
+        "    odd = rootdata.Root(a1.coords, a1.simple_coeffs, 0, a1.coroot, a1.coroot_coeffs, (1, 1))\n"
+        "    fresh.simple_roots = (odd,) + fresh.simple_roots[1:]\n"
+        "    fresh.linear_tables()\n"
         "def at(rd, *coords):  # ambient root indices\n"
         "    return [rd.root_index[c] for c in coords]\n"
         "for make in (lambda: sub_root_datum(a2, [0, len(a2.roots)]),\n"
@@ -371,12 +377,13 @@ def test_invariant_violation_survives_optimize_flag():
         "             lambda: classify_cartan(affine_d4),\n"
         "             joined_orbits,\n"
         "             lambda: sub_root_datum(a2, at(a2, (2, -1), (-2, 1), (-1, 2), (1, -2))),\n"
-        "             doubled_two_rho,\n"
+        "             raised_half_norm,\n"
         "             lambda: sub_root_datum(c2, at(c2, (2, -1), (-2, 1), (0, 1), (0, -1))),\n"
         "             swapped_row,\n"
         "             tampered_coroot,\n"
         "             dropped_generator,\n"
-        "             stray_walk):\n"
+        "             stray_walk,\n"
+        "             odd_norm):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantViolation as exc:\n"
@@ -388,7 +395,7 @@ def test_invariant_violation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 13
+    assert len(lines) == 14
     assert lines[0] == lines[1] == "raised: subset contains non-roots"
     assert lines[2].startswith("raised: character keys must be dominant")
     assert lines[3].startswith("raised: chi((3, 0)) - ch L((1, 1)) is not a character")
@@ -397,7 +404,7 @@ def test_invariant_violation_survives_optimize_flag():
     assert lines[6].startswith(
         "raised: subset is not the root system of its base, which differs on [(-1, -1), (1, 1)]"
     )
-    assert lines[7] == "raised: Freudenthal step at (0, 0): 12 / 10"
+    assert lines[7] == "raised: Freudenthal step at (0, 0): 12 / 9"
     assert lines[8] == "raised: subset is not closed: Root(2,-1) + Root(0,-1) lies outside it"
     assert lines[9] == (
         "raised: the reflection rows of component 0 miss the roots of ((2, -1, 0), (-1, 2, -1), (0, -1, 2))"
@@ -407,6 +414,7 @@ def test_invariant_violation_survives_optimize_flag():
         "raised: the top Root(-1,2) of a W_J-orbit (J = (0,)) pairs negatively with a simple coroot of J"
     )
     assert lines[12] == "raised: dot walk leaves its layer at (0, -1, 2)"
+    assert lines[13] == "raised: simple roots of odd norm: [1, 2]"
 
 
 def test_torus_factors():
@@ -583,13 +591,13 @@ def test_corrupt_orbit_table_raises(drop):
 
 
 def test_illegal_specs_raise_on_every_call():
-    # the memo of canonical spec strings keeps no spelling that fails
-    kept = rootdata._canonical_spec.cache_info().currsize
+    # the memo of spec texts keeps no spelling that fails
+    kept = _datum_structure.cache_info().currsize
     for bad in ["E9", "G3", "A0", "e9"]:
         for _ in range(3):
             with pytest.raises(IllegalRank):
                 build_root_datum(bad)
-    assert rootdata._canonical_spec.cache_info().currsize == kept
+    assert _datum_structure.cache_info().currsize == kept
 
 
 def test_spellings_of_one_spec_share_the_memo_entry():
@@ -600,12 +608,12 @@ def test_spellings_of_one_spec_share_the_memo_entry():
     after = _datum_structure.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (len(variants), 0)
     assert all(rd.roots is data[0].roots for rd in data)
-    # a spelling is parsed once: a second build reads its canonical string
-    # from the memo
+    # a spelling is parsed once: a second build reads its structure from
+    # the memo
     build_root_datum("b3")
-    parsed = rootdata._canonical_spec.cache_info()
+    parsed = _datum_structure.cache_info()
     assert build_root_datum("b3").tables is build_root_datum("B3").tables
-    assert rootdata._canonical_spec.cache_info().hits - parsed.hits == 2
+    assert _datum_structure.cache_info().hits - parsed.hits == 2
     assert all(rd.spec_string == "A1xA1+T1" for rd in data)
     assert len({id(rd.chi_cache) for rd in data}) == len(data)
 
@@ -767,7 +775,7 @@ def test_highest_coroots_pair_most_with_every_fundamental_weight(name):
     # a dominant weight is a nonnegative sum of fundamental weights, so the
     # coroot that pairs most with each of them pairs most with all
     rd = build_root_datum(name)
-    highest = rd.highest_coroots()
+    highest = rd.linear_tables().highest_coroots
     assert [theta.component for theta in highest] == list(range(rd.num_components))
     for theta in highest:
         roots = [b for b in rd.positive_roots if b.component == theta.component]
@@ -776,13 +784,13 @@ def test_highest_coroots_pair_most_with_every_fundamental_weight(name):
         # with two root lengths it is the highest short root, not the highest root
         one_length = len({rootdata.dot(b.form, b.coords) for b in roots}) == 1
         assert (theta is rd.highest_root(theta.component)) == one_length, (name, theta)
-    assert build_root_datum(name).highest_coroots() is highest is rd.tables.highest_coroots
+    assert build_root_datum(name).linear_tables().highest_coroots is highest is rd.tables.linear.highest_coroots
 
 
 def test_first_fundamental_weight_of_b3_is_not_minuscule():
     # it pairs 2 with the highest coroot and 1 with the highest root's coroot
     rd = build_root_datum("B3")
-    (theta,) = rd.highest_coroots()
+    (theta,) = rd.linear_tables().highest_coroots
     assert (rootdata.dot((1, 0, 0), theta.coroot), rootdata.dot((1, 0, 0), rd.highest_root(0).coroot)) == (2, 1)
     assert chi_char(rd, (1, 0, 0)).mult == {(1, 0, 0): 1, (0, 0, 0): 1}
 
@@ -800,7 +808,7 @@ def test_quotient_data_match_the_root_by_root_solve(name):
         linear = q.linear_tables()
         assert linear.cartan == expected["cartan"], theta
         assert (linear.det, linear.adj) == expected["inverse"], theta
-        assert linear.two_rho_form == expected["two_rho_form"], theta
+        assert tuple(2 * h for h in linear.half_norms) == expected["two_rho_form"], theta
         assert linear.two_rho_coroot == expected["two_rho_coroot"], theta
         assert classify_root_datum(q) == expected["type"], theta
         for r in q.roots:
@@ -1021,7 +1029,7 @@ def _structure_digest(rd):
     linear = rd.linear_tables()
     fields = [
         str(rd.spec), rd.n, rd.rho, _root_fields(rd.roots), rd.simple_indices, linear.cartan,
-        linear.det, linear.adj, linear.two_rho_form, linear.two_rho_coroot,
+        linear.det, linear.adj, tuple(2 * h for h in linear.half_norms), linear.two_rho_coroot,
     ]
     if rd.spec_string in ORBIT_TABLE_TYPES:
         rank = rd.semisimple_rank

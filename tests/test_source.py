@@ -170,6 +170,26 @@ def test_roots_are_reflected_only_to_build_rows():
     assert offenders == []
 
 
+def _is_root_norm(node):
+    """Whether ``node`` is ``dot(x.form, x.coords)`` for one expression x."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dot"):
+        return False
+    if len(node.args) != 2 or not all(isinstance(arg, ast.Attribute) for arg in node.args):
+        return False
+    form, coords = node.args
+    return (form.attr, coords.attr) == ("form", "coords") and ast.dump(form.value) == ast.dump(coords.value)
+
+
+def test_root_norms_are_read_in_one_place():
+    # (alpha, alpha) is computed for the simple roots once, into
+    # LinearTables.half_norms, and for the orbit tops of stabilizer_orbits;
+    # every other reader takes those tables
+    assert [(module, owner) for module, owner, _ in _owners(_is_root_norm)] == [
+        ("rootdata.py", "linear_tables"),
+        ("rootdata.py", "stabilizer_orbits"),
+    ]
+
+
 def test_records_skip_their_constructor_only_through_trusted():
     # ReadOnly._trusted is the one way to build a record without its
     # __init__ checks; build_root_datum copies a memoized datum's structure
