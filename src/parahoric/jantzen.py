@@ -27,7 +27,7 @@ from .charring import (
     character_to_json,
     dim,
 )
-from .rootdata import InvariantViolation, NotPrime, Root, RootDatum, Weight, check_prime, dot, weight_key, wsub
+from .rootdata import InvariantViolation, NotPrime, Root, RootDatum, Weight, check_prime, dot, weight_key, wscale, wsub
 
 __all__ = [
     "NotPrime",
@@ -64,7 +64,15 @@ def _nu_p(p: int, n: int) -> int:
 
 
 def dot_reflect(rd: RootDatum, alpha: Root, n: int, lam: Weight) -> Weight:
-    """Affine dot reflection s_{alpha, n} . lam = lam - (<lam+rho,a^vee> - n) a."""
+    """Affine dot reflection s_{alpha, n} . lam = lam - (<lam+rho,a^vee> - n) a.
+
+    ``lam`` must be a weight of ``rd`` (:meth:`RootDatum.check_weights`) and
+    ``alpha`` one of its roots, the object in ``rd.roots``, or ``ValueError``
+    is raised."""
+    rd.check_weights(lam)
+    i = rd.root_index.get(alpha.coords)
+    if i is None or rd.roots[i] is not alpha:
+        raise ValueError(f"{alpha} is not a root of this datum")
     c = dot(lam, alpha.coroot) + alpha.coroot_height - n
     return wsub(lam, tuple(c * x for x in alpha.coords))
 
@@ -77,13 +85,16 @@ def jantzen_sum(rd: RootDatum, p: int, lam: Weight) -> VirtualChiSum:
 
 
 def _jantzen_sum(rd: RootDatum, p: int, lam: Weight) -> VirtualChiSum:
-    """:func:`jantzen_sum` on checked arguments; it drops each coefficient that cancels."""
+    """:func:`jantzen_sum` on checked arguments; it drops each coefficient
+    that cancels.  The dot reflection s_{alpha, mp} . lam of
+    :func:`dot_reflect` is built from the pairing <lam+rho, alpha^vee> read
+    once per root."""
     coeffs: dict[Weight, int] = {}
     for alpha in rd.positive_roots:
         pairing = dot(lam, alpha.coroot) + alpha.coroot_height
         mp = p
         while mp < pairing:
-            normalized = _chi_normalize(rd, dot_reflect(rd, alpha, mp, lam))
+            normalized = _chi_normalize(rd, wsub(lam, wscale(pairing - mp, alpha.coords)))
             if normalized is not None:
                 sign, w = normalized
                 c = coeffs.get(w, 0) + sign * _nu_p(p, mp)
@@ -128,18 +139,12 @@ class SimpleLedger:
 
     __slots__ = ("datum", "p", "entries", "undetermined")
 
-    def __init__(
-        self,
-        datum: RootDatum,
-        p: int,
-        entries: dict[Weight, LedgerEntry] | None = None,
-        undetermined: set[Weight] | None = None,
-    ):
+    def __init__(self, datum: RootDatum, p: int):
         check_prime(p)
         self.datum = datum
         self.p = p
-        self.entries = {} if entries is None else entries
-        self.undetermined = set() if undetermined is None else undetermined
+        self.entries: dict[Weight, LedgerEntry] = {}
+        self.undetermined: set[Weight] = set()
 
     def get(self, lam: Weight) -> LedgerEntry | None:
         return self.entries.get(lam)

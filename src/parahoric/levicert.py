@@ -41,7 +41,7 @@ reads them for rule E2 and not expanded again.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import obs
 from .charring import (
@@ -202,16 +202,13 @@ def from_parahoric(model: ParahoricModel) -> SplittingSequence:
     return SplittingSequence._trusted(datum, tuple(layers), tuple(map(len, model.layers)), tuple(expansions))
 
 
-class LeviCertificate:
-    __slots__ = ("existence", "conjugacy", "rules", "notes")
+class LeviCertificate(NamedTuple):
+    """The verdicts of :func:`certify`, with the rules and notes behind them."""
 
-    def __init__(
-        self, existence: str, conjugacy: str, rules: list[dict] | None = None, notes: list[str] | None = None
-    ):
-        self.existence = existence
-        self.conjugacy = conjugacy
-        self.rules = [] if rules is None else rules
-        self.notes = [] if notes is None else notes
+    existence: str
+    conjugacy: str
+    rules: list[dict]
+    notes: list[str]
 
     def rule(self, rule_id: str) -> dict:
         for r in self.rules:
@@ -220,12 +217,7 @@ class LeviCertificate:
         raise KeyError(f"no rule {rule_id!r} in this certificate")
 
     def to_json_dict(self) -> dict:
-        return {
-            "existence": self.existence,
-            "conjugacy": self.conjugacy,
-            "rules": self.rules,
-            "notes": self.notes,
-        }
+        return self._asdict()
 
 
 def certify(seq: SplittingSequence, p: int, use_rank_refinement: bool = False) -> LeviCertificate:

@@ -27,13 +27,13 @@ Counter names are ``<module>.<function>.<what>``:
   :meth:`parahoric.rootdata.RootDatum.linear_tables` of quotient data
   built, each on first read, so a facet sweep that models, classifies and
   certifies builds none, and a character computed or expanded over a
-  quotient builds its quotient's, a minuscule character or a lowest-alcove
-  test included, since the record holds the highest coroots;
+  quotient builds its quotient's, a lowest-alcove test included, since the
+  record holds the highest coroots;
 * ``charring.freudenthal.runs``: characters computed by Freudenthal's
   recursion, that is misses of ``chi_cache`` (a hit counts nothing); a
-  minuscule or zero highest weight, whose character is stored as its orbit
-  sum without the recursion, counts as a run with one dominant weight and
-  no string steps, chamber walks, walk steps or norm cuts;
+  minuscule or zero highest weight is an ordinary run with one dominant
+  weight, whose string steps, chamber walks, walk steps and norm cuts are
+  recorded as 0;
 * ``charring.freudenthal.dominant_weights``: dominant weights of those
   characters;
 * ``charring.freudenthal.string_steps``: weights visited on their

@@ -206,14 +206,18 @@ class DynkinSpec(ReadOnly):
     """A product of irreducible Dynkin types plus an optional central torus.
 
     ``components`` may be any iterable of ``(family, rank)`` pairs: it is
-    read once, before any check, and kept as a tuple of tuples.  Every rank
-    and the torus rank must be an ``int``, not a ``bool``, or
-    :class:`IllegalRank` is raised."""
+    read once, before any check, and kept as a tuple of tuples.
+    :class:`IllegalRank` is raised for anything else, such as a string or a
+    triple, for a rank its family does not allow, and unless every rank and
+    the torus rank is an ``int``, not a ``bool``."""
 
     __slots__ = ("components", "extra_torus_rank")
 
     def __init__(self, components: tuple[tuple[str, int], ...], extra_torus_rank: int = 0):
-        components = tuple((family, rank) for family, rank in components)  # read once, kept hashable
+        try:
+            components = tuple((family, rank) for family, rank in components)  # read once, kept hashable
+        except (TypeError, ValueError):
+            raise IllegalRank(f"{components!r} are not (family, rank) pairs") from None
         for family, rank in components:
             if family not in _LEGAL_RANKS:
                 raise IllegalRank(f"unknown family {family!r}")
@@ -533,8 +537,8 @@ class LinearTables(NamedTuple):
     ``coroot_height``, the highest short root outside the simply-laced
     types, not the highest root.  Its coroot minus any positive coroot of
     the component is a nonnegative sum of simple coroots, so it pairs with
-    a dominant weight at least as much as any of them: a dominant lam is
-    minuscule or zero exactly when it pairs at most 1 with each."""
+    a dominant weight at least as much as any of them, which is all that the
+    lowest-alcove test of :mod:`parahoric.jantzen` reads of it."""
 
     cartan: tuple[tuple[int, ...], ...]
     det: int
@@ -570,13 +574,13 @@ class DatumTables:
         "orbits", "orbit_sizes", "closure_rows", "reflection_rows", "sum_rows", "linear", "extended_basis",
     )
 
-    def __init__(self, linear: LinearTables | None = None):
+    def __init__(self):
         self.orbits: dict[tuple[int, ...], tuple[tuple[Weight, tuple[int, ...], int, int], ...]] = {}
         self.orbit_sizes: dict[tuple[int, ...], int] = {}
         self.closure_rows: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = {}
         self.reflection_rows: dict[int, tuple[int, ...]] = {}
         self.sum_rows: dict[int, tuple[int | None, ...]] = {}
-        self.linear = linear
+        self.linear: LinearTables | None = None
         self.extended_basis: AffineBasis | None = None
 
 
@@ -634,6 +638,8 @@ class RootDatum:
         return sum(map(len, self.simple_indices))
 
     def component_simple_roots(self, component: int) -> tuple[Root, ...]:
+        if not 0 <= component < self.num_components:
+            raise ValueError(f"no component {component}")
         return tuple(self.roots[i] for i in self.simple_indices[component])
 
     def root_with_coords(self, coords: Weight) -> Root:
@@ -658,6 +664,8 @@ class RootDatum:
         rows = self.tables.reflection_rows
         row = rows.get(i)
         if row is None:
+            if not 0 <= i < len(self.roots):
+                raise ValueError(f"no root {i}")
             alpha, index = self.roots[i], self.root_index
             row = rows[i] = tuple(index[self.reflect(alpha, b.coords)] for b in self.roots)
             obs.count("rootdata.reflection_rows.built")
@@ -670,6 +678,8 @@ class RootDatum:
         rows = self.tables.sum_rows
         row = rows.get(i)
         if row is None:
+            if not 0 <= i < len(self.roots):
+                raise ValueError(f"no root {i}")
             alpha, index = self.roots[i].coords, self.root_index
             row = rows[i] = tuple(index.get(wadd(alpha, b.coords)) for b in self.roots)
             obs.count("rootdata.sum_rows.built")
@@ -892,6 +902,8 @@ class RootDatum:
         ``x / d`` in the coordinates dual to the weight coordinates, on which
         simple root ``j`` takes the value ``[i == j]``.  It is row ``i`` of the
         inverse Cartan matrix over the simple coroots."""
+        if not 0 <= i < self.semisimple_rank:
+            raise ValueError(f"no simple root {i}")
         linear = self.linear_tables()
         return combine(linear.adj[i], self.simple_coroots, (0,) * self.n), linear.det
 

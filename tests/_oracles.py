@@ -317,8 +317,10 @@ def merge_ledgers(left, right):
             merged[lam] = entry
         elif merged[lam].char != entry.char:
             raise InvariantViolation(f"merged ledgers disagree on ch L({lam})")
-    undetermined = (left.undetermined | right.undetermined) - merged.keys()
-    return SimpleLedger(left.datum, left.p, merged, undetermined)
+    ledger = SimpleLedger(left.datum, left.p)
+    ledger.entries = merged
+    ledger.undetermined = (left.undetermined | right.undetermined) - merged.keys()
+    return ledger
 
 
 def dominant_conjugate_by_reflection(datum, lam):

@@ -34,8 +34,8 @@ from parahoric import (
     resolve_simple,
     tensor,
 )
-from parahoric import charring
-from parahoric.charring import _chi_mult, _dominant_below, expand_full
+from parahoric import charring, obs
+from parahoric.charring import _dominant_below, expand_full
 from parahoric.rootdata import ReadOnly, combine, dot, wsub
 
 from _oracles import (
@@ -184,42 +184,23 @@ def test_label_path_matches_reference_across_components_and_quotients():
     assert (checked, strings) == (81 + 2408 + 1511, 79 + 1165)
 
 
-def test_minuscule_shortcut_fires_exactly_on_single_weight_closures(monkeypatch):
-    """chi(lam) is stored as {lam: 1} without the dominance closure exactly
-    when the closure would give lam alone."""
-    cases = [(build_root_datum(name), weights) for name, weights in _rank4_boxes()]
-    for name in ("E6", "E7"):
-        rd = build_root_datum(name)
-        cases.append((rd, [tuple(int(i == j) for j in range(rd.n)) for i in range(rd.n)]))
-    f4 = build_root_datum("F4")
-    basis = extended_basis(f4)
-    for theta in enumerate_facets(f4, basis):
-        model = parahoric_model(f4, theta, basis)
-        sub = model.quotient_datum
-        weights = {f4.roots[k].coords for layer in model.layers for k in layer}
-        cases.append((sub, sorted(w for w in weights if sub.is_dominant(w))))
+MINUSCULE = [("A4", (1, 2, 3, 4)), ("B4", (4,)), ("C4", (1,)), ("D5", (1, 4, 5)), ("E6", (1, 6)), ("E7", (7,))]
 
-    class Closure(Exception):
-        pass
 
-    def closure(rd, start):
-        raise Closure
-
-    monkeypatch.setattr(charring, "_dominant_below", closure)
-    fired = ran = 0
-    for rd, weights in cases:
-        for lam in weights:
-            rd.chi_cache = {}
-            single = len(_dominant_below(rd, _labels(rd, lam))) == 1
-            try:
-                mult = _chi_mult(rd, lam)
-            except Closure:
-                assert not single, (rd.spec, lam)
-                ran += 1
-            else:
-                assert single and mult == {lam: 1} and rd.chi_cache[lam] is mult, (rd.spec, lam)
-                fired += 1
-    assert (fired, ran) == (496, 321)
+@pytest.mark.parametrize("name, nodes", MINUSCULE)
+def test_minuscule_and_zero_weights_take_the_one_freudenthal_path(name, nodes):
+    """A minuscule or zero lam is the only dominant weight below itself: the
+    recursion stores {lam: 1} as an ordinary run that walks no string."""
+    rd = build_root_datum(name)
+    weights = [tuple(int(j + 1 == i) for j in range(rd.n)) for i in nodes] + [(0,) * rd.n]
+    for lam in weights:
+        rd.chi_cache = {}
+        with obs.recording() as counts:
+            ch = chi_char(rd, lam)
+        assert ch.mult == {lam: 1} and rd.chi_cache[lam] == {lam: 1}, lam
+        assert counts["charring.freudenthal.runs"] == counts["charring.freudenthal.dominant_weights"] == 1, lam
+        others = ("string_steps", "chamber_walks", "walk_steps", "norm_cuts")
+        assert [counts.get(f"charring.freudenthal.{k}", 0) for k in others] == [0, 0, 0, 0], lam
 
 
 @pytest.mark.parametrize(

@@ -345,7 +345,8 @@ def test_disk_cache_entries_are_keyed_by_version_and_datum(tmp_path, monkeypatch
     # the same type name over another Cartan matrix has another fingerprint
     other = build_root_datum("A2")
     linear = other.linear_tables()._replace(cartan=((2, -1), (-2, 2)))
-    other.tables = DatumTables(linear=linear)  # this build's own tables
+    other.tables = DatumTables()  # this build's own tables
+    other.tables.linear = linear
     assert DiskCharacters(other, str(tmp_path)).dir != DiskCharacters(a2, str(tmp_path)).dir
     assert DiskCharacters(other, str(tmp_path)).get((1, 0)) is None
     # another release reads nothing this one wrote

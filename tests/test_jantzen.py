@@ -60,6 +60,15 @@ def test_dot_reflect_anchor(a2):
     assert dot_reflect(a2, alpha1, 5, (5, 0)) == (3, 1)
 
 
+def test_dot_reflect_checks_its_datum(a2):
+    alpha1 = a2.simple_roots[0]
+    with pytest.raises(ValueError, match="not the lattice rank"):
+        dot_reflect(a2, alpha1, 5, (1,))
+    b3_root = build_root_datum("B3").simple_roots[0]
+    with pytest.raises(ValueError, match="is not a root of this datum"):
+        dot_reflect(a2, b3_root, 5, (1, 0))
+
+
 def test_dot_reflect_fixes_hyperplane(a2):
     for lam in [(2, 0), (3, 1), (0, 0)]:
         for alpha in a2.positive_roots:

@@ -111,9 +111,10 @@ def test_characters_compare_by_value_and_are_unhashable(a2):
 
 def test_datum_tables_take_keywords(a2):
     linear = a2.linear_tables()
-    tables = DatumTables(linear=linear)
+    tables = DatumTables()
+    assert tables.linear is tables.extended_basis is None
+    tables.linear = linear
     assert tables.linear is linear
-    assert tables.extended_basis is None
     assert tables.orbits == tables.orbit_sizes == tables.closure_rows == {}
     assert tables.reflection_rows == tables.sum_rows == {}
     tables.linear = None  # mutable
@@ -177,6 +178,8 @@ def test_read_only_records_copy_and_pickle(a2):
         # a rank or torus rank that is a float, a bool or a str, not an int
         ((("A", 2.0),), 0), ((("A", True),), 0), ((("A", "2"),), 0),
         ((("A", 2),), 1.0), ((("A", 2),), True), ((("A", 2),), "1"),
+        # components that are not (family, rank) pairs
+        ("A2", 0), ([("A", 2, 0)], 0), (None, 0),
     ],
 )
 def test_dynkin_spec_rejects_illegal_ranks(components, torus):

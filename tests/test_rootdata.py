@@ -329,7 +329,8 @@ def test_invariant_violation_survives_optimize_flag():
         "    rd = build_root_datum('A2')\n"
         "    linear = rd.linear_tables()\n"
         "    raised = linear._replace(half_norms=(linear.half_norms[0] + 1,) + linear.half_norms[1:])\n"
-        "    rd.tables = rootdata.DatumTables(linear=raised)  # this build's own tables\n"
+        "    rd.tables = rootdata.DatumTables()  # this build's own tables\n"
+        "    rd.tables.linear = raised\n"
         "    chi_char(rd, (1, 1))\n"
         "def swapped_row():  # two entries of alpha_2's reflection row in A3 exchanged\n"
         "    a3 = build_root_datum('A3')\n"
@@ -1064,6 +1065,24 @@ def test_highest_root_names_a_missing_component():
     for component in (2, -1):
         with pytest.raises(ValueError, match=f"no component {component}"):
             a1xa1.highest_root(component)
+
+
+@pytest.mark.parametrize(
+    "method, length",
+    [
+        ("fundamental_coweight", lambda rd: rd.semisimple_rank),
+        ("reflection_row", lambda rd: len(rd.roots)),
+        ("sum_row", lambda rd: len(rd.roots)),
+        ("component_simple_roots", lambda rd: rd.num_components),
+    ],
+)
+def test_indices_outside_their_range_raise(method, length):
+    # -1 wrapped to the last node, root or component, and a row was cached under it
+    rd = rootdata._datum_structure.__wrapped__("A2")
+    for index in (-1, length(rd)):
+        with pytest.raises(ValueError, match=f"no .*{index}"):
+            getattr(rd, method)(index)
+    assert rd.tables.reflection_rows == rd.tables.sum_rows == {}
 
 
 def test_weights_take_only_int_coordinates(a2):

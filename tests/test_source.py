@@ -202,3 +202,58 @@ def test_records_skip_their_constructor_only_through_trusted():
         ("rootdata.py", "_trusted"),
         ("rootdata.py", "build_root_datum"),
     ]
+
+
+# Every default that the package's functions, methods and NamedTuple fields
+# keep, with the traffic that pays for it.  An option that only tests, or only
+# one caller that could pass the value, ever sets does not belong here.
+DEFAULTS = {
+    "affine.enumerate_facets.basis": "the CLI and demos omit it; the bench passes the basis it built",
+    "affine.parahoric_model.basis": "the CLI and demos omit it; the bench passes the basis it built",
+    "affine.quotient_by_deletion.basis": "demo 02 omits it; tests pass the basis they built",
+    "charring.Character.__init__.mult": "Character(rd) is the zero character that users write",
+    "charring.VirtualChiSum.__init__.coeffs": "VirtualChiSum() is the zero chi-sum that users write",
+    "cli.Report.code": "every command but the two verify commands exits 0",
+    "cli.main.argv": "the console script reads sys.argv; the bench and tests pass a list",
+    "jantzen.jantzen_report.ledger": "the CLI's one report builds its own; the bench shares one per (datum, p)",
+    "levicert.certify.use_rank_refinement": "set by the CLI's --rank-refinement flag; demo 04 omits it",
+    "obs.count.n": "most counters add 1 per event",
+    "rootdata.DynkinSpec.__init__.extra_torus_rank": "most specs have no central torus",
+    "rootdata._cartan_and_symmetrizer.edge.cij": "a single bond; only the F4 and G2 multiple bonds pass the entries",
+    "rootdata._cartan_and_symmetrizer.edge.cji": "a single bond; only the F4 and G2 multiple bonds pass the entries",
+}
+
+
+def _defaults(node, module, prefix=""):
+    """``module.qualname.parameter`` for each parameter with a default in
+    the functions under ``node``, and each NamedTuple field with one."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = prefix + getattr(child, "name", "<lambda>")
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [f"{module}.{name}.{a.arg}" for a in defaulted]
+            found += _defaults(child, module, name + ".")
+        elif isinstance(child, ast.ClassDef):
+            name = prefix + child.name
+            found += [
+                f"{module}.{name}.{st.target.id}"
+                for st in child.body
+                if isinstance(st, ast.AnnAssign) and st.value is not None
+            ]
+            found += _defaults(child, module, name + ".")
+        else:
+            found += _defaults(child, module, prefix)
+    return found
+
+
+def test_every_default_is_listed_with_its_traffic():
+    found = [
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _defaults(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert sorted(found) == sorted(DEFAULTS)
